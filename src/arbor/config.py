@@ -93,14 +93,8 @@ class ParameterServer:
         self._flat = dict(flat)
         self._consumed: set = set()
 
-    def keys(self):
-        return list(self._flat.keys())
-
     def as_dict(self) -> dict:
         return dict(self._flat)
-
-    def has(self, key: str) -> bool:
-        return key in self._flat
 
     def get(self, key: str, default=_MISSING):
         if key in self._flat:

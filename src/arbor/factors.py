@@ -42,13 +42,6 @@ FACTOR_KINDS = (MOTION, RANGE_BEARING, PRIOR_POSE, PRIOR_BLOCK, RELATIVE_POSE)
 
 
 @dataclass
-class HuberLoss:
-    """Robust loss: quadratic inside |r| <= k, linear outside."""
-
-    k: float
-
-
-@dataclass
 class MotionData:
     """Frozen pre-integration results backing a motion factor."""
 
@@ -71,7 +64,6 @@ class Factor:
     z: np.ndarray
     sqrt_info: np.ndarray
     constrained: list
-    loss: Optional[HuberLoss] = None
     aux: Optional[MotionData] = None
 
     def __post_init__(self):
@@ -113,23 +105,6 @@ def whiten(q: np.ndarray) -> np.ndarray:
     return u
 
 
-def huber(loss: HuberLoss, squared_norm: float):
-    """(rho, weight) of the Huber loss at a squared residual norm.
-
-    Inside the quadratic region rho equals the squared norm and the weight
-    is one; outside, residual and Jacobians are meant to be scaled by
-    sqrt(weight).
-    """
-    s = float(squared_norm)
-    if s < 0.0 or loss.k <= 0.0:
-        raise ContractError("huber needs squared_norm >= 0 and k > 0")
-    k2 = loss.k * loss.k
-    if s <= k2:
-        return s, 1.0
-    root = math.sqrt(s)
-    return 2.0 * loss.k * root - k2, loss.k / root
-
-
 def _split_pose_cols(j: np.ndarray):
     return j[:, :2], j[:, 2:3]
 
@@ -152,6 +127,9 @@ def residual_motion(xi: Pose2, xj: Pose2, c: np.ndarray, f: Factor) -> Residual:
 
 
 def _range_bearing_terms(px, py, th, ex, ey, eth, lx, ly, f: Factor) -> Residual:
+    """Range-bearing of landmark (lx, ly) from pose (px, py, th) through
+    extrinsics (ex, ey, eth).  Jacobian blocks: x.p, x.o, ext.p, ext.o, landmark.
+    """
     cx, sx = math.cos(th), math.sin(th)
     spx = px + cx * ex - sx * ey
     spy = py + sx * ex + cx * ey
@@ -182,19 +160,6 @@ def _range_bearing_terms(px, py, th, ex, ey, eth, lx, ly, f: Factor) -> Residual
     ])
     j = -u @ dh_all
     return Residual(r, [j[:, 0:2], j[:, 2:3], j[:, 3:5], j[:, 5:6], j[:, 6:8]])
-
-
-def residual_range_bearing(x: Pose2, ext: Pose2, landmark: np.ndarray, f: Factor) -> Residual:
-    """Range-bearing observation of a point landmark through sensor extrinsics.
-
-    The sensor pose is the robot pose advanced by the extrinsic transform;
-    the landmark is expressed in the sensor frame and measured as
-    (range, bearing).  Jacobian blocks: x.p, x.o, ext.p, ext.o, landmark.
-    """
-    landmark = np.asarray(landmark, dtype=float)
-    return _range_bearing_terms(x.p[0], x.p[1], x.theta,
-                                ext.p[0], ext.p[1], ext.theta,
-                                landmark[0], landmark[1], f)
 
 
 def residual_prior_pose(x: Pose2, f: Factor) -> Residual:

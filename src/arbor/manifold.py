@@ -50,12 +50,6 @@ def rot2(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-def drot2(theta: float) -> np.ndarray:
-    """Derivative dR/dtheta of the 2x2 rotation matrix."""
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[-s, -c], [c, -s]])
-
-
 def _as_finite_vector(values, n: int | None, what: str) -> np.ndarray:
     v = np.asarray(values, dtype=float)
     if v.ndim == 0:
@@ -93,9 +87,6 @@ class StateBlock:
     @property
     def tangent_dim(self) -> int:
         return self.values.shape[0]
-
-    def copy(self) -> "StateBlock":
-        return StateBlock(self.values.copy(), self.kind, self.fixed)
 
 
 @dataclass

@@ -11,7 +11,6 @@ always covers the whole trajectory.
 from __future__ import annotations
 
 import json
-import threading
 import time
 from pathlib import Path
 from typing import Callable, Optional
@@ -29,27 +28,6 @@ ESTIMATE_LANDMARK = "estimate_landmark"
 ESTIMATE_CALIB = "estimate_calib"
 
 
-def _solve_once(problem: SolverProblem, tree, threaded: bool):
-    if not threaded:
-        sync(problem, tree)
-        return lm_solve(problem, tree)
-    box: dict = {}
-
-    def work():
-        try:
-            sync(problem, tree)
-            box["report"] = lm_solve(problem, tree)
-        except BaseException as exc:  # propagated to the caller below
-            box["error"] = exc
-
-    worker = threading.Thread(target=work, name="solver")
-    worker.start()
-    worker.join()
-    if "error" in box:
-        raise box["error"]
-    return box["report"]
-
-
 def build_application(config_path) -> Application:
     """Config phase of a run: parse the YAML and auto-set-up the problem."""
     return auto_setup(parse_config(Path(config_path).read_text()))
@@ -57,7 +35,6 @@ def build_application(config_path) -> Application:
 
 def run(config_path, log_path, out_path=None, truth_path=None,
         metrics_path=None, print_tree: bool = False,
-        threaded_solver: bool = False,
         on_keyframe: Optional[Callable] = None):
     """Replay a capture log; returns (estimate records, metrics or None).
 
@@ -67,12 +44,11 @@ def run(config_path, log_path, out_path=None, truth_path=None,
     app = build_application(config_path)
     return replay(app, log_path, out_path=out_path, truth_path=truth_path,
                   metrics_path=metrics_path, print_tree=print_tree,
-                  threaded_solver=threaded_solver, on_keyframe=on_keyframe)
+                  on_keyframe=on_keyframe)
 
 
 def replay(app: Application, log_path, out_path=None, truth_path=None,
            metrics_path=None, print_tree: bool = False,
-           threaded_solver: bool = False,
            on_keyframe: Optional[Callable] = None):
     """Data phase of a run: feed a capture log through a built application."""
     t_start = time.perf_counter()
@@ -112,7 +88,8 @@ def replay(app: Application, log_path, out_path=None, truth_path=None,
         for event in events:
             if app.window_policy is not None:
                 tree.enforce_window(app.window_policy)
-            last_report = _solve_once(problem, tree, threaded_solver)
+            sync(problem, tree)
+            last_report = lm_solve(problem, tree)
             refresh_archive()
             if on_keyframe is not None:
                 on_keyframe(tree, event, last_report)

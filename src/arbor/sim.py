@@ -4,9 +4,9 @@ Ground truth is integrated on the odometry clock with the same chord
 kinematics the wheel model implies, so a noise-free log is exactly
 reproducible by the estimator.  Wheel encoder records come from the inverse
 kinematics of the commanded arc; range-bearing records list the landmarks
-inside the sensor's range and field of view.  Everything is a pure function
-of the scenario (seed included), so identical scenarios yield byte-identical
-logs.
+inside the sensor's range and field of view whose noisy range is positive.
+Everything is a pure function of the scenario (seed included), so identical
+scenarios yield byte-identical logs.
 
 Log format (one JSON object per line): {"t": seconds, "sensor": name,
 "data": [...]}. Ground truth reuses the envelope with the reserved sensor
@@ -180,6 +180,10 @@ def _scan(scenario, x, y, theta, rng):
             continue
         r_meas = rng_true + rng.normal(0.0, rb.range_std) if rb.range_std else rng_true
         b_meas = bearing + rng.normal(0.0, rb.bearing_std) if rb.bearing_std else bearing
+        # a range sensor reports no return at a non-positive range; the noise
+        # is drawn regardless, so the random stream does not depend on it
+        if r_meas <= 0.0:
+            continue
         if rb.emit_ids:
             out.append([lid, r_meas, b_meas])
         else:

@@ -8,13 +8,14 @@ and touched by at least one factor; everything else is held constant.
 Damping is multiplicative on the diagonal of the normal matrix, which keeps
 meter and radian columns comparably conditioned.  Steps are retracted with
 block_plus so angle blocks stay on their manifold.  A step is accepted only
-if it strictly decreases the robust cost, so the report's final cost never
+if it strictly decreases the cost, so the report's final cost never
 exceeds the initial one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional
 
 import numpy as np
@@ -26,7 +27,7 @@ from .errors import (
     SingularSystemError,
     SyncError,
 )
-from .factors import Factor, evaluate, huber
+from .factors import Factor, evaluate
 from .manifold import StateBlock, block_plus
 
 CONVERGED_DX = "converged_dx"
@@ -35,14 +36,15 @@ MAX_ITER = "max_iterations"
 
 _SINGULARITY_RTOL = 1e-13
 
+_LAMBDA_UP = 10.0
+_LAMBDA_DOWN = 10.0
+_LAMBDA_MAX = 1e8
+
 
 @dataclass
 class SolverOptions:
     max_iterations: int = 50
     lambda_init: float = 1e-4
-    lambda_up: float = 10.0
-    lambda_down: float = 10.0
-    lambda_max: float = 1e8
     tol_dx: float = 1e-10
     tol_grad: float = 1e-12
 
@@ -85,39 +87,38 @@ def sync(problem: SolverProblem, tree) -> None:
     Also refreshes fixed flags (the window manager flips them in place) and
     reassigns contiguous column offsets to the active blocks.
     """
-    with tree.lock:
-        for note in tree.drain_notifications():
-            if note.action == tree_mod.ADD_BLOCK:
-                node_id, name = note.target
-                try:
-                    block = tree.block(node_id, name)
-                except Exception as exc:
-                    raise SyncError(f"add_block for unknown target {note.target}") from exc
-                problem.blocks[note.target] = _BlockEntry(block.kind, block.tangent_dim,
-                                                          block.fixed)
-                problem.values[note.target] = block.values.copy()
-            elif note.action == tree_mod.REMOVE_BLOCK:
-                if note.target not in problem.blocks:
-                    raise SyncError(f"remove_block for unknown target {note.target}")
-                del problem.blocks[note.target]
-                problem.values.pop(note.target, None)
-            elif note.action == tree_mod.ADD_FACTOR:
-                try:
-                    payload = tree.node(note.target).payload
-                except Exception as exc:
-                    raise SyncError(f"add_factor for unknown node {note.target}") from exc
-                if not isinstance(payload, Factor):
-                    raise SyncError(f"node {note.target} does not carry a factor")
-                problem.factors[note.target] = payload
-            elif note.action == tree_mod.REMOVE_FACTOR:
-                if note.target not in problem.factors:
-                    raise SyncError(f"remove_factor for unknown factor {note.target}")
-                del problem.factors[note.target]
-            else:
-                raise SyncError(f"unknown notification action {note.action!r}")
+    for note in tree.drain_notifications():
+        if note.action == tree_mod.ADD_BLOCK:
+            node_id, name = note.target
+            try:
+                block = tree.block(node_id, name)
+            except Exception as exc:
+                raise SyncError(f"add_block for unknown target {note.target}") from exc
+            problem.blocks[note.target] = _BlockEntry(block.kind, block.tangent_dim,
+                                                      block.fixed)
+            problem.values[note.target] = block.values.copy()
+        elif note.action == tree_mod.REMOVE_BLOCK:
+            if note.target not in problem.blocks:
+                raise SyncError(f"remove_block for unknown target {note.target}")
+            del problem.blocks[note.target]
+            problem.values.pop(note.target, None)
+        elif note.action == tree_mod.ADD_FACTOR:
+            try:
+                payload = tree.node(note.target).payload
+            except Exception as exc:
+                raise SyncError(f"add_factor for unknown node {note.target}") from exc
+            if not isinstance(payload, Factor):
+                raise SyncError(f"node {note.target} does not carry a factor")
+            problem.factors[note.target] = payload
+        elif note.action == tree_mod.REMOVE_FACTOR:
+            if note.target not in problem.factors:
+                raise SyncError(f"remove_factor for unknown factor {note.target}")
+            del problem.factors[note.target]
+        else:
+            raise SyncError(f"unknown notification action {note.action!r}")
 
-        for key, entry in problem.blocks.items():
-            entry.fixed = tree.block(*key).fixed
+    for key, entry in problem.blocks.items():
+        entry.fixed = tree.block(*key).fixed
 
     problem._factor_entries = {}
     touched = set()
@@ -143,16 +144,11 @@ def _factor_terms(problem: SolverProblem, fid, factor: Factor, values: dict):
 
 
 def total_cost(problem: SolverProblem, values: dict) -> float:
-    """Sum of rho(||r||^2)/2 over all factors under their losses."""
+    """Sum of ||r||^2/2 over all factors."""
     cost = 0.0
     for fid, factor in problem.factors.items():
         res = _factor_terms(problem, fid, factor, values)
-        s = float(res.r @ res.r)
-        if factor.loss is not None:
-            rho, _ = huber(factor.loss, s)
-            cost += 0.5 * rho
-        else:
-            cost += 0.5 * s
+        cost += 0.5 * float(res.r @ res.r)
     return cost
 
 
@@ -178,68 +174,53 @@ def apply_step(problem: SolverProblem, dx: np.ndarray) -> None:
 
 
 def _linearize(problem: SolverProblem, values: dict):
-    """Robust cost, gradient, and block-sparse normal equations.
+    """Gradient and block-sparse normal equations.
 
     Accumulation is by block-coordinate pairs (only the pairs each factor
-    actually couples), scattered into the upper triangle and mirrored; the
-    structurally nonzero pattern is returned alongside.
+    actually couples), scattered into the upper triangle and mirrored.
     """
     n = problem.total_dim
-    pattern: set = set()
     g = np.zeros(n)
     h = np.zeros((n, n))
-    cost = 0.0
     for fid, factor in problem.factors.items():
         res = _factor_terms(problem, fid, factor, values)
-        r = res.r
-        s = float(r @ r)
-        if factor.loss is not None:
-            rho, w = huber(factor.loss, s)
-            cost += 0.5 * rho
-            scale = np.sqrt(w)
-            r = scale * r
-            jacobians = [scale * j for j in res.jacobians]
-        else:
-            cost += 0.5 * s
-            jacobians = res.jacobians
-        active = [(key, entry, jac)
-                  for (key, entry), jac in zip(problem._factor_entries[fid], jacobians)
+        active = [(entry, jac)
+                  for (_, entry), jac in zip(problem._factor_entries[fid], res.jacobians)
                   if entry.offset is not None]
-        for i, (key_i, ent_i, jac_i) in enumerate(active):
+        for i, (ent_i, jac_i) in enumerate(active):
             oi = ent_i.offset
-            g[oi:oi + ent_i.dim] -= jac_i.T @ r
-            for key_j, ent_j, jac_j in active[i:]:
+            g[oi:oi + ent_i.dim] -= jac_i.T @ res.r
+            for ent_j, jac_j in active[i:]:
                 oj = ent_j.offset
                 if oi <= oj:
                     h[oi:oi + ent_i.dim, oj:oj + ent_j.dim] += jac_i.T @ jac_j
-                    pattern.add((key_i, key_j))
                 else:
                     h[oj:oj + ent_j.dim, oi:oi + ent_i.dim] += jac_j.T @ jac_i
-                    pattern.add((key_j, key_i))
     lower = np.tril_indices(n, -1)
     h[lower] = h.T[lower]
-    return cost, g, h, pattern
+    return g, h
 
 
 def hessian_fill_in(problem: SolverProblem) -> float:
-    """Fraction of structurally nonzero block pairs in the normal matrix."""
-    _, _, _, pattern = _linearize(problem, problem.values)
+    """Fraction of off-diagonal block pairs that some factor couples."""
     n_blocks = len(problem.active_keys())
     if n_blocks == 0:
         return 0.0
-    off_diag = sum(1 for (a, b) in pattern if a != b)
+    pairs = set()
+    for entries in problem._factor_entries.values():
+        active = sorted({entry.offset for _, entry in entries if entry.offset is not None})
+        pairs.update(combinations(active, 2))
     total_off = n_blocks * (n_blocks - 1) // 2
     if total_off == 0:
         return 1.0
-    return off_diag / total_off
+    return len(pairs) / total_off
 
 
 def lm_solve(problem: SolverProblem, tree) -> SolveReport:
     """Iterate damped normal equations until convergence; write back results."""
     opts = problem.options
-    with tree.lock:
-        for key in problem.blocks:
-            problem.values[key] = tree.block(*key).values.copy()
+    for key in problem.blocks:
+        problem.values[key] = tree.block(*key).values.copy()
 
     if problem.total_dim == 0 or not problem.factors:
         raise ContractError("nothing to solve: no unfixed block touched by a factor")
@@ -257,7 +238,7 @@ def lm_solve(problem: SolverProblem, tree) -> SolveReport:
 
     while iterations < opts.max_iterations:
         iterations += 1
-        _, g, h, _ = _linearize(problem, values)
+        g, h = _linearize(problem, values)
 
         if iterations == 1:
             eigs = np.linalg.eigvalsh(h)
@@ -270,15 +251,15 @@ def lm_solve(problem: SolverProblem, tree) -> SolveReport:
             termination = CONVERGED_GRAD
             break
 
-        while lam <= opts.lambda_max:
+        while lam <= _LAMBDA_MAX:
             damped = h + lam * np.diag(np.diag(h))
             try:
                 dx = np.linalg.solve(damped, g)
             except np.linalg.LinAlgError:
-                lam *= opts.lambda_up
+                lam *= _LAMBDA_UP
                 continue
             if not np.all(np.isfinite(dx)):
-                lam *= opts.lambda_up
+                lam *= _LAMBDA_UP
                 continue
             if np.max(np.abs(dx)) < opts.tol_dx:
                 termination = CONVERGED_DX
@@ -290,10 +271,10 @@ def lm_solve(problem: SolverProblem, tree) -> SolveReport:
             if new_cost < cost:
                 values = candidate
                 cost = new_cost
-                lam = max(lam / opts.lambda_down, 1e-12)
+                lam = max(lam / _LAMBDA_DOWN, 1e-12)
                 accepted += 1
                 break
-            lam *= opts.lambda_up
+            lam *= _LAMBDA_UP
         else:
             # damping exhausted without a decreasing step: stalled at a minimum
             termination = CONVERGED_DX
@@ -302,10 +283,9 @@ def lm_solve(problem: SolverProblem, tree) -> SolveReport:
             break
 
     problem.values = values
-    with tree.lock:
-        for key, entry in problem.blocks.items():
-            if entry.offset is not None:
-                tree.block(*key).values = values[key].copy()
+    for key, entry in problem.blocks.items():
+        if entry.offset is not None:
+            tree.block(*key).values = values[key].copy()
 
     return SolveReport(
         iterations=iterations,

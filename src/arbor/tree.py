@@ -16,7 +16,6 @@ ones.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -69,6 +68,9 @@ REMOVE_FACTOR = "remove_factor"
 FIX_OLDEST = "fix_oldest"
 REMOVE_WITH_PRIOR = "remove_with_prior"
 
+# sigma (m and rad) of a window prior that has no removed prior to inherit
+WINDOW_PRIOR_SIGMA = 1.0
+
 
 @dataclass(frozen=True)
 class NodeId:
@@ -112,8 +114,6 @@ class WindowPolicy:
 
     variant: str
     n_frames: int
-    default_sigma_p: float = 1.0
-    default_sigma_o: float = 1.0
 
     def __post_init__(self):
         if self.variant not in (FIX_OLDEST, REMOVE_WITH_PRIOR):
@@ -141,9 +141,6 @@ class ProblemTree:
         self._next_index = 0
         self._notifications: list[Notification] = []
         self._incoming: dict[NodeId, set] = {}
-        # held by a solving context around (a) sync + value reads and
-        # (b) write-back; mutations happen from a single processing context
-        self.lock = threading.RLock()
         self.problem_id = self._new_node(PROBLEM, None)
         self.hardware_id = self._new_node(HARDWARE, self.problem_id)
         self.trajectory_id = self._new_node(TRAJECTORY, self.problem_id)
@@ -263,11 +260,6 @@ class ProblemTree:
         node = self.node(frame)
         return Pose2(node.state_blocks["p"].values.copy(),
                      float(node.state_blocks["o"].values[0]))
-
-    def set_frame_pose(self, frame: NodeId, pose: Pose2):
-        node = self.node(frame)
-        node.state_blocks["p"].values = pose.p.copy()
-        node.state_blocks["o"].values = np.array([pose.theta])
 
     def find_frame_near(self, t: float, tol: float):
         """Frame whose timestamp is nearest t within tol, or None."""
@@ -446,8 +438,7 @@ class ProblemTree:
             if getattr(self._nodes[factor_id].payload, "kind", None) == factors_mod.PRIOR_POSE:
                 return  # already pinned
         if inherited_sqrt_info is None:
-            s_p, s_o = policy.default_sigma_p, policy.default_sigma_o
-            inherited_sqrt_info = np.diag([1.0 / s_p, 1.0 / s_p, 1.0 / s_o])
+            inherited_sqrt_info = np.eye(3) / WINDOW_PRIOR_SIGMA
         sensors = self.sensors()
         if not sensors:
             raise StructureError("window prior needs at least one sensor for its capture")

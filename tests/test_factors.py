@@ -11,10 +11,8 @@ from arbor.factors import (
     RANGE_BEARING,
     RELATIVE_POSE,
     Factor,
-    HuberLoss,
     MotionData,
     evaluate,
-    huber,
     numeric_jacobian,
     whiten,
 )
@@ -38,7 +36,7 @@ def integrated_motion_data(rng, n_steps=8, c_bar=C_NOM):
     return MotionData(tail.delta_bar, tail.q_delta, tail.j_delta_c, c_bar.copy())
 
 
-def motion_factor(rng, loss=None):
+def motion_factor(rng):
     aux = integrated_motion_data(rng)
     u = whiten(aux.q_delta)
     # keep whitening moderate so the finite-difference oracle stays accurate
@@ -50,7 +48,6 @@ def motion_factor(rng, loss=None):
         z=aux.delta_bar.as_array(),
         sqrt_info=u,
         constrained=[("fi", "p"), ("fi", "o"), ("fj", "p"), ("fj", "o"), ("s", "intrinsic")],
-        loss=loss,
         aux=aux,
     )
 
@@ -86,33 +83,6 @@ class TestWhiten:
     def test_asymmetric_rejected(self):
         with pytest.raises(DecompositionError):
             whiten(np.array([[1.0, 0.5], [0.0, 1.0]]))
-
-
-class TestHuber:
-    def test_zero(self):
-        assert huber(HuberLoss(1.0), 0.0) == (0.0, 1.0)
-
-    def test_boundary(self):
-        rho, w = huber(HuberLoss(2.0), 4.0)
-        assert rho == pytest.approx(4.0)
-        assert w == 1.0
-
-    def test_outlier_hand_value(self):
-        # k=1, s=4: rho = 2*1*2 - 1 = 3, weight = 1/2
-        rho, w = huber(HuberLoss(1.0), 4.0)
-        assert rho == pytest.approx(3.0)
-        assert w == pytest.approx(0.5)
-
-    def test_c1_at_boundary(self):
-        k = 1.3
-        eps = 1e-9
-        lo, _ = huber(HuberLoss(k), k * k - eps)
-        hi, _ = huber(HuberLoss(k), k * k + eps)
-        assert abs(hi - lo) < 1e-8
-        # derivative: d rho/d s is 1 inside and k/sqrt(s) outside; both -> 1
-        d_lo = (huber(HuberLoss(k), k * k)[0] - huber(HuberLoss(k), k * k - 1e-6)[0]) / 1e-6
-        d_hi = (huber(HuberLoss(k), k * k + 1e-6)[0] - huber(HuberLoss(k), k * k)[0]) / 1e-6
-        assert abs(d_lo - d_hi) < 1e-5
 
 
 class TestMotionFactor:
