@@ -37,6 +37,10 @@ class OrderingError(EstimationError):
     """Timestamps arrived out of order."""
 
 
+class RecordFormatError(EstimationError):
+    """A log record is malformed: bad JSON, a missing key, or data of the wrong shape or type."""
+
+
 class JoinToleranceError(EstimationError):
     """No integrated sample lies within the join time tolerance."""
 

@@ -6,6 +6,11 @@ blocks.  Residuals are whitened: ``r = U * error``.  Analytic Jacobians come
 back as one block per constrained state block, in order; a generic
 central-difference fallback is provided for cross-checking.
 
+Factors are evaluated in stacks: all factors of one kind over blocks of the
+same sizes are the rows of a :class:`FactorStack`, and one numpy kernel per
+kind evaluates every row at once.  A single factor is a stack of one
+(:func:`evaluate_one`), so one-off and batched evaluation share their code.
+
 The motion factor implements the self-calibrating pre-integration residual:
 the stored delta is first re-corrected for the current calibration values,
 then compared against the relative pose of the two frames it links.
@@ -13,24 +18,14 @@ then compared against the relative pose of the two frames it links.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import ContractError, DecompositionError, SingularObservationError
-from .manifold import (
-    ANGLE,
-    Delta2,
-    Pose2,
-    StateBlock,
-    block_plus,
-    delta_minus,
-    delta_plus,
-    normalize_angle,
-    pose_between,
-)
+from .manifold import ANGLE, EUCLIDEAN, Delta2, StateBlock, block_plus, wrap_angles
 
 MOTION = "motion"
 RANGE_BEARING = "range_bearing"
@@ -56,8 +51,8 @@ class Factor:
     """Measurement residual description bound to the blocks it constrains.
 
     ``constrained`` lists (node id, block name) pairs whose order fixes the
-    meaning of the values handed to :func:`evaluate` and the order of the
-    returned Jacobian blocks.
+    meaning of the values handed to :func:`evaluate_one` and the order of
+    the returned Jacobian blocks.
     """
 
     kind: str
@@ -105,45 +100,123 @@ def whiten(q: np.ndarray) -> np.ndarray:
     return u
 
 
-def _split_pose_cols(j: np.ndarray):
-    return j[:, :2], j[:, 2:3]
+class FactorStack:
+    """Factors of one kind over blocks of the same sizes, one row each.
+
+    Rows hold the measurement ``z`` (a pose or delta heading wrapped into
+    (-pi, pi]), the square-root information and, for motion factors, the
+    frozen pre-integration results.  ``slots[i]`` lists the rows of the value
+    table (see :func:`evaluate`) holding factor ``i``'s blocks, in
+    constrained order; ``ids`` tags rows so they can be dropped by tag.
+    """
+
+    def __init__(self, kind: str, dims, kinds, factors: Sequence[Factor], slots, ids):
+        self.kind = kind
+        self.dims = tuple(dims)
+        self.kinds = tuple(kinds)
+        rows = self._rows(factors, slots, ids)
+        for name, value in rows.items():
+            setattr(self, name, value)
+        self._fields = tuple(rows)
+
+    @property
+    def n(self) -> int:
+        return len(self.ids)
+
+    def _rows(self, factors, slots, ids) -> dict:
+        rows = {
+            "z": np.array([f.z for f in factors]),
+            "sqrt_info": np.array([f.sqrt_info for f in factors]),
+            "slots": np.asarray(slots, dtype=np.intp).reshape(len(factors), len(self.dims)),
+            "ids": np.asarray(ids, dtype=np.int64),
+        }
+        if self.kind in (PRIOR_POSE, RELATIVE_POSE):
+            rows["z"][:, 2] = wrap_angles(rows["z"][:, 2])
+        if self.kind == MOTION:
+            rows["delta_bar"] = np.array([f.aux.delta_bar.as_array() for f in factors])
+            rows["j_delta_c"] = np.array([f.aux.j_delta_c for f in factors])
+            rows["c_bar"] = np.array([f.aux.c_bar for f in factors])
+        return rows
+
+    def extend(self, factors: Sequence[Factor], slots, ids) -> None:
+        """Append one row per factor."""
+        for name, rows in self._rows(factors, slots, ids).items():
+            setattr(self, name, np.concatenate([getattr(self, name), rows]))
+
+    def drop(self, ids) -> None:
+        """Remove the rows tagged with any of ``ids``."""
+        # a plain comparison table: np.isin costs more on a few dozen rows
+        keep = (self.ids[:, None] != np.asarray(ids)).all(axis=1)
+        for name in self._fields:
+            setattr(self, name, getattr(self, name)[keep])
 
 
-def residual_motion(xi: Pose2, xj: Pose2, c: np.ndarray, f: Factor) -> Residual:
+def _whitened(u: np.ndarray, e: np.ndarray) -> np.ndarray:
+    return np.einsum("nij,nj->ni", u, e)
+
+
+def _pose_between(pi, ti, pj, tj, jacobians: bool):
+    """Row-wise ``manifold.pose_between``: deltas (n, 3) and, if asked,
+    d(delta)/d[xi | xj] (n, 3, 6)."""
+    c, s = np.cos(ti), np.sin(ti)
+    dx, dy = pj[:, 0] - pi[:, 0], pj[:, 1] - pi[:, 1]
+    d = np.empty((len(c), 3))
+    d[:, 0] = c * dx + s * dy
+    d[:, 1] = -s * dx + c * dy
+    d[:, 2] = wrap_angles(tj - ti)
+    if not jacobians:
+        return d, None
+    zero, one = np.zeros_like(c), np.ones_like(c)
+    j = np.array([
+        # columns: xi (3), xj (3)
+        [-c, -s, -s * dx + c * dy, c, s, zero],
+        [s, -c, -c * dx - s * dy, -s, c, zero],
+        [zero, zero, -one, zero, zero, one],
+    ]).transpose(2, 0, 1)
+    return d, j
+
+
+def _motion(stack: FactorStack, v: np.ndarray, jacobians: bool):
     """Self-calibrated motion residual between consecutive frames.
 
     r = U * (D(c) (-) (xj boxminus xi)) with D(c) the calibration-corrected
-    pre-integrated delta.  Jacobian blocks: xi.p, xi.o, xj.p, xj.o, c.
+    pre-integrated delta.  Jacobian columns: xi.p, xi.o, xj.p, xj.o, c.
     """
-    aux = f.aux
-    corrected = delta_plus(aux.delta_bar, aux.j_delta_c @ (np.asarray(c, float) - aux.c_bar))
-    b, j_b_xi, j_b_xj = pose_between(xi, xj)
-    u = f.sqrt_info
-    r = u @ delta_minus(corrected, b)
-    j_xi = -u @ j_b_xi
-    j_xj = -u @ j_b_xj
-    j_c = u @ aux.j_delta_c
-    return Residual(r, [*_split_pose_cols(j_xi), *_split_pose_cols(j_xj), j_c])
+    b, j_b = _pose_between(v[:, 0, :2], v[:, 1, 0], v[:, 2, :2], v[:, 3, 0], jacobians)
+    c = v[:, 4, :stack.dims[4]]
+    t = np.einsum("nij,nj->ni", stack.j_delta_c, c - stack.c_bar)
+    d = stack.delta_bar
+    e = np.empty_like(b)
+    e[:, :2] = d[:, :2] + t[:, :2] - b[:, :2]
+    e[:, 2] = wrap_angles(wrap_angles(d[:, 2] + t[:, 2]) - b[:, 2])
+    r = _whitened(stack.sqrt_info, e)
+    if not jacobians:
+        return r, None
+    return r, stack.sqrt_info @ np.concatenate([-j_b, stack.j_delta_c], axis=2)
 
 
-def _range_bearing_terms(px, py, th, ex, ey, eth, lx, ly, f: Factor) -> Residual:
-    """Range-bearing of landmark (lx, ly) from pose (px, py, th) through
-    extrinsics (ex, ey, eth).  Jacobian blocks: x.p, x.o, ext.p, ext.o, landmark.
+def _range_bearing(stack: FactorStack, v: np.ndarray, jacobians: bool):
+    """Range-bearing of a landmark from a pose through the sensor extrinsics.
+
+    Jacobian columns: x.p, x.o, ext.p, ext.o, landmark.
     """
-    cx, sx = math.cos(th), math.sin(th)
-    spx = px + cx * ex - sx * ey
-    spy = py + sx * ex + cx * ey
+    px, py, th = v[:, 0, 0], v[:, 0, 1], v[:, 1, 0]
+    ex, ey, eth = v[:, 2, 0], v[:, 2, 1], v[:, 3, 0]
+    cx, sx = np.cos(th), np.sin(th)
+    qx = v[:, 4, 0] - (px + cx * ex - sx * ey)
+    qy = v[:, 4, 1] - (py + sx * ex + cx * ey)
     st = th + eth
-    qx, qy = lx - spx, ly - spy
-    cs, ss = math.cos(st), math.sin(st)
+    cs, ss = np.cos(st), np.sin(st)
     lsx = cs * qx + ss * qy
     lsy = -ss * qx + cs * qy
-    rho = math.hypot(lsx, lsy)
-    if rho < 1e-9:
+    rho = np.hypot(lsx, lsy)
+    if np.any(rho < 1e-9):
         raise SingularObservationError("landmark coincides with the sensor origin")
-    u = f.sqrt_info
-    e = np.array([f.z[0] - rho, normalize_angle(f.z[1] - math.atan2(lsy, lsx))])
-    r = u @ e
+    z = stack.z
+    e = np.array([z[:, 0] - rho, wrap_angles(z[:, 1] - np.arctan2(lsy, lsx))]).T
+    r = _whitened(stack.sqrt_info, e)
+    if not jacobians:
+        return r, None
 
     rho2 = rho * rho
     # dh/d(sensor pose): the range ignores heading, the bearing tracks it 1:1
@@ -151,76 +224,110 @@ def _range_bearing_terms(px, py, th, ex, ey, eth, lx, ly, f: Factor) -> Residual
     b0, b1 = (lsy * cs + lsx * ss) / rho2, (lsy * ss - lsx * cs) / rho2
     # derivative through the extrinsic lever arm and its rotation
     lever0, lever1 = -sx * ex - cx * ey, cx * ex - sx * ey
-    dh_all = np.array([
+    zero, one = np.zeros_like(rho), np.ones_like(rho)
+    dh = np.array([
         # columns: x.p, x.o, ext.p, ext.o, landmark
         [a0, a1, a0 * lever0 + a1 * lever1, a0 * cx + a1 * sx,
-         -a0 * sx + a1 * cx, 0.0, -a0, -a1],
-        [b0, b1, -1.0 + b0 * lever0 + b1 * lever1, b0 * cx + b1 * sx,
-         -b0 * sx + b1 * cx, -1.0, -b0, -b1],
-    ])
-    j = -u @ dh_all
-    return Residual(r, [j[:, 0:2], j[:, 2:3], j[:, 3:5], j[:, 5:6], j[:, 6:8]])
+         -a0 * sx + a1 * cx, zero, -a0, -a1],
+        [b0, b1, -one + b0 * lever0 + b1 * lever1, b0 * cx + b1 * sx,
+         -b0 * sx + b1 * cx, -one, -b0, -b1],
+    ]).transpose(2, 0, 1)
+    return r, -stack.sqrt_info @ dh
 
 
-def residual_prior_pose(x: Pose2, f: Factor) -> Residual:
-    """Unary pose prior: r = U * (x boxminus z)."""
-    z_pose = Pose2.from_array(f.z)
-    d, _, j_x = pose_between(z_pose, x)
-    u = f.sqrt_info
-    r = u @ d.as_array()
-    j = u @ j_x
-    return Residual(r, [*_split_pose_cols(j)])
+def _prior_pose(stack: FactorStack, v: np.ndarray, jacobians: bool):
+    """Unary pose prior: r = U * (x boxminus z).  Jacobian columns: x.p, x.o."""
+    z = stack.z
+    d, j = _pose_between(z[:, :2], z[:, 2], v[:, 0, :2], v[:, 1, 0], jacobians)
+    r = _whitened(stack.sqrt_info, d)
+    if not jacobians:
+        return r, None
+    return r, stack.sqrt_info @ j[:, :, 3:]
 
 
-def residual_prior_block(x: np.ndarray, kind: str, f: Factor) -> Residual:
-    """Unary block prior: r = U * (x - z), wrapped for angle blocks."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    e = x - f.z
-    if kind == ANGLE:
-        e = np.array([normalize_angle(e[0])])
-    u = f.sqrt_info
-    return Residual(u @ e, [u.copy()])
+def _prior_block(stack: FactorStack, v: np.ndarray, jacobians: bool):
+    """Unary block prior: r = U * (x - z), wrapped for an angle block."""
+    e = v[:, 0, :stack.dims[0]] - stack.z
+    if stack.kinds[0] == ANGLE:
+        e[:, 0] = wrap_angles(e[:, 0])
+    r = _whitened(stack.sqrt_info, e)
+    if not jacobians:
+        return r, None
+    return r, stack.sqrt_info.copy()
 
 
-def residual_relative_pose(xi: Pose2, xj: Pose2, f: Factor) -> Residual:
+def _relative_pose(stack: FactorStack, v: np.ndarray, jacobians: bool):
     """Binary relative-pose constraint, e.g. from a loop closure.
 
-    r = U * (z (-) (xj boxminus xi)).  Jacobian blocks: xi.p, xi.o,
+    r = U * (z (-) (xj boxminus xi)).  Jacobian columns: xi.p, xi.o,
     xj.p, xj.o.
     """
-    b, j_b_xi, j_b_xj = pose_between(xi, xj)
-    u = f.sqrt_info
-    r = u @ delta_minus(Delta2.from_array(f.z), b)
-    j_xi = -u @ j_b_xi
-    j_xj = -u @ j_b_xj
-    return Residual(r, [*_split_pose_cols(j_xi), *_split_pose_cols(j_xj)])
+    b, j_b = _pose_between(v[:, 0, :2], v[:, 1, 0], v[:, 2, :2], v[:, 3, 0], jacobians)
+    z = stack.z
+    e = np.empty_like(b)
+    e[:, :2] = z[:, :2] - b[:, :2]
+    e[:, 2] = wrap_angles(z[:, 2] - b[:, 2])
+    r = _whitened(stack.sqrt_info, e)
+    if not jacobians:
+        return r, None
+    return r, -stack.sqrt_info @ j_b
 
 
-def evaluate(factor: Factor, values: Sequence[np.ndarray], kinds: Sequence[str] | None = None) -> Residual:
-    """Evaluate a factor on block values given in constrained order."""
-    if len(values) != len(factor.constrained):
-        raise ContractError(
-            f"{factor.kind} factor expects {len(factor.constrained)} blocks, got {len(values)}"
-        )
-    if factor.kind == MOTION:
-        xi = Pose2(values[0], float(values[1][0]))
-        xj = Pose2(values[2], float(values[3][0]))
-        return residual_motion(xi, xj, values[4], factor)
-    if factor.kind == RANGE_BEARING:
-        p, o, ep, eo, lm = values
-        return _range_bearing_terms(p[0], p[1], float(o[0]),
-                                    ep[0], ep[1], float(eo[0]),
-                                    lm[0], lm[1], factor)
-    if factor.kind == PRIOR_POSE:
-        return residual_prior_pose(Pose2(values[0], float(values[1][0])), factor)
-    if factor.kind == PRIOR_BLOCK:
-        kind = kinds[0] if kinds else "euclidean"
-        return residual_prior_block(values[0], kind, factor)
-    if factor.kind == RELATIVE_POSE:
-        xi = Pose2(values[0], float(values[1][0]))
-        xj = Pose2(values[2], float(values[3][0]))
-        return residual_relative_pose(xi, xj, factor)
-    raise ContractError(f"unknown factor kind {factor.kind!r}")
+# one kernel per factor kind: (stack, gathered block values, jacobians?) -> (r, J)
+_KERNELS = {
+    MOTION: _motion,
+    RANGE_BEARING: _range_bearing,
+    PRIOR_POSE: _prior_pose,
+    PRIOR_BLOCK: _prior_block,
+    RELATIVE_POSE: _relative_pose,
+}
+
+
+def evaluate(stack: FactorStack, x: np.ndarray, jacobians: bool = True):
+    """Evaluate every row of a stack on the value table ``x``.
+
+    ``x`` holds one block per row, left-aligned and zero-padded to the
+    widest block.  Returns the whitened residuals (n, m) and, if asked, the
+    Jacobians (n, m, sum(dims)), whose columns follow the constrained
+    blocks in order; otherwise None in their place.
+    """
+    return _KERNELS[stack.kind](stack, x[stack.slots], jacobians)
+
+
+def stack_of(factors: Sequence[Factor], values: Sequence[Sequence], kinds=None):
+    """A stack of same-kind factors and the value table that it reads.
+
+    ``values[i]`` lists factor i's block values in constrained order, and
+    ``kinds`` the blocks' kinds (default euclidean; only a prior on an
+    angle block reads it).  Each factor's blocks get their own table rows.
+    """
+    rows = [[np.atleast_1d(np.asarray(b, dtype=float)) for b in vals] for vals in values]
+    dims = tuple(len(b) for b in rows[0])
+    for factor, vals in zip(factors, rows):
+        if len(vals) != len(factor.constrained):
+            raise ContractError(
+                f"{factor.kind} factor expects {len(factor.constrained)} blocks, got {len(vals)}"
+            )
+        if tuple(len(b) for b in vals) != dims:
+            raise ContractError("factors of one stack must constrain blocks of the same sizes")
+    k = len(dims)
+    table = np.zeros((len(rows) * k, max(dims)))
+    for i, vals in enumerate(rows):
+        for j, b in enumerate(vals):
+            table[i * k + j, :len(b)] = b
+    stack = FactorStack(factors[0].kind, dims, kinds or (EUCLIDEAN,) * k, factors,
+                        np.arange(len(rows) * k), np.arange(len(rows)))
+    return stack, table
+
+
+def evaluate_one(factor: Factor, values: Sequence[np.ndarray],
+                 kinds: Sequence[str] | None = None) -> Residual:
+    """Evaluate a single factor, as a stack of one, on block values given
+    in constrained order."""
+    stack, table = stack_of([factor], [values], kinds)
+    r, j = evaluate(stack, table)
+    ends = list(accumulate(stack.dims))
+    return Residual(r[0], [j[0][:, a:b] for a, b in zip([0, *ends], ends)])
 
 
 def numeric_jacobian(residual_fn: Callable, blocks: Sequence[StateBlock], step: float = 1e-6):

@@ -44,6 +44,20 @@ def normalize_angle(a: float) -> float:
     return r
 
 
+def wrap_angles(a: np.ndarray) -> np.ndarray:
+    """:func:`normalize_angle` over each element of a 1-d array.
+
+    The quotient is rounded half to even, as ``math.remainder`` does, and
+    ``n * tau`` and the subtraction are exact for ``|n| <= 2``, so results
+    match the scalar wrap bit for bit whenever ``|a| < 5 pi``.
+    """
+    r = a - np.rint(a / _TAU) * _TAU
+    r[r <= -math.pi] += _TAU
+    if not np.isfinite(r).all():
+        raise InvalidValueError(f"angles must be finite, got {a}")
+    return r
+
+
 def rot2(theta: float) -> np.ndarray:
     """2x2 rotation matrix R(theta)."""
     c, s = math.cos(theta), math.sin(theta)

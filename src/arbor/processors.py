@@ -35,6 +35,7 @@ from .errors import (
     DecompositionError,
     NotFoundError,
     NotReadyError,
+    RecordFormatError,
 )
 from .factors import (
     MOTION,
@@ -189,7 +190,11 @@ class MotionProcessor:
     def process_capture(self, tree, t: float, data) -> Optional[KeyframeEvent]:
         if self.buffer is None:
             raise NotReadyError(f"motion processor {self.name} has no origin yet")
-        u = RawMotion(t, np.asarray(data, dtype=float), self.q_u)
+        try:
+            ticks = np.asarray(data, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise RecordFormatError(f"bad {self.sensor_name} record at t={t}: {exc}") from exc
+        u = RawMotion(t, ticks, self.q_u)
         integrate_step(self.buffer, u)
         self._retry_pending_joins(tree, t)
         if not self._vote(t):
@@ -365,12 +370,14 @@ class LandmarkTracker:
                 # the lowest landmark index
                 candidates = (in_window,
                               np.array([tree.block(lm, "p").values for lm in in_window]))
+        try:
+            # entries are [raw id, range, bearing] or [range, bearing]
+            parsed = [(int(m[0]), float(m[1]), float(m[2])) if len(m) == 3
+                      else (None, float(m[0]), float(m[1])) for m in scan]
+        except (TypeError, ValueError, IndexError) as exc:
+            raise RecordFormatError(f"bad {self.sensor_name} scan: {exc}") from exc
         out = []
-        for meas in scan:
-            if len(meas) == 3:
-                raw_id, rng, brg = int(meas[0]), float(meas[1]), float(meas[2])
-            else:
-                raw_id, rng, brg = None, float(meas[0]), float(meas[1])
+        for raw_id, rng, brg in parsed:
             heading = s.theta + brg
             world = np.array([s.p[0] + rng * math.cos(heading),
                               s.p[1] + rng * math.sin(heading)])

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import yaml
 
-from .errors import ConfigError, OrderingError
+from .errors import ConfigError, RecordFormatError
 
 TRUTH_SENSOR = "truth"
 TRUTH_CALIB = "truth_calib"
@@ -55,7 +55,7 @@ def read_jsonl(path) -> list:
                 records.append(CaptureRecord(float(obj["t"]), str(obj["sensor"]),
                                              obj["data"]))
             except (ValueError, KeyError, TypeError) as exc:
-                raise OrderingError(f"bad record at line {line_no}: {exc}") from exc
+                raise RecordFormatError(f"bad record at line {line_no}: {exc}") from exc
     return records
 
 

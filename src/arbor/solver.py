@@ -2,12 +2,15 @@
 
 The solver mirrors the tree through its notification queue: ``sync`` applies
 pending add/remove events so the solver-side block and factor sets always
-match the live tree.  Columns are assigned only to blocks that are unfixed
+match the live tree.  Each block owns a row (slot) of a value table and each
+factor a row of its kind's stack, so cost and normal equations take one
+kernel call per stack.  Columns are assigned only to blocks that are unfixed
 and touched by at least one factor; everything else is held constant.
 
 Damping is multiplicative on the diagonal of the normal matrix, which keeps
-meter and radian columns comparably conditioned.  Steps are retracted with
-block_plus so angle blocks stay on their manifold.  A step is accepted only
+meter and radian columns comparably conditioned.  Steps are retracted as
+block_plus does, adding and wrapping angles, so angle blocks stay on their
+manifold.  A step is accepted only
 if it strictly decreases the cost, so the report's final cost never
 exceeds the initial one.
 """
@@ -24,11 +27,12 @@ from . import tree as tree_mod
 from .errors import (
     ContractError,
     DivergenceError,
+    SingularObservationError,
     SingularSystemError,
     SyncError,
 )
-from .factors import Factor, evaluate
-from .manifold import StateBlock, block_plus
+from .factors import Factor, FactorStack, evaluate
+from .manifold import ANGLE, wrap_angles
 
 CONVERGED_DX = "converged_dx"
 CONVERGED_GRAD = "converged_grad"
@@ -63,11 +67,32 @@ class _BlockEntry:
     kind: str
     dim: int
     fixed: bool
+    slot: int                     # row in the value table, stable while the block lives
     offset: Optional[int] = None  # None when fixed or untouched
 
 
+@dataclass
+class _Scatter:
+    """Where one stack's Jacobian entries land in g and H (set at sync).
+
+    ``g_at``/``h_at`` pick the entries of Jᵀr (n, D) and JᵀJ (n, D, D),
+    flattened, that fall on active columns; ``g_to``/``h_to`` are their flat
+    positions in g and H.
+    """
+
+    offsets: np.ndarray  # (n, k) first column of each constrained block, -1 if inactive
+    g_at: np.ndarray
+    g_to: np.ndarray
+    h_at: np.ndarray
+    h_to: np.ndarray
+
+
 class SolverProblem:
-    """Solver-side mirror of the tree's state blocks and factors."""
+    """Solver-side mirror of the tree's state blocks and factors.
+
+    Factors are also kept as :class:`FactorStack` rows, one stack per kind
+    and block layout, which is what the cost and linearization evaluate.
+    """
 
     def __init__(self, options: SolverOptions | None = None):
         self.options = options or SolverOptions()
@@ -75,7 +100,16 @@ class SolverProblem:
         self.factors: dict = {}  # NodeId -> Factor
         self.values: dict = {}   # (NodeId, name) -> current iterate
         self.total_dim = 0
-        self._factor_entries: dict = {}  # NodeId -> [(key, _BlockEntry), ...]
+        self.stacks: dict = {}   # (kind, dims, block kinds) -> FactorStack
+        self._stack_of: dict = {}  # factor NodeId -> its stack's key
+        self._scatter: dict = {}   # stack key -> _Scatter
+        self._n_slots = 0
+        self._free_slots: list = []
+        self._width = 1          # widest block, the value table's width
+        # per active column: its block's slot and component; active angle slots
+        self._col_slot = np.zeros(0, dtype=np.intp)
+        self._col_comp = np.zeros(0, dtype=np.intp)
+        self._angle_slots = np.zeros(0, dtype=np.intp)
 
     def active_keys(self):
         return [k for k, e in self.blocks.items() if e.offset is not None]
@@ -84,9 +118,14 @@ class SolverProblem:
 def sync(problem: SolverProblem, tree) -> None:
     """Drain tree notifications into the solver's block/factor sets.
 
-    Also refreshes fixed flags (the window manager flips them in place) and
-    reassigns contiguous column offsets to the active blocks.
+    Added factors become stack rows and removed ones are dropped from their
+    stacks.  Also refreshes fixed flags (the window manager flips them in
+    place), reassigns contiguous column offsets to the active blocks, and
+    maps every stack row onto those columns.
     """
+    added: dict = {}    # stack key -> ([Factor], [slot rows], [ids])
+    removed: dict = {}  # stack key -> [ids]
+    freed = []
     for note in tree.drain_notifications():
         if note.action == tree_mod.ADD_BLOCK:
             node_id, name = note.target
@@ -94,13 +133,21 @@ def sync(problem: SolverProblem, tree) -> None:
                 block = tree.block(node_id, name)
             except Exception as exc:
                 raise SyncError(f"add_block for unknown target {note.target}") from exc
+            if problem._free_slots:
+                slot = problem._free_slots.pop()
+            else:
+                slot = problem._n_slots
+                problem._n_slots += 1
+            problem._width = max(problem._width, block.tangent_dim)
             problem.blocks[note.target] = _BlockEntry(block.kind, block.tangent_dim,
-                                                      block.fixed)
+                                                      block.fixed, slot)
             problem.values[note.target] = block.values.copy()
         elif note.action == tree_mod.REMOVE_BLOCK:
             if note.target not in problem.blocks:
                 raise SyncError(f"remove_block for unknown target {note.target}")
-            del problem.blocks[note.target]
+            # a freed slot is reused only after this drain, once every factor
+            # on the removed block is gone
+            freed.append(problem.blocks.pop(note.target).slot)
             problem.values.pop(note.target, None)
         elif note.action == tree_mod.ADD_FACTOR:
             try:
@@ -109,57 +156,105 @@ def sync(problem: SolverProblem, tree) -> None:
                 raise SyncError(f"add_factor for unknown node {note.target}") from exc
             if not isinstance(payload, Factor):
                 raise SyncError(f"node {note.target} does not carry a factor")
+            try:
+                entries = [problem.blocks[tuple(c)] for c in payload.constrained]
+            except KeyError as exc:
+                raise SyncError(f"factor {note.target} constrains unknown block {exc}") from None
+            key = (payload.kind, tuple(e.dim for e in entries), tuple(e.kind for e in entries))
+            factors, slots, ids = added.setdefault(key, ([], [], []))
+            factors.append(payload)
+            slots.append([e.slot for e in entries])
+            ids.append(note.target.index)
             problem.factors[note.target] = payload
+            problem._stack_of[note.target] = key
         elif note.action == tree_mod.REMOVE_FACTOR:
             if note.target not in problem.factors:
                 raise SyncError(f"remove_factor for unknown factor {note.target}")
             del problem.factors[note.target]
+            removed.setdefault(problem._stack_of.pop(note.target), []).append(note.target.index)
         else:
             raise SyncError(f"unknown notification action {note.action!r}")
 
-    for key, entry in problem.blocks.items():
-        entry.fixed = tree.block(*key).fixed
+    for key, ids in removed.items():
+        problem.stacks[key].drop(ids)
+    for key, (factors, slots, ids) in added.items():
+        if key in problem.stacks:
+            problem.stacks[key].extend(factors, slots, ids)
+        else:
+            problem.stacks[key] = FactorStack(*key, factors, slots, ids)
+    problem.stacks = {key: s for key, s in problem.stacks.items() if s.n}
+    problem._free_slots.extend(freed)
 
-    problem._factor_entries = {}
-    touched = set()
-    for fid, factor in problem.factors.items():
-        entries = [(tuple(c), problem.blocks[tuple(c)]) for c in factor.constrained]
-        problem._factor_entries[fid] = entries
-        touched.update(key for key, _ in entries)
+    touched = np.zeros(problem._n_slots, dtype=bool)
+    for stack in problem.stacks.values():
+        touched[stack.slots] = True
+    offset_of_slot = np.full(problem._n_slots, -1, dtype=np.intp)
+    col_slot, col_comp, angle_slots = [], [], []
     offset = 0
     for key, entry in problem.blocks.items():
-        if not entry.fixed and key in touched:
-            entry.offset = offset
-            offset += entry.dim
-        else:
+        entry.fixed = tree.block(*key).fixed
+        if entry.fixed or not touched[entry.slot]:
             entry.offset = None
+            continue
+        entry.offset = offset
+        offset_of_slot[entry.slot] = offset
+        col_slot += [entry.slot] * entry.dim
+        col_comp += range(entry.dim)
+        if entry.kind == ANGLE:
+            angle_slots.append(entry.slot)
+        offset += entry.dim
     problem.total_dim = offset
+    problem._col_slot = np.array(col_slot, dtype=np.intp)
+    problem._col_comp = np.array(col_comp, dtype=np.intp)
+    problem._angle_slots = np.array(angle_slots, dtype=np.intp)
+    problem._scatter = {key: _scatter(stack, offset_of_slot[stack.slots], offset)
+                        for key, stack in problem.stacks.items()}
 
 
-def _factor_terms(problem: SolverProblem, fid, factor: Factor, values: dict):
-    entries = problem._factor_entries[fid]
-    vals = [values[key] for key, _ in entries]
-    kinds = [entry.kind for _, entry in entries]
-    return evaluate(factor, vals, kinds)
+def _scatter(stack: FactorStack, offsets: np.ndarray, n: int) -> _Scatter:
+    # column of each Jacobian entry: its block's offset plus the component
+    # within the block, or -1 on an inactive block
+    block_of_col = np.repeat(np.arange(len(stack.dims)), stack.dims)
+    within = np.concatenate([np.arange(d) for d in stack.dims])
+    base = offsets[:, block_of_col]
+    cols = np.where(base >= 0, base + within, -1)
+    active = cols >= 0
+    pair = active[:, :, None] & active[:, None, :]
+    return _Scatter(
+        offsets=offsets,
+        g_at=np.flatnonzero(active),
+        g_to=cols[active],
+        h_at=np.flatnonzero(pair),
+        h_to=(cols[:, :, None] * n + cols[:, None, :])[pair],
+    )
 
 
-def total_cost(problem: SolverProblem, values: dict) -> float:
+def _table(problem: SolverProblem, values) -> np.ndarray:
+    """The value table (one block per slot row) of ``values``, which is
+    either such a table already or a mapping of block key to values."""
+    if isinstance(values, np.ndarray):
+        return values
+    x = np.zeros((problem._n_slots, problem._width))
+    for key, entry in problem.blocks.items():
+        x[entry.slot, :entry.dim] = values[key]
+    return x
+
+
+def total_cost(problem: SolverProblem, values) -> float:
     """Sum of ||r||^2/2 over all factors."""
+    x = _table(problem, values)
     cost = 0.0
-    for fid, factor in problem.factors.items():
-        res = _factor_terms(problem, fid, factor, values)
-        cost += 0.5 * float(res.r @ res.r)
+    for stack in problem.stacks.values():
+        r, _ = evaluate(stack, x, False)
+        cost += 0.5 * float(np.einsum("ij,ij->", r, r))
     return cost
 
 
-def _stepped(problem: SolverProblem, values: dict, dx: np.ndarray) -> dict:
-    out = dict(values)
-    for key, entry in problem.blocks.items():
-        if entry.offset is None:
-            continue
-        sl = dx[entry.offset:entry.offset + entry.dim]
-        block = StateBlock(values[key], entry.kind)
-        out[key] = block_plus(block, sl)
+def _stepped(problem: SolverProblem, x: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """Value table after retracting the tangent step dx onto the active blocks."""
+    out = x.copy()
+    out[problem._col_slot, problem._col_comp] += dx
+    out[problem._angle_slots, 0] = wrap_angles(out[problem._angle_slots, 0])
     return out
 
 
@@ -170,35 +265,35 @@ def apply_step(problem: SolverProblem, dx: np.ndarray) -> None:
         raise ContractError(
             f"step has shape {dx.shape}, expected ({problem.total_dim},)"
         )
-    problem.values = _stepped(problem, problem.values, dx)
+    x = _stepped(problem, _table(problem, problem.values), dx)
+    for key, entry in problem.blocks.items():
+        if entry.offset is not None:
+            problem.values[key] = x[entry.slot, :entry.dim].copy()
 
 
-def _linearize(problem: SolverProblem, values: dict):
-    """Gradient and block-sparse normal equations.
+def _linearize(problem: SolverProblem, values):
+    """Gradient and normal equations, one kernel call per stack.
 
-    Accumulation is by block-coordinate pairs (only the pairs each factor
-    actually couples), scattered into the upper triangle and mirrored.
+    Each stack's Jᵀr and JᵀJ entries on active columns are scattered into
+    g and H with one bincount each; fixed columns are left out.
     """
+    x = _table(problem, values)
     n = problem.total_dim
-    g = np.zeros(n)
-    h = np.zeros((n, n))
-    for fid, factor in problem.factors.items():
-        res = _factor_terms(problem, fid, factor, values)
-        active = [(entry, jac)
-                  for (_, entry), jac in zip(problem._factor_entries[fid], res.jacobians)
-                  if entry.offset is not None]
-        for i, (ent_i, jac_i) in enumerate(active):
-            oi = ent_i.offset
-            g[oi:oi + ent_i.dim] -= jac_i.T @ res.r
-            for ent_j, jac_j in active[i:]:
-                oj = ent_j.offset
-                if oi <= oj:
-                    h[oi:oi + ent_i.dim, oj:oj + ent_j.dim] += jac_i.T @ jac_j
-                else:
-                    h[oj:oj + ent_j.dim, oi:oi + ent_i.dim] += jac_j.T @ jac_i
-    lower = np.tril_indices(n, -1)
-    h[lower] = h.T[lower]
-    return g, h
+    g_to, g_w, h_to, h_w = [], [], [], []
+    for key, stack in problem.stacks.items():
+        sc = problem._scatter[key]
+        if not len(sc.g_to):
+            continue
+        r, j = evaluate(stack, x, True)
+        g_to.append(sc.g_to)
+        g_w.append(np.einsum("nmi,nm->ni", j, r).ravel()[sc.g_at])
+        h_to.append(sc.h_to)
+        h_w.append((j.transpose(0, 2, 1) @ j).ravel()[sc.h_at])
+    if not g_to:
+        return np.zeros(n), np.zeros((n, n))
+    g = -np.bincount(np.concatenate(g_to), np.concatenate(g_w), minlength=n)
+    h = np.bincount(np.concatenate(h_to), np.concatenate(h_w), minlength=n * n)
+    return g, h.reshape(n, n)
 
 
 def hessian_fill_in(problem: SolverProblem) -> float:
@@ -206,14 +301,17 @@ def hessian_fill_in(problem: SolverProblem) -> float:
     n_blocks = len(problem.active_keys())
     if n_blocks == 0:
         return 0.0
-    pairs = set()
-    for entries in problem._factor_entries.values():
-        active = sorted({entry.offset for _, entry in entries if entry.offset is not None})
-        pairs.update(combinations(active, 2))
     total_off = n_blocks * (n_blocks - 1) // 2
     if total_off == 0:
         return 1.0
-    return len(pairs) / total_off
+    n = problem.total_dim
+    pairs = [np.zeros(0, dtype=np.intp)]
+    for sc in problem._scatter.values():
+        for a, b in combinations(sc.offsets.T, 2):
+            lo, hi = np.minimum(a, b), np.maximum(a, b)
+            keep = (lo >= 0) & (lo != hi)
+            pairs.append(lo[keep] * n + hi[keep])
+    return len(np.unique(np.concatenate(pairs))) / total_off
 
 
 def lm_solve(problem: SolverProblem, tree) -> SolveReport:
@@ -225,8 +323,8 @@ def lm_solve(problem: SolverProblem, tree) -> SolveReport:
     if problem.total_dim == 0 or not problem.factors:
         raise ContractError("nothing to solve: no unfixed block touched by a factor")
 
-    values = problem.values
-    cost = total_cost(problem, values)
+    x = _table(problem, problem.values)
+    cost = total_cost(problem, x)
     if not np.isfinite(cost):
         raise DivergenceError(f"initial cost is not finite: {cost}")
     initial_cost = cost
@@ -238,7 +336,7 @@ def lm_solve(problem: SolverProblem, tree) -> SolveReport:
 
     while iterations < opts.max_iterations:
         iterations += 1
-        g, h = _linearize(problem, values)
+        g, h = _linearize(problem, x)
 
         if iterations == 1:
             eigs = np.linalg.eigvalsh(h)
@@ -264,12 +362,17 @@ def lm_solve(problem: SolverProblem, tree) -> SolveReport:
             if np.max(np.abs(dx)) < opts.tol_dx:
                 termination = CONVERGED_DX
                 break
-            candidate = _stepped(problem, values, dx)
-            new_cost = total_cost(problem, candidate)
+            candidate = _stepped(problem, x, dx)
+            try:
+                new_cost = total_cost(problem, candidate)
+            except SingularObservationError:
+                # the step put a landmark on a sensor origin: reject it
+                lam *= _LAMBDA_UP
+                continue
             if not np.isfinite(new_cost):
                 raise DivergenceError(f"cost diverged to {new_cost}")
             if new_cost < cost:
-                values = candidate
+                x = candidate
                 cost = new_cost
                 lam = max(lam / _LAMBDA_DOWN, 1e-12)
                 accepted += 1
@@ -282,10 +385,10 @@ def lm_solve(problem: SolverProblem, tree) -> SolveReport:
         if termination == CONVERGED_DX:
             break
 
-    problem.values = values
     for key, entry in problem.blocks.items():
         if entry.offset is not None:
-            tree.block(*key).values = values[key].copy()
+            problem.values[key] = x[entry.slot, :entry.dim].copy()
+            tree.block(*key).values = problem.values[key].copy()
 
     return SolveReport(
         iterations=iterations,

@@ -20,7 +20,7 @@ from arbor.factors import (
     RELATIVE_POSE,
     Factor,
     MotionData,
-    evaluate,
+    evaluate_one,
     numeric_jacobian,
     whiten,
 )
@@ -131,8 +131,8 @@ class TestCriterion1Jacobians:
         worst = 0.0
         for _ in range(self.N):
             factor, blocks, kinds = make_instance(rng)
-            res = evaluate(factor, [b.values for b in blocks], kinds)
-            num = numeric_jacobian(lambda v: evaluate(factor, v, kinds).r, blocks)
+            res = evaluate_one(factor, [b.values for b in blocks], kinds)
+            num = numeric_jacobian(lambda v: evaluate_one(factor, v, kinds).r, blocks)
             for a, n in zip(res.jacobians, num):
                 worst = max(worst, np.max(np.abs(a - n)))
         return worst

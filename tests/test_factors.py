@@ -13,7 +13,9 @@ from arbor.factors import (
     Factor,
     MotionData,
     evaluate,
+    evaluate_one,
     numeric_jacobian,
+    stack_of,
     whiten,
 )
 from arbor.manifold import ANGLE, Delta2, Pose2, StateBlock, pose_compose
@@ -92,7 +94,7 @@ class TestMotionFactor:
             f = motion_factor(rng)
             xi = Pose2(rng.uniform(-5, 5, 2), rng.uniform(-np.pi, np.pi))
             xj, _, _ = pose_compose(xi, f.aux.delta_bar)
-            res = evaluate(f, [xi.p, [xi.theta], xj.p, [xj.theta], C_NOM])
+            res = evaluate_one(f, [xi.p, [xi.theta], xj.p, [xj.theta], C_NOM])
             assert np.max(np.abs(res.r)) < 1e-9
 
     def test_whitened_perturbation_magnitude(self):
@@ -104,7 +106,7 @@ class TestMotionFactor:
         xi = Pose2.identity()
         xj, _, _ = pose_compose(xi, aux.delta_bar)
         eps = 1e-3
-        res = evaluate(f, [xi.p, [xi.theta], xj.p + np.array([eps, 0.0]), [xj.theta], C_NOM])
+        res = evaluate_one(f, [xi.p, [xi.theta], xj.p + np.array([eps, 0.0]), [xj.theta], C_NOM])
         assert np.linalg.norm(res.r) == pytest.approx(eps / sigma[0], rel=1e-6)
 
     def test_whitening_invariance_under_scaling(self):
@@ -118,8 +120,8 @@ class TestMotionFactor:
         xi = Pose2(np.array([1.0, -2.0]), 0.3)
         xj = Pose2(np.array([1.5, -1.0]), 0.7)
         vals = [xi.p, [xi.theta], xj.p, [xj.theta], C_NOM * 1.02]
-        r1 = evaluate(f1, vals).r
-        r2 = evaluate(f2, vals).r
+        r1 = evaluate_one(f1, vals).r
+        r2 = evaluate_one(f2, vals).r
         np.testing.assert_allclose(r2, r1 / math.sqrt(lam), rtol=1e-9)
 
     def test_jacobians_match_numeric(self):
@@ -130,8 +132,8 @@ class TestMotionFactor:
             xj = Pose2(rng.uniform(-5, 5, 2), rng.uniform(-3, 3))
             c = C_NOM * rng.uniform(0.9, 1.1, 3)
             blocks = [*pose_blocks(xi), *pose_blocks(xj), StateBlock(c)]
-            res = evaluate(f, [b.values for b in blocks])
-            num = numeric_jacobian(lambda v: evaluate(f, v).r, blocks)
+            res = evaluate_one(f, [b.values for b in blocks])
+            num = numeric_jacobian(lambda v: evaluate_one(f, v).r, blocks)
             for a, n in zip(res.jacobians, num):
                 assert np.max(np.abs(a - n)) < 1e-5
 
@@ -156,7 +158,7 @@ class TestRangeBearingFactor:
 
     def test_zero_at_consistent(self):
         f = self._factor(np.array([1.0, 0.0]))
-        res = evaluate(f, [np.zeros(2), [0.0], np.zeros(2), [0.0], np.array([1.0, 0.0])])
+        res = evaluate_one(f, [np.zeros(2), [0.0], np.zeros(2), [0.0], np.array([1.0, 0.0])])
         np.testing.assert_allclose(res.r, np.zeros(2), atol=1e-12)
 
     def test_rotated_observation_hand_value(self):
@@ -173,13 +175,13 @@ class TestRangeBearingFactor:
             if np.linalg.norm(landmark - x.p) < 0.5:
                 continue
             z = self.observe(x, ext, landmark)
-            res = evaluate(self._factor(z), [x.p, [x.theta], ext.p, [ext.theta], landmark])
+            res = evaluate_one(self._factor(z), [x.p, [x.theta], ext.p, [ext.theta], landmark])
             assert np.max(np.abs(res.r)) < 1e-9
 
     def test_singular_observation_rejected(self):
         f = self._factor(np.array([0.0, 0.0]))
         with pytest.raises(SingularObservationError):
-            evaluate(f, [np.zeros(2), [0.0], np.zeros(2), [0.0], np.zeros(2)])
+            evaluate_one(f, [np.zeros(2), [0.0], np.zeros(2), [0.0], np.zeros(2)])
 
     def test_jacobians_match_numeric(self):
         rng = np.random.default_rng(26)
@@ -193,8 +195,8 @@ class TestRangeBearingFactor:
             z = self.observe(x, ext, landmark) + rng.normal(0, 0.1, 2)
             f = self._factor(z, np.diag([4.0, 7.0]))
             blocks = [*pose_blocks(x), *pose_blocks(ext), StateBlock(landmark)]
-            res = evaluate(f, [b.values for b in blocks])
-            num = numeric_jacobian(lambda v: evaluate(f, v).r, blocks)
+            res = evaluate_one(f, [b.values for b in blocks])
+            num = numeric_jacobian(lambda v: evaluate_one(f, v).r, blocks)
             for a, n in zip(res.jacobians, num):
                 assert np.max(np.abs(a - n)) < 1e-5
             done += 1
@@ -204,17 +206,17 @@ class TestPriorFactors:
     def test_pose_prior_zero_at_measurement(self):
         z = np.array([1.0, 2.0, 0.5])
         f = Factor(PRIOR_POSE, z, np.eye(3), constrained=[None, None])
-        res = evaluate(f, [z[:2], [z[2]]])
+        res = evaluate_one(f, [z[:2], [z[2]]])
         np.testing.assert_allclose(res.r, np.zeros(3), atol=1e-12)
 
     def test_scalar_block_prior(self):
         f = Factor(PRIOR_BLOCK, np.array([0.0]), np.eye(1), constrained=[None])
-        res = evaluate(f, [np.array([2.0])])
+        res = evaluate_one(f, [np.array([2.0])])
         np.testing.assert_allclose(res.r, [2.0])
 
     def test_angle_block_prior_wraps(self):
         f = Factor(PRIOR_BLOCK, np.array([math.pi - 0.1]), np.eye(1), constrained=[None])
-        res = evaluate(f, [np.array([-math.pi + 0.1])], kinds=[ANGLE])
+        res = evaluate_one(f, [np.array([-math.pi + 0.1])], kinds=[ANGLE])
         assert res.r[0] == pytest.approx(0.2)
 
     def test_pose_prior_jacobian_matches_numeric(self):
@@ -225,8 +227,8 @@ class TestPriorFactors:
             f = Factor(PRIOR_POSE, z, u, constrained=[None, None])
             x = Pose2(rng.uniform(-5, 5, 2), rng.uniform(-3, 3))
             blocks = pose_blocks(x)
-            res = evaluate(f, [b.values for b in blocks])
-            num = numeric_jacobian(lambda v: evaluate(f, v).r, blocks)
+            res = evaluate_one(f, [b.values for b in blocks])
+            num = numeric_jacobian(lambda v: evaluate_one(f, v).r, blocks)
             for a, n in zip(res.jacobians, num):
                 assert np.max(np.abs(a - n)) < 1e-5
 
@@ -238,8 +240,8 @@ class TestPriorFactors:
             u = whiten(random_spd(rng, n))
             f = Factor(PRIOR_BLOCK, z, u, constrained=[None])
             blocks = [StateBlock(rng.uniform(-3, 3, n))]
-            res = evaluate(f, [blocks[0].values])
-            num = numeric_jacobian(lambda v: evaluate(f, v).r, blocks)
+            res = evaluate_one(f, [blocks[0].values])
+            num = numeric_jacobian(lambda v: evaluate_one(f, v).r, blocks)
             assert np.max(np.abs(res.jacobians[0] - num[0])) < 1e-5
 
 
@@ -251,13 +253,13 @@ class TestRelativePoseFactor:
             z = Delta2(rng.uniform(-2, 2, 2), rng.uniform(-np.pi, np.pi))
             xj, _, _ = pose_compose(xi, z)
             f = Factor(RELATIVE_POSE, z.as_array(), np.eye(3), constrained=[None] * 4)
-            res = evaluate(f, [xi.p, [xi.theta], xj.p, [xj.theta]])
+            res = evaluate_one(f, [xi.p, [xi.theta], xj.p, [xj.theta]])
             assert np.max(np.abs(res.r)) < 1e-9
 
     def test_componentwise_hand_value(self):
         f = Factor(RELATIVE_POSE, np.array([1.0, 0.0, 0.1]), 2.0 * np.eye(3),
                    constrained=[None] * 4)
-        res = evaluate(f, [np.zeros(2), [0.0], np.array([1.0, 0.0]), [0.0]])
+        res = evaluate_one(f, [np.zeros(2), [0.0], np.array([1.0, 0.0]), [0.0]])
         np.testing.assert_allclose(res.r, [0.0, 0.0, 0.2], atol=1e-12)
 
     def test_jacobians_match_numeric(self):
@@ -268,8 +270,8 @@ class TestRelativePoseFactor:
             xi = Pose2(rng.uniform(-5, 5, 2), rng.uniform(-3, 3))
             xj = Pose2(rng.uniform(-5, 5, 2), rng.uniform(-3, 3))
             blocks = [*pose_blocks(xi), *pose_blocks(xj)]
-            res = evaluate(f, [b.values for b in blocks])
-            num = numeric_jacobian(lambda v: evaluate(f, v).r, blocks)
+            res = evaluate_one(f, [b.values for b in blocks])
+            num = numeric_jacobian(lambda v: evaluate_one(f, v).r, blocks)
             for a, n in zip(res.jacobians, num):
                 assert np.max(np.abs(a - n)) < 1e-5
 
@@ -285,14 +287,14 @@ class TestNumericJacobian:
         z = np.array([math.pi - 0.3])
         f = Factor(PRIOR_BLOCK, z, np.eye(1), constrained=[None])
         block = StateBlock(np.array([math.pi - 1e-7]), ANGLE)
-        num = numeric_jacobian(lambda v: evaluate(f, v, kinds=[ANGLE]).r, [block])
-        res = evaluate(f, [block.values], kinds=[ANGLE])
+        num = numeric_jacobian(lambda v: evaluate_one(f, v, kinds=[ANGLE]).r, [block])
+        res = evaluate_one(f, [block.values], kinds=[ANGLE])
         assert abs(num[0][0, 0] - res.jacobians[0][0, 0]) < 1e-5
 
     def test_wrong_block_count_rejected(self):
         f = Factor(PRIOR_BLOCK, np.zeros(1), np.eye(1), constrained=[None])
         with pytest.raises(ContractError):
-            evaluate(f, [np.zeros(1), np.zeros(1)])
+            evaluate_one(f, [np.zeros(1), np.zeros(1)])
 
 
 class TestFactorValidation:
@@ -308,3 +310,85 @@ class TestFactorValidation:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ContractError):
             Factor("bogus", np.zeros(1), np.eye(1), constrained=[None])
+
+
+class TestStacks:
+    """Every kind evaluated on stacks of several rows, each row checked alone.
+
+    A kernel that mixes up its row and residual axes still gives the right
+    answer on a stack of one; these stacks have four rows.
+    """
+
+    N = 4
+
+    @staticmethod
+    def _motion(rng):
+        xi = Pose2(rng.uniform(-5, 5, 2), rng.uniform(-3, 3))
+        xj = Pose2(rng.uniform(-5, 5, 2), rng.uniform(-3, 3))
+        return motion_factor(rng), [*pose_blocks(xi), *pose_blocks(xj),
+                                    StateBlock(C_NOM * rng.uniform(0.9, 1.1, 3))]
+
+    @staticmethod
+    def _range_bearing(rng):
+        x = Pose2(rng.uniform(-5, 5, 2), rng.uniform(-3, 3))
+        ext = Pose2(rng.uniform(-0.5, 0.5, 2), rng.uniform(-1, 1))
+        # at least 1 m from the pose, so at least 0.29 m from the sensor
+        a = rng.uniform(-np.pi, np.pi)
+        landmark = x.p + rng.uniform(1.0, 6.0) * np.array([math.cos(a), math.sin(a)])
+        z = np.array([rng.uniform(0.5, 6.0), rng.uniform(-3.0, 3.0)])
+        f = Factor(RANGE_BEARING, z, np.diag(rng.uniform(1.0, 8.0, 2)), constrained=[None] * 5)
+        return f, [*pose_blocks(x), *pose_blocks(ext), StateBlock(landmark)]
+
+    @staticmethod
+    def _prior_pose(rng):
+        z = np.array([*rng.uniform(-5, 5, 2), rng.uniform(-3, 3)])
+        f = Factor(PRIOR_POSE, z, whiten(random_spd(rng, 3)), constrained=[None, None])
+        return f, pose_blocks(Pose2(rng.uniform(-5, 5, 2), rng.uniform(-3, 3)))
+
+    @staticmethod
+    def _prior_block(rng):
+        z = rng.uniform(-3, 3, 2)
+        f = Factor(PRIOR_BLOCK, z, whiten(random_spd(rng, 2)), constrained=[None])
+        return f, [StateBlock(rng.uniform(-3, 3, 2))]
+
+    @staticmethod
+    def _prior_angle(rng):
+        f = Factor(PRIOR_BLOCK, np.array([rng.uniform(-3, 3)]), np.eye(1) * rng.uniform(1, 5),
+                   constrained=[None])
+        return f, [StateBlock(np.array([rng.uniform(-3, 3)]), ANGLE)]
+
+    @staticmethod
+    def _relative_pose(rng):
+        f = Factor(RELATIVE_POSE, np.array([*rng.uniform(-2, 2, 2), rng.uniform(-3, 3)]),
+                   whiten(random_spd(rng, 3)), constrained=[None] * 4)
+        xi = Pose2(rng.uniform(-5, 5, 2), rng.uniform(-3, 3))
+        xj = Pose2(rng.uniform(-5, 5, 2), rng.uniform(-3, 3))
+        return f, [*pose_blocks(xi), *pose_blocks(xj)]
+
+    @pytest.mark.parametrize("make", ["_motion", "_range_bearing", "_prior_pose",
+                                      "_prior_block", "_prior_angle", "_relative_pose"])
+    def test_rows_match_numeric(self, make):
+        rng = np.random.default_rng(31)
+        instances = [getattr(self, make)(rng) for _ in range(self.N)]
+        factors = [f for f, _ in instances]
+        kinds = [b.kind for b in instances[0][1]]
+        stack, table = stack_of(factors, [[b.values for b in blocks] for _, blocks in instances],
+                                kinds)
+        r, j = evaluate(stack, table)
+        assert r.shape[0] == j.shape[0] == self.N
+        for i, (f, blocks) in enumerate(instances):
+            one = evaluate_one(f, [b.values for b in blocks], kinds)
+            np.testing.assert_allclose(r[i], one.r, rtol=0.0, atol=1e-12)
+            num = numeric_jacobian(lambda v: evaluate_one(f, v, kinds).r, blocks)
+            assert np.max(np.abs(j[i] - np.hstack(num))) < 1e-5
+
+    def test_one_singular_row_raises(self):
+        rng = np.random.default_rng(32)
+        instances = [self._range_bearing(rng) for _ in range(self.N)]
+        values = [[b.values for b in blocks] for _, blocks in instances]
+        # row 2's landmark sits on its sensor origin (zero mount offset)
+        values[2][2] = np.zeros(2)
+        values[2][4] = values[2][0].copy()
+        stack, table = stack_of([f for f, _ in instances], values)
+        with pytest.raises(SingularObservationError):
+            evaluate(stack, table)

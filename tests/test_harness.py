@@ -233,6 +233,26 @@ class TestTracerTargets:
             assert callable(getattr(linalg, attr, None)), span
 
 
+class TestTracerGuard:
+    def test_traced_replay_records_solver_layers(self, small_logs):
+        # a refactor that stops calling a wrapped name would zero its layer
+        spec = importlib.util.spec_from_file_location("perfbench_tracer",
+                                                      PERFBENCH / "tracer.py")
+        tracer_mod = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer_mod)
+        tracer = tracer_mod.Tracer()
+        tracer.install()
+        try:
+            run(DATA / "demo_config.yaml", small_logs[0],
+                on_keyframe=lambda *_: tracer.on_keyframe())
+        finally:
+            tracer.uninstall()
+        assert tracer.missing == []
+        totals = tracer.layer_totals()
+        for name in ("solver.linearize", "solver.total_cost", "factors.evaluate"):
+            assert totals.get(name, (0,))[0] > 0, name
+
+
 class TestExtrinsicSelfCalibration:
     def test_perturbed_extrinsic_recovered(self, tmp_path):
         # truth mounts the sensor at the origin; the config guesses a few
@@ -305,6 +325,27 @@ class TestCli:
         est = tmp_path / "est.jsonl"
         assert main(["run", "--config", str(DATA / "demo_config.yaml"),
                      "--log", str(log), "--out", str(est)]) == 3
+
+    @pytest.mark.parametrize("sensor, data", [
+        ("rb0", [[5]]),      # a scan entry without a bearing
+        ("rb0", "abc"),      # scan data that is not a list of entries
+        ("odom0", "abc"),    # wheel ticks that are not numbers
+        ("odom0", None),     # a line that is not JSON at all
+    ])
+    def test_malformed_record_exit_code(self, small_logs, tmp_path, capsys, sensor, data):
+        lines = small_logs[0].read_text().splitlines()
+        k = [i for i, line in enumerate(lines) if json.loads(line)["sensor"] == sensor][10]
+        if data is None:
+            lines[k] = lines[k][:-1]
+        else:
+            lines[k] = json.dumps({**json.loads(lines[k]), "data": data})
+        log = tmp_path / "log.jsonl"
+        log.write_text("\n".join(lines) + "\n")
+        est = tmp_path / "est.jsonl"
+        assert main(["run", "--config", str(DATA / "demo_config.yaml"),
+                     "--log", str(log), "--out", str(est)]) == 3
+        err = capsys.readouterr().err
+        assert "bad" in err and "Traceback" not in err
 
     def test_print_tree_flag(self, tmp_path, capsys):
         log = tmp_path / "log.jsonl"

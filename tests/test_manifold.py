@@ -17,6 +17,7 @@ from arbor.manifold import (
     normalize_angle,
     pose_between,
     pose_compose,
+    wrap_angles,
 )
 
 from fdcheck import central_diff, wrap_angle
@@ -62,6 +63,22 @@ class TestNormalizeAngle:
             normalize_angle(float("nan"))
         with pytest.raises(InvalidValueError):
             normalize_angle(float("inf"))
+
+
+class TestWrapAngles:
+    def test_matches_scalar_wrap_bit_for_bit(self):
+        rng = np.random.default_rng(9)
+        edges = [k * math.pi for k in range(-4, 5)]
+        a = np.concatenate([
+            rng.uniform(-5 * math.pi, 5 * math.pi, 20000),
+            edges,
+            [np.nextafter(e, d) for e in edges for d in (-np.inf, np.inf)],
+        ])
+        assert wrap_angles(a).tolist() == [normalize_angle(v) for v in a]
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(InvalidValueError):
+            wrap_angles(np.array([0.0, float("nan")]))
 
 
 class TestPoseCompose:
