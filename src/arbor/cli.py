@@ -36,7 +36,7 @@ def _cmd_sim(args) -> int:
 def _cmd_run(args) -> int:
     try:
         app = build_application(args.config)
-    except (ConfigError, OSError) as exc:
+    except (EstimationError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:

@@ -11,9 +11,12 @@ same sizes are the rows of a :class:`FactorStack`, and one numpy kernel per
 kind evaluates every row at once.  A single factor is a stack of one
 (:func:`evaluate_one`), so one-off and batched evaluation share their code.
 
-The motion factor implements the self-calibrating pre-integration residual:
-the stored delta is first re-corrected for the current calibration values,
-then compared against the relative pose of the two frames it links.
+The motion factor implements the self-calibrating pre-integration residual.
+Its ``z`` is the pre-integrated delta; its :class:`MotionData` holds the
+delta's calibration Jacobian ``j_delta_c`` and the calibration guess
+``c_bar`` it was integrated with.  The kernel re-corrects the delta to first
+order for the current calibration, D(c) = z (+) j_delta_c (c - c_bar), then
+compares it against the relative pose of the two frames it links.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ContractError, DecompositionError, SingularObservationError
-from .manifold import ANGLE, EUCLIDEAN, Delta2, StateBlock, block_plus, wrap_angles
+from .manifold import ANGLE, EUCLIDEAN, StateBlock, block_plus, wrap_angles
 
 MOTION = "motion"
 RANGE_BEARING = "range_bearing"
@@ -38,10 +41,8 @@ FACTOR_KINDS = (MOTION, RANGE_BEARING, PRIOR_POSE, PRIOR_BLOCK, RELATIVE_POSE)
 
 @dataclass
 class MotionData:
-    """Frozen pre-integration results backing a motion factor."""
+    """Calibration terms of a motion factor; the delta itself is ``Factor.z``."""
 
-    delta_bar: Delta2
-    q_delta: np.ndarray
     j_delta_c: np.ndarray
     c_bar: np.ndarray
 
@@ -105,7 +106,7 @@ class FactorStack:
 
     Rows hold the measurement ``z`` (a pose or delta heading wrapped into
     (-pi, pi]), the square-root information and, for motion factors, the
-    frozen pre-integration results.  ``slots[i]`` lists the rows of the value
+    calibration Jacobian and guess.  ``slots[i]`` lists the rows of the value
     table (see :func:`evaluate`) holding factor ``i``'s blocks, in
     constrained order; ``ids`` tags rows so they can be dropped by tag.
     """
@@ -133,7 +134,6 @@ class FactorStack:
         if self.kind in (PRIOR_POSE, RELATIVE_POSE):
             rows["z"][:, 2] = wrap_angles(rows["z"][:, 2])
         if self.kind == MOTION:
-            rows["delta_bar"] = np.array([f.aux.delta_bar.as_array() for f in factors])
             rows["j_delta_c"] = np.array([f.aux.j_delta_c for f in factors])
             rows["c_bar"] = np.array([f.aux.c_bar for f in factors])
         return rows
@@ -179,13 +179,14 @@ def _pose_between(pi, ti, pj, tj, jacobians: bool):
 def _motion(stack: FactorStack, v: np.ndarray, jacobians: bool):
     """Self-calibrated motion residual between consecutive frames.
 
-    r = U * (D(c) (-) (xj boxminus xi)) with D(c) the calibration-corrected
-    pre-integrated delta.  Jacobian columns: xi.p, xi.o, xj.p, xj.o, c.
+    r = U * (D(c) (-) (xj boxminus xi)) with D(c) = z (+) J (c - c_bar) the
+    calibration-corrected pre-integrated delta.  Jacobian columns: xi.p,
+    xi.o, xj.p, xj.o, c.
     """
     b, j_b = _pose_between(v[:, 0, :2], v[:, 1, 0], v[:, 2, :2], v[:, 3, 0], jacobians)
     c = v[:, 4, :stack.dims[4]]
     t = np.einsum("nij,nj->ni", stack.j_delta_c, c - stack.c_bar)
-    d = stack.delta_bar
+    d = stack.z
     e = np.empty_like(b)
     e[:, :2] = d[:, :2] + t[:, :2] - b[:, :2]
     e[:, 2] = wrap_angles(wrap_angles(d[:, 2] + t[:, 2]) - b[:, 2])

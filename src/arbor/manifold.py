@@ -118,11 +118,6 @@ class Pose2:
     def identity(cls) -> "Pose2":
         return cls(np.zeros(2), 0.0)
 
-    @classmethod
-    def from_array(cls, v) -> "Pose2":
-        v = _as_finite_vector(v, 3, "pose array")
-        return cls(v[:2], v[2])
-
     def as_array(self) -> np.ndarray:
         return np.array([self.p[0], self.p[1], self.theta])
 
@@ -141,11 +136,6 @@ class Delta2:
     @classmethod
     def identity(cls) -> "Delta2":
         return cls(np.zeros(2), 0.0)
-
-    @classmethod
-    def from_array(cls, v) -> "Delta2":
-        v = _as_finite_vector(v, 3, "delta array")
-        return cls(v[:2], v[2])
 
     def as_array(self) -> np.ndarray:
         return np.array([self.dp[0], self.dp[1], self.dtheta])
@@ -209,21 +199,6 @@ def pose_between(xi: Pose2, xj: Pose2):
         [0.0, 0.0, 1.0],
     ])
     return Delta2(dp, dtheta), j_xi, j_xj
-
-
-def delta_plus(d: Delta2, t) -> Delta2:
-    """Additive tangent plus on a delta; the angle component wraps."""
-    t = _as_finite_vector(t, 3, "tangent")
-    return Delta2(d.dp + t[:2], normalize_angle(d.dtheta + t[2]))
-
-
-def delta_minus(d2: Delta2, d1: Delta2) -> np.ndarray:
-    """Additive tangent difference d2 - d1; inverse of delta_plus."""
-    return np.array([
-        d2.dp[0] - d1.dp[0],
-        d2.dp[1] - d1.dp[1],
-        normalize_angle(d2.dtheta - d1.dtheta),
-    ])
 
 
 def block_plus(block: StateBlock, dx) -> np.ndarray:

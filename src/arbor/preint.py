@@ -13,9 +13,10 @@ respect to the calibration parameters.  Per sample the pipeline runs:
 
 Only steps 1-2 are sensor specific; they live in a motion-model object so
 the pipeline itself stays generic (composition and the pose retraction come
-from :mod:`arbor.manifold`).  At the factor side the stored delta can be
-re-corrected to first order for calibration values that moved away from the
-integration-time guess: D(c) = D (+) J_D_c (c - c_bar).
+from :mod:`arbor.manifold`).  The stored delta is re-corrected to first order
+for calibration values that moved away from the integration-time guess,
+D(c) = D (+) J_D_c (c - c_bar), in one place only: the motion factor's
+residual kernel, ``factors._motion``.
 
 High-rate state queries compose the buffer origin pose with the delta
 accumulated up to the query time.
@@ -35,7 +36,7 @@ from .errors import (
     JoinToleranceError,
     OrderingError,
 )
-from .manifold import Delta2, Pose2, delta_compose, delta_plus, pose_compose
+from .manifold import Delta2, Pose2, delta_compose, pose_compose
 
 
 @dataclass
@@ -112,8 +113,6 @@ class PreintEntry:
     t: float
     u: np.ndarray
     q_u: np.ndarray
-    v: np.ndarray
-    delta: Delta2
     delta_bar: Delta2
     q_delta: np.ndarray
     j_delta_c: np.ndarray
@@ -176,8 +175,6 @@ def integrate_step(buf: PreintBuffer, u: RawMotion) -> PreintEntry:
         t=u.t,
         u=u.u.copy(),
         q_u=u.q_u.copy(),
-        v=v,
-        delta=delta,
         delta_bar=delta_bar,
         q_delta=q_delta,
         j_delta_c=j_delta_c,
@@ -185,21 +182,6 @@ def integrate_step(buf: PreintBuffer, u: RawMotion) -> PreintEntry:
     buf.entries.append(entry)
     buf._times.append(u.t)
     return entry
-
-
-def correct_delta(tail: PreintEntry, c: np.ndarray, c_bar: np.ndarray) -> Delta2:
-    """First-order re-correction of a stored delta for new calibration values.
-
-    D(c) = D (+) J_D_c (c - c_bar); exact when c == c_bar or J_D_c == 0.
-    """
-    c = np.asarray(c, dtype=float)
-    c_bar = np.asarray(c_bar, dtype=float)
-    if c.shape != c_bar.shape or tail.j_delta_c.shape[1] != c.shape[0]:
-        raise ContractError(
-            f"calibration dims disagree: c {c.shape}, c_bar {c_bar.shape}, "
-            f"J columns {tail.j_delta_c.shape[1]}"
-        )
-    return delta_plus(tail.delta_bar, tail.j_delta_c @ (c - c_bar))
 
 
 def state_at_high_rate(buf: PreintBuffer, x_origin: Pose2, t: float) -> Pose2:

@@ -194,6 +194,9 @@ class MotionProcessor:
             ticks = np.asarray(data, dtype=float)
         except (TypeError, ValueError) as exc:
             raise RecordFormatError(f"bad {self.sensor_name} record at t={t}: {exc}") from exc
+        if ticks.shape != (len(self.q_u),):
+            raise RecordFormatError(f"bad {self.sensor_name} record at t={t}: "
+                                    f"expected {len(self.q_u)} wheel ticks, got {ticks.shape}")
         u = RawMotion(t, ticks, self.q_u)
         integrate_step(self.buffer, u)
         self._retry_pending_joins(tree, t)
@@ -248,8 +251,7 @@ class MotionProcessor:
             constrained=[(origin, "p"), (origin, "o"),
                          (frame, "p"), (frame, "o"),
                          (self.sensor_id, "intrinsic")],
-            aux=MotionData(tail.delta_bar, tail.q_delta.copy(),
-                           tail.j_delta_c.copy(), segment.c_bar.copy()),
+            aux=MotionData(tail.j_delta_c.copy(), segment.c_bar.copy()),
         )
         tree.emplace(T.FACTOR, feature, payload=factor)
 

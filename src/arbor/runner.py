@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 from . import tree as T
 from .config import Application, auto_setup, parse_config
-from .errors import BindingError, OrderingError
+from .errors import BindingError, ConfigError, OrderingError
 from .metrics import MetricsReport, compute_ate, compute_calib_error
 from .processors import LandmarkInfo
 from .sim import TRUTH_CALIB, CaptureRecord, read_jsonl, write_jsonl
@@ -29,8 +29,16 @@ ESTIMATE_CALIB = "estimate_calib"
 
 
 def build_application(config_path) -> Application:
-    """Config phase of a run: parse the YAML and auto-set-up the problem."""
-    return auto_setup(parse_config(Path(config_path).read_text()))
+    """Config phase of a run: parse the YAML and auto-set-up the problem.
+
+    A config value of the wrong type or range that auto-setup trips over
+    (``int("many")``, ``1 / 0.0``) is reported as a :class:`ConfigError`.
+    """
+    server = parse_config(Path(config_path).read_text())
+    try:
+        return auto_setup(server)
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        raise ConfigError(f"bad config value: {exc}") from exc
 
 
 def run(config_path, log_path, out_path=None, truth_path=None,

@@ -4,21 +4,22 @@ The solver mirrors the tree through its notification queue: ``sync`` applies
 pending add/remove events so the solver-side block and factor sets always
 match the live tree.  Each block owns a row (slot) of a value table and each
 factor a row of its kind's stack, so cost and normal equations take one
-kernel call per stack.  Columns are assigned only to blocks that are unfixed
-and touched by at least one factor; everything else is held constant.
+kernel call per stack.  A solve fills the table from the tree, iterates on
+it alone and writes the result back.  Columns are assigned only to blocks
+that are unfixed and touched by at least one factor; everything else is
+held constant.
 
 Damping is multiplicative on the diagonal of the normal matrix, which keeps
 meter and radian columns comparably conditioned.  Steps are retracted as
 block_plus does, adding and wrapping angles, so angle blocks stay on their
-manifold.  A step is accepted only
-if it strictly decreases the cost, so the report's final cost never
-exceeds the initial one.
+manifold.  A step is accepted only if it strictly decreases the cost, so the
+report's final cost never exceeds the initial one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional
 
 import numpy as np
@@ -52,6 +53,14 @@ class SolverOptions:
     tol_dx: float = 1e-10
     tol_grad: float = 1e-12
 
+    def __post_init__(self):
+        if not (math.isfinite(self.lambda_init) and self.lambda_init > 0.0):
+            raise ContractError(f"lambda_init must be finite and > 0, got {self.lambda_init}")
+        if self.max_iterations < 1:
+            raise ContractError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        if not (self.tol_dx >= 0.0 and self.tol_grad >= 0.0):
+            raise ContractError(f"tolerances must be >= 0, got {self.tol_dx}, {self.tol_grad}")
+
 
 @dataclass
 class SolveReport:
@@ -66,7 +75,6 @@ class SolveReport:
 class _BlockEntry:
     kind: str
     dim: int
-    fixed: bool
     slot: int                     # row in the value table, stable while the block lives
     offset: Optional[int] = None  # None when fixed or untouched
 
@@ -80,7 +88,6 @@ class _Scatter:
     positions in g and H.
     """
 
-    offsets: np.ndarray  # (n, k) first column of each constrained block, -1 if inactive
     g_at: np.ndarray
     g_to: np.ndarray
     h_at: np.ndarray
@@ -98,7 +105,6 @@ class SolverProblem:
         self.options = options or SolverOptions()
         self.blocks: dict = {}   # (NodeId, name) -> _BlockEntry, insertion ordered
         self.factors: dict = {}  # NodeId -> Factor
-        self.values: dict = {}   # (NodeId, name) -> current iterate
         self.total_dim = 0
         self.stacks: dict = {}   # (kind, dims, block kinds) -> FactorStack
         self._stack_of: dict = {}  # factor NodeId -> its stack's key
@@ -111,17 +117,14 @@ class SolverProblem:
         self._col_comp = np.zeros(0, dtype=np.intp)
         self._angle_slots = np.zeros(0, dtype=np.intp)
 
-    def active_keys(self):
-        return [k for k, e in self.blocks.items() if e.offset is not None]
-
 
 def sync(problem: SolverProblem, tree) -> None:
     """Drain tree notifications into the solver's block/factor sets.
 
     Added factors become stack rows and removed ones are dropped from their
-    stacks.  Also refreshes fixed flags (the window manager flips them in
-    place), reassigns contiguous column offsets to the active blocks, and
-    maps every stack row onto those columns.
+    stacks.  Then reassigns contiguous column offsets to the active blocks,
+    reading the tree's fixed flags (the window manager flips them in place),
+    and maps every stack row onto those columns.
     """
     added: dict = {}    # stack key -> ([Factor], [slot rows], [ids])
     removed: dict = {}  # stack key -> [ids]
@@ -139,16 +142,13 @@ def sync(problem: SolverProblem, tree) -> None:
                 slot = problem._n_slots
                 problem._n_slots += 1
             problem._width = max(problem._width, block.tangent_dim)
-            problem.blocks[note.target] = _BlockEntry(block.kind, block.tangent_dim,
-                                                      block.fixed, slot)
-            problem.values[note.target] = block.values.copy()
+            problem.blocks[note.target] = _BlockEntry(block.kind, block.tangent_dim, slot)
         elif note.action == tree_mod.REMOVE_BLOCK:
             if note.target not in problem.blocks:
                 raise SyncError(f"remove_block for unknown target {note.target}")
             # a freed slot is reused only after this drain, once every factor
             # on the removed block is gone
             freed.append(problem.blocks.pop(note.target).slot)
-            problem.values.pop(note.target, None)
         elif note.action == tree_mod.ADD_FACTOR:
             try:
                 payload = tree.node(note.target).payload
@@ -192,8 +192,7 @@ def sync(problem: SolverProblem, tree) -> None:
     col_slot, col_comp, angle_slots = [], [], []
     offset = 0
     for key, entry in problem.blocks.items():
-        entry.fixed = tree.block(*key).fixed
-        if entry.fixed or not touched[entry.slot]:
+        if tree.block(*key).fixed or not touched[entry.slot]:
             entry.offset = None
             continue
         entry.offset = offset
@@ -221,7 +220,6 @@ def _scatter(stack: FactorStack, offsets: np.ndarray, n: int) -> _Scatter:
     active = cols >= 0
     pair = active[:, :, None] & active[:, None, :]
     return _Scatter(
-        offsets=offsets,
         g_at=np.flatnonzero(active),
         g_to=cols[active],
         h_at=np.flatnonzero(pair),
@@ -229,20 +227,17 @@ def _scatter(stack: FactorStack, offsets: np.ndarray, n: int) -> _Scatter:
     )
 
 
-def _table(problem: SolverProblem, values) -> np.ndarray:
-    """The value table (one block per slot row) of ``values``, which is
-    either such a table already or a mapping of block key to values."""
-    if isinstance(values, np.ndarray):
-        return values
+def _table(problem: SolverProblem, tree) -> np.ndarray:
+    """The value table: each block's current tree values in its slot row,
+    left-aligned and zero-padded to the widest block."""
     x = np.zeros((problem._n_slots, problem._width))
     for key, entry in problem.blocks.items():
-        x[entry.slot, :entry.dim] = values[key]
+        x[entry.slot, :entry.dim] = tree.block(*key).values
     return x
 
 
-def total_cost(problem: SolverProblem, values) -> float:
-    """Sum of ||r||^2/2 over all factors."""
-    x = _table(problem, values)
+def total_cost(problem: SolverProblem, x: np.ndarray) -> float:
+    """Sum of ||r||^2/2 over all factors at the value table ``x``."""
     cost = 0.0
     for stack in problem.stacks.values():
         r, _ = evaluate(stack, x, False)
@@ -258,26 +253,13 @@ def _stepped(problem: SolverProblem, x: np.ndarray, dx: np.ndarray) -> np.ndarra
     return out
 
 
-def apply_step(problem: SolverProblem, dx: np.ndarray) -> None:
-    """Retract a full tangent step onto the problem's current values."""
-    dx = np.asarray(dx, dtype=float)
-    if dx.shape != (problem.total_dim,):
-        raise ContractError(
-            f"step has shape {dx.shape}, expected ({problem.total_dim},)"
-        )
-    x = _stepped(problem, _table(problem, problem.values), dx)
-    for key, entry in problem.blocks.items():
-        if entry.offset is not None:
-            problem.values[key] = x[entry.slot, :entry.dim].copy()
-
-
-def _linearize(problem: SolverProblem, values):
-    """Gradient and normal equations, one kernel call per stack.
+def _linearize(problem: SolverProblem, x: np.ndarray):
+    """Gradient and normal equations at the value table ``x``, one kernel
+    call per stack.
 
     Each stack's Jᵀr and JᵀJ entries on active columns are scattered into
     g and H with one bincount each; fixed columns are left out.
     """
-    x = _table(problem, values)
     n = problem.total_dim
     g_to, g_w, h_to, h_w = [], [], [], []
     for key, stack in problem.stacks.items():
@@ -296,34 +278,13 @@ def _linearize(problem: SolverProblem, values):
     return g, h.reshape(n, n)
 
 
-def hessian_fill_in(problem: SolverProblem) -> float:
-    """Fraction of off-diagonal block pairs that some factor couples."""
-    n_blocks = len(problem.active_keys())
-    if n_blocks == 0:
-        return 0.0
-    total_off = n_blocks * (n_blocks - 1) // 2
-    if total_off == 0:
-        return 1.0
-    n = problem.total_dim
-    pairs = [np.zeros(0, dtype=np.intp)]
-    for sc in problem._scatter.values():
-        for a, b in combinations(sc.offsets.T, 2):
-            lo, hi = np.minimum(a, b), np.maximum(a, b)
-            keep = (lo >= 0) & (lo != hi)
-            pairs.append(lo[keep] * n + hi[keep])
-    return len(np.unique(np.concatenate(pairs))) / total_off
-
-
 def lm_solve(problem: SolverProblem, tree) -> SolveReport:
     """Iterate damped normal equations until convergence; write back results."""
     opts = problem.options
-    for key in problem.blocks:
-        problem.values[key] = tree.block(*key).values.copy()
-
     if problem.total_dim == 0 or not problem.factors:
         raise ContractError("nothing to solve: no unfixed block touched by a factor")
 
-    x = _table(problem, problem.values)
+    x = _table(problem, tree)
     cost = total_cost(problem, x)
     if not np.isfinite(cost):
         raise DivergenceError(f"initial cost is not finite: {cost}")
@@ -387,8 +348,7 @@ def lm_solve(problem: SolverProblem, tree) -> SolveReport:
 
     for key, entry in problem.blocks.items():
         if entry.offset is not None:
-            problem.values[key] = x[entry.slot, :entry.dim].copy()
-            tree.block(*key).values = problem.values[key].copy()
+            tree.block(*key).values = x[entry.slot, :entry.dim].copy()
 
     return SolveReport(
         iterations=iterations,

@@ -33,3 +33,10 @@ def wrap_angle(a):
     r = np.asarray(r)
     r[r == -np.pi] = np.pi
     return r
+
+
+def delta_diff(d2, d1):
+    """Tangent difference d2 - d1 of two deltas (``dp``, ``dtheta``), with
+    the angle wrapped by :func:`wrap_angle`."""
+    return np.array([d2.dp[0] - d1.dp[0], d2.dp[1] - d1.dp[1],
+                     wrap_angle(d2.dtheta - d1.dtheta)])

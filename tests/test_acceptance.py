@@ -20,8 +20,9 @@ from arbor.factors import (
     RELATIVE_POSE,
     Factor,
     MotionData,
-    evaluate_one,
+    evaluate,
     numeric_jacobian,
+    stack_of,
     whiten,
 )
 from arbor.manifold import (
@@ -30,7 +31,6 @@ from arbor.manifold import (
     Pose2,
     StateBlock,
     delta_compose,
-    delta_minus,
     pose_between,
     pose_compose,
 )
@@ -38,14 +38,14 @@ from arbor.preint import (
     DiffDriveModel,
     PreintBuffer,
     RawMotion,
-    correct_delta,
     integrate_step,
     state_at_high_rate,
 )
 from arbor.runner import run
 from arbor.sim import load_scenario, simulate, write_jsonl
 
-from fdcheck import central_diff, wrap_angle
+from fdcheck import central_diff, delta_diff, wrap_angle
+from test_preint import correction_error
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -131,9 +131,18 @@ class TestCriterion1Jacobians:
         worst = 0.0
         for _ in range(self.N):
             factor, blocks, kinds = make_instance(rng)
-            res = evaluate_one(factor, [b.values for b in blocks], kinds)
-            num = numeric_jacobian(lambda v: evaluate_one(factor, v, kinds).r, blocks)
-            for a, n in zip(res.jacobians, num):
+            # one stack per factor: perturbed values are written into its table
+            stack, table = stack_of([factor], [[b.values for b in blocks]], kinds)
+
+            def residual(values):
+                for row, v in enumerate(values):
+                    table[row, :len(v)] = v
+                return evaluate(stack, table, False)[0][0]
+
+            _, j = evaluate(stack, table)
+            analytic = np.split(j[0], np.cumsum(stack.dims)[:-1], axis=1)
+            num = numeric_jacobian(residual, blocks)
+            for a, n in zip(analytic, num):
                 worst = max(worst, np.max(np.abs(a - n)))
         return worst
 
@@ -145,7 +154,7 @@ class TestCriterion1Jacobians:
     def _motion_instance(self, rng):
         buf = integrated_buffer(rng, n=3)
         tail = buf.entries[-1]
-        aux = MotionData(tail.delta_bar, tail.q_delta, tail.j_delta_c, C_NOM.copy())
+        aux = MotionData(tail.j_delta_c, C_NOM.copy())
         factor = Factor(MOTION, tail.delta_bar.as_array(),
                         moderate_whiten(tail.q_delta), constrained=[None] * 5, aux=aux)
         blocks = [*self._pose_blocks(rng), *self._pose_blocks(rng),
@@ -230,7 +239,7 @@ class TestCriterion2SegmentComposition:
             for s in samples[k:]:
                 integrate_step(tail, RawMotion(s.t, s.u, s.q_u))
             composed, _, _ = delta_compose(head.delta_bar, tail.delta_bar)
-            worst = max(worst, np.max(np.abs(delta_minus(composed, full.delta_bar))))
+            worst = max(worst, np.max(np.abs(delta_diff(composed, full.delta_bar))))
         report(2, worst < 1e-12, f"max split-compose mismatch {worst:.2e} (< 1e-12) "
                                  f"over 100 trajectories")
 
@@ -285,11 +294,11 @@ class TestCriterion4CorrectionOrder:
         errs = []
         for eps in epsilons:
             c = C_NOM + eps * direction
-            corrected = correct_delta(base.entries[-1], c, C_NOM)
             reint = PreintBuffer(None, 0.0, c, MODEL)
             for s in samples:
                 integrate_step(reint, s)
-            errs.append(np.linalg.norm(delta_minus(corrected, reint.delta_bar)))
+            errs.append(np.linalg.norm(correction_error(base.entries[-1], c, C_NOM,
+                                                        reint.delta_bar)))
         slope = float(np.polyfit(np.log(epsilons), np.log(errs), 1)[0])
         ok = 1.8 <= slope <= 2.2
         report(4, ok, f"log-log slope {slope:.3f} (2.0 +/- 0.2)")

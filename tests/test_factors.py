@@ -35,19 +35,19 @@ def integrated_motion_data(rng, n_steps=8, c_bar=C_NOM):
         u = rng.uniform(0.0, 0.2, 2)
         integrate_step(buf, RawMotion(0.1 * (k + 1), u, 1e-4 * np.eye(2)))
     tail = buf.entries[-1]
-    return MotionData(tail.delta_bar, tail.q_delta, tail.j_delta_c, c_bar.copy())
+    return tail, MotionData(tail.j_delta_c, c_bar.copy())
 
 
 def motion_factor(rng):
-    aux = integrated_motion_data(rng)
-    u = whiten(aux.q_delta)
+    tail, aux = integrated_motion_data(rng)
+    u = whiten(tail.q_delta)
     # keep whitening moderate so the finite-difference oracle stays accurate
     scale = np.max(np.abs(u))
     if scale > 10.0:
         u = u * (10.0 / scale)
     return Factor(
         kind=MOTION,
-        z=aux.delta_bar.as_array(),
+        z=tail.delta_bar.as_array(),
         sqrt_info=u,
         constrained=[("fi", "p"), ("fi", "o"), ("fj", "p"), ("fj", "o"), ("s", "intrinsic")],
         aux=aux,
@@ -93,29 +93,29 @@ class TestMotionFactor:
         for _ in range(1000):
             f = motion_factor(rng)
             xi = Pose2(rng.uniform(-5, 5, 2), rng.uniform(-np.pi, np.pi))
-            xj, _, _ = pose_compose(xi, f.aux.delta_bar)
+            xj, _, _ = pose_compose(xi, Delta2(f.z[:2], f.z[2]))
             res = evaluate_one(f, [xi.p, [xi.theta], xj.p, [xj.theta], C_NOM])
             assert np.max(np.abs(res.r)) < 1e-9
 
     def test_whitened_perturbation_magnitude(self):
         rng = np.random.default_rng(22)
-        aux = integrated_motion_data(rng)
+        tail, aux = integrated_motion_data(rng)
         sigma = np.array([0.05, 0.07, 0.02])
-        f = Factor(MOTION, aux.delta_bar.as_array(), np.diag(1.0 / sigma),
+        f = Factor(MOTION, tail.delta_bar.as_array(), np.diag(1.0 / sigma),
                    constrained=[None] * 5, aux=aux)
         xi = Pose2.identity()
-        xj, _, _ = pose_compose(xi, aux.delta_bar)
+        xj, _, _ = pose_compose(xi, tail.delta_bar)
         eps = 1e-3
         res = evaluate_one(f, [xi.p, [xi.theta], xj.p + np.array([eps, 0.0]), [xj.theta], C_NOM])
         assert np.linalg.norm(res.r) == pytest.approx(eps / sigma[0], rel=1e-6)
 
     def test_whitening_invariance_under_scaling(self):
         rng = np.random.default_rng(23)
-        aux = integrated_motion_data(rng)
+        tail, aux = integrated_motion_data(rng)
         lam = 16.0
-        f1 = Factor(MOTION, aux.delta_bar.as_array(), whiten(aux.q_delta),
+        f1 = Factor(MOTION, tail.delta_bar.as_array(), whiten(tail.q_delta),
                     constrained=[None] * 5, aux=aux)
-        f2 = Factor(MOTION, aux.delta_bar.as_array(), whiten(lam * aux.q_delta),
+        f2 = Factor(MOTION, tail.delta_bar.as_array(), whiten(lam * tail.q_delta),
                     constrained=[None] * 5, aux=aux)
         xi = Pose2(np.array([1.0, -2.0]), 0.3)
         xj = Pose2(np.array([1.5, -1.0]), 0.7)

@@ -319,6 +319,27 @@ class TestCli:
         assert main(["run", "--config", str(bad), "--log", str(log),
                      "--out", str(est)]) == 2
 
+    @pytest.mark.parametrize("old, new", [
+        ("    type: none\n", "    type: fix_oldest\n    n_frames: 1\n"),
+        ("max_dist: 0.5", "max_dist: -0.5"),
+        ("association: gate", "association: nearest"),
+        ("max_iterations: 25", "max_iterations: many"),
+        ("sigma_p: 0.01", "sigma_p: 0.0"),
+        ("lambda_init: 1.0e-4", "lambda_init: 0"),
+    ], ids=["n_frames", "max_dist", "association", "max_iterations", "sigma_p", "lambda_init"])
+    def test_bad_config_value_exit_code(self, tmp_path, capsys, old, new):
+        text = (DATA / "demo_config.yaml").read_text()
+        assert old in text
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(text.replace(old, new))
+        log = tmp_path / "log.jsonl"
+        log.write_text("")
+        est = tmp_path / "est.jsonl"
+        assert main(["run", "--config", str(bad), "--log", str(log),
+                     "--out", str(est)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "Traceback" not in err
+
     def test_data_error_exit_code(self, tmp_path):
         log = tmp_path / "log.jsonl"
         log.write_text('{"t": 0.0, "sensor": "ghost", "data": [0, 0]}\n')
@@ -330,6 +351,7 @@ class TestCli:
         ("rb0", [[5]]),      # a scan entry without a bearing
         ("rb0", "abc"),      # scan data that is not a list of entries
         ("odom0", "abc"),    # wheel ticks that are not numbers
+        ("odom0", [0.1]),    # one wheel tick where the model needs two
         ("odom0", None),     # a line that is not JSON at all
     ])
     def test_malformed_record_exit_code(self, small_logs, tmp_path, capsys, sensor, data):

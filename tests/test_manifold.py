@@ -12,8 +12,6 @@ from arbor.manifold import (
     StateBlock,
     block_plus,
     delta_compose,
-    delta_minus,
-    delta_plus,
     normalize_angle,
     pose_between,
     pose_compose,
@@ -155,36 +153,6 @@ class TestPoseBetween:
 
             assert np.max(np.abs(j_xi - central_diff(f_xi, xi.as_array()))) < 1e-5
             assert np.max(np.abs(j_xj - central_diff(f_xj, xj.as_array()))) < 1e-5
-
-
-class TestDeltaPlusMinus:
-    def test_zero_tangent(self):
-        d = Delta2(np.array([1.0, 0.0]), 0.1)
-        out = delta_plus(d, np.zeros(3))
-        np.testing.assert_allclose(out.as_array(), d.as_array())
-
-    def test_wrap(self):
-        out = delta_plus(Delta2(np.zeros(2), math.pi), np.array([0.0, 0.0, math.pi / 2]))
-        # 3*pi/2 wraps into (-pi, pi]
-        assert out.dtheta == pytest.approx(wrap_angle(1.5 * math.pi))
-        assert out.dtheta == pytest.approx(-math.pi / 2)
-
-    def test_self_difference(self):
-        d = random_delta()
-        np.testing.assert_allclose(delta_minus(d, d), np.zeros(3))
-
-    def test_componentwise(self):
-        t = delta_minus(Delta2(np.array([1.0, 1.0]), 0.2), Delta2(np.array([1.0, 0.0]), 0.1))
-        np.testing.assert_allclose(t, [0.0, 1.0, 0.1], atol=1e-15)
-
-    def test_mutual_inverses(self):
-        for _ in range(1000):
-            d, e = random_delta(), random_delta()
-            t = delta_minus(e, d)
-            assert -math.pi < t[2] <= math.pi
-            back = delta_plus(d, t)
-            np.testing.assert_allclose(back.dp, e.dp, atol=1e-12)
-            assert abs(normalize_angle(back.dtheta - e.dtheta)) < 1e-12
 
 
 class TestStateBlock:

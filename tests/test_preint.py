@@ -4,18 +4,18 @@ import numpy as np
 import pytest
 
 from arbor.errors import CalibrationError, JoinToleranceError, OrderingError
-from arbor.manifold import Delta2, Pose2, delta_compose, delta_minus
+from arbor.factors import MOTION, Factor, MotionData, evaluate_one
+from arbor.manifold import Delta2, Pose2, delta_compose
 from arbor.preint import (
     DiffDriveModel,
     PreintBuffer,
     RawMotion,
-    correct_delta,
     integrate_step,
     split_buffer,
     state_at_high_rate,
 )
 
-from fdcheck import central_diff, wrap_angle
+from fdcheck import central_diff, delta_diff, wrap_angle
 
 MODEL = DiffDriveModel()
 C_NOM = np.array([0.1, 0.1, 0.5])
@@ -23,6 +23,15 @@ C_NOM = np.array([0.1, 0.1, 0.5])
 
 def make_buffer(c_bar=C_NOM, origin_t=0.0):
     return PreintBuffer(origin_frame=None, origin_t=origin_t, c_bar=c_bar, model=MODEL)
+
+
+def correction_error(tail, c, c_bar, target):
+    """D(c) (-) target, with D(c) the calibration correction of ``tail``'s
+    delta to ``c`` as the motion kernel applies it: the kernel's residual
+    for unit sqrt_info, xi at the identity and xj = target."""
+    factor = Factor(MOTION, tail.delta_bar.as_array(), np.eye(3),
+                    constrained=[None] * 5, aux=MotionData(tail.j_delta_c, c_bar))
+    return evaluate_one(factor, [np.zeros(2), [0.0], target.dp, [target.dtheta], c]).r
 
 
 def random_samples(rng, n, dt=0.1, tick_std=0.0, t0=0.0):
@@ -233,11 +242,11 @@ class TestAlternativeModel:
                                    [x, y, wrap_angle(th)], atol=1e-12)
         # calibration correction stays first order for the scalar scale too
         eps = 1e-3
-        corrected = correct_delta(buf.entries[-1], c_scale + eps, c_scale)
         reint = PreintBuffer(None, 0.0, c_scale + eps, ScaledTwistModel())
         for k, u in enumerate(twists):
             integrate_step(reint, RawMotion(0.1 * (k + 1), u, 1e-4 * np.eye(2)))
-        err = np.linalg.norm(delta_minus(corrected, reint.delta_bar))
+        err = np.linalg.norm(correction_error(buf.entries[-1], c_scale + eps, c_scale,
+                                              reint.delta_bar))
         assert err < 10.0 * eps**2
 
     def test_covariance_chain_with_alternative_model(self):
@@ -268,7 +277,7 @@ class TestSegmentComposition:
             for s in samples[k:]:
                 integrate_step(tail, RawMotion(s.t, s.u, s.q_u))
             composed, j_a, j_b = delta_compose(head.delta_bar, tail.delta_bar)
-            assert np.max(np.abs(delta_minus(composed, full.delta_bar))) < 1e-12
+            assert np.max(np.abs(delta_diff(composed, full.delta_bar))) < 1e-12
             # calibration Jacobian transports across the cut by the chain rule
             j_total = j_a @ head.j_delta_c + j_b @ tail.j_delta_c
             np.testing.assert_allclose(j_total, full.j_delta_c, atol=1e-12)
@@ -284,16 +293,16 @@ class TestCorrectDelta:
     def test_identity_correction(self):
         rng = np.random.default_rng(11)
         buf = self._integrated(C_NOM, rng)
-        out = correct_delta(buf.entries[-1], C_NOM, C_NOM)
-        np.testing.assert_allclose(out.as_array(), buf.delta_bar.as_array())
+        err = correction_error(buf.entries[-1], C_NOM, C_NOM, buf.delta_bar)
+        np.testing.assert_allclose(err, np.zeros(3), atol=1e-15)
 
     def test_zero_jacobian_ignores_calibration(self):
         entry_like = make_buffer()
         integrate_step(entry_like, RawMotion(0.1, np.zeros(2), np.zeros((2, 2))))
         tail = entry_like.entries[-1]
         tail.j_delta_c = np.zeros((3, 3))
-        out = correct_delta(tail, C_NOM * 1.5, C_NOM)
-        np.testing.assert_allclose(out.as_array(), tail.delta_bar.as_array())
+        err = correction_error(tail, C_NOM * 1.5, C_NOM, tail.delta_bar)
+        np.testing.assert_allclose(err, np.zeros(3), atol=1e-15)
 
     def test_first_order_accuracy_slope_two(self):
         rng = np.random.default_rng(12)
@@ -307,11 +316,11 @@ class TestCorrectDelta:
         errs = []
         for eps in epsilons:
             c = C_NOM + eps * direction
-            corrected = correct_delta(base.entries[-1], c, C_NOM)
             reint = make_buffer(c_bar=c)
             for s in samples:
                 integrate_step(reint, s)
-            errs.append(np.linalg.norm(delta_minus(corrected, reint.delta_bar)))
+            errs.append(np.linalg.norm(correction_error(base.entries[-1], c, C_NOM,
+                                                        reint.delta_bar)))
         slope = np.polyfit(np.log(epsilons), np.log(errs), 1)[0]
         assert 1.8 <= slope <= 2.2
 
@@ -361,7 +370,7 @@ class TestSplitBuffer:
         first, second = split_buffer(buf, 0.3, tol=1e-9)
         assert len(first.entries) == 3 and len(second.entries) == 3
         composed, _, _ = delta_compose(first.delta_bar, second.delta_bar)
-        assert np.max(np.abs(delta_minus(composed, buf.delta_bar))) < 1e-12
+        assert np.max(np.abs(delta_diff(composed, buf.delta_bar))) < 1e-12
         assert second.origin_t == pytest.approx(0.3)
 
     def test_degenerate_split_at_origin(self):
@@ -369,7 +378,7 @@ class TestSplitBuffer:
         first, second = split_buffer(buf, 0.004, tol=0.01)
         assert len(first.entries) == 0
         assert len(second.entries) == 6
-        assert np.max(np.abs(delta_minus(second.delta_bar, buf.delta_bar))) < 1e-12
+        assert np.max(np.abs(delta_diff(second.delta_bar, buf.delta_bar))) < 1e-12
 
     def test_out_of_tolerance(self):
         buf = self._buffer(6)

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,13 @@ import pytest
 import arbor.runner
 import arbor.solver
 from arbor import tree as T
-from arbor.errors import ContractError, SingularObservationError, SingularSystemError, SyncError
+from arbor.errors import (
+    ContractError,
+    DivergenceError,
+    SingularObservationError,
+    SingularSystemError,
+    SyncError,
+)
 from arbor.factors import (
     PRIOR_BLOCK,
     PRIOR_POSE,
@@ -25,8 +32,8 @@ from arbor.solver import (
     SolverOptions,
     SolverProblem,
     _linearize,
-    apply_step,
-    hessian_fill_in,
+    _stepped,
+    _table,
     lm_solve,
     sync,
     total_cost,
@@ -110,7 +117,7 @@ class TestTotalCost:
         attach_prior_block(tr, sensor, node, "x", 5.0, 1.0)
         problem = SolverProblem()
         sync(problem, tr)
-        assert total_cost(problem, problem.values) == pytest.approx(0.0)
+        assert total_cost(problem, _table(problem, tr)) == pytest.approx(0.0)
 
     def test_hand_value(self):
         # residual (3, 4): cost = ||r||^2 / 2 = 25/2
@@ -120,7 +127,7 @@ class TestTotalCost:
         attach_prior_block(tr, sensor, node, "x", np.zeros(2), np.eye(2))
         problem = SolverProblem()
         sync(problem, tr)
-        assert total_cost(problem, problem.values) == pytest.approx(12.5)
+        assert total_cost(problem, _table(problem, tr)) == pytest.approx(12.5)
 
     def test_block_order_invariance(self):
         tr, sensor = fresh()
@@ -130,11 +137,13 @@ class TestTotalCost:
         attach_prior_block(tr, sensor, b, "b", 0.0, 2.0)
         problem = SolverProblem()
         sync(problem, tr)
-        cost = total_cost(problem, problem.values)
+        cost = total_cost(problem, _table(problem, tr))
         assert cost == pytest.approx(0.5 * (1.0 + 16.0))
 
 
 class TestApplyStep:
+    """Retraction of a tangent step onto the value table (``_stepped``)."""
+
     def _problem(self):
         tr, sensor = fresh()
         node = scalar_block_node(tr, 0.0)
@@ -156,31 +165,40 @@ class TestApplyStep:
         return tr, problem, node, frame, fixed
 
     def test_zero_step(self):
-        _, problem, node, _, _ = self._problem()
-        before = {k: v.copy() for k, v in problem.values.items()}
-        apply_step(problem, np.zeros(problem.total_dim))
-        for k, v in before.items():
-            np.testing.assert_array_equal(problem.values[k], v)
+        tr, problem, node, _, _ = self._problem()
+        before = _table(problem, tr)
+        after = _stepped(problem, before, np.zeros(problem.total_dim))
+        np.testing.assert_array_equal(after, before)
 
     def test_angle_wraps(self):
-        _, problem, _, frame, _ = self._problem()
+        tr, problem, _, frame, _ = self._problem()
         entry = problem.blocks[(frame, "o")]
         dx = np.zeros(problem.total_dim)
         dx[entry.offset] = 0.2
-        apply_step(problem, dx)
-        assert problem.values[(frame, "o")][0] == pytest.approx(-math.pi + 0.1)
+        x = _stepped(problem, _table(problem, tr), dx)
+        assert x[entry.slot, 0] == pytest.approx(-math.pi + 0.1)
 
     def test_fixed_block_bit_identical(self):
-        _, problem, _, _, fixed = self._problem()
-        key = (fixed, "y")
-        before = problem.values[key]
-        apply_step(problem, np.ones(problem.total_dim))
-        assert problem.values[key] is before
+        tr, problem, _, _, fixed = self._problem()
+        slot = problem.blocks[(fixed, "y")].slot
+        before = _table(problem, tr)
+        after = _stepped(problem, before, np.ones(problem.total_dim))
+        np.testing.assert_array_equal(after[slot], before[slot])
 
-    def test_length_mismatch(self):
-        _, problem, _, _, _ = self._problem()
+
+class TestSolverOptions:
+    @pytest.mark.parametrize("kwargs", [
+        {"lambda_init": 0.0},
+        {"lambda_init": -1e-4},
+        {"lambda_init": math.inf},
+        {"lambda_init": math.nan},
+        {"max_iterations": 0},
+        {"tol_dx": -1e-10},
+        {"tol_grad": -1e-12},
+    ])
+    def test_bad_options_raise(self, kwargs):
         with pytest.raises(ContractError):
-            apply_step(problem, np.zeros(problem.total_dim + 1))
+            SolverOptions(**kwargs)
 
 
 class TestLmSolve:
@@ -308,6 +326,16 @@ class TestLmSolve:
         assert tr.block(fixed, "y").values[0] == 7.0
         assert tr.block(untouched, "z").values[0] == 3.0
 
+    def test_non_finite_initial_cost_raises(self):
+        tr, sensor = fresh()
+        node = scalar_block_node(tr, 1e200)
+        attach_prior_block(tr, sensor, node, "x", 0.0, 1e200)
+        problem = SolverProblem()
+        sync(problem, tr)
+        with pytest.raises(DivergenceError, match="initial cost is not finite"):
+            lm_solve(problem, tr)
+        assert tr.block(node, "x").values[0] == 1e200
+
     def test_nothing_to_solve(self):
         tr, _ = fresh()
         scalar_block_node(tr, 0.0)
@@ -326,6 +354,16 @@ class TestLmSolve:
         report = lm_solve(problem, tr)
         assert report.final_cost <= report.initial_cost
         assert report.termination in (CONVERGED_DX, CONVERGED_GRAD)
+
+
+def fill_in(problem):
+    """Fraction of off-diagonal pairs of active blocks that some factor couples."""
+    n_blocks = sum(e.offset is not None for e in problem.blocks.values())
+    pairs = set()
+    for factor in problem.factors.values():
+        offsets = {problem.blocks[tuple(c)].offset for c in factor.constrained} - {None}
+        pairs.update(combinations(sorted(offsets), 2))
+    return len(pairs) / (n_blocks * (n_blocks - 1) // 2)
 
 
 class TestFillIn:
@@ -351,12 +389,12 @@ class TestFillIn:
         sync(problem, tr)
         lm_solve(problem, tr)
         # 12 blocks: 6 within-frame pairs plus 4 per relative pose
-        assert hessian_fill_in(problem) == 26 / 66
+        assert fill_in(problem) == 26 / 66
         for name in ("p", "o"):
             tr.block(frames[0], name).fixed = True
         sync(problem, tr)
         # 10 blocks: 5 within-frame pairs plus 4 per relative pose not at frame 0
-        assert hessian_fill_in(problem) == 21 / 45
+        assert fill_in(problem) == 21 / 45
 
 
 class TestSingularTrialStep:
@@ -412,7 +450,8 @@ class TestSingularTrialStep:
 
 
 def per_factor_oracle(problem, values):
-    """g, H and cost by a plain loop over the factors, one at a time."""
+    """g, H and cost by a plain loop over the factors, one at a time, at
+    ``values``, a mapping of block key to values."""
     n = problem.total_dim
     g, h, cost = np.zeros(n), np.zeros((n, n)), 0.0
     for factor in problem.factors.values():
@@ -439,41 +478,43 @@ class TestAssemblyOracle:
         captures, _ = simulate(scenario)
         log = tmp_path / "log.jsonl"
         write_jsonl(captures, log)
-        problems = []
+        synced = []
         real_sync = arbor.runner.sync
 
         def spy(problem, tree):
-            problems.append(problem)
+            synced.append((problem, tree))
             real_sync(problem, tree)
 
         monkeypatch.setattr(arbor.runner, "sync", spy)
         estimates, _ = run(DATA / config, log)
-        return problems[-1], len(estimates)
+        return *synced[-1], len(estimates)
 
     @staticmethod
-    def _check_against_oracle(problem):
+    def _check_against_oracle(problem, tree):
         # away from the optimum, so that the gradient is not just round-off
         rng = np.random.default_rng(60)
-        apply_step(problem, rng.normal(0.0, 0.05, problem.total_dim))
-        g, h = _linearize(problem, problem.values)
-        g_ref, h_ref, cost_ref = per_factor_oracle(problem, problem.values)
+        x = _stepped(problem, _table(problem, tree), rng.normal(0.0, 0.05, problem.total_dim))
+        values = {key: x[e.slot, :e.dim] for key, e in problem.blocks.items()}
+        g, h = _linearize(problem, x)
+        g_ref, h_ref, cost_ref = per_factor_oracle(problem, values)
         assert np.max(np.abs(g - g_ref)) <= 1e-9 * np.max(np.abs(g_ref))
         assert np.max(np.abs(h - h_ref)) <= 1e-9 * np.max(np.abs(h_ref))
-        assert total_cost(problem, problem.values) == pytest.approx(cost_ref, rel=1e-9)
+        assert total_cost(problem, x) == pytest.approx(cost_ref, rel=1e-9)
 
     def test_fix_oldest_mixes_fixed_and_active_columns(self, monkeypatch, tmp_path):
-        problem, _ = self._replayed_problem("window_fix_config.yaml", monkeypatch, tmp_path)
+        problem, tree, _ = self._replayed_problem("window_fix_config.yaml",
+                                                  monkeypatch, tmp_path)
         mixes = set()
         for factor in problem.factors.values():
             active = [problem.blocks[tuple(c)].offset is not None for c in factor.constrained]
             mixes.add((any(active), all(active)))
         # some factors mix fixed and active columns, some are all fixed
         assert (True, False) in mixes and (False, False) in mixes
-        self._check_against_oracle(problem)
+        self._check_against_oracle(problem, tree)
 
     def test_after_remove_with_prior(self, monkeypatch, tmp_path):
-        problem, keyframes = self._replayed_problem("window_remove_config.yaml",
-                                                    monkeypatch, tmp_path)
+        problem, tree, keyframes = self._replayed_problem("window_remove_config.yaml",
+                                                          monkeypatch, tmp_path)
         frames = {node for node, _ in problem.blocks if node.kind == T.FRAME}
         assert len(frames) < keyframes
-        self._check_against_oracle(problem)
+        self._check_against_oracle(problem, tree)
