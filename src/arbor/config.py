@@ -14,6 +14,7 @@ stay forward compatible.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -169,6 +170,18 @@ class CreatorRegistry:
 # ----------------------------------------------------------------------
 # built-in creators
 
+def _positive(server, key, default=_MISSING, zero_ok=False) -> float:
+    """A scalar that must be finite and > 0 (>= 0 with ``zero_ok``)."""
+    value = server.require(key) if default is _MISSING else server.get(key, default)
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be a number, got {value!r}") from None
+    if not math.isfinite(x) or x < 0.0 or (x == 0.0 and not zero_ok):
+        raise ConfigError(f"{key} must be finite and {'>=' if zero_ok else '>'} 0, got {value!r}")
+    return x
+
+
 def _pose_blocks_from(server, prefix, default_fixed=True):
     state = server.get(f"{prefix}.state", [0.0, 0.0, 0.0])
     fixed = bool(server.get(f"{prefix}.fixed", default_fixed))
@@ -198,10 +211,11 @@ def _create_diff_drive(tree, server, prefix):
         np.array([float(v) for v in intrinsic]),
         fixed=bool(server.get(f"{prefix}.intrinsic.fixed", True)),
     )
-    noise = {"tick_std": float(server.require(f"{prefix}.noise.tick_std"))}
+    noise = {"tick_std": _positive(server, f"{prefix}.noise.tick_std")}
     sigma = server.get(f"{prefix}.intrinsic.sigma", None)
     info = SensorInfo(name, "diff_drive", noise,
-                      intrinsic_prior_sigma=None if sigma is None else float(sigma),
+                      intrinsic_prior_sigma=None if sigma is None
+                      else _positive(server, f"{prefix}.intrinsic.sigma"),
                       extrinsic_prior_sigma=ext_sigma)
     return tree.emplace(T.SENSOR, tree.hardware_id, payload=info, state_blocks=blocks), info
 
@@ -210,76 +224,52 @@ def _create_range_bearing(tree, server, prefix):
     name = server.require(f"{prefix}.name")
     blocks, ext_sigma = _pose_blocks_from(server, f"{prefix}.extrinsic")
     noise = {
-        "range_std": float(server.require(f"{prefix}.noise.range_std")),
-        "bearing_std": float(server.require(f"{prefix}.noise.bearing_std")),
+        "range_std": _positive(server, f"{prefix}.noise.range_std"),
+        "bearing_std": _positive(server, f"{prefix}.noise.bearing_std"),
     }
     info = SensorInfo(name, "range_bearing_2d", noise, extrinsic_prior_sigma=ext_sigma)
     return tree.emplace(T.SENSOR, tree.hardware_id, payload=info, state_blocks=blocks), info
 
 
-def _bound_sensor(server, prefix, sensors):
-    sensor_name = server.require(f"{prefix}.sensor")
-    if sensor_name not in sensors:
-        raise BindingError(
-            f"{prefix}.sensor references unknown sensor {sensor_name!r}"
-        )
-    return sensor_name, sensors[sensor_name]
-
-
-def _create_motion_processor(tree, server, prefix, sensors):
-    name = server.require(f"{prefix}.name")
-    sensor_name, (sensor_id, info) = _bound_sensor(server, prefix, sensors)
+def _create_motion_processor(server, prefix, name, sensor_id, sensor_name, info):
     policy = KeyframePolicy(
         max_dist=server.get(f"{prefix}.keyframe.max_dist", None),
         max_angle=server.get(f"{prefix}.keyframe.max_angle", None),
         max_time=server.get(f"{prefix}.keyframe.max_time", None),
     )
-    proc = MotionProcessor(
+    return MotionProcessor(
         name, sensor_id, sensor_name, policy,
-        time_tolerance=float(server.require(f"{prefix}.time_tolerance")),
+        time_tolerance=_positive(server, f"{prefix}.time_tolerance", zero_ok=True),
         tick_std=info.noise["tick_std"],
     )
-    proc.node_id = tree.emplace(T.PROCESSOR, tree.hardware_id,
-                                payload=ProcessorInfo(name, "motion_diff_drive", sensor_id))
-    return proc
 
 
-def _create_tracker(tree, server, prefix, sensors):
-    name = server.require(f"{prefix}.name")
-    sensor_name, (sensor_id, info) = _bound_sensor(server, prefix, sensors)
+def _create_tracker(server, prefix, name, sensor_id, sensor_name, info):
     policy = KeyframePolicy(min_tracks=server.get(f"{prefix}.keyframe.min_tracks", None))
     max_unseen = server.get(f"{prefix}.assoc_max_unseen", None)
-    proc = LandmarkTracker(
+    return LandmarkTracker(
         name, sensor_id, sensor_name, policy,
-        time_tolerance=float(server.require(f"{prefix}.time_tolerance")),
+        time_tolerance=_positive(server, f"{prefix}.time_tolerance", zero_ok=True),
         range_std=info.noise["range_std"],
         bearing_std=info.noise["bearing_std"],
-        gate=float(server.get(f"{prefix}.gate", 0.5)),
+        gate=_positive(server, f"{prefix}.gate", 0.5),
         association=server.get(f"{prefix}.association", "gate"),
         max_unseen_frames=None if max_unseen is None else int(max_unseen),
     )
-    proc.node_id = tree.emplace(T.PROCESSOR, tree.hardware_id,
-                                payload=ProcessorInfo(name, "tracker_landmark_2d", sensor_id))
-    return proc
 
 
-def _create_loop_closer(tree, server, prefix, sensors):
-    name = server.require(f"{prefix}.name")
-    sensor_name, (sensor_id, _info) = _bound_sensor(server, prefix, sensors)
+def _create_loop_closer(server, prefix, name, sensor_id, sensor_name, _info):
     policy = LoopPolicy(
         radius=float(server.require(f"{prefix}.loop.radius")),
         min_frame_gap=int(server.require(f"{prefix}.loop.min_frame_gap")),
         min_shared_landmarks=int(server.require(f"{prefix}.loop.min_shared_landmarks")),
     )
-    proc = LoopCloser(
+    return LoopCloser(
         name, sensor_id, sensor_name, policy,
-        sigma_p=float(server.get(f"{prefix}.loop.sigma_p", 0.05)),
-        sigma_o=float(server.get(f"{prefix}.loop.sigma_o", 0.02)),
-        time_tolerance=float(server.get(f"{prefix}.time_tolerance", 0.01)),
+        sigma_p=_positive(server, f"{prefix}.loop.sigma_p", 0.05),
+        sigma_o=_positive(server, f"{prefix}.loop.sigma_o", 0.02),
+        time_tolerance=_positive(server, f"{prefix}.time_tolerance", 0.01, zero_ok=True),
     )
-    proc.node_id = tree.emplace(T.PROCESSOR, tree.hardware_id,
-                                payload=ProcessorInfo(name, "loop_closure_2d", sensor_id))
-    return proc
 
 
 def _manager_fix_oldest(server, prefix):
@@ -359,8 +349,15 @@ def auto_setup(server: ParameterServer, registry: CreatorRegistry | None = None)
     for i in range(n_procs):
         prefix = f"processors.{i}"
         type_name = server.require(f"{prefix}.type")
-        processors.append(registry.create("processor", type_name,
-                                          tree, server, prefix, sensors))
+        name = server.require(f"{prefix}.name")
+        sensor_name = server.require(f"{prefix}.sensor")
+        if sensor_name not in sensors:
+            raise BindingError(f"{prefix}.sensor references unknown sensor {sensor_name!r}")
+        sensor_id, info = sensors[sensor_name]
+        processors.append(registry.create("processor", type_name, server, prefix,
+                                          name, sensor_id, sensor_name, info))
+        tree.emplace(T.PROCESSOR, tree.hardware_id,
+                     payload=ProcessorInfo(name, type_name, sensor_id))
 
     manager_type = server.get("problem.tree_manager.type", "none")
     window_policy = registry.create("tree_manager", manager_type,

@@ -1,18 +1,17 @@
-"""Planar pose/delta algebra and state-block value semantics.
+"""Planar rigid transforms and state-block value semantics.
 
 Conventions used throughout the package:
 
-* a pose ``x = (p, theta)`` places a body in the world: ``p`` in meters,
-  ``theta`` in radians, always kept in ``(-pi, pi]``;
-* a delta ``d = (dp, dtheta)`` is a rigid motion expressed in the frame of
-  the pose it is composed onto;
+* one SE(2) type, :class:`Pose2` ``(p, theta)``, is both a pose that places
+  a body in the world and a rigid motion expressed in the frame of the pose
+  it is composed onto: ``p`` in meters, ``theta`` in radians, always kept in
+  ``(-pi, pi]``;
 * a tangent increment is a plain length-3 array ``(tx, ty, ttheta)`` added
   componentwise, with the angle wrapped.
 
-Composition of a pose with a delta and of two deltas share one formula, so
-both are thin wrappers over the same routine.  All Jacobians are closed
-form; the tangent convention is additive at the element itself, which for
-the split (p, theta) parametrization is exact in the angle component.
+All Jacobians are closed form; the tangent convention is additive at the
+element itself, which for the split (p, theta) parametrization is exact in
+the angle component.
 """
 
 from __future__ import annotations
@@ -105,7 +104,11 @@ class StateBlock:
 
 @dataclass
 class Pose2:
-    """Planar pose: position (m) and heading (rad, wrapped)."""
+    """Planar pose: position (m) and heading (rad, wrapped).
+
+    Also a rigid motion, expressed in the frame of the pose it is composed
+    onto (see :func:`pose_compose` and :func:`pose_between`).
+    """
 
     p: np.ndarray
     theta: float
@@ -122,34 +125,15 @@ class Pose2:
         return np.array([self.p[0], self.p[1], self.theta])
 
 
-@dataclass
-class Delta2:
-    """Rigid motion increment expressed in the origin frame."""
+def pose_compose(a: Pose2, b: Pose2):
+    """a boxplus b: advance ``a`` by the motion ``b`` expressed in a's frame.
 
-    dp: np.ndarray
-    dtheta: float
-
-    def __post_init__(self):
-        self.dp = _as_finite_vector(self.dp, 2, "delta translation")
-        self.dtheta = normalize_angle(self.dtheta)
-
-    @classmethod
-    def identity(cls) -> "Delta2":
-        return cls(np.zeros(2), 0.0)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.dp[0], self.dp[1], self.dtheta])
-
-
-def _compose(pa: np.ndarray, ta: float, pb: np.ndarray, tb: float):
-    """Shared composition kernel: (pa, ta) followed by (pb, tb) in a's frame.
-
-    Returns the composed (p, theta) plus the two 3x3 Jacobians.
+    Returns (pose, J_a, J_b) with J_a = [[I, R'(a.theta) b.p], [0, 1]] and
+    J_b = [[R(a.theta), 0], [0, 1]].
     """
-    c, s = math.cos(ta), math.sin(ta)
-    bx, by = pb[0], pb[1]
-    p = np.array([pa[0] + c * bx - s * by, pa[1] + s * bx + c * by])
-    theta = normalize_angle(ta + tb)
+    c, s = math.cos(a.theta), math.sin(a.theta)
+    bx, by = b.p[0], b.p[1]
+    p = np.array([a.p[0] + c * bx - s * by, a.p[1] + s * bx + c * by])
     j_a = np.array([
         [1.0, 0.0, -s * bx - c * by],
         [0.0, 1.0, c * bx - s * by],
@@ -160,34 +144,17 @@ def _compose(pa: np.ndarray, ta: float, pb: np.ndarray, tb: float):
         [s, c, 0.0],
         [0.0, 0.0, 1.0],
     ])
-    return p, theta, j_a, j_b
-
-
-def pose_compose(a: Pose2, b: Delta2):
-    """a boxplus b: advance pose ``a`` by delta ``b`` expressed in a's frame.
-
-    Returns (pose, J_a, J_b) with J_a = [[I, R'(a.theta) b.dp], [0, 1]] and
-    J_b = [[R(a.theta), 0], [0, 1]].
-    """
-    p, theta, j_a, j_b = _compose(a.p, a.theta, b.dp, b.dtheta)
-    return Pose2(p, theta), j_a, j_b
-
-
-def delta_compose(a: Delta2, b: Delta2):
-    """Delta composition (same formula as pose_compose on delta operands)."""
-    p, theta, j_a, j_b = _compose(a.dp, a.dtheta, b.dp, b.dtheta)
-    return Delta2(p, theta), j_a, j_b
+    return Pose2(p, a.theta + b.theta), j_a, j_b
 
 
 def pose_between(xi: Pose2, xj: Pose2):
-    """xj boxminus xi: the delta that takes xi to xj, in xi's frame.
+    """xj boxminus xi: the motion that takes xi to xj, in xi's frame.
 
     Inverse of pose_compose: xi boxplus (xj boxminus xi) == xj.
     """
     c, s = math.cos(xi.theta), math.sin(xi.theta)
     dx, dy = xj.p[0] - xi.p[0], xj.p[1] - xi.p[1]
-    dp = np.array([c * dx + s * dy, -s * dx + c * dy])
-    dtheta = normalize_angle(xj.theta - xi.theta)
+    p = np.array([c * dx + s * dy, -s * dx + c * dy])
     j_xi = np.array([
         [-c, -s, -s * dx + c * dy],
         [s, -c, -c * dx - s * dy],
@@ -198,7 +165,7 @@ def pose_between(xi: Pose2, xj: Pose2):
         [-s, c, 0.0],
         [0.0, 0.0, 1.0],
     ])
-    return Delta2(dp, dtheta), j_xi, j_xj
+    return Pose2(p, xj.theta - xi.theta), j_xi, j_xj
 
 
 def block_plus(block: StateBlock, dx) -> np.ndarray:

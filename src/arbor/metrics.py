@@ -23,16 +23,6 @@ class MetricsReport:
     keyframes: int
     wall_time: float
 
-    def as_dict(self) -> dict:
-        return {
-            "ate_rmse": self.ate_rmse,
-            "calib_abs": self.calib_abs,
-            "calib_rel": self.calib_rel,
-            "final_cost": self.final_cost,
-            "keyframes": self.keyframes,
-            "wall_time": self.wall_time,
-        }
-
 
 def compute_ate(estimates, truth_records) -> float:
     """Root-mean-square position error over keyframes, gauge left absolute.

@@ -36,7 +36,7 @@ from .errors import (
     JoinToleranceError,
     OrderingError,
 )
-from .manifold import Delta2, Pose2, delta_compose, pose_compose
+from .manifold import Pose2, pose_compose
 
 
 @dataclass
@@ -101,7 +101,7 @@ class DiffDriveModel:
         s, w = float(v[0]), float(v[1])
         half = 0.5 * w
         c, sn = np.cos(half), np.sin(half)
-        delta = Delta2(np.array([s * c, s * sn]), w)
+        delta = Pose2(np.array([s * c, s * sn]), w)
         j_delta_v = np.array([[c, -0.5 * s * sn], [sn, 0.5 * s * c], [0.0, 1.0]])
         return delta, j_delta_v
 
@@ -113,7 +113,7 @@ class PreintEntry:
     t: float
     u: np.ndarray
     q_u: np.ndarray
-    delta_bar: Delta2
+    delta_bar: Pose2
     q_delta: np.ndarray
     j_delta_c: np.ndarray
 
@@ -138,9 +138,9 @@ class PreintBuffer:
         self._times: list[float] = [e.t for e in self.entries]
 
     @property
-    def delta_bar(self) -> Delta2:
+    def delta_bar(self) -> Pose2:
         if not self.entries:
-            return Delta2.identity()
+            return Pose2.identity()
         return self.entries[-1].delta_bar
 
     @property
@@ -164,7 +164,7 @@ def integrate_step(buf: PreintBuffer, u: RawMotion) -> PreintEntry:
 
     v, j_v_u, j_v_c = buf.model.precalibrate(u.u, buf.c_bar)
     delta, j_delta_v = buf.model.compute_delta(v)
-    delta_bar, j_dd, j_ddelta = delta_compose(buf.delta_bar, delta)
+    delta_bar, j_dd, j_ddelta = pose_compose(buf.delta_bar, delta)
 
     a = j_ddelta @ j_delta_v @ j_v_u
     q_delta = j_dd @ buf.q_delta @ j_dd.T + a @ u.q_u @ a.T

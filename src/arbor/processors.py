@@ -33,6 +33,7 @@ from .errors import (
     AlignmentError,
     ContractError,
     DecompositionError,
+    JoinToleranceError,
     NotFoundError,
     NotReadyError,
     RecordFormatError,
@@ -45,7 +46,7 @@ from .factors import (
     MotionData,
     whiten,
 )
-from .manifold import ANGLE, Delta2, Pose2, StateBlock, pose_between, pose_compose, rot2
+from .manifold import ANGLE, Pose2, StateBlock, pose_between, pose_compose, rot2
 from .preint import (
     DiffDriveModel,
     PreintBuffer,
@@ -88,12 +89,6 @@ class KeyframeEvent:
     t: float
     frame: T.NodeId
     creator: str
-
-
-@dataclass
-class JoinResult:
-    joined: bool
-    gap: Optional[float] = None
 
 
 @dataclass
@@ -205,12 +200,11 @@ class MotionProcessor:
         existing = tree.find_frame_near(t, self.time_tolerance)
         if existing is not None and existing != self.buffer.origin_frame:
             # a coincident frame already exists: join it instead of twinning
-            self.on_keyframe_broadcast(tree, KeyframeEvent(
-                tree.node(existing).timestamp, existing, creator=""))
+            self._try_join(tree, existing, tree.node(existing).timestamp)
             return None
         # whiten before touching the tree: a singular interval covariance
         # (stationary or pure-rotation interval) must fail atomically
-        sqrt_info = whiten(self.buffer.q_delta) if self.buffer.entries else None
+        sqrt_info = whiten(self.buffer.q_delta)
         pose = self.high_rate_pose(tree, t)
         frame = tree.emplace(T.FRAME, tree.trajectory_id, timestamp=t, state_blocks={
             "p": StateBlock(pose.p),
@@ -223,22 +217,24 @@ class MotionProcessor:
     def _vote(self, t: float) -> bool:
         d = self.buffer.delta_bar
         pol = self.policy
-        if pol.max_dist is not None and np.linalg.norm(d.dp) > pol.max_dist:
+        if pol.max_dist is not None and np.linalg.norm(d.p) > pol.max_dist:
             return True
-        if pol.max_angle is not None and abs(d.dtheta) > pol.max_angle:
+        if pol.max_angle is not None and abs(d.theta) > pol.max_angle:
             return True
         if pol.max_time is not None and t - self.buffer.origin_t > pol.max_time:
             return True
         return False
 
     def _attach_segment(self, tree, frame: T.NodeId, segment: PreintBuffer,
-                        sqrt_info: np.ndarray | None = None):
-        """Capture/feature/motion-factor for one pre-integrated interval."""
+                        sqrt_info: np.ndarray | None):
+        """Capture/feature/motion-factor for one pre-integrated interval.
+
+        ``sqrt_info`` is the whitened ``segment.q_delta``, or None for an
+        empty segment, which attaches nothing.
+        """
         if not segment.entries:
             return
         tail = segment.entries[-1]
-        if sqrt_info is None:
-            sqrt_info = whiten(tail.q_delta)
         origin = segment.origin_frame
         capture = tree.emplace(T.CAPTURE, frame, timestamp=tail.t,
                                cross_refs=[(T.CAPTURE_SENSOR, self.sensor_id)])
@@ -259,23 +255,22 @@ class MotionProcessor:
         c_bar = tree.block(self.sensor_id, "intrinsic").values.copy()
         self.buffer = PreintBuffer(frame, t, c_bar, self.model)
 
-    def on_keyframe_broadcast(self, tree, event: KeyframeEvent) -> JoinResult:
+    def on_keyframe_broadcast(self, tree, event: KeyframeEvent) -> bool:
         """Join a foreign keyframe by splitting the buffer at its timestamp.
 
-        A frame slightly ahead of the integrated data (its sample has not
-        arrived yet) is remembered and joined as soon as a sample within
-        tolerance comes in.
+        A frame ahead of the integrated data (its sample has not arrived
+        yet) is remembered and joined as soon as a sample within tolerance
+        comes in.  Returns whether the frame was joined now.
         """
         if self.buffer is None:
-            return JoinResult(False, gap=None)
+            return False
         t_kf = tree.node(event.frame).timestamp
-        result = self._try_join(tree, event.frame, t_kf)
-        if not result.joined and t_kf > self.buffer.origin_t:
-            last_t = (self.buffer.entries[-1].t if self.buffer.entries
-                      else self.buffer.origin_t)
-            if t_kf > last_t:
-                self._pending_joins.append((event.frame, t_kf))
-        return result
+        if self._try_join(tree, event.frame, t_kf):
+            return True
+        last_t = self.buffer.entries[-1].t if self.buffer.entries else self.buffer.origin_t
+        if t_kf > last_t:
+            self._pending_joins.append((event.frame, t_kf))
+        return False
 
     def _retry_pending_joins(self, tree, t: float):
         still_pending = []
@@ -288,31 +283,22 @@ class MotionProcessor:
                 still_pending.append((frame, t_kf))
         self._pending_joins = still_pending
 
-    def _try_join(self, tree, frame: T.NodeId, t_kf: float) -> JoinResult:
+    def _try_join(self, tree, frame: T.NodeId, t_kf: float) -> bool:
+        """Split the buffer at t_kf and attach the first part to the frame.
+
+        Declines, leaving the tree untouched, when no integrated sample lies
+        within tolerance or the first part's covariance is singular (a
+        one-sample segment carries no usable motion factor).
+        """
         try:
             first, second = split_buffer(self.buffer, t_kf, self.time_tolerance)
-        except Exception:
-            candidates = [self.buffer.origin_t] + [e.t for e in self.buffer.entries]
-            gap = min(abs(tc - t_kf) for tc in candidates)
-            return JoinResult(False, gap=gap)
-        try:
-            # a one-sample segment has a structurally singular covariance;
-            # such a join carries no usable motion factor, so decline it
             sqrt_info = whiten(first.q_delta) if first.entries else None
-        except DecompositionError:
-            return JoinResult(False, gap=0.0)
-        frame_node = tree.node(frame)
-        if "p" not in frame_node.state_blocks or "o" not in frame_node.state_blocks:
-            pose = self.high_rate_pose(tree, t_kf)
-            if "p" not in frame_node.state_blocks:
-                tree.add_block_to_frame(frame, "p", StateBlock(pose.p))
-            if "o" not in frame_node.state_blocks:
-                tree.add_block_to_frame(frame, "o",
-                                        StateBlock(np.array([pose.theta]), ANGLE))
+        except (JoinToleranceError, DecompositionError):
+            return False
         self._attach_segment(tree, frame, first, sqrt_info)
         second.origin_frame = frame
         self.buffer = second
-        return JoinResult(True)
+        return True
 
 
 class LandmarkTracker:
@@ -357,8 +343,7 @@ class LandmarkTracker:
             <= self.max_unseen_frames
 
     def _sensor_pose(self, tree, pose: Pose2) -> Pose2:
-        ext = sensor_extrinsic(tree, self.sensor_id)
-        s, _, _ = pose_compose(pose, Delta2(ext.p, ext.theta))
+        s, _, _ = pose_compose(pose, sensor_extrinsic(tree, self.sensor_id))
         return s
 
     def _associate(self, tree, pose: Pose2, scan):
@@ -372,11 +357,17 @@ class LandmarkTracker:
                 # the lowest landmark index
                 candidates = (in_window,
                               np.array([tree.block(lm, "p").values for lm in in_window]))
+        parsed = []
         try:
-            # entries are [raw id, range, bearing] or [range, bearing]
-            parsed = [(int(m[0]), float(m[1]), float(m[2])) if len(m) == 3
-                      else (None, float(m[0]), float(m[1])) for m in scan]
-        except (TypeError, ValueError, IndexError) as exc:
+            for m in scan:
+                if len(m) not in (2, 3):
+                    raise ValueError(f"entry {m!r} is not [id, range, bearing] "
+                                     "or [range, bearing]")
+                rng, brg = float(m[-2]), float(m[-1])
+                if not (math.isfinite(rng) and math.isfinite(brg)):
+                    raise ValueError(f"entry {m!r} is not finite")
+                parsed.append((int(m[0]) if len(m) == 3 else None, rng, brg))
+        except (TypeError, ValueError, OverflowError) as exc:
             raise RecordFormatError(f"bad {self.sensor_name} scan: {exc}") from exc
         out = []
         for raw_id, rng, brg in parsed:
@@ -455,14 +446,13 @@ class LandmarkTracker:
             )
             tree.emplace(T.FACTOR, feature, payload=factor)
 
-    def on_keyframe_broadcast(self, tree, event: KeyframeEvent) -> JoinResult:
-        if self._pending is None:
-            return JoinResult(False, gap=None)
-        gap = abs(self._pending[0] - tree.node(event.frame).timestamp)
-        if gap > self.time_tolerance:
-            return JoinResult(False, gap=gap)
+    def on_keyframe_broadcast(self, tree, event: KeyframeEvent) -> bool:
+        """Attach the pending capture to a keyframe within tolerance of it."""
+        if (self._pending is None
+                or abs(self._pending[0] - tree.node(event.frame).timestamp) > self.time_tolerance):
+            return False
         self._attach(tree, event.frame)
-        return JoinResult(True)
+        return True
 
 
 class LoopCloser:
@@ -556,7 +546,7 @@ class LoopCloser:
         # sensor-frame transform conjugated into the robot frame: ext o T o ext^-1
         ext = sensor_extrinsic(tree, self.sensor_id)
         ext_inv, _, _ = pose_between(ext, Pose2.identity())
-        step1, _, _ = pose_compose(ext, Delta2(t, theta))
+        step1, _, _ = pose_compose(ext, Pose2(t, theta))
         z_robot, _, _ = pose_compose(step1, ext_inv)
 
         t_kf = tree.node(current).timestamp

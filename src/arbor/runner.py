@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import time
+from dataclasses import asdict
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -149,6 +150,6 @@ def replay(app: Application, log_path, out_path=None, truth_path=None,
             wall_time=time.perf_counter() - t_start,
         )
         if metrics_path is not None:
-            Path(metrics_path).write_text(json.dumps(metrics.as_dict(), indent=2) + "\n")
+            Path(metrics_path).write_text(json.dumps(asdict(metrics), indent=2) + "\n")
 
     return out_records, metrics

@@ -52,8 +52,10 @@ def read_jsonl(path) -> list:
                 continue
             try:
                 obj = json.loads(line)
-                records.append(CaptureRecord(float(obj["t"]), str(obj["sensor"]),
-                                             obj["data"]))
+                t = float(obj["t"])
+                if not math.isfinite(t):
+                    raise ValueError(f"timestamp {t} is not finite")
+                records.append(CaptureRecord(t, str(obj["sensor"]), obj["data"]))
             except (ValueError, KeyError, TypeError) as exc:
                 raise RecordFormatError(f"bad record at line {line_no}: {exc}") from exc
     return records

@@ -36,7 +36,7 @@ def wrap_angle(a):
 
 
 def delta_diff(d2, d1):
-    """Tangent difference d2 - d1 of two deltas (``dp``, ``dtheta``), with
+    """Tangent difference d2 - d1 of two motions (``p``, ``theta``), with
     the angle wrapped by :func:`wrap_angle`."""
-    return np.array([d2.dp[0] - d1.dp[0], d2.dp[1] - d1.dp[1],
-                     wrap_angle(d2.dtheta - d1.dtheta)])
+    return np.array([d2.p[0] - d1.p[0], d2.p[1] - d1.p[1],
+                     wrap_angle(d2.theta - d1.theta)])

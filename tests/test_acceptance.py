@@ -27,10 +27,8 @@ from arbor.factors import (
 )
 from arbor.manifold import (
     ANGLE,
-    Delta2,
     Pose2,
     StateBlock,
-    delta_compose,
     pose_between,
     pose_compose,
 )
@@ -98,12 +96,12 @@ class TestCriterion1Jacobians:
 
         # manifold composition and difference operators
         for _ in range(self.N):
-            a, b = random_pose(rng), Delta2(rng.uniform(-10, 10, 2),
+            a, b = random_pose(rng), Pose2(rng.uniform(-10, 10, 2),
                                             rng.uniform(-np.pi, np.pi))
             _, j_a, j_b = pose_compose(a, b)
             fd_a = central_diff(lambda v: pose_compose(Pose2(v[:2], v[2]), b)[0].as_array(),
                                 a.as_array())
-            fd_b = central_diff(lambda v: pose_compose(a, Delta2(v[:2], v[2]))[0].as_array(),
+            fd_b = central_diff(lambda v: pose_compose(a, Pose2(v[:2], v[2]))[0].as_array(),
                                 b.as_array())
             worst = max(worst, np.max(np.abs(j_a - fd_a)), np.max(np.abs(j_b - fd_b)))
         for _ in range(self.N):
@@ -214,7 +212,7 @@ class TestCriterion1Jacobians:
                 integrate_step(buf, RawMotion(s.t, s.u, s.q_u))
             v, j_v_u, j_v_c = MODEL.precalibrate(u_probe, c)
             delta, j_delta_v = MODEL.compute_delta(v)
-            _, _, j_dd = delta_compose(buf.delta_bar, delta)
+            _, _, j_dd = pose_compose(buf.delta_bar, delta)
             chain = j_dd @ j_delta_v @ j_v_u
             worst = max(worst, np.max(np.abs(chain - central_diff(one_step, u_probe))))
             fd_c = central_diff(lambda cc: MODEL.precalibrate(u_probe, cc)[0], c)
@@ -238,7 +236,7 @@ class TestCriterion2SegmentComposition:
                 integrate_step(head, RawMotion(s.t, s.u, s.q_u))
             for s in samples[k:]:
                 integrate_step(tail, RawMotion(s.t, s.u, s.q_u))
-            composed, _, _ = delta_compose(head.delta_bar, tail.delta_bar)
+            composed, _, _ = pose_compose(head.delta_bar, tail.delta_bar)
             worst = max(worst, np.max(np.abs(delta_diff(composed, full.delta_bar))))
         report(2, worst < 1e-12, f"max split-compose mismatch {worst:.2e} (< 1e-12) "
                                  f"over 100 trajectories")

@@ -18,7 +18,7 @@ from arbor.factors import (
     stack_of,
     whiten,
 )
-from arbor.manifold import ANGLE, Delta2, Pose2, StateBlock, pose_compose
+from arbor.manifold import ANGLE, Pose2, StateBlock, pose_compose
 from arbor.preint import DiffDriveModel, PreintBuffer, RawMotion, integrate_step
 
 C_NOM = np.array([0.1, 0.1, 0.5])
@@ -93,7 +93,7 @@ class TestMotionFactor:
         for _ in range(1000):
             f = motion_factor(rng)
             xi = Pose2(rng.uniform(-5, 5, 2), rng.uniform(-np.pi, np.pi))
-            xj, _, _ = pose_compose(xi, Delta2(f.z[:2], f.z[2]))
+            xj, _, _ = pose_compose(xi, Pose2(f.z[:2], f.z[2]))
             res = evaluate_one(f, [xi.p, [xi.theta], xj.p, [xj.theta], C_NOM])
             assert np.max(np.abs(res.r)) < 1e-9
 
@@ -250,7 +250,7 @@ class TestRelativePoseFactor:
         rng = np.random.default_rng(29)
         for _ in range(1000):
             xi = Pose2(rng.uniform(-5, 5, 2), rng.uniform(-np.pi, np.pi))
-            z = Delta2(rng.uniform(-2, 2, 2), rng.uniform(-np.pi, np.pi))
+            z = Pose2(rng.uniform(-2, 2, 2), rng.uniform(-np.pi, np.pi))
             xj, _, _ = pose_compose(xi, z)
             f = Factor(RELATIVE_POSE, z.as_array(), np.eye(3), constrained=[None] * 4)
             res = evaluate_one(f, [xi.p, [xi.theta], xj.p, [xj.theta]])

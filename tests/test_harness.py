@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
+import arbor.cli
 import arbor.processors
 from arbor.cli import main
 from arbor.errors import AssociationError, BindingError, ConfigError, ContractError, OrderingError
@@ -326,7 +327,16 @@ class TestCli:
         ("max_iterations: 25", "max_iterations: many"),
         ("sigma_p: 0.01", "sigma_p: 0.0"),
         ("lambda_init: 1.0e-4", "lambda_init: 0"),
-    ], ids=["n_frames", "max_dist", "association", "max_iterations", "sigma_p", "lambda_init"])
+        ("gate: 0.5", "gate: -1"),
+        ("tick_std: 0.001", "tick_std: 0.0"),
+        ("tick_std: 0.001", "tick_std: -0.001"),
+        ("range_std: 0.02", "range_std: -0.02"),
+        ("time_tolerance: 0.005", "time_tolerance: -1"),
+        ("intrinsic: {state: [0.1, 0.1, 0.5], fixed: true}",
+         "intrinsic: {state: [0.1, 0.1, 0.5], fixed: false, sigma: 0.0}"),
+    ], ids=["n_frames", "max_dist", "association", "max_iterations", "sigma_p", "lambda_init",
+            "gate", "tick_std_zero", "tick_std_negative", "range_std", "time_tolerance",
+            "intrinsic_sigma"])
     def test_bad_config_value_exit_code(self, tmp_path, capsys, old, new):
         text = (DATA / "demo_config.yaml").read_text()
         assert old in text
@@ -377,3 +387,89 @@ class TestCli:
                      "--log", str(log), "--out", str(est), "--print-tree"]) == 0
         out = capsys.readouterr().out
         assert "Problem#0" in out and "Sensor#" in out
+
+
+def _set_tick(rec, rng, value):
+    rec["data"][int(rng.integers(2))] = value
+
+
+def _set_scan_value(rec, rng, value):
+    if rec["data"]:
+        entry = rec["data"][int(rng.integers(len(rec["data"])))]
+        entry[1 + int(rng.integers(2))] = value
+
+
+def _scan_entry_arity(rec, rng):
+    if rec["data"]:
+        entry = rec["data"][int(rng.integers(len(rec["data"])))]
+        entry[:] = entry[:1] if rng.uniform() < 0.5 else entry + [0.0]
+
+
+# kind -> (sensor of the mutated record or None for any, mutation of its dict)
+LOG_MUTATIONS = {
+    "odom_long": ("odom0", lambda rec, rng: rec["data"].append(0.0)),
+    "odom_short": ("odom0", lambda rec, rng: rec["data"].pop()),
+    "odom_string": ("odom0", lambda rec, rng: _set_tick(rec, rng, "x")),
+    "odom_nan": ("odom0", lambda rec, rng: _set_tick(rec, rng, float("nan"))),
+    "odom_inf": ("odom0", lambda rec, rng: _set_tick(rec, rng, float("inf"))),
+    "scan_entry_arity": ("rb0", _scan_entry_arity),
+    "scan_string": ("rb0", lambda rec, rng: _set_scan_value(rec, rng, "far")),
+    "scan_nan": ("rb0", lambda rec, rng: _set_scan_value(rec, rng, float("nan"))),
+    "scan_inf": ("rb0", lambda rec, rng: _set_scan_value(rec, rng, float("-inf"))),
+    "scan_empty": ("rb0", lambda rec, rng: rec.update(data=[])),
+    "data_null": (None, lambda rec, rng: rec.update(data=None)),
+    "t_backwards": (None, lambda rec, rng: rec.update(t=rec["t"] - rng.uniform(0.01, 1.0))),
+    "t_nan": (None, lambda rec, rng: rec.update(t=float("nan"))),
+    "unknown_sensor": (None, lambda rec, rng: rec.update(sensor="ghost")),
+}
+
+
+class TestLogFuzz:
+    """Seeded mutations of a demo log prefix: every replay ends in exit code
+    0, 2 or 3, never a traceback, and leaves a consistent tree behind."""
+
+    PREFIX = 400
+    PER_KIND = 5
+
+    @pytest.fixture(scope="class")
+    def demo_lines(self):
+        captures, _ = simulate(load_scenario((DATA / "demo_scenario.yaml").read_text()))
+        return [json.dumps({"t": c.t, "sensor": c.sensor, "data": c.data})
+                for c in captures[:self.PREFIX]]
+
+    def _mutants(self, lines):
+        rng = np.random.default_rng(2024)
+        records = [json.loads(line) for line in lines]
+        for kind, (sensor, mutate) in LOG_MUTATIONS.items():
+            rows = [i for i, r in enumerate(records) if sensor in (None, r["sensor"])]
+            for _ in range(self.PER_KIND):
+                k = rows[int(rng.integers(len(rows)))]
+                out = list(lines)
+                rec = json.loads(lines[k])
+                mutate(rec, rng)
+                out[k] = json.dumps(rec)
+                yield kind, out
+        for kind, edit in (("t_duplicate", lambda out, k: out.insert(k, out[k])),
+                           ("truncated_line", lambda out, k: out.__setitem__(k, out[k][:-2]))):
+            for _ in range(self.PER_KIND):
+                out = list(lines)
+                edit(out, 1 + int(rng.integers(len(lines) - 1)))
+                yield kind, out
+
+    def test_mutated_logs(self, demo_lines, tmp_path, capsys, monkeypatch):
+        apps = []
+
+        def recording_replay(app, *args, **kwargs):
+            apps.append(app)
+            return replay(app, *args, **kwargs)
+
+        monkeypatch.setattr(arbor.cli, "replay", recording_replay)
+        log, est = tmp_path / "log.jsonl", tmp_path / "est.jsonl"
+        for kind, lines in self._mutants(demo_lines):
+            log.write_text("\n".join(lines) + "\n")
+            code = main(["run", "--config", str(DATA / "demo_config.yaml"),
+                         "--log", str(log), "--out", str(est)])
+            err = capsys.readouterr().err
+            assert code in (0, 2, 3), kind
+            assert "Traceback" not in err, kind
+            assert apps[-1].tree.check_consistency() == [], kind

@@ -5,7 +5,7 @@ import pytest
 
 from arbor.errors import CalibrationError, JoinToleranceError, OrderingError
 from arbor.factors import MOTION, Factor, MotionData, evaluate_one
-from arbor.manifold import Delta2, Pose2, delta_compose
+from arbor.manifold import Pose2, pose_compose
 from arbor.preint import (
     DiffDriveModel,
     PreintBuffer,
@@ -31,7 +31,7 @@ def correction_error(tail, c, c_bar, target):
     for unit sqrt_info, xi at the identity and xj = target."""
     factor = Factor(MOTION, tail.delta_bar.as_array(), np.eye(3),
                     constrained=[None] * 5, aux=MotionData(tail.j_delta_c, c_bar))
-    return evaluate_one(factor, [np.zeros(2), [0.0], target.dp, [target.dtheta], c]).r
+    return evaluate_one(factor, [np.zeros(2), [0.0], target.p, [target.theta], c]).r
 
 
 def random_samples(rng, n, dt=0.1, tick_std=0.0, t0=0.0):
@@ -106,7 +106,7 @@ class TestIntegrateStep:
         # prior J is zero, so the first step is the bare chain
         v, _, j_v_c = MODEL.precalibrate(np.array([1.0, 1.0]), C_NOM)
         _, j_delta_v = MODEL.compute_delta(v)
-        _, _, j_dd = delta_compose(Delta2.identity(), MODEL.compute_delta(v)[0])
+        _, _, j_dd = pose_compose(Pose2.identity(), MODEL.compute_delta(v)[0])
         np.testing.assert_allclose(entry.j_delta_c, j_dd @ j_delta_v @ j_v_c, atol=1e-12)
 
     def test_two_straight_steps_compose(self):
@@ -189,7 +189,7 @@ class TestIntegrateStep:
                 integrate_step(buf, RawMotion(s.t, s.u, s.q_u))
             v, j_v_u, _ = MODEL.precalibrate(u_probe, C_NOM)
             delta, j_delta_v = MODEL.compute_delta(v)
-            _, _, j_dd = delta_compose(buf.delta_bar, delta)
+            _, _, j_dd = pose_compose(buf.delta_bar, delta)
             chain = j_dd @ j_delta_v @ j_v_u
             fd = central_diff(one_step, u_probe)
             assert np.max(np.abs(chain - fd)) < 1e-5
@@ -214,7 +214,7 @@ class ScaledTwistModel:
     def compute_delta(self, v):
         s, w = float(v[0]), float(v[1])
         half = 0.5 * w
-        delta = Delta2(np.array([s * math.cos(half), s * math.sin(half)]), w)
+        delta = Pose2(np.array([s * math.cos(half), s * math.sin(half)]), w)
         j = np.array([[math.cos(half), -0.5 * s * math.sin(half)],
                       [math.sin(half), 0.5 * s * math.cos(half)],
                       [0.0, 1.0]])
@@ -276,7 +276,7 @@ class TestSegmentComposition:
             tail = make_buffer(origin_t=samples[k - 1].t if k else 0.0)
             for s in samples[k:]:
                 integrate_step(tail, RawMotion(s.t, s.u, s.q_u))
-            composed, j_a, j_b = delta_compose(head.delta_bar, tail.delta_bar)
+            composed, j_a, j_b = pose_compose(head.delta_bar, tail.delta_bar)
             assert np.max(np.abs(delta_diff(composed, full.delta_bar))) < 1e-12
             # calibration Jacobian transports across the cut by the chain rule
             j_total = j_a @ head.j_delta_c + j_b @ tail.j_delta_c
@@ -369,7 +369,7 @@ class TestSplitBuffer:
         buf = self._buffer(6)
         first, second = split_buffer(buf, 0.3, tol=1e-9)
         assert len(first.entries) == 3 and len(second.entries) == 3
-        composed, _, _ = delta_compose(first.delta_bar, second.delta_bar)
+        composed, _, _ = pose_compose(first.delta_bar, second.delta_bar)
         assert np.max(np.abs(delta_diff(composed, buf.delta_bar))) < 1e-12
         assert second.origin_t == pytest.approx(0.3)
 

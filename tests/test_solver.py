@@ -23,7 +23,7 @@ from arbor.factors import (
     Factor,
     evaluate_one,
 )
-from arbor.manifold import ANGLE, Delta2, Pose2, StateBlock, pose_compose
+from arbor.manifold import ANGLE, Pose2, StateBlock, pose_compose
 from arbor.runner import run
 from arbor.sim import load_scenario, simulate, write_jsonl
 from arbor.solver import (
@@ -260,7 +260,7 @@ class TestLmSolve:
     def test_nonlinear_two_frames(self):
         tr, sensor = fresh()
         xi = Pose2(np.array([0.5, -0.2]), 0.4)
-        z = Delta2(np.array([1.0, 0.3]), 0.6)
+        z = Pose2(np.array([1.0, 0.3]), 0.6)
         truth, _, _ = pose_compose(xi, z)
         f_i = make_pose_frame(tr, 0.0, xi)
         f_j = make_pose_frame(tr, 1.0, Pose2(np.array([0.0, 0.0]), 0.0))
