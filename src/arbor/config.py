@@ -31,7 +31,7 @@ from .errors import (
     UnknownTypeError,
 )
 from .factors import PRIOR_BLOCK, PRIOR_POSE, Factor
-from .manifold import ANGLE, StateBlock
+from .manifold import ANGLE, Pose2, StateBlock
 from .processors import (
     KeyframePolicy,
     LandmarkInfo,
@@ -42,6 +42,7 @@ from .processors import (
     Pipeline,
     ProcessorInfo,
     SensorInfo,
+    sensor_extrinsic,
 )
 from .solver import SolverOptions
 
@@ -170,16 +171,28 @@ class CreatorRegistry:
 # ----------------------------------------------------------------------
 # built-in creators
 
-def _positive(server, key, default=_MISSING, zero_ok=False) -> float:
-    """A scalar that must be finite and > 0 (>= 0 with ``zero_ok``)."""
+def _positive(server, key, default=_MISSING, zero_ok=False, integer=False):
+    """A scalar that must be finite and > 0 (>= 0 with ``zero_ok``).
+
+    With ``integer`` it must also be integral and is returned as an int.
+    An absent key whose default is None reads as None.
+    """
     value = server.require(key) if default is _MISSING else server.get(key, default)
+    if value is None and default is None:
+        return None
+    return _as_positive(key, value, zero_ok, integer)
+
+
+def _as_positive(key, value, zero_ok=False, integer=False):
     try:
         x = float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{key} must be a number, got {value!r}") from None
-    if not math.isfinite(x) or x < 0.0 or (x == 0.0 and not zero_ok):
-        raise ConfigError(f"{key} must be finite and {'>=' if zero_ok else '>'} 0, got {value!r}")
-    return x
+    if (not math.isfinite(x) or x < 0.0 or (x == 0.0 and not zero_ok)
+            or (integer and not x.is_integer())):
+        raise ConfigError(f"{key} must be {'an integer' if integer else 'a finite number'} "
+                          f"{'>=' if zero_ok else '>'} 0, got {value!r}")
+    return int(x) if integer else x
 
 
 def _pose_blocks_from(server, prefix, default_fixed=True):
@@ -194,10 +207,8 @@ def _pose_blocks_from(server, prefix, default_fixed=True):
     }
     sigma = server.get(f"{prefix}.sigma", None)
     if sigma is not None:
-        if np.isscalar(sigma):
-            sigma = (float(sigma), float(sigma))
-        else:
-            sigma = (float(sigma[0]), float(sigma[1]))
+        pair = sigma if isinstance(sigma, list) and len(sigma) == 2 else [sigma, sigma]
+        sigma = tuple(_as_positive(f"{prefix}.sigma", v) for v in pair)
     return blocks, sigma
 
 
@@ -212,10 +223,8 @@ def _create_diff_drive(tree, server, prefix):
         fixed=bool(server.get(f"{prefix}.intrinsic.fixed", True)),
     )
     noise = {"tick_std": _positive(server, f"{prefix}.noise.tick_std")}
-    sigma = server.get(f"{prefix}.intrinsic.sigma", None)
     info = SensorInfo(name, "diff_drive", noise,
-                      intrinsic_prior_sigma=None if sigma is None
-                      else _positive(server, f"{prefix}.intrinsic.sigma"),
+                      intrinsic_prior_sigma=_positive(server, f"{prefix}.intrinsic.sigma", None),
                       extrinsic_prior_sigma=ext_sigma)
     return tree.emplace(T.SENSOR, tree.hardware_id, payload=info, state_blocks=blocks), info
 
@@ -233,9 +242,9 @@ def _create_range_bearing(tree, server, prefix):
 
 def _create_motion_processor(server, prefix, name, sensor_id, sensor_name, info):
     policy = KeyframePolicy(
-        max_dist=server.get(f"{prefix}.keyframe.max_dist", None),
-        max_angle=server.get(f"{prefix}.keyframe.max_angle", None),
-        max_time=server.get(f"{prefix}.keyframe.max_time", None),
+        max_dist=_positive(server, f"{prefix}.keyframe.max_dist", None),
+        max_angle=_positive(server, f"{prefix}.keyframe.max_angle", None),
+        max_time=_positive(server, f"{prefix}.keyframe.max_time", None),
     )
     return MotionProcessor(
         name, sensor_id, sensor_name, policy,
@@ -245,8 +254,7 @@ def _create_motion_processor(server, prefix, name, sensor_id, sensor_name, info)
 
 
 def _create_tracker(server, prefix, name, sensor_id, sensor_name, info):
-    policy = KeyframePolicy(min_tracks=server.get(f"{prefix}.keyframe.min_tracks", None))
-    max_unseen = server.get(f"{prefix}.assoc_max_unseen", None)
+    policy = KeyframePolicy(min_tracks=_positive(server, f"{prefix}.keyframe.min_tracks", None, integer=True))
     return LandmarkTracker(
         name, sensor_id, sensor_name, policy,
         time_tolerance=_positive(server, f"{prefix}.time_tolerance", zero_ok=True),
@@ -254,30 +262,31 @@ def _create_tracker(server, prefix, name, sensor_id, sensor_name, info):
         bearing_std=info.noise["bearing_std"],
         gate=_positive(server, f"{prefix}.gate", 0.5),
         association=server.get(f"{prefix}.association", "gate"),
-        max_unseen_frames=None if max_unseen is None else int(max_unseen),
+        max_unseen_frames=_positive(server, f"{prefix}.assoc_max_unseen", None,
+                                    zero_ok=True, integer=True),
     )
 
 
 def _create_loop_closer(server, prefix, name, sensor_id, sensor_name, _info):
     policy = LoopPolicy(
-        radius=float(server.require(f"{prefix}.loop.radius")),
-        min_frame_gap=int(server.require(f"{prefix}.loop.min_frame_gap")),
-        min_shared_landmarks=int(server.require(f"{prefix}.loop.min_shared_landmarks")),
+        radius=_positive(server, f"{prefix}.loop.radius"),
+        min_frame_gap=_positive(server, f"{prefix}.loop.min_frame_gap", integer=True),
+        min_shared_landmarks=_positive(server, f"{prefix}.loop.min_shared_landmarks",
+                                       integer=True),
     )
     return LoopCloser(
         name, sensor_id, sensor_name, policy,
         sigma_p=_positive(server, f"{prefix}.loop.sigma_p", 0.05),
         sigma_o=_positive(server, f"{prefix}.loop.sigma_o", 0.02),
-        time_tolerance=_positive(server, f"{prefix}.time_tolerance", 0.01, zero_ok=True),
     )
 
 
 def _manager_fix_oldest(server, prefix):
-    return T.WindowPolicy(T.FIX_OLDEST, int(server.require(f"{prefix}.n_frames")))
+    return T.WindowPolicy(T.FIX_OLDEST, _positive(server, f"{prefix}.n_frames", integer=True))
 
 
 def _manager_remove_with_prior(server, prefix):
-    return T.WindowPolicy(T.REMOVE_WITH_PRIOR, int(server.require(f"{prefix}.n_frames")))
+    return T.WindowPolicy(T.REMOVE_WITH_PRIOR, _positive(server, f"{prefix}.n_frames", integer=True))
 
 
 def _manager_none(server, prefix):
@@ -322,7 +331,7 @@ def auto_setup(server: ParameterServer, registry: CreatorRegistry | None = None)
     policy.  The resulting tree always passes the consistency check.
     """
     registry = registry or default_registry()
-    dimension = int(server.require("problem.dimension"))
+    dimension = _positive(server, "problem.dimension", integer=True)
     if dimension != 2:
         raise ConfigError(f"problem.dimension must be 2, got {dimension}")
 
@@ -364,56 +373,39 @@ def auto_setup(server: ParameterServer, registry: CreatorRegistry | None = None)
                                     server, "problem.tree_manager")
 
     options = SolverOptions(
-        max_iterations=int(server.require("solver.max_iterations")),
-        lambda_init=float(server.get("solver.lambda_init", 1e-4)),
-        tol_dx=float(server.get("solver.tol_dx", 1e-10)),
-        tol_grad=float(server.get("solver.tol_grad", 1e-12)),
+        max_iterations=_positive(server, "solver.max_iterations", integer=True),
+        lambda_init=_positive(server, "solver.lambda_init", 1e-4),
+        tol_dx=_positive(server, "solver.tol_dx", 1e-10, zero_ok=True),
+        tol_grad=_positive(server, "solver.tol_grad", 1e-12, zero_ok=True),
     )
 
     p0 = [float(v) for v in server.require("problem.first_frame.p")]
     o0 = float(server.require("problem.first_frame.o"))
-    sigma_p = float(server.require("problem.first_frame.sigma_p"))
-    sigma_o = float(server.require("problem.first_frame.sigma_o"))
-    first = tree.emplace(T.FRAME, tree.trajectory_id, timestamp=0.0, state_blocks={
-        "p": StateBlock(np.array(p0)),
-        "o": StateBlock(np.array([o0]), ANGLE),
-    })
-    capture = tree.emplace(T.CAPTURE, first, timestamp=0.0,
-                           cross_refs=[(T.CAPTURE_SENSOR, sensor_order[0])])
-    feature = tree.emplace(T.FEATURE, capture)
-    prior = Factor(
-        kind=PRIOR_POSE,
-        z=np.array([p0[0], p0[1], o0]),
-        sqrt_info=np.diag([1.0 / sigma_p, 1.0 / sigma_p, 1.0 / sigma_o]),
-        constrained=[(first, "p"), (first, "o")],
-    )
-    tree.emplace(T.FACTOR, feature, payload=prior)
+    sigma_p = _positive(server, "problem.first_frame.sigma_p")
+    sigma_o = _positive(server, "problem.first_frame.sigma_o")
+    first = tree.add_frame(0.0, Pose2(np.array(p0), o0))
+    capture = tree.add_pose_prior(first, sensor_order[0],
+                                  np.diag([1.0 / sigma_p, 1.0 / sigma_p, 1.0 / sigma_o]))
 
     for name, (sensor_id, info) in sensors.items():
         sigma = info.intrinsic_prior_sigma
         if sigma is not None and not tree.block(sensor_id, "intrinsic").fixed:
             block = tree.block(sensor_id, "intrinsic")
-            feat = tree.emplace(T.FEATURE, capture)
-            calib_prior = Factor(
+            tree.add_factor(capture, Factor(
                 kind=PRIOR_BLOCK,
                 z=block.values.copy(),
                 sqrt_info=np.eye(block.tangent_dim) / sigma,
                 constrained=[(sensor_id, "intrinsic")],
-            )
-            tree.emplace(T.FACTOR, feat, payload=calib_prior)
+            ))
         ext_sigma = info.extrinsic_prior_sigma
         if ext_sigma is not None and not tree.block(sensor_id, "ext_p").fixed:
-            ext_p = tree.block(sensor_id, "ext_p")
-            ext_o = tree.block(sensor_id, "ext_o")
             s_p, s_o = ext_sigma
-            feat = tree.emplace(T.FEATURE, capture)
-            ext_prior = Factor(
+            tree.add_factor(capture, Factor(
                 kind=PRIOR_POSE,
-                z=np.array([ext_p.values[0], ext_p.values[1], ext_o.values[0]]),
+                z=sensor_extrinsic(tree, sensor_id).as_array(),
                 sqrt_info=np.diag([1.0 / s_p, 1.0 / s_p, 1.0 / s_o]),
                 constrained=[(sensor_id, "ext_p"), (sensor_id, "ext_o")],
-            )
-            tree.emplace(T.FACTOR, feat, payload=ext_prior)
+            ))
 
     n_landmarks = server.count("map.landmarks")
     for i in range(n_landmarks):

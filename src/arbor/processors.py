@@ -18,6 +18,10 @@ splitting their buffers (or attaching their pending capture) when the
 timestamps agree within their tolerance; a declined join never mutates the
 tree.  If a vote lands within tolerance of an existing frame, the voter
 joins that frame instead of creating a twin.
+
+Frames, measurements and pose priors enter the tree only through the
+``ProblemTree`` methods ``add_frame``, ``add_capture``, ``add_factor`` and
+``add_pose_prior``.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from .factors import (
     MotionData,
     whiten,
 )
-from .manifold import ANGLE, Pose2, StateBlock, pose_between, pose_compose, rot2
+from .manifold import Pose2, StateBlock, pose_between, pose_compose, rot2
 from .preint import (
     DiffDriveModel,
     PreintBuffer,
@@ -59,29 +63,21 @@ from .preint import (
 
 @dataclass
 class KeyframePolicy:
-    """Keyframe vote thresholds; any subset may be enabled."""
+    """Positive keyframe vote thresholds; any subset may be enabled."""
 
     max_dist: Optional[float] = None
     max_angle: Optional[float] = None
     max_time: Optional[float] = None
     min_tracks: Optional[int] = None
 
-    def __post_init__(self):
-        for name in ("max_dist", "max_angle", "max_time", "min_tracks"):
-            v = getattr(self, name)
-            if v is not None and v <= 0:
-                raise ContractError(f"keyframe threshold {name} must be positive")
-
 
 @dataclass
 class LoopPolicy:
+    """Positive loop-closure search bounds."""
+
     radius: float
     min_frame_gap: int
     min_shared_landmarks: int
-
-    def __post_init__(self):
-        if self.radius <= 0 or self.min_frame_gap <= 0 or self.min_shared_landmarks <= 0:
-            raise ContractError("loop policy fields must be positive")
 
 
 @dataclass
@@ -205,11 +201,7 @@ class MotionProcessor:
         # whiten before touching the tree: a singular interval covariance
         # (stationary or pure-rotation interval) must fail atomically
         sqrt_info = whiten(self.buffer.q_delta)
-        pose = self.high_rate_pose(tree, t)
-        frame = tree.emplace(T.FRAME, tree.trajectory_id, timestamp=t, state_blocks={
-            "p": StateBlock(pose.p),
-            "o": StateBlock(np.array([pose.theta]), ANGLE),
-        })
+        frame = tree.add_frame(t, self.high_rate_pose(tree, t))
         self._attach_segment(tree, frame, self.buffer, sqrt_info)
         self._reset(tree, frame, t)
         return KeyframeEvent(t, frame, self.name)
@@ -236,11 +228,8 @@ class MotionProcessor:
             return
         tail = segment.entries[-1]
         origin = segment.origin_frame
-        capture = tree.emplace(T.CAPTURE, frame, timestamp=tail.t,
-                               cross_refs=[(T.CAPTURE_SENSOR, self.sensor_id)])
-        feature = tree.emplace(T.FEATURE, capture,
-                               payload=FeatureInfo(tail.delta_bar.as_array()))
-        factor = Factor(
+        capture = tree.add_capture(frame, tail.t, self.sensor_id)
+        tree.add_factor(capture, Factor(
             kind=MOTION,
             z=tail.delta_bar.as_array(),
             sqrt_info=sqrt_info,
@@ -248,8 +237,7 @@ class MotionProcessor:
                          (frame, "p"), (frame, "o"),
                          (self.sensor_id, "intrinsic")],
             aux=MotionData(tail.j_delta_c.copy(), segment.c_bar.copy()),
-        )
-        tree.emplace(T.FACTOR, feature, payload=factor)
+        ))
 
     def _reset(self, tree, frame: T.NodeId, t: float):
         c_bar = tree.block(self.sensor_id, "intrinsic").values.copy()
@@ -403,17 +391,11 @@ class LandmarkTracker:
         if not self._vote_armed:
             return None
         self._vote_armed = False
-        return self._make_keyframe(tree, t, pose)
-
-    def _make_keyframe(self, tree, t: float, pose: Pose2) -> Optional[KeyframeEvent]:
         existing = tree.find_frame_near(t, self.time_tolerance)
         if existing is not None:
             self._attach(tree, existing)
             return None
-        frame = tree.emplace(T.FRAME, tree.trajectory_id, timestamp=t, state_blocks={
-            "p": StateBlock(pose.p),
-            "o": StateBlock(np.array([pose.theta]), ANGLE),
-        })
+        frame = tree.add_frame(t, pose)
         self._attach(tree, frame)
         return KeyframeEvent(t, frame, self.name)
 
@@ -424,10 +406,8 @@ class LandmarkTracker:
         t, associations = self._pending
         self._pending = None
         self._kf_count += 1
-        capture = tree.emplace(T.CAPTURE, frame, timestamp=t,
-                               cross_refs=[(T.CAPTURE_SENSOR, self.sensor_id)])
+        capture = tree.add_capture(frame, t, self.sensor_id)
         for raw_id, z, matched, world in associations:
-            feature = tree.emplace(T.FEATURE, capture, payload=FeatureInfo(z, raw_id))
             landmark = matched
             if landmark is None:
                 landmark = tree.emplace(T.LANDMARK, tree.map_id,
@@ -436,15 +416,14 @@ class LandmarkTracker:
             if raw_id is not None:
                 self._by_raw_id[raw_id] = landmark
             self._last_seen[landmark] = self._kf_count
-            factor = Factor(
+            tree.add_factor(capture, Factor(
                 kind=RANGE_BEARING,
                 z=z,
                 sqrt_info=self.sqrt_info.copy(),
                 constrained=[(frame, "p"), (frame, "o"),
                              (self.sensor_id, "ext_p"), (self.sensor_id, "ext_o"),
                              (landmark, "p")],
-            )
-            tree.emplace(T.FACTOR, feature, payload=factor)
+            ), FeatureInfo(z, raw_id))
 
     def on_keyframe_broadcast(self, tree, event: KeyframeEvent) -> bool:
         """Attach the pending capture to a keyframe within tolerance of it."""
@@ -459,13 +438,11 @@ class LoopCloser:
     """Closes loops by aligning landmark observations shared with past frames."""
 
     def __init__(self, name, sensor_id, sensor_name, policy: LoopPolicy,
-                 sigma_p: float = 0.05, sigma_o: float = 0.02,
-                 time_tolerance: float = 0.01):
+                 sigma_p: float = 0.05, sigma_o: float = 0.02):
         self.name = name
         self.sensor_id = sensor_id
         self.sensor_name = sensor_name
         self.policy = policy
-        self.time_tolerance = float(time_tolerance)
         self.sqrt_info = np.diag([1.0 / sigma_p, 1.0 / sigma_p, 1.0 / sigma_o])
 
     def _observations(self, tree, frame: T.NodeId) -> dict:
@@ -549,18 +526,13 @@ class LoopCloser:
         step1, _, _ = pose_compose(ext, Pose2(t, theta))
         z_robot, _, _ = pose_compose(step1, ext_inv)
 
-        t_kf = tree.node(current).timestamp
-        capture = tree.emplace(T.CAPTURE, current, timestamp=t_kf,
-                               cross_refs=[(T.CAPTURE_SENSOR, self.sensor_id)])
-        feature = tree.emplace(T.FEATURE, capture,
-                               payload=FeatureInfo(z_robot.as_array()))
-        factor = Factor(
+        capture = tree.add_capture(current, tree.node(current).timestamp, self.sensor_id)
+        return tree.add_factor(capture, Factor(
             kind=RELATIVE_POSE,
             z=z_robot.as_array(),
             sqrt_info=self.sqrt_info.copy(),
             constrained=[(cand, "p"), (cand, "o"), (current, "p"), (current, "o")],
-        )
-        return tree.emplace(T.FACTOR, feature, payload=factor)
+        ))
 
     def on_keyframe_broadcast(self, tree, event: KeyframeEvent):
         try:

@@ -6,7 +6,10 @@ processors under Hardware, frames/captures/features/factors under
 Trajectory, landmarks under Map.  Parent/child links are bidirectional, and
 two kinds of cross-branch references knit the tree into a factor graph:
 captures point at the sensor that produced them, factors point at every
-node whose state blocks appear in their residual.
+node whose state blocks appear in their residual.  Frames, measurements
+(capture, feature, factor) and pose priors enter only through
+``add_frame``, ``add_capture``, ``add_factor`` and ``add_pose_prior``, so
+their layout is known to this module alone.
 
 Structural changes are queued as notifications so a solver can mirror the
 set of live state blocks and factors without walking the tree.  A window
@@ -29,7 +32,7 @@ from .errors import (
     NotFoundError,
     StructureError,
 )
-from .manifold import Pose2, StateBlock
+from .manifold import ANGLE, Pose2, StateBlock
 
 PROBLEM = "Problem"
 HARDWARE = "Hardware"
@@ -107,7 +110,8 @@ class WindowPolicy:
 
     ``fix_oldest`` freezes frames beyond the newest n as constants;
     ``remove_with_prior`` removes them and pins the oldest survivor with a
-    unary prior at its current estimate.  ``n_frames`` must stay above the
+    unary prior at its current estimate, moving the priors on sensor blocks
+    held by the removed frames under it.  ``n_frames`` must stay above the
     number of frames a processor may lag behind the newest keyframe, or the
     removal variant can pull a pre-integration origin out from under it.
     """
@@ -214,6 +218,28 @@ class ProblemTree:
         if kind == FACTOR:
             self._notifications.append(Notification(ADD_FACTOR, node_id))
         return node_id
+
+    def add_frame(self, t: float, pose: Pose2) -> NodeId:
+        """A Trajectory frame at t holding ``pose`` as blocks ``p`` and ``o``."""
+        return self.emplace(FRAME, self.trajectory_id, timestamp=t, state_blocks={
+            "p": StateBlock(pose.p), "o": StateBlock(np.array([pose.theta]), ANGLE)})
+
+    def add_capture(self, frame: NodeId, t: float, sensor: NodeId) -> NodeId:
+        """A capture taken at t by ``sensor``, under ``frame``."""
+        return self.emplace(CAPTURE, frame, timestamp=t, cross_refs=[(CAPTURE_SENSOR, sensor)])
+
+    def add_factor(self, capture: NodeId, factor, feature=None) -> NodeId:
+        """A feature with payload ``feature`` under ``capture``, and ``factor`` under it."""
+        return self.emplace(FACTOR, self.emplace(FEATURE, capture, payload=feature),
+                            payload=factor)
+
+    def add_pose_prior(self, frame: NodeId, sensor: NodeId, sqrt_info) -> NodeId:
+        """Pin ``frame`` at its current pose; returns the prior's capture."""
+        capture = self.add_capture(frame, self._nodes[frame].timestamp, sensor)
+        self.add_factor(capture, factors_mod.Factor(
+            factors_mod.PRIOR_POSE, self.frame_pose(frame).as_array(), sqrt_info,
+            constrained=[(frame, "p"), (frame, "o")]))
+        return capture
 
     def add_block_to_frame(self, frame: NodeId, name: str, block: StateBlock):
         """Attach a state block to an existing frame (dynamic block growth)."""
@@ -424,36 +450,34 @@ class ProblemTree:
                     block.fixed = True
             return
 
-        inherited_sqrt_info = None
+        # priors on sensor blocks alone (self-calibration priors) outlive the
+        # frame whose capture holds them: they move to the survivor's prior
+        inherited_sqrt_info, sensor_priors = np.eye(3) / WINDOW_PRIOR_SIGMA, []
         for fid in stale:
             for factor_id in self.factors_referencing(fid):
                 payload = self._nodes[factor_id].payload
                 if getattr(payload, "kind", None) == factors_mod.PRIOR_POSE:
                     inherited_sqrt_info = payload.sqrt_info.copy()
+            for nid in self._subtree(fid):
+                constrained = getattr(self._nodes[nid].payload, "constrained", None)
+                if nid.kind == FACTOR and constrained and all(
+                        owner.kind == SENSOR for owner, _name in constrained):
+                    sensor_priors.append(self._nodes[nid].payload)
         for fid in stale:
             self.remove(fid)
 
         survivor = self.frames()[0]
+        capture = None
         for factor_id in self.factors_referencing(survivor):
             if getattr(self._nodes[factor_id].payload, "kind", None) == factors_mod.PRIOR_POSE:
-                return  # already pinned
-        if inherited_sqrt_info is None:
-            inherited_sqrt_info = np.eye(3) / WINDOW_PRIOR_SIGMA
-        sensors = self.sensors()
-        if not sensors:
-            raise StructureError("window prior needs at least one sensor for its capture")
-        pose = self.frame_pose(survivor)
-        t = self._nodes[survivor].timestamp
-        capture = self.emplace(CAPTURE, survivor, timestamp=t,
-                               cross_refs=[(CAPTURE_SENSOR, sensors[0])])
-        feature = self.emplace(FEATURE, capture, payload=None)
-        prior = factors_mod.Factor(
-            kind=factors_mod.PRIOR_POSE,
-            z=pose.as_array(),
-            sqrt_info=inherited_sqrt_info,
-            constrained=[(survivor, "p"), (survivor, "o")],
-        )
-        self.emplace(FACTOR, feature, payload=prior)
+                capture = self._nodes[self._nodes[factor_id].parent].parent  # already pinned
+        if capture is None:
+            sensors = self.sensors()
+            if not sensors:
+                raise StructureError("window prior needs at least one sensor for its capture")
+            capture = self.add_pose_prior(survivor, sensors[0], inherited_sqrt_info)
+        for prior in sensor_priors:
+            self.add_factor(capture, prior)
 
     # ------------------------------------------------------------------
     # diagnostics

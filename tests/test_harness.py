@@ -1,3 +1,4 @@
+import functools
 import importlib.util
 import json
 from pathlib import Path
@@ -10,6 +11,7 @@ import arbor.cli
 import arbor.processors
 from arbor.cli import main
 from arbor.errors import AssociationError, BindingError, ConfigError, ContractError, OrderingError
+from arbor.factors import PRIOR_BLOCK
 from arbor.metrics import compute_ate, compute_calib_error
 from arbor.runner import build_application, replay, run
 from arbor.sim import (
@@ -320,25 +322,47 @@ class TestCli:
         assert main(["run", "--config", str(bad), "--log", str(log),
                      "--out", str(est)]) == 2
 
-    @pytest.mark.parametrize("old, new", [
-        ("    type: none\n", "    type: fix_oldest\n    n_frames: 1\n"),
-        ("max_dist: 0.5", "max_dist: -0.5"),
-        ("association: gate", "association: nearest"),
-        ("max_iterations: 25", "max_iterations: many"),
-        ("sigma_p: 0.01", "sigma_p: 0.0"),
-        ("lambda_init: 1.0e-4", "lambda_init: 0"),
-        ("gate: 0.5", "gate: -1"),
-        ("tick_std: 0.001", "tick_std: 0.0"),
-        ("tick_std: 0.001", "tick_std: -0.001"),
-        ("range_std: 0.02", "range_std: -0.02"),
-        ("time_tolerance: 0.005", "time_tolerance: -1"),
-        ("intrinsic: {state: [0.1, 0.1, 0.5], fixed: true}",
-         "intrinsic: {state: [0.1, 0.1, 0.5], fixed: false, sigma: 0.0}"),
+    @pytest.mark.parametrize("config, old, new, key", [
+        ("demo_config.yaml", "    type: none\n", "    type: fix_oldest\n    n_frames: 1\n",
+         "n_frames"),
+        ("demo_config.yaml", "max_dist: 0.5", "max_dist: -0.5", "max_dist"),
+        ("demo_config.yaml", "association: gate", "association: nearest", "association"),
+        ("demo_config.yaml", "max_iterations: 25", "max_iterations: many", "max_iterations"),
+        ("demo_config.yaml", "sigma_p: 0.01", "sigma_p: 0.0", "sigma_p"),
+        ("demo_config.yaml", "lambda_init: 1.0e-4", "lambda_init: 0", "lambda_init"),
+        ("demo_config.yaml", "gate: 0.5", "gate: -1", "gate"),
+        ("demo_config.yaml", "tick_std: 0.001", "tick_std: 0.0", "tick_std"),
+        ("demo_config.yaml", "tick_std: 0.001", "tick_std: -0.001", "tick_std"),
+        ("demo_config.yaml", "range_std: 0.02", "range_std: -0.02", "range_std"),
+        ("demo_config.yaml", "time_tolerance: 0.005", "time_tolerance: -1", "time_tolerance"),
+        ("demo_config.yaml", "intrinsic: {state: [0.1, 0.1, 0.5], fixed: true}",
+         "intrinsic: {state: [0.1, 0.1, 0.5], fixed: false, sigma: 0.0}", "intrinsic.sigma"),
+        ("demo_config.yaml", "sigma_p: 0.01", "sigma_p: .nan", "sigma_p"),
+        ("demo_config.yaml", "extrinsic: {state: [0.0, 0.0, 0.0], fixed: true}",
+         "extrinsic: {state: [0.0, 0.0, 0.0], fixed: false, sigma: .nan}", "extrinsic.sigma"),
+        ("demo_config.yaml", "extrinsic: {state: [0.0, 0.0, 0.0], fixed: true}",
+         "extrinsic: {state: [0.0, 0.0, 0.0], fixed: false, sigma: [-0.1, 0.1]}",
+         "extrinsic.sigma"),
+        ("demo_config.yaml", "max_dist: 0.5", "max_dist: .nan", "max_dist"),
+        ("demo_config.yaml", "max_dist: 0.5", "max_dist: .inf", "max_dist"),
+        ("loop_config_on.yaml", "radius: 2.0", "radius: .nan", "radius"),
+        ("demo_config.yaml", "min_tracks: 3", "min_tracks: 2.5", "min_tracks"),
+        ("loop_config_on.yaml", "min_frame_gap: 20", "min_frame_gap: 2.7", "min_frame_gap"),
+        ("loop_config_on.yaml", "min_shared_landmarks: 4", "min_shared_landmarks: .inf",
+         "min_shared_landmarks"),
+        ("demo_config.yaml", "    type: none\n", "    type: fix_oldest\n    n_frames: 4.5\n",
+         "n_frames"),
+        ("loop_config_on.yaml", "assoc_max_unseen: 8", "assoc_max_unseen: 8.5", "assoc_max_unseen"),
+        ("demo_config.yaml", "max_iterations: 25", "max_iterations: 2.5", "max_iterations"),
     ], ids=["n_frames", "max_dist", "association", "max_iterations", "sigma_p", "lambda_init",
             "gate", "tick_std_zero", "tick_std_negative", "range_std", "time_tolerance",
-            "intrinsic_sigma"])
-    def test_bad_config_value_exit_code(self, tmp_path, capsys, old, new):
-        text = (DATA / "demo_config.yaml").read_text()
+            "intrinsic_sigma", "sigma_p_nan", "extrinsic_sigma_nan", "extrinsic_sigma_negative",
+            "max_dist_nan", "max_dist_inf", "loop_radius_nan", "min_tracks_fraction",
+            "min_frame_gap_fraction", "min_shared_landmarks_inf", "n_frames_fraction",
+            "assoc_max_unseen_fraction", "max_iterations_fraction"])
+    def test_bad_config_value_exit_code(self, tmp_path, capsys, config, old, new, key):
+        """A bad value exits 2 with a one-line message naming its key."""
+        text = (DATA / config).read_text()
         assert old in text
         bad = tmp_path / "bad.yaml"
         bad.write_text(text.replace(old, new))
@@ -349,6 +373,28 @@ class TestCli:
                      "--out", str(est)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and "Traceback" not in err
+        assert key in err and len(err.strip().splitlines()) == 1
+
+    def test_calibration_priors_survive_remove_with_prior(self, tmp_path, monkeypatch):
+        """The window moves the intrinsic prior off each frame it removes."""
+        config = tmp_path / "calib_window.yaml"
+        config.write_text((DATA / "calib_config.yaml").read_text().replace(
+            "    type: none\n", "    type: remove_with_prior\n    n_frames: 5\n"))
+        captures, _ = simulate(load_scenario((DATA / "calib_scenario.yaml").read_text()))
+        log = tmp_path / "log.jsonl"
+        write_jsonl(captures, log)
+        seen = []
+
+        def on_keyframe(tree, event, report):
+            priors = [f for s in tree.sensors() for f in tree.factors_referencing(s)
+                      if tree.node(f).payload.kind == PRIOR_BLOCK]
+            seen.append((len(priors), tree.check_consistency()))
+
+        monkeypatch.setattr(arbor.cli, "replay", functools.partial(replay, on_keyframe=on_keyframe))
+        assert main(["run", "--config", str(config), "--log", str(log),
+                     "--out", str(tmp_path / "est.jsonl")]) == 0
+        assert len(seen) > 5
+        assert seen == [(1, [])] * len(seen)
 
     def test_data_error_exit_code(self, tmp_path):
         log = tmp_path / "log.jsonl"

@@ -8,8 +8,8 @@ from arbor.errors import (
     NotFoundError,
     StructureError,
 )
-from arbor.factors import PRIOR_POSE, RANGE_BEARING, Factor
-from arbor.manifold import ANGLE, StateBlock
+from arbor.factors import PRIOR_BLOCK, PRIOR_POSE, RANGE_BEARING, Factor
+from arbor.manifold import ANGLE, EUCLIDEAN, Pose2, StateBlock
 
 
 def pose_blocks(x=0.0, y=0.0, theta=0.0, fixed=False):
@@ -92,6 +92,51 @@ class TestEmplace:
         tr.remove(f1)
         f2 = add_frame(tr, 1.0)
         assert f2.index > f1.index
+
+
+class TestBuilders:
+    def test_add_frame_blocks(self):
+        tr = T.ProblemTree()
+        tr.drain_notifications()
+        frame = tr.add_frame(1.5, Pose2(np.array([1.0, -2.0]), 0.3))
+        node = tr.node(frame)
+        assert node.parent == tr.trajectory_id and node.timestamp == 1.5
+        assert [(name, b.kind) for name, b in node.state_blocks.items()] == \
+            [("p", EUCLIDEAN), ("o", ANGLE)]
+        np.testing.assert_array_equal(tr.frame_pose(frame).as_array(), [1.0, -2.0, 0.3])
+        assert tr.drain_notifications() == [T.Notification(T.ADD_BLOCK, (frame, "p")),
+                                            T.Notification(T.ADD_BLOCK, (frame, "o"))]
+
+    def test_add_capture_and_factor(self):
+        tr, sensor = make_tree_with_sensor()
+        frame = tr.add_frame(0.0, Pose2.identity())
+        landmark = tr.emplace(T.LANDMARK, tr.map_id,
+                              state_blocks={"p": StateBlock(np.array([1.0, 0.0]))})
+        cap = tr.add_capture(frame, 0.1, sensor)
+        assert tr.node(cap).parent == frame and tr.node(cap).timestamp == 0.1
+        assert [(r.role, r.dst) for r in tr.node(cap).cross_refs] == [(T.CAPTURE_SENSOR, sensor)]
+        factor = Factor(RANGE_BEARING, np.array([1.0, 0.0]), np.eye(2),
+                        constrained=[(frame, "p"), (frame, "o"), (landmark, "p")])
+        fid = tr.add_factor(cap, factor, feature="obs")
+        feature = tr.node(fid).parent
+        assert tr.node(fid).payload is factor
+        assert tr.node(feature).parent == cap and tr.node(feature).payload == "obs"
+        assert tr.check_consistency() == []
+
+    def test_add_pose_prior(self):
+        tr, sensor = make_tree_with_sensor()
+        frame = tr.add_frame(2.0, Pose2(np.array([1.0, -1.0]), 0.5))
+        cap = tr.add_pose_prior(frame, sensor, np.eye(3) * 4.0)
+        assert tr.node(cap).parent == frame and tr.node(cap).timestamp == 2.0
+        assert [r.dst for r in tr.node(cap).cross_refs] == [sensor]
+        (fid,) = tr.factors_referencing(frame)
+        assert tr.node(tr.node(fid).parent).parent == cap
+        prior = tr.node(fid).payload
+        assert prior.kind == PRIOR_POSE
+        np.testing.assert_array_equal(prior.z, tr.frame_pose(frame).as_array())
+        assert prior.constrained == [(frame, "p"), (frame, "o")]
+        np.testing.assert_array_equal(prior.sqrt_info, np.eye(3) * 4.0)
+        assert tr.check_consistency() == []
 
 
 class TestAddBlock:
@@ -302,6 +347,25 @@ class TestWindow:
         priors = [fid for fid in tr.factors_referencing(frames[0])
                   if tr.node(fid).payload.kind == PRIOR_POSE]
         assert len(priors) == 1
+
+    @pytest.mark.parametrize("survivor_pinned", [False, True])
+    def test_remove_with_prior_keeps_sensor_priors(self, survivor_pinned):
+        tr, sensor = self._windowed_tree(3)
+        frames = tr.frames()
+        capture = tr.add_pose_prior(frames[0], sensor, np.eye(3))
+        calib_prior = Factor(PRIOR_BLOCK, np.array([0.1, 0.1, 0.5]), np.eye(3),
+                             constrained=[(sensor, "intrinsic")])
+        tr.add_factor(capture, calib_prior)
+        if survivor_pinned:
+            tr.add_pose_prior(frames[1], sensor, np.eye(3))
+        tr.enforce_window(T.WindowPolicy(T.REMOVE_WITH_PRIOR, 3))
+        assert frames[0] not in tr
+        (moved,) = tr.factors_referencing(sensor)
+        assert tr.node(moved).payload is calib_prior
+        (pinned,) = tr.factors_referencing(frames[1])
+        # under the survivor's prior capture, next to its pose prior
+        assert tr.node(tr.node(moved).parent).parent == tr.node(tr.node(pinned).parent).parent
+        assert tr.check_consistency() == []
 
     def test_under_capacity_no_change(self):
         tr, _ = self._windowed_tree(10)
