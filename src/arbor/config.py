@@ -195,9 +195,17 @@ def _as_positive(key, value, zero_ok=False, integer=False):
     return int(x) if integer else x
 
 
-def _pose_blocks_from(server, prefix, default_fixed=True):
+def _flag(server, key, default):
+    """A YAML boolean; anything else (a quoted "false", 0) is a ConfigError."""
+    value = server.get(key, default)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
+def _pose_blocks_from(server, prefix):
     state = server.get(f"{prefix}.state", [0.0, 0.0, 0.0])
-    fixed = bool(server.get(f"{prefix}.fixed", default_fixed))
+    fixed = _flag(server, f"{prefix}.fixed", True)
     state = [float(v) for v in state]
     if len(state) != 3:
         raise ConfigError(f"{prefix}.state must be [x, y, theta]")
@@ -219,14 +227,14 @@ def _create_diff_drive(tree, server, prefix):
     if len(intrinsic) != 3:
         raise ConfigError(f"{prefix}.intrinsic.state must be [r_left, r_right, separation]")
     blocks["intrinsic"] = StateBlock(
-        np.array([float(v) for v in intrinsic]),
-        fixed=bool(server.get(f"{prefix}.intrinsic.fixed", True)),
+        np.array([_as_positive(f"{prefix}.intrinsic.state", v) for v in intrinsic]),
+        fixed=_flag(server, f"{prefix}.intrinsic.fixed", True),
     )
     noise = {"tick_std": _positive(server, f"{prefix}.noise.tick_std")}
     info = SensorInfo(name, "diff_drive", noise,
                       intrinsic_prior_sigma=_positive(server, f"{prefix}.intrinsic.sigma", None),
                       extrinsic_prior_sigma=ext_sigma)
-    return tree.emplace(T.SENSOR, tree.hardware_id, payload=info, state_blocks=blocks), info
+    return tree.add_sensor(info, blocks), info
 
 
 def _create_range_bearing(tree, server, prefix):
@@ -237,7 +245,7 @@ def _create_range_bearing(tree, server, prefix):
         "bearing_std": _positive(server, f"{prefix}.noise.bearing_std"),
     }
     info = SensorInfo(name, "range_bearing_2d", noise, extrinsic_prior_sigma=ext_sigma)
-    return tree.emplace(T.SENSOR, tree.hardware_id, payload=info, state_blocks=blocks), info
+    return tree.add_sensor(info, blocks), info
 
 
 def _create_motion_processor(server, prefix, name, sensor_id, sensor_name, info):
@@ -365,8 +373,7 @@ def auto_setup(server: ParameterServer, registry: CreatorRegistry | None = None)
         sensor_id, info = sensors[sensor_name]
         processors.append(registry.create("processor", type_name, server, prefix,
                                           name, sensor_id, sensor_name, info))
-        tree.emplace(T.PROCESSOR, tree.hardware_id,
-                     payload=ProcessorInfo(name, type_name, sensor_id))
+        tree.add_processor(ProcessorInfo(name, type_name, sensor_id))
 
     manager_type = server.get("problem.tree_manager.type", "none")
     window_policy = registry.create("tree_manager", manager_type,
@@ -412,10 +419,8 @@ def auto_setup(server: ParameterServer, registry: CreatorRegistry | None = None)
         prefix = f"map.landmarks.{i}"
         raw_id = server.get(f"{prefix}.id", None)
         p = [float(v) for v in server.require(f"{prefix}.p")]
-        fixed = bool(server.get(f"{prefix}.fixed", False))
-        lm = tree.emplace(T.LANDMARK, tree.map_id,
-                          payload=LandmarkInfo(None if raw_id is None else int(raw_id)),
-                          state_blocks={"p": StateBlock(np.array(p), fixed=fixed)})
+        lm = tree.add_landmark(np.array(p), LandmarkInfo(None if raw_id is None else int(raw_id)),
+                               fixed=_flag(server, f"{prefix}.fixed", False))
         if raw_id is not None:
             for proc in processors:
                 if isinstance(proc, LandmarkTracker):

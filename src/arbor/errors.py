@@ -30,7 +30,7 @@ class ConflictError(EstimationError):
 
 
 class CrossRefError(EstimationError):
-    """A cross-branch reference is ill-formed or dangling."""
+    """A factor constrains a block that does not exist."""
 
 
 class OrderingError(EstimationError):

@@ -19,9 +19,8 @@ timestamps agree within their tolerance; a declined join never mutates the
 tree.  If a vote lands within tolerance of an existing frame, the voter
 joins that frame instead of creating a twin.
 
-Frames, measurements and pose priors enter the tree only through the
-``ProblemTree`` methods ``add_frame``, ``add_capture``, ``add_factor`` and
-``add_pose_prior``.
+Nodes enter the tree only through the ``ProblemTree`` builders
+(``add_frame``, ``add_capture``, ``add_factor``, ``add_landmark``, ...).
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ from .factors import (
     MotionData,
     whiten,
 )
-from .manifold import Pose2, StateBlock, pose_between, pose_compose, rot2
+from .manifold import Pose2, pose_between, pose_compose, rot2
 from .preint import (
     DiffDriveModel,
     PreintBuffer,
@@ -127,7 +126,8 @@ class LandmarkInfo:
 
 @dataclass
 class FeatureInfo:
-    z: np.ndarray
+    """Payload of a tracker feature; its measurement is its factor's ``z``."""
+
     raw_id: Optional[int] = None
 
     def tree_label(self):
@@ -341,7 +341,7 @@ class LandmarkTracker:
             in_window = [lm for lm in tree.children(tree.map_id, T.LANDMARK)
                          if self._window_ok(lm)]
             if in_window:
-                # children are in emplacement order, so argmin tie-breaks to
+                # children are in creation order, so argmin tie-breaks to
                 # the lowest landmark index
                 candidates = (in_window,
                               np.array([tree.block(lm, "p").values for lm in in_window]))
@@ -400,7 +400,7 @@ class LandmarkTracker:
         return KeyframeEvent(t, frame, self.name)
 
     def _attach(self, tree, frame: T.NodeId):
-        """Emplace the pending capture with features, landmarks, and factors."""
+        """Add the pending capture with its features, landmarks and factors."""
         if self._pending is None:
             return
         t, associations = self._pending
@@ -410,9 +410,7 @@ class LandmarkTracker:
         for raw_id, z, matched, world in associations:
             landmark = matched
             if landmark is None:
-                landmark = tree.emplace(T.LANDMARK, tree.map_id,
-                                        payload=LandmarkInfo(raw_id),
-                                        state_blocks={"p": StateBlock(world)})
+                landmark = tree.add_landmark(world, LandmarkInfo(raw_id))
             if raw_id is not None:
                 self._by_raw_id[raw_id] = landmark
             self._last_seen[landmark] = self._kf_count
@@ -423,7 +421,7 @@ class LandmarkTracker:
                 constrained=[(frame, "p"), (frame, "o"),
                              (self.sensor_id, "ext_p"), (self.sensor_id, "ext_o"),
                              (landmark, "p")],
-            ), FeatureInfo(z, raw_id))
+            ), FeatureInfo(raw_id))
 
     def on_keyframe_broadcast(self, tree, event: KeyframeEvent) -> bool:
         """Attach the pending capture to a keyframe within tolerance of it."""
@@ -449,14 +447,13 @@ class LoopCloser:
         """Raw landmark id -> (range, bearing) seen from a frame by our sensor."""
         out = {}
         for capture in tree.children(frame, T.CAPTURE):
-            refs = [r.dst for r in tree.node(capture).cross_refs
-                    if r.role == T.CAPTURE_SENSOR]
-            if self.sensor_id not in refs:
+            if self.sensor_id not in tree.node(capture).refs:
                 continue
             for feature in tree.children(capture, T.FEATURE):
                 info = tree.node(feature).payload
                 if isinstance(info, FeatureInfo) and info.raw_id is not None:
-                    out[info.raw_id] = np.asarray(info.z, dtype=float)
+                    (factor,) = tree.children(feature, T.FACTOR)
+                    out[info.raw_id] = tree.node(factor).payload.z
         return out
 
     @staticmethod

@@ -1,15 +1,15 @@
-"""The problem tree: node hierarchy, cross-branch references, notifications.
+"""The problem tree: node hierarchy, references, notifications.
 
 The tree has a fixed top layout (Problem with Hardware, Trajectory, and Map
 branches) under which processors grow the estimation problem: sensors and
 processors under Hardware, frames/captures/features/factors under
-Trajectory, landmarks under Map.  Parent/child links are bidirectional, and
-two kinds of cross-branch references knit the tree into a factor graph:
-captures point at the sensor that produced them, factors point at every
-node whose state blocks appear in their residual.  Frames, measurements
-(capture, feature, factor) and pose priors enter only through
-``add_frame``, ``add_capture``, ``add_factor`` and ``add_pose_prior``, so
-their layout is known to this module alone.
+Trajectory, landmarks under Map.  Parent/child links are bidirectional.  A
+node's ``refs`` knit the tree into a factor graph: a capture refers to the
+sensor that produced it, a factor to every node whose state blocks appear in
+its residual.  Nodes enter only through the builders ``add_sensor``,
+``add_processor``, ``add_landmark``, ``add_frame``, ``add_capture``,
+``add_factor`` and ``add_pose_prior``, so each kind's place and references
+are known to this module alone.
 
 Structural changes are queued as notifications so a solver can mirror the
 set of live state blocks and factors without walking the tree.  A window
@@ -48,21 +48,6 @@ LANDMARK = "Landmark"
 
 _BRANCH_ROOTS = (PROBLEM, HARDWARE, TRAJECTORY, MAP)
 
-_LEGAL_PARENT = {
-    SENSOR: HARDWARE,
-    PROCESSOR: HARDWARE,
-    FRAME: TRAJECTORY,
-    CAPTURE: FRAME,
-    FEATURE: CAPTURE,
-    FACTOR: FEATURE,
-    LANDMARK: MAP,
-}
-
-_TIMESTAMPED = (FRAME, CAPTURE)
-
-CAPTURE_SENSOR = "capture_sensor"
-FACTOR_CONSTRAINS = "factor_constrains"
-
 ADD_BLOCK = "add_block"
 REMOVE_BLOCK = "remove_block"
 ADD_FACTOR = "add_factor"
@@ -89,13 +74,6 @@ class NodeId:
 
     def __str__(self):
         return f"{self.kind}#{self.index}"
-
-
-@dataclass(frozen=True)
-class CrossRef:
-    src: NodeId
-    dst: NodeId
-    role: str
 
 
 @dataclass(frozen=True)
@@ -134,7 +112,7 @@ class TreeNode:
     state_blocks: dict = field(default_factory=dict)
     timestamp: Optional[float] = None
     payload: object = None
-    cross_refs: list = field(default_factory=list)
+    refs: tuple = ()  # a capture's sensor; the owners of a factor's blocks
 
 
 class ProblemTree:
@@ -154,84 +132,64 @@ class ProblemTree:
     # construction
 
     def _new_node(self, kind, parent_id, **kw) -> NodeId:
+        """Link a new node to its parent and its refs; queue its notifications."""
         node_id = NodeId(kind, self._next_index)
         self._next_index += 1
-        node = TreeNode(id=node_id, parent=parent_id, **kw)
-        self._nodes[node_id] = node
+        node = self._nodes[node_id] = TreeNode(id=node_id, parent=parent_id, **kw)
         if parent_id is not None:
             self._nodes[parent_id].children.append(node_id)
-        return node_id
-
-    def emplace(self, kind, parent, timestamp=None, payload=None,
-                state_blocks=None, cross_refs=None) -> NodeId:
-        """Create a node under ``parent`` and queue its notifications.
-
-        ``state_blocks`` maps names to StateBlock; ``cross_refs`` is a list
-        of (role, target id) pairs.  Factor nodes whose payload carries a
-        ``constrained`` list get their references derived from it when none
-        are given.
-        """
-        if parent not in self._nodes:
-            raise NotFoundError(f"unknown parent {parent}")
-        expected = _LEGAL_PARENT.get(kind)
-        if expected is None or self._nodes[parent].id.kind != expected:
-            raise StructureError(f"{kind} cannot be emplaced under {parent}")
-        if kind in _TIMESTAMPED and timestamp is None:
-            raise StructureError(f"{kind} requires a timestamp")
-
-        if kind == FACTOR and cross_refs is None and hasattr(payload, "constrained"):
-            seen, cross_refs = set(), []
-            for node_id, _name in payload.constrained:
-                if node_id not in seen:
-                    seen.add(node_id)
-                    cross_refs.append((FACTOR_CONSTRAINS, node_id))
-
-        refs = []
-        for role, target in cross_refs or []:
-            if target not in self._nodes:
-                raise CrossRefError(f"cross-reference target {target} does not exist")
-            if role == CAPTURE_SENSOR:
-                if kind != CAPTURE or target.kind != SENSOR:
-                    raise CrossRefError("capture_sensor must link a Capture to a Sensor")
-            elif role == FACTOR_CONSTRAINS:
-                if kind != FACTOR:
-                    raise CrossRefError("factor_constrains must start at a Factor")
-                if not self._nodes[target].state_blocks:
-                    raise CrossRefError(f"factor references block-less node {target}")
-            else:
-                raise CrossRefError(f"unknown cross-reference role {role!r}")
-            refs.append(target)
-
-        node_id = self._new_node(
-            kind, parent,
-            timestamp=timestamp,
-            payload=payload,
-            state_blocks=dict(state_blocks or {}),
-        )
-        node = self._nodes[node_id]
-        for role, target in cross_refs or []:
-            node.cross_refs.append(CrossRef(node_id, target, role))
+        for target in node.refs:
             self._incoming.setdefault(target, set()).add(node_id)
-
         for name in node.state_blocks:
             self._notifications.append(Notification(ADD_BLOCK, (node_id, name)))
         if kind == FACTOR:
             self._notifications.append(Notification(ADD_FACTOR, node_id))
         return node_id
 
+    def _expect(self, node_id: NodeId, kind: str) -> TreeNode:
+        node = self.node(node_id)
+        if node_id.kind != kind:
+            raise StructureError(f"{node_id} is not a {kind}")
+        return node
+
+    def add_sensor(self, info, blocks: dict) -> NodeId:
+        """A Hardware sensor with payload ``info`` and state ``blocks`` by name."""
+        return self._new_node(SENSOR, self.hardware_id, payload=info, state_blocks=dict(blocks))
+
+    def add_processor(self, info) -> NodeId:
+        """A Hardware processor with payload ``info``."""
+        return self._new_node(PROCESSOR, self.hardware_id, payload=info)
+
+    def add_landmark(self, p, info=None, fixed=False) -> NodeId:
+        """A Map landmark at ``p`` (block ``p``) with payload ``info``."""
+        return self._new_node(LANDMARK, self.map_id, payload=info,
+                              state_blocks={"p": StateBlock(p, fixed=fixed)})
+
     def add_frame(self, t: float, pose: Pose2) -> NodeId:
         """A Trajectory frame at t holding ``pose`` as blocks ``p`` and ``o``."""
-        return self.emplace(FRAME, self.trajectory_id, timestamp=t, state_blocks={
+        return self._new_node(FRAME, self.trajectory_id, timestamp=t, state_blocks={
             "p": StateBlock(pose.p), "o": StateBlock(np.array([pose.theta]), ANGLE)})
 
     def add_capture(self, frame: NodeId, t: float, sensor: NodeId) -> NodeId:
         """A capture taken at t by ``sensor``, under ``frame``."""
-        return self.emplace(CAPTURE, frame, timestamp=t, cross_refs=[(CAPTURE_SENSOR, sensor)])
+        self._expect(frame, FRAME)
+        self._expect(sensor, SENSOR)
+        return self._new_node(CAPTURE, frame, timestamp=t, refs=(sensor,))
 
     def add_factor(self, capture: NodeId, factor, feature=None) -> NodeId:
-        """A feature with payload ``feature`` under ``capture``, and ``factor`` under it."""
-        return self.emplace(FACTOR, self.emplace(FEATURE, capture, payload=feature),
-                            payload=factor)
+        """A feature with payload ``feature`` under ``capture``, and ``factor`` under it.
+
+        Every constrained block must exist; the factor refers to their
+        owners, each once, in order.
+        """
+        self._expect(capture, CAPTURE)
+        for target, name in factor.constrained:
+            owner = self._nodes.get(target)
+            if owner is None or name not in owner.state_blocks:
+                raise CrossRefError(f"factor constrains missing block {target}.{name}")
+        owners = tuple(dict.fromkeys(target for target, _name in factor.constrained))
+        return self._new_node(FACTOR, self._new_node(FEATURE, capture, payload=feature),
+                              payload=factor, refs=owners)
 
     def add_pose_prior(self, frame: NodeId, sensor: NodeId, sqrt_info) -> NodeId:
         """Pin ``frame`` at its current pose; returns the prior's capture."""
@@ -243,9 +201,7 @@ class ProblemTree:
 
     def add_block_to_frame(self, frame: NodeId, name: str, block: StateBlock):
         """Attach a state block to an existing frame (dynamic block growth)."""
-        node = self.node(frame)
-        if node.id.kind != FRAME:
-            raise StructureError(f"{frame} is not a Frame")
+        node = self._expect(frame, FRAME)
         if name in node.state_blocks:
             raise ConflictError(f"frame {frame} already has a block named {name!r}")
         node.state_blocks[name] = block
@@ -314,7 +270,7 @@ class ProblemTree:
         return {name: b.values.copy() for name, b in self._nodes[chosen].state_blocks.items()}
 
     def factors_referencing(self, node_id: NodeId) -> list:
-        """Live factor nodes with a constraining reference into node_id."""
+        """Live factor nodes that constrain a block of node_id."""
         return [src for src in self._incoming.get(node_id, ())
                 if src.kind == FACTOR and src in self._nodes]
 
@@ -331,8 +287,8 @@ class ProblemTree:
         """Remove a node, its subtree, and any factor left dangling by it.
 
         Branch roots are protected.  Factors elsewhere in the tree that
-        cross-reference a removed node go too, as do captures referencing a
-        removed sensor, so no reference can dangle.
+        refer to a removed node go too, as do captures of a removed sensor,
+        so no reference can dangle.
         """
         node = self.node(node_id)
         if node.id.kind in _BRANCH_ROOTS:
@@ -360,8 +316,8 @@ class ProblemTree:
 
         for nid in doomed:
             victim = self._nodes[nid]
-            for ref in victim.cross_refs:
-                peers = self._incoming.get(ref.dst)
+            for target in victim.refs:
+                peers = self._incoming.get(target)
                 if peers is not None:
                     peers.discard(nid)
             parent = victim.parent
@@ -414,25 +370,13 @@ class ProblemTree:
                     violations.append(f"{nid} lists unknown child {child}")
                 elif child_node.parent != nid:
                     violations.append(f"{child} does not point back to {nid}")
-            if nid.kind == CAPTURE:
-                refs = [r for r in node.cross_refs if r.role == CAPTURE_SENSOR]
-                if not refs:
-                    violations.append(f"{nid} has no sensor reference")
-                for r in refs:
-                    if r.dst not in self._nodes:
-                        violations.append(f"{nid} references removed sensor {r.dst}")
+            for target in node.refs:
+                if target not in self._nodes:
+                    violations.append(f"{nid} references removed node {target}")
             if nid.kind == FACTOR:
-                for r in node.cross_refs:
-                    dst = self._nodes.get(r.dst)
-                    if dst is None:
-                        violations.append(f"{nid} references removed node {r.dst}")
-                    elif not dst.state_blocks:
-                        violations.append(f"{nid} references block-less node {r.dst}")
-                if hasattr(node.payload, "constrained"):
-                    for target, name in node.payload.constrained:
-                        owner = self._nodes.get(target)
-                        if owner is None or name not in owner.state_blocks:
-                            violations.append(f"{nid} constrains missing block {target}.{name}")
+                for target, name in node.payload.constrained:
+                    if target in self._nodes and name not in self._nodes[target].state_blocks:
+                        violations.append(f"{nid} constrains missing block {target}.{name}")
         return violations
 
     # ------------------------------------------------------------------
@@ -456,20 +400,20 @@ class ProblemTree:
         for fid in stale:
             for factor_id in self.factors_referencing(fid):
                 payload = self._nodes[factor_id].payload
-                if getattr(payload, "kind", None) == factors_mod.PRIOR_POSE:
+                if payload.kind == factors_mod.PRIOR_POSE:
                     inherited_sqrt_info = payload.sqrt_info.copy()
             for nid in self._subtree(fid):
-                constrained = getattr(self._nodes[nid].payload, "constrained", None)
-                if nid.kind == FACTOR and constrained and all(
-                        owner.kind == SENSOR for owner, _name in constrained):
-                    sensor_priors.append(self._nodes[nid].payload)
+                node = self._nodes[nid]
+                if nid.kind == FACTOR and node.refs and all(
+                        owner.kind == SENSOR for owner in node.refs):
+                    sensor_priors.append(node.payload)
         for fid in stale:
             self.remove(fid)
 
         survivor = self.frames()[0]
         capture = None
         for factor_id in self.factors_referencing(survivor):
-            if getattr(self._nodes[factor_id].payload, "kind", None) == factors_mod.PRIOR_POSE:
+            if self._nodes[factor_id].payload.kind == factors_mod.PRIOR_POSE:
                 capture = self._nodes[self._nodes[factor_id].parent].parent  # already pinned
         if capture is None:
             sensors = self.sensors()
@@ -506,13 +450,11 @@ class ProblemTree:
                 for name, b in node.state_blocks.items()
             )
             parts.append(f"blk: {blocks}")
-        refs = []
-        for ref in node.cross_refs:
-            refs.append(str(ref.dst))
+        refs = node.refs
         if isinstance(node.payload, factors_mod.Factor):
             refs = [f"{nid}.{name}" for nid, name in node.payload.constrained]
         if refs:
-            parts.append("-> " + ", ".join(refs))
+            parts.append("-> " + ", ".join(map(str, refs)))
         lines.append(" ".join(parts))
         for child in node.children:
             self._print_node(child, depth + 1, lines)

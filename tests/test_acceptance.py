@@ -400,8 +400,7 @@ class TestCriterion9ConsistencyFuzz:
     def test_randomized_sequences(self):
         rng = np.random.default_rng(909)
         tr = T.ProblemTree()
-        sensor = tr.emplace(T.SENSOR, tr.hardware_id,
-                            state_blocks={"intrinsic": StateBlock(C_NOM.copy())})
+        sensor = tr.add_sensor(None, {"intrinsic": StateBlock(C_NOM.copy())})
         live_blocks, live_factors = set(), set()
 
         def consume():
@@ -421,14 +420,11 @@ class TestCriterion9ConsistencyFuzz:
         for step in range(1000):
             roll = rng.uniform()
             if roll < 0.3 or not frames:
-                frame = tr.emplace(T.FRAME, tr.trajectory_id, timestamp=float(step),
-                                   state_blocks={"p": StateBlock(rng.uniform(-5, 5, 2)),
-                                                 "o": StateBlock(rng.uniform(-3, 3, 1), ANGLE)})
+                frame = tr.add_frame(float(step), Pose2(rng.uniform(-5, 5, 2),
+                                                        float(rng.uniform(-3, 3, 1)[0])))
                 frames.append(frame)
             elif roll < 0.45:
-                landmarks.append(tr.emplace(
-                    T.LANDMARK, tr.map_id,
-                    state_blocks={"p": StateBlock(rng.uniform(-5, 5, 2))}))
+                landmarks.append(tr.add_landmark(rng.uniform(-5, 5, 2)))
             elif roll < 0.55:
                 frame = frames[int(rng.integers(len(frames)))]
                 name = f"x{step}"
@@ -436,15 +432,12 @@ class TestCriterion9ConsistencyFuzz:
             elif roll < 0.75 and landmarks:
                 frame = frames[int(rng.integers(len(frames)))]
                 lm = landmarks[int(rng.integers(len(landmarks)))]
-                cap = tr.emplace(T.CAPTURE, frame,
-                                 timestamp=tr.node(frame).timestamp,
-                                 cross_refs=[(T.CAPTURE_SENSOR, sensor)])
-                feat = tr.emplace(T.FEATURE, cap)
+                cap = tr.add_capture(frame, tr.node(frame).timestamp, sensor)
                 factor = Factor(RANGE_BEARING, rng.uniform(0.5, 3.0, 2), np.eye(2),
                                 constrained=[(frame, "p"), (frame, "o"),
                                              (sensor, "intrinsic"),
                                              (sensor, "intrinsic"), (lm, "p")])
-                tr.emplace(T.FACTOR, feat, payload=factor)
+                tr.add_factor(cap, factor)
             elif roll < 0.9 and frames:
                 tr.remove(frames.pop(int(rng.integers(len(frames)))))
             elif landmarks:

@@ -354,12 +354,22 @@ class TestCli:
          "n_frames"),
         ("loop_config_on.yaml", "assoc_max_unseen: 8", "assoc_max_unseen: 8.5", "assoc_max_unseen"),
         ("demo_config.yaml", "max_iterations: 25", "max_iterations: 2.5", "max_iterations"),
+        ("calib_config.yaml", "fixed: false, sigma: 0.05", 'fixed: "false", sigma: 0.05',
+         "intrinsic.fixed"),
+        ("demo_config.yaml", "extrinsic: {state: [0.0, 0.0, 0.0], fixed: true}",
+         "extrinsic: {state: [0.0, 0.0, 0.0], fixed: 0}", "extrinsic.fixed"),
+        ("demo_config.yaml", "solver:\n",
+         "map:\n  landmarks:\n    - {id: 1, p: [1.0, 2.0], fixed: \"no\"}\nsolver:\n",
+         "landmarks.0.fixed"),
+        ("demo_config.yaml", "state: [0.1, 0.1, 0.5]", "state: [0.1, -0.1, 0.5]",
+         "intrinsic.state"),
     ], ids=["n_frames", "max_dist", "association", "max_iterations", "sigma_p", "lambda_init",
             "gate", "tick_std_zero", "tick_std_negative", "range_std", "time_tolerance",
             "intrinsic_sigma", "sigma_p_nan", "extrinsic_sigma_nan", "extrinsic_sigma_negative",
             "max_dist_nan", "max_dist_inf", "loop_radius_nan", "min_tracks_fraction",
             "min_frame_gap_fraction", "min_shared_landmarks_inf", "n_frames_fraction",
-            "assoc_max_unseen_fraction", "max_iterations_fraction"])
+            "assoc_max_unseen_fraction", "max_iterations_fraction", "intrinsic_fixed_string",
+            "extrinsic_fixed_number", "landmark_fixed_string", "intrinsic_state_negative"])
     def test_bad_config_value_exit_code(self, tmp_path, capsys, config, old, new, key):
         """A bad value exits 2 with a one-line message naming its key."""
         text = (DATA / config).read_text()

@@ -5,7 +5,7 @@ import pytest
 
 from arbor import tree as T
 from arbor.errors import AlignmentError, DecompositionError, NotReadyError
-from arbor.factors import MOTION, RANGE_BEARING, RELATIVE_POSE
+from arbor.factors import MOTION, RANGE_BEARING, RELATIVE_POSE, Factor
 from arbor.manifold import ANGLE, Pose2, StateBlock
 from arbor.processors import (
     FeatureInfo,
@@ -25,24 +25,17 @@ C_NOM = np.array([0.1, 0.1, 0.5])
 
 def build_tree():
     tr = T.ProblemTree()
-    odom = tr.emplace(T.SENSOR, tr.hardware_id,
-                      payload=SensorInfo("odom0", "diff_drive", {"tick_std": 0.001}),
-                      state_blocks={
-                          "ext_p": StateBlock(np.zeros(2), fixed=True),
-                          "ext_o": StateBlock(np.zeros(1), ANGLE, fixed=True),
-                          "intrinsic": StateBlock(C_NOM.copy()),
-                      })
-    rb = tr.emplace(T.SENSOR, tr.hardware_id,
-                    payload=SensorInfo("rb0", "range_bearing_2d",
-                                       {"range_std": 0.02, "bearing_std": 0.01}),
-                    state_blocks={
-                        "ext_p": StateBlock(np.zeros(2), fixed=True),
-                        "ext_o": StateBlock(np.zeros(1), ANGLE, fixed=True),
-                    })
-    first = tr.emplace(T.FRAME, tr.trajectory_id, timestamp=0.0, state_blocks={
-        "p": StateBlock(np.zeros(2)),
-        "o": StateBlock(np.zeros(1), ANGLE),
+    odom = tr.add_sensor(SensorInfo("odom0", "diff_drive", {"tick_std": 0.001}), {
+        "ext_p": StateBlock(np.zeros(2), fixed=True),
+        "ext_o": StateBlock(np.zeros(1), ANGLE, fixed=True),
+        "intrinsic": StateBlock(C_NOM.copy()),
     })
+    rb = tr.add_sensor(SensorInfo("rb0", "range_bearing_2d",
+                                  {"range_std": 0.02, "bearing_std": 0.01}), {
+        "ext_p": StateBlock(np.zeros(2), fixed=True),
+        "ext_o": StateBlock(np.zeros(1), ANGLE, fixed=True),
+    })
+    first = tr.add_frame(0.0, Pose2.identity())
     return tr, odom, rb, first
 
 
@@ -142,9 +135,7 @@ class TestMotionProcessor:
         proc = make_motion(tr, odom, first, max_dist=10.0)
         for k in range(1, 6):
             proc.process_capture(tr, 0.1 * k, straight_step())
-        foreign = tr.emplace(T.FRAME, tr.trajectory_id, timestamp=0.305,
-                             state_blocks={"p": StateBlock(np.zeros(2)),
-                                           "o": StateBlock(np.zeros(1), ANGLE)})
+        foreign = tr.add_frame(0.305, Pose2.identity())
         joined = proc.on_keyframe_broadcast(tr, KeyframeEvent(0.305, foreign, "other"))
         assert joined is True
         assert proc.buffer.origin_frame == foreign
@@ -157,9 +148,7 @@ class TestMotionProcessor:
         proc = make_motion(tr, odom, first, max_dist=10.0)
         for k in range(1, 6):
             proc.process_capture(tr, 0.1 * k, straight_step())
-        foreign = tr.emplace(T.FRAME, tr.trajectory_id, timestamp=0.35,
-                             state_blocks={"p": StateBlock(np.zeros(2)),
-                                           "o": StateBlock(np.zeros(1), ANGLE)})
+        foreign = tr.add_frame(0.35, Pose2.identity())
         before = tr.print_tree()
         joined = proc.on_keyframe_broadcast(tr, KeyframeEvent(0.35, foreign, "other"))
         assert not joined
@@ -174,9 +163,7 @@ class TestMotionProcessor:
             t = 0.1 * k
             if k == 5:
                 # another processor created a frame at the vote's timestamp
-                foreign = tr.emplace(T.FRAME, tr.trajectory_id, timestamp=t,
-                                     state_blocks={"p": StateBlock(np.zeros(2)),
-                                                   "o": StateBlock(np.zeros(1), ANGLE)})
+                foreign = tr.add_frame(t, Pose2.identity())
             event = proc.process_capture(tr, t, straight_step()) or event
         assert event is None  # joined, never twinned
         assert len(tr.frames()) == 2
@@ -215,8 +202,7 @@ class TestLandmarkTracker:
 
     def test_gate_association_exact_inversion(self):
         tr, _, rb, first = build_tree()
-        lm = tr.emplace(T.LANDMARK, tr.map_id, payload=LandmarkInfo(7),
-                        state_blocks={"p": StateBlock(np.array([1.0, 0.0]))})
+        lm = tr.add_landmark(np.array([1.0, 0.0]), LandmarkInfo(7))
         tracker = make_tracker(tr, rb, policy=KeyframePolicy(min_tracks=1))
         out = tracker._associate(tr, Pose2.identity(), [[1.0, 0.0]])
         raw_id, z, matched, world = out[0]
@@ -225,10 +211,8 @@ class TestLandmarkTracker:
 
     def test_gate_tie_breaks_to_lowest_index(self):
         tr, _, rb, first = build_tree()
-        lm_a = tr.emplace(T.LANDMARK, tr.map_id,
-                          state_blocks={"p": StateBlock(np.array([1.0, 0.1]))})
-        lm_b = tr.emplace(T.LANDMARK, tr.map_id,
-                          state_blocks={"p": StateBlock(np.array([1.0, -0.1]))})
+        lm_a = tr.add_landmark(np.array([1.0, 0.1]))
+        lm_b = tr.add_landmark(np.array([1.0, -0.1]))
         tracker = make_tracker(tr, rb)
         out = tracker._associate(tr, Pose2.identity(), [[1.0, 0.0]])
         assert out[0][2] == lm_a
@@ -237,8 +221,7 @@ class TestLandmarkTracker:
         tr, _, rb, first = build_tree()
         # 4 known landmarks straight ahead, min_tracks=5 -> vote
         for k in range(4):
-            tr.emplace(T.LANDMARK, tr.map_id, payload=LandmarkInfo(k),
-                       state_blocks={"p": StateBlock(np.array([1.0 + k, 0.0]))})
+            tr.add_landmark(np.array([1.0 + k, 0.0]), LandmarkInfo(k))
         tracker = make_tracker(tr, rb, policy=KeyframePolicy(min_tracks=5))
         scan = [[k, 1.0 + k, 0.0] for k in range(4)]
         tracker.association = "id"
@@ -251,8 +234,7 @@ class TestLandmarkTracker:
         tr, _, rb, first = build_tree()
         lms = []
         for k in range(3):
-            lms.append(tr.emplace(T.LANDMARK, tr.map_id, payload=LandmarkInfo(k),
-                                  state_blocks={"p": StateBlock(np.array([1.0 + k, 0.0]))}))
+            lms.append(tr.add_landmark(np.array([1.0 + k, 0.0]), LandmarkInfo(k)))
         tracker = make_tracker(tr, rb, policy=KeyframePolicy(min_tracks=3),
                                association="id")
         for k, lm in enumerate(lms):
@@ -266,8 +248,7 @@ class TestLandmarkTracker:
         tracker = make_tracker(tr, rb, policy=KeyframePolicy(min_tracks=5),
                                association="id", max_unseen_frames=2)
         tracker._kf_count = 10
-        stale = tr.emplace(T.LANDMARK, tr.map_id, payload=LandmarkInfo(3),
-                           state_blocks={"p": StateBlock(np.array([1.0, 0.0]))})
+        stale = tr.add_landmark(np.array([1.0, 0.0]), LandmarkInfo(3))
         tracker._by_raw_id[3] = stale
         tracker._last_seen[stale] = 1  # last seen 9 keyframes ago
         out = tracker._associate(tr, Pose2.identity(), [[3, 1.0, 0.0]])
@@ -276,13 +257,14 @@ class TestLandmarkTracker:
 
 class TestLoopCloser:
     def _frame_with_observations(self, tr, rb, t, pose, obs):
-        frame = tr.emplace(T.FRAME, tr.trajectory_id, timestamp=t, state_blocks={
-            "p": StateBlock(pose.p), "o": StateBlock(np.array([pose.theta]), ANGLE)})
-        cap = tr.emplace(T.CAPTURE, frame, timestamp=t,
-                         cross_refs=[(T.CAPTURE_SENSOR, rb)])
+        frame = tr.add_frame(t, pose)
+        cap = tr.add_capture(frame, t, rb)
         for raw_id, rng, brg in obs:
-            tr.emplace(T.FEATURE, cap,
-                       payload=FeatureInfo(np.array([rng, brg]), raw_id))
+            landmark = tr.add_landmark(np.zeros(2), LandmarkInfo(raw_id))
+            tr.add_factor(cap, Factor(
+                RANGE_BEARING, np.array([rng, brg]), np.eye(2),
+                constrained=[(frame, "p"), (frame, "o"), (rb, "ext_p"), (rb, "ext_o"),
+                             (landmark, "p")]), FeatureInfo(raw_id))
         return frame
 
     def test_identity_loop(self):

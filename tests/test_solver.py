@@ -42,35 +42,30 @@ from arbor.solver import (
 DATA = Path(__file__).parent / "data"
 
 
-def scalar_block_node(tr, value, name="x", fixed=False):
-    return tr.emplace(T.LANDMARK, tr.map_id,
-                      state_blocks={name: StateBlock(np.atleast_1d(value), fixed=fixed)})
+def scalar_block_node(tr, value, fixed=False):
+    """A landmark whose block ``p`` holds ``value``."""
+    return tr.add_landmark(np.atleast_1d(value), fixed=fixed)
 
 
 def attach_prior_block(tr, sensor, node, name, z, sqrt_info):
-    frame = tr.frames()[0] if tr.frames() else tr.emplace(
-        T.FRAME, tr.trajectory_id, timestamp=0.0,
-        state_blocks={"p": StateBlock(np.zeros(2)), "o": StateBlock(np.zeros(1), ANGLE)})
-    cap = tr.emplace(T.CAPTURE, frame, timestamp=0.0,
-                     cross_refs=[(T.CAPTURE_SENSOR, sensor)])
-    feat = tr.emplace(T.FEATURE, cap)
+    frame = tr.frames()[0] if tr.frames() else tr.add_frame(0.0, Pose2.identity())
+    cap = tr.add_capture(frame, 0.0, sensor)
     f = Factor(PRIOR_BLOCK, np.atleast_1d(z), np.atleast_2d(sqrt_info),
                constrained=[(node, name)])
-    return tr.emplace(T.FACTOR, feat, payload=f)
+    return tr.add_factor(cap, f)
 
 
 def fresh():
     tr = T.ProblemTree()
-    sensor = tr.emplace(T.SENSOR, tr.hardware_id,
-                        state_blocks={"intrinsic": StateBlock(np.ones(1))})
+    sensor = tr.add_sensor(None, {"intrinsic": StateBlock(np.ones(1))})
     return tr, sensor
 
 
 def make_pose_frame(tr, t, pose, fixed=False):
-    return tr.emplace(T.FRAME, tr.trajectory_id, timestamp=t, state_blocks={
-        "p": StateBlock(pose.p, fixed=fixed),
-        "o": StateBlock(np.array([pose.theta]), ANGLE, fixed=fixed),
-    })
+    frame = tr.add_frame(t, pose)
+    for block in tr.node(frame).state_blocks.values():
+        block.fixed = fixed
+    return frame
 
 
 class TestSync:
@@ -94,7 +89,7 @@ class TestSync:
     def test_removed_factor_leaves_linearization(self):
         tr, sensor = fresh()
         node = scalar_block_node(tr, 0.0)
-        fid = attach_prior_block(tr, sensor, node, "x", 5.0, 1.0)
+        fid = attach_prior_block(tr, sensor, node, "p", 5.0, 1.0)
         problem = SolverProblem()
         sync(problem, tr)
         assert fid in problem.factors
@@ -110,11 +105,87 @@ class TestSync:
             sync(problem, tr)
 
 
+class TestSyncMirror:
+    """After every ``sync`` the solver holds exactly the tree's live blocks,
+    each in its own slot, and factors, and each stack row's slots are its
+    factor's blocks."""
+
+    @staticmethod
+    def assert_mirrors(tr, problem):
+        assert set(problem.blocks) == {(nid, name) for nid, node in tr._nodes.items()
+                                       for name in node.state_blocks}
+        assert set(problem.factors) == {nid for nid in tr._nodes if nid.kind == T.FACTOR}
+        assert len({entry.slot for entry in problem.blocks.values()}) == len(problem.blocks)
+        assert sum(stack.n for stack in problem.stacks.values()) == len(problem.factors)
+        for stack in problem.stacks.values():
+            for index, slots in zip(stack.ids, stack.slots):
+                factor = tr.node(T.NodeId(T.FACTOR, int(index))).payload
+                assert list(slots) == [problem.blocks[c].slot for c in factor.constrained]
+        for key, entry in problem.blocks.items():
+            assert entry.offset is None or not tr.block(*key).fixed
+        assert tr.check_consistency() == []
+
+    @pytest.mark.parametrize("variant", [T.FIX_OLDEST, T.REMOVE_WITH_PRIOR])
+    def test_randomized_sequences(self, variant):
+        rng = np.random.default_rng(71)
+        tr = T.ProblemTree()
+        sensor = tr.add_sensor(None, {"ext_p": StateBlock(np.zeros(2)),
+                                      "ext_o": StateBlock(np.zeros(1), ANGLE)})
+        policy = T.WindowPolicy(variant, 4)
+        problem = SolverProblem()
+        for step in range(400):
+            frames = tr.frames()
+            landmarks = tr.children(tr.map_id, T.LANDMARK)
+            frame = frames[int(rng.integers(len(frames)))] if frames else None
+            roll = rng.uniform()
+            if roll < 0.2 or frame is None:
+                tr.add_frame(float(step), Pose2(rng.uniform(-5, 5, 2), rng.uniform(-3, 3)))
+                tr.enforce_window(policy)
+            elif roll < 0.3:
+                tr.add_landmark(rng.uniform(-5, 5, 2))
+            elif roll < 0.4:
+                name = f"v{step}"
+                tr.add_block_to_frame(frame, name, StateBlock(rng.uniform(-1, 1, 1)))
+                tr.add_factor(tr.add_capture(frame, float(step), sensor), Factor(
+                    PRIOR_BLOCK, np.zeros(1), np.eye(1), constrained=[(frame, name)]))
+            elif roll < 0.6 and landmarks:
+                lm = landmarks[int(rng.integers(len(landmarks)))]
+                tr.add_factor(tr.add_capture(frame, float(step), sensor), Factor(
+                    RANGE_BEARING, rng.uniform(0.5, 3.0, 2), np.eye(2),
+                    constrained=[(frame, "p"), (frame, "o"), (sensor, "ext_p"),
+                                 (sensor, "ext_o"), (lm, "p")]))
+            elif roll < 0.7:
+                other = frames[int(rng.integers(len(frames)))]
+                tr.add_factor(tr.add_capture(frame, float(step), sensor), Factor(
+                    RELATIVE_POSE, rng.uniform(-1, 1, 3), np.eye(3),
+                    constrained=[(other, "p"), (other, "o"), (frame, "p"), (frame, "o")]))
+            elif roll < 0.75:
+                tr.add_pose_prior(frame, sensor, np.eye(3))
+            elif roll < 0.85:
+                tr.remove(frame)
+            elif roll < 0.92 and landmarks:
+                tr.remove(landmarks[int(rng.integers(len(landmarks)))])
+            else:
+                factors = [n for n in tr._nodes if n.kind == T.FACTOR]
+                if factors:
+                    tr.remove(factors[int(rng.integers(len(factors)))])
+            if rng.uniform() < 0.3:
+                sync(problem, tr)
+                self.assert_mirrors(tr, problem)
+        sync(problem, tr)
+        self.assert_mirrors(tr, problem)
+        assert problem.factors and problem.stacks
+        if variant == T.FIX_OLDEST:
+            assert any(tr.block(*key).fixed for key in problem.blocks)
+        else:
+            assert len(tr.frames()) <= 4
+
+
 class TestTotalCost:
     def test_zero_residuals(self):
         tr, sensor = fresh()
         node = scalar_block_node(tr, 5.0)
-        attach_prior_block(tr, sensor, node, "x", 5.0, 1.0)
+        attach_prior_block(tr, sensor, node, "p", 5.0, 1.0)
         problem = SolverProblem()
         sync(problem, tr)
         assert total_cost(problem, _table(problem, tr)) == pytest.approx(0.0)
@@ -122,19 +193,18 @@ class TestTotalCost:
     def test_hand_value(self):
         # residual (3, 4): cost = ||r||^2 / 2 = 25/2
         tr, sensor = fresh()
-        node = tr.emplace(T.LANDMARK, tr.map_id,
-                          state_blocks={"x": StateBlock(np.array([3.0, 4.0]))})
-        attach_prior_block(tr, sensor, node, "x", np.zeros(2), np.eye(2))
+        node = tr.add_landmark(np.array([3.0, 4.0]))
+        attach_prior_block(tr, sensor, node, "p", np.zeros(2), np.eye(2))
         problem = SolverProblem()
         sync(problem, tr)
         assert total_cost(problem, _table(problem, tr)) == pytest.approx(12.5)
 
     def test_block_order_invariance(self):
         tr, sensor = fresh()
-        a = scalar_block_node(tr, 1.0, "a")
-        b = scalar_block_node(tr, 2.0, "b")
-        attach_prior_block(tr, sensor, a, "a", 0.0, 1.0)
-        attach_prior_block(tr, sensor, b, "b", 0.0, 2.0)
+        a = scalar_block_node(tr, 1.0)
+        b = scalar_block_node(tr, 2.0)
+        attach_prior_block(tr, sensor, a, "p", 0.0, 1.0)
+        attach_prior_block(tr, sensor, b, "p", 0.0, 2.0)
         problem = SolverProblem()
         sync(problem, tr)
         cost = total_cost(problem, _table(problem, tr))
@@ -148,18 +218,15 @@ class TestApplyStep:
         tr, sensor = fresh()
         node = scalar_block_node(tr, 0.0)
         frame = make_pose_frame(tr, 0.0, Pose2(np.zeros(2), math.pi - 0.1))
-        fixed = scalar_block_node(tr, 7.0, "y", fixed=True)
-        attach_prior_block(tr, sensor, node, "x", 5.0, 1.0)
-        cap = tr.emplace(T.CAPTURE, frame, timestamp=0.0,
-                         cross_refs=[(T.CAPTURE_SENSOR, sensor)])
-        feat = tr.emplace(T.FEATURE, cap)
+        fixed = scalar_block_node(tr, 7.0, fixed=True)
+        attach_prior_block(tr, sensor, node, "p", 5.0, 1.0)
+        cap = tr.add_capture(frame, 0.0, sensor)
         pose_prior = Factor(PRIOR_POSE, np.array([0.0, 0.0, math.pi - 0.1]), np.eye(3),
                             constrained=[(frame, "p"), (frame, "o")])
-        tr.emplace(T.FACTOR, feat, payload=pose_prior)
+        tr.add_factor(cap, pose_prior)
         fixed_prior = Factor(PRIOR_BLOCK, np.zeros(1), np.eye(1),
-                             constrained=[(fixed, "y")])
-        feat2 = tr.emplace(T.FEATURE, cap)
-        tr.emplace(T.FACTOR, feat2, payload=fixed_prior)
+                             constrained=[(fixed, "p")])
+        tr.add_factor(cap, fixed_prior)
         problem = SolverProblem()
         sync(problem, tr)
         return tr, problem, node, frame, fixed
@@ -180,7 +247,7 @@ class TestApplyStep:
 
     def test_fixed_block_bit_identical(self):
         tr, problem, _, _, fixed = self._problem()
-        slot = problem.blocks[(fixed, "y")].slot
+        slot = problem.blocks[(fixed, "p")].slot
         before = _table(problem, tr)
         after = _stepped(problem, before, np.ones(problem.total_dim))
         np.testing.assert_array_equal(after[slot], before[slot])
@@ -207,23 +274,23 @@ class TestLmSolve:
         # 1e-4 damping bias
         tr, sensor = fresh()
         node = scalar_block_node(tr, 0.0)
-        attach_prior_block(tr, sensor, node, "x", 5.0, 1.0)
+        attach_prior_block(tr, sensor, node, "p", 5.0, 1.0)
         problem = SolverProblem(SolverOptions(max_iterations=1))
         sync(problem, tr)
         report = lm_solve(problem, tr)
-        assert tr.block(node, "x").values[0] == pytest.approx(5.0, abs=1e-3)
+        assert tr.block(node, "p").values[0] == pytest.approx(5.0, abs=1e-3)
         assert report.accepted_steps == 1
         assert report.final_cost < 1e-6 * report.initial_cost
 
     def test_two_priors_average(self):
         tr, sensor = fresh()
         node = scalar_block_node(tr, 0.3)
-        attach_prior_block(tr, sensor, node, "x", 0.0, 1.0)
-        attach_prior_block(tr, sensor, node, "x", 2.0, 1.0)
+        attach_prior_block(tr, sensor, node, "p", 0.0, 1.0)
+        attach_prior_block(tr, sensor, node, "p", 2.0, 1.0)
         problem = SolverProblem(SolverOptions(max_iterations=30))
         sync(problem, tr)
         lm_solve(problem, tr)
-        assert tr.block(node, "x").values[0] == pytest.approx(1.0, abs=1e-9)
+        assert tr.block(node, "p").values[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_linear_problem_matches_dense_oracle(self):
         rng = np.random.default_rng(50)
@@ -235,14 +302,13 @@ class TestLmSolve:
             z_center = rng.uniform(-2, 2, n)
             # unit-scale initial offset: two damped iterations contract the
             # error by 1e-4 * 1e-5, i.e. below 1e-9
-            node = tr.emplace(T.LANDMARK, tr.map_id,
-                              state_blocks={"x": StateBlock(z_center + rng.uniform(-0.5, 0.5, n))})
+            node = tr.add_landmark(z_center + rng.uniform(-0.5, 0.5, n))
             us, zs = [], []
             for _ in range(int(rng.integers(1, 4))):
                 a = rng.normal(size=(n, n))
                 u = np.linalg.cholesky(a @ a.T + n * np.eye(n)).T
                 z = z_center + rng.uniform(-0.3, 0.3, n)
-                attach_prior_block(tr, sensor, node, "x", z, u)
+                attach_prior_block(tr, sensor, node, "p", z, u)
                 us.append(u)
                 zs.append(z)
             # closed-form weighted mean: (sum U^T U)^-1 sum U^T U z
@@ -255,7 +321,7 @@ class TestLmSolve:
         report = lm_solve(problem, tr)
         assert report.iterations <= 2
         for node, want in zip(nodes, expected):
-            np.testing.assert_allclose(tr.block(node, "x").values, want, atol=1e-9)
+            np.testing.assert_allclose(tr.block(node, "p").values, want, atol=1e-9)
 
     def test_nonlinear_two_frames(self):
         tr, sensor = fresh()
@@ -264,14 +330,11 @@ class TestLmSolve:
         truth, _, _ = pose_compose(xi, z)
         f_i = make_pose_frame(tr, 0.0, xi)
         f_j = make_pose_frame(tr, 1.0, Pose2(np.array([0.0, 0.0]), 0.0))
-        cap = tr.emplace(T.CAPTURE, f_i, timestamp=0.0,
-                         cross_refs=[(T.CAPTURE_SENSOR, sensor)])
-        feat = tr.emplace(T.FEATURE, cap)
-        tr.emplace(T.FACTOR, feat, payload=Factor(
+        cap = tr.add_capture(f_i, 0.0, sensor)
+        tr.add_factor(cap, Factor(
             PRIOR_POSE, xi.as_array(), np.eye(3) * 100.0,
             constrained=[(f_i, "p"), (f_i, "o")]))
-        feat2 = tr.emplace(T.FEATURE, cap)
-        tr.emplace(T.FACTOR, feat2, payload=Factor(
+        tr.add_factor(cap, Factor(
             RELATIVE_POSE, z.as_array(), np.eye(3) * 10.0,
             constrained=[(f_i, "p"), (f_i, "o"), (f_j, "p"), (f_j, "o")]))
         problem = SolverProblem(SolverOptions(max_iterations=50, tol_dx=1e-14))
@@ -285,10 +348,8 @@ class TestLmSolve:
         tr, sensor = fresh()
         f_i = make_pose_frame(tr, 0.0, Pose2.identity())
         f_j = make_pose_frame(tr, 1.0, Pose2(np.array([1.0, 0.0]), 0.0))
-        cap = tr.emplace(T.CAPTURE, f_i, timestamp=0.0,
-                         cross_refs=[(T.CAPTURE_SENSOR, sensor)])
-        feat = tr.emplace(T.FEATURE, cap)
-        tr.emplace(T.FACTOR, feat, payload=Factor(
+        cap = tr.add_capture(f_i, 0.0, sensor)
+        tr.add_factor(cap, Factor(
             RELATIVE_POSE, np.array([1.0, 0.0, 0.0]), np.eye(3),
             constrained=[(f_i, "p"), (f_i, "o"), (f_j, "p"), (f_j, "o")]))
         problem = SolverProblem()
@@ -300,10 +361,8 @@ class TestLmSolve:
         tr, sensor = fresh()
         f_i = make_pose_frame(tr, 0.0, Pose2.identity(), fixed=True)
         f_j = make_pose_frame(tr, 1.0, Pose2(np.array([0.9, 0.1]), 0.05))
-        cap = tr.emplace(T.CAPTURE, f_i, timestamp=0.0,
-                         cross_refs=[(T.CAPTURE_SENSOR, sensor)])
-        feat = tr.emplace(T.FEATURE, cap)
-        tr.emplace(T.FACTOR, feat, payload=Factor(
+        cap = tr.add_capture(f_i, 0.0, sensor)
+        tr.add_factor(cap, Factor(
             RELATIVE_POSE, np.array([1.0, 0.0, 0.0]), np.eye(3),
             constrained=[(f_i, "p"), (f_i, "o"), (f_j, "p"), (f_j, "o")]))
         problem = SolverProblem()
@@ -316,25 +375,25 @@ class TestLmSolve:
     def test_fixed_and_untouched_blocks_never_move(self):
         tr, sensor = fresh()
         node = scalar_block_node(tr, 0.0)
-        fixed = scalar_block_node(tr, 7.0, "y", fixed=True)
-        untouched = scalar_block_node(tr, 3.0, "z")
-        attach_prior_block(tr, sensor, node, "x", 5.0, 1.0)
-        attach_prior_block(tr, sensor, fixed, "y", 0.0, 1.0)
+        fixed = scalar_block_node(tr, 7.0, fixed=True)
+        untouched = scalar_block_node(tr, 3.0)
+        attach_prior_block(tr, sensor, node, "p", 5.0, 1.0)
+        attach_prior_block(tr, sensor, fixed, "p", 0.0, 1.0)
         problem = SolverProblem()
         sync(problem, tr)
         lm_solve(problem, tr)
-        assert tr.block(fixed, "y").values[0] == 7.0
-        assert tr.block(untouched, "z").values[0] == 3.0
+        assert tr.block(fixed, "p").values[0] == 7.0
+        assert tr.block(untouched, "p").values[0] == 3.0
 
     def test_non_finite_initial_cost_raises(self):
         tr, sensor = fresh()
         node = scalar_block_node(tr, 1e200)
-        attach_prior_block(tr, sensor, node, "x", 0.0, 1e200)
+        attach_prior_block(tr, sensor, node, "p", 0.0, 1e200)
         problem = SolverProblem()
         sync(problem, tr)
         with pytest.raises(DivergenceError, match="initial cost is not finite"):
             lm_solve(problem, tr)
-        assert tr.block(node, "x").values[0] == 1e200
+        assert tr.block(node, "p").values[0] == 1e200
 
     def test_nothing_to_solve(self):
         tr, _ = fresh()
@@ -347,8 +406,8 @@ class TestLmSolve:
     def test_report_costs_monotone(self):
         tr, sensor = fresh()
         node = scalar_block_node(tr, 10.0)
-        attach_prior_block(tr, sensor, node, "x", 0.0, 1.0)
-        attach_prior_block(tr, sensor, node, "x", 1.0, 3.0)
+        attach_prior_block(tr, sensor, node, "p", 0.0, 1.0)
+        attach_prior_block(tr, sensor, node, "p", 1.0, 3.0)
         problem = SolverProblem()
         sync(problem, tr)
         report = lm_solve(problem, tr)
@@ -372,17 +431,13 @@ class TestFillIn:
         tr, sensor = fresh()
         frames = [make_pose_frame(tr, float(k), Pose2(np.array([float(k), 0.0]), 0.0))
                   for k in range(6)]
-        cap = tr.emplace(T.CAPTURE, frames[0], timestamp=0.0,
-                         cross_refs=[(T.CAPTURE_SENSOR, sensor)])
-        feat = tr.emplace(T.FEATURE, cap)
-        tr.emplace(T.FACTOR, feat, payload=Factor(
+        cap = tr.add_capture(frames[0], 0.0, sensor)
+        tr.add_factor(cap, Factor(
             PRIOR_POSE, np.zeros(3), np.eye(3),
             constrained=[(frames[0], "p"), (frames[0], "o")]))
         for a, b in zip(frames, frames[1:]):
-            capn = tr.emplace(T.CAPTURE, b, timestamp=tr.node(b).timestamp,
-                              cross_refs=[(T.CAPTURE_SENSOR, sensor)])
-            featn = tr.emplace(T.FEATURE, capn)
-            tr.emplace(T.FACTOR, featn, payload=Factor(
+            capn = tr.add_capture(b, tr.node(b).timestamp, sensor)
+            tr.add_factor(capn, Factor(
                 RELATIVE_POSE, np.array([1.0, 0.0, 0.0]), np.eye(3),
                 constrained=[(a, "p"), (a, "o"), (b, "p"), (b, "o")]))
         problem = SolverProblem()
@@ -404,17 +459,14 @@ class TestSingularTrialStep:
         # ahead; a stiff prior pulls the landmark to -lambda_init * start, so
         # the first damped step from ``start`` lands on the sensor origin
         tr, sensor = fresh()
-        rb = tr.emplace(T.SENSOR, tr.hardware_id, state_blocks={
+        rb = tr.add_sensor(None, {
             "ext_p": StateBlock(np.zeros(2), fixed=True),
             "ext_o": StateBlock(np.zeros(1), ANGLE, fixed=True),
         })
         frame = make_pose_frame(tr, 0.0, Pose2.identity(), fixed=True)
-        landmark = tr.emplace(T.LANDMARK, tr.map_id,
-                              state_blocks={"p": StateBlock(np.array(start, dtype=float))})
-        cap = tr.emplace(T.CAPTURE, frame, timestamp=0.0,
-                         cross_refs=[(T.CAPTURE_SENSOR, rb)])
-        feat = tr.emplace(T.FEATURE, cap)
-        tr.emplace(T.FACTOR, feat, payload=Factor(
+        landmark = tr.add_landmark(np.array(start, dtype=float))
+        cap = tr.add_capture(frame, 0.0, rb)
+        tr.add_factor(cap, Factor(
             RANGE_BEARING, np.array([1.0, 0.0]), 1e-3 * np.eye(2),
             constrained=[(frame, "p"), (frame, "o"), (rb, "ext_p"), (rb, "ext_o"),
                          (landmark, "p")]))

@@ -12,38 +12,33 @@ from arbor.factors import PRIOR_BLOCK, PRIOR_POSE, RANGE_BEARING, Factor
 from arbor.manifold import ANGLE, EUCLIDEAN, Pose2, StateBlock
 
 
-def pose_blocks(x=0.0, y=0.0, theta=0.0, fixed=False):
-    return {
-        "p": StateBlock(np.array([x, y]), fixed=fixed),
-        "o": StateBlock(np.array([theta]), ANGLE, fixed=fixed),
-    }
-
-
 def make_tree_with_sensor():
     tr = T.ProblemTree()
-    sensor = tr.emplace(T.SENSOR, tr.hardware_id,
-                        state_blocks={"intrinsic": StateBlock(np.array([0.1, 0.1, 0.5]))})
+    sensor = tr.add_sensor(None, {"intrinsic": StateBlock(np.array([0.1, 0.1, 0.5]))})
     return tr, sensor
 
 
-def add_frame(tr, t, **kw):
-    return tr.emplace(T.FRAME, tr.trajectory_id, timestamp=t, state_blocks=pose_blocks(**kw))
+def add_frame(tr, t, x=0.0, y=0.0, theta=0.0, fixed=False):
+    frame = tr.add_frame(t, Pose2(np.array([x, y]), theta))
+    for block in tr.node(frame).state_blocks.values():
+        block.fixed = fixed
+    return frame
 
 
 def add_observation(tr, sensor, frame, landmark, t):
     """Capture -> Feature -> range-bearing Factor against a landmark."""
-    cap = tr.emplace(T.CAPTURE, frame, timestamp=t,
-                     cross_refs=[(T.CAPTURE_SENSOR, sensor)])
-    feat = tr.emplace(T.FEATURE, cap)
+    cap = tr.add_capture(frame, t, sensor)
     factor = Factor(RANGE_BEARING, np.array([1.0, 0.0]), np.eye(2),
                     constrained=[(frame, "p"), (frame, "o"),
                                  (sensor, "intrinsic"), (sensor, "intrinsic"),
                                  (landmark, "p")])
-    fid = tr.emplace(T.FACTOR, feat, payload=factor)
-    return cap, feat, fid
+    fid = tr.add_factor(cap, factor)
+    return cap, tr.node(fid).parent, fid
 
 
 class TestEmplace:
+    """What the builders check and record when they place a node."""
+
     def test_frame_emits_block_notifications(self):
         tr = T.ProblemTree()
         tr.drain_notifications()
@@ -55,36 +50,45 @@ class TestEmplace:
     def test_capture_sensor_reference_queryable_both_ends(self):
         tr, sensor = make_tree_with_sensor()
         frame = add_frame(tr, 0.0)
-        cap = tr.emplace(T.CAPTURE, frame, timestamp=0.0,
-                         cross_refs=[(T.CAPTURE_SENSOR, sensor)])
-        refs = tr.node(cap).cross_refs
-        assert len(refs) == 1 and refs[0].dst == sensor
+        cap = tr.add_capture(frame, 0.0, sensor)
+        assert tr.node(cap).refs == (sensor,)
         assert cap in tr._incoming[sensor]
 
     def test_illegal_parent_kind(self):
         tr, sensor = make_tree_with_sensor()
+        frame = add_frame(tr, 0.0)
+        cap = tr.add_capture(frame, 0.0, sensor)
+        prior = Factor(PRIOR_POSE, np.zeros(3), np.eye(3), constrained=[(frame, "p"), (frame, "o")])
         with pytest.raises(StructureError):
-            tr.emplace(T.FEATURE, sensor)
+            tr.add_capture(sensor, 0.0, sensor)  # a capture goes under a Frame
+        with pytest.raises(StructureError):
+            tr.add_capture(frame, 0.0, frame)  # ... and refers to a Sensor
+        with pytest.raises(StructureError):
+            tr.add_factor(frame, prior)  # a factor goes under a Capture
+        with pytest.raises(StructureError):
+            tr.add_block_to_frame(cap, "v", StateBlock(np.zeros(2)))
+        assert tr.children(frame) == [cap] and tr.check_consistency() == []
 
     def test_unknown_parent(self):
-        tr = T.ProblemTree()
+        tr, sensor = make_tree_with_sensor()
         with pytest.raises(NotFoundError):
-            tr.emplace(T.FRAME, T.NodeId(T.TRAJECTORY, 999), timestamp=0.0)
+            tr.add_capture(T.NodeId(T.FRAME, 999), 0.0, sensor)
+        frame = add_frame(tr, 0.0)
+        with pytest.raises(NotFoundError):
+            tr.add_capture(frame, 0.0, T.NodeId(T.SENSOR, 999))
 
     def test_factor_referencing_blockless_node(self):
         tr, sensor = make_tree_with_sensor()
         frame = add_frame(tr, 0.0)
-        cap = tr.emplace(T.CAPTURE, frame, timestamp=0.0,
-                         cross_refs=[(T.CAPTURE_SENSOR, sensor)])
-        feat = tr.emplace(T.FEATURE, cap)
-        with pytest.raises(CrossRefError):
-            tr.emplace(T.FACTOR, feat, payload=None,
-                       cross_refs=[(T.FACTOR_CONSTRAINS, cap)])  # capture owns no blocks
-
-    def test_frame_requires_timestamp(self):
-        tr = T.ProblemTree()
-        with pytest.raises(StructureError):
-            tr.emplace(T.FRAME, tr.trajectory_id)
+        cap = tr.add_capture(frame, 0.0, sensor)
+        tr.drain_notifications()
+        for constrained in ([(cap, "p")],                    # capture owns no blocks
+                            [(frame, "p"), (frame, "v")],    # frame has no block v
+                            [(T.NodeId(T.LANDMARK, 999), "p")]):
+            with pytest.raises(CrossRefError):
+                tr.add_factor(cap, Factor(PRIOR_BLOCK, np.zeros(2), np.eye(2),
+                                          constrained=constrained))
+        assert tr.children(cap) == [] and tr.drain_notifications() == []
 
     def test_indices_monotonic_never_reused(self):
         tr = T.ProblemTree()
@@ -110,16 +114,16 @@ class TestBuilders:
     def test_add_capture_and_factor(self):
         tr, sensor = make_tree_with_sensor()
         frame = tr.add_frame(0.0, Pose2.identity())
-        landmark = tr.emplace(T.LANDMARK, tr.map_id,
-                              state_blocks={"p": StateBlock(np.array([1.0, 0.0]))})
+        landmark = tr.add_landmark(np.array([1.0, 0.0]))
         cap = tr.add_capture(frame, 0.1, sensor)
         assert tr.node(cap).parent == frame and tr.node(cap).timestamp == 0.1
-        assert [(r.role, r.dst) for r in tr.node(cap).cross_refs] == [(T.CAPTURE_SENSOR, sensor)]
+        assert tr.node(cap).refs == (sensor,)
         factor = Factor(RANGE_BEARING, np.array([1.0, 0.0]), np.eye(2),
                         constrained=[(frame, "p"), (frame, "o"), (landmark, "p")])
         fid = tr.add_factor(cap, factor, feature="obs")
         feature = tr.node(fid).parent
         assert tr.node(fid).payload is factor
+        assert tr.node(fid).refs == (frame, landmark)
         assert tr.node(feature).parent == cap and tr.node(feature).payload == "obs"
         assert tr.check_consistency() == []
 
@@ -128,7 +132,7 @@ class TestBuilders:
         frame = tr.add_frame(2.0, Pose2(np.array([1.0, -1.0]), 0.5))
         cap = tr.add_pose_prior(frame, sensor, np.eye(3) * 4.0)
         assert tr.node(cap).parent == frame and tr.node(cap).timestamp == 2.0
-        assert [r.dst for r in tr.node(cap).cross_refs] == [sensor]
+        assert tr.node(cap).refs == (sensor,)
         (fid,) = tr.factors_referencing(frame)
         assert tr.node(tr.node(fid).parent).parent == cap
         prior = tr.node(fid).payload
@@ -159,16 +163,13 @@ class TestAddBlock:
 class TestRemove:
     def test_recursive_removal_notifications(self):
         tr, sensor = make_tree_with_sensor()
-        landmark = tr.emplace(T.LANDMARK, tr.map_id,
-                              state_blocks={"p": StateBlock(np.array([1.0, 0.0]))})
+        landmark = tr.add_landmark(np.array([1.0, 0.0]))
         frame = add_frame(tr, 0.0)
-        cap = tr.emplace(T.CAPTURE, frame, timestamp=0.0,
-                         cross_refs=[(T.CAPTURE_SENSOR, sensor)])
+        cap = tr.add_capture(frame, 0.0, sensor)
         for _ in range(2):
-            feat = tr.emplace(T.FEATURE, cap)
             factor = Factor(PRIOR_POSE, np.zeros(3), np.eye(3),
                             constrained=[(frame, "p"), (frame, "o")])
-            tr.emplace(T.FACTOR, feat, payload=factor)
+            tr.add_factor(cap, factor)
         tr.drain_notifications()
         tr.remove(frame)
         notes = tr.drain_notifications()
@@ -180,8 +181,7 @@ class TestRemove:
 
     def test_removing_landmark_removes_referencing_factor(self):
         tr, sensor = make_tree_with_sensor()
-        landmark = tr.emplace(T.LANDMARK, tr.map_id,
-                              state_blocks={"p": StateBlock(np.array([1.0, 0.0]))})
+        landmark = tr.add_landmark(np.array([1.0, 0.0]))
         f1 = add_frame(tr, 0.0)
         f2 = add_frame(tr, 1.0)
         _, _, factor1 = add_observation(tr, sensor, f1, landmark, 0.0)
@@ -195,8 +195,7 @@ class TestRemove:
     def test_removing_sensor_removes_its_captures(self):
         tr, sensor = make_tree_with_sensor()
         frame = add_frame(tr, 0.0)
-        cap = tr.emplace(T.CAPTURE, frame, timestamp=0.0,
-                         cross_refs=[(T.CAPTURE_SENSOR, sensor)])
+        cap = tr.add_capture(frame, 0.0, sensor)
         tr.remove(sensor)
         assert cap not in tr
         assert frame in tr
@@ -248,8 +247,7 @@ class TestNotifications:
 
     def test_add_then_remove_cancels(self):
         tr, sensor = make_tree_with_sensor()
-        landmark = tr.emplace(T.LANDMARK, tr.map_id,
-                              state_blocks={"p": StateBlock(np.zeros(2))})
+        landmark = tr.add_landmark(np.zeros(2))
         frame = add_frame(tr, 0.0)
         tr.drain_notifications()
         _, _, factor = add_observation(tr, sensor, frame, landmark, 0.0)
@@ -271,8 +269,7 @@ class TestNotifications:
 class TestConsistency:
     def _demo_tree(self):
         tr, sensor = make_tree_with_sensor()
-        landmark = tr.emplace(T.LANDMARK, tr.map_id,
-                              state_blocks={"p": StateBlock(np.array([1.0, 2.0]))})
+        landmark = tr.add_landmark(np.array([1.0, 2.0]))
         f1 = add_frame(tr, 0.0)
         f2 = add_frame(tr, 1.0)
         add_observation(tr, sensor, f1, landmark, 0.0)
@@ -392,8 +389,7 @@ class TestPrintTree:
 
     def test_deterministic(self):
         tr, sensor = make_tree_with_sensor()
-        landmark = tr.emplace(T.LANDMARK, tr.map_id,
-                              state_blocks={"p": StateBlock(np.zeros(2))})
+        landmark = tr.add_landmark(np.zeros(2))
         frame = add_frame(tr, 0.25)
         add_observation(tr, sensor, frame, landmark, 0.25)
         assert tr.print_tree() == tr.print_tree()
@@ -435,9 +431,7 @@ class TestNotificationConservation:
                 if roll < 0.35 or not frames:
                     frames.append(add_frame(tr, float(step)))
                 elif roll < 0.55:
-                    landmarks.append(tr.emplace(
-                        T.LANDMARK, tr.map_id,
-                        state_blocks={"p": StateBlock(rng.uniform(-5, 5, 2))}))
+                    landmarks.append(tr.add_landmark(rng.uniform(-5, 5, 2)))
                 elif roll < 0.75 and landmarks:
                     frame = frames[int(rng.integers(len(frames)))]
                     lm = landmarks[int(rng.integers(len(landmarks)))]

@@ -1,52 +1,48 @@
-"""Only ``arbor.tree`` lays out frames, captures, features and factors.
+"""Only ``arbor.tree`` constructs tree nodes.
 
-Every other module grows the trajectory branch through the
-``ProblemTree.add_frame``/``add_capture``/``add_factor``/``add_pose_prior``
-methods, never by emplacing those node kinds itself.
+Every other module, tests included, grows the tree through the
+``ProblemTree`` builders (``add_sensor``, ``add_processor``,
+``add_landmark``, ``add_frame``, ``add_capture``, ``add_factor``,
+``add_pose_prior``), never through the private constructor ``_new_node``,
+and the tree has no generic public ``emplace`` beside them.
 """
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).parent.parent / "src" / "arbor"
-LAID_OUT_BY_TREE = {"FRAME", "CAPTURE", "FEATURE", "FACTOR"}
+from arbor.tree import ProblemTree
+
+TESTS = Path(__file__).parent
+SRC = TESTS.parent / "src" / "arbor"
+PRIVATE_CONSTRUCTOR = "_new_node"
 
 
-def _kind_name(arg):
-    if isinstance(arg, ast.Attribute):
-        return arg.attr
-    if isinstance(arg, ast.Name):
-        return arg.id
-    if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
-        return arg.value.upper()
-    return None
-
-
-def layout_emplaces(source: str) -> list:
-    """Line numbers of ``emplace`` calls whose kind is one the tree lays out."""
+def constructor_uses(source: str) -> list:
+    """Line numbers that reach the private constructor, by attribute or by name."""
     lines = []
     for node in ast.walk(ast.parse(source)):
-        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "emplace"):
-            continue
-        kinds = node.args[:1] + [kw.value for kw in node.keywords if kw.arg == "kind"]
-        if any(_kind_name(k) in LAID_OUT_BY_TREE for k in kinds):
+        if isinstance(node, ast.Attribute) and node.attr == PRIVATE_CONSTRUCTOR:
             lines.append(node.lineno)
-    return lines
+        elif isinstance(node, ast.Constant) and node.value == PRIVATE_CONSTRUCTOR:
+            lines.append(node.lineno)
+    return sorted(lines)
 
 
 def test_guard_sees_each_spelling():
-    source = ("tree.emplace(T.FRAME, tr.trajectory_id)\n"
-              "tree.emplace(kind=FACTOR, parent=feature)\n"
-              "tree.emplace('Capture', frame)\n"
-              "tree.emplace(T.LANDMARK, tree.map_id)\n")
-    assert layout_emplaces(source) == [1, 2, 3]
+    source = ("tree._new_node(T.FRAME, tree.trajectory_id)\n"
+              "self.tree._new_node(kind=FACTOR, parent_id=feature)\n"
+              "ProblemTree._new_node(tree, 'Capture', frame)\n"
+              "getattr(tree, '_new_node')(T.LANDMARK, tree.map_id)\n"
+              "build = tree._new_node\n"
+              "tree.add_landmark(p)\n")
+    assert constructor_uses(source) == [1, 2, 3, 4, 5]
 
 
 def test_only_tree_emplaces_frames_and_measurements():
-    modules = sorted(SRC.rglob("*.py"))
+    modules = sorted(SRC.rglob("*.py")) + sorted(TESTS.rglob("*.py"))
     assert modules
     offenders = [f"{path.name}:{line}"
-                 for path in modules if path.name != "tree.py"
-                 for line in layout_emplaces(path.read_text())]
+                 for path in modules if path.name not in ("tree.py", Path(__file__).name)
+                 for line in constructor_uses(path.read_text())]
     assert offenders == []
+    assert not hasattr(ProblemTree, "emplace")
