@@ -83,7 +83,7 @@ class LoopPolicy:
 class KeyframeEvent:
     t: float
     frame: T.NodeId
-    creator: str
+    creator: object  # the processor that voted the keyframe
 
 
 @dataclass
@@ -204,7 +204,7 @@ class MotionProcessor:
         frame = tree.add_frame(t, self.high_rate_pose(tree, t))
         self._attach_segment(tree, frame, self.buffer, sqrt_info)
         self._reset(tree, frame, t)
-        return KeyframeEvent(t, frame, self.name)
+        return KeyframeEvent(t, frame, self)
 
     def _vote(self, t: float) -> bool:
         d = self.buffer.delta_bar
@@ -397,7 +397,7 @@ class LandmarkTracker:
             return None
         frame = tree.add_frame(t, pose)
         self._attach(tree, frame)
-        return KeyframeEvent(t, frame, self.name)
+        return KeyframeEvent(t, frame, self)
 
     def _attach(self, tree, frame: T.NodeId):
         """Add the pending capture with its features, landmarks and factors."""
@@ -589,7 +589,7 @@ class Pipeline:
 
     def broadcast(self, event: KeyframeEvent):
         for proc in self.processors:
-            if proc.name == event.creator:
+            if proc is event.creator:
                 continue
             if hasattr(proc, "on_keyframe_broadcast"):
                 proc.on_keyframe_broadcast(self.tree, event)

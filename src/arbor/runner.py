@@ -74,14 +74,8 @@ def replay(app: Application, log_path, out_path=None, truth_path=None,
             raise OrderingError(f"log goes back in time at t={rec.t}")
         last_t = rec.t
 
-    archive: dict = {app.first_frame: tree.frame_pose(app.first_frame)}
-    frame_times = {app.first_frame: tree.node(app.first_frame).timestamp}
+    removed = []  # (frame, t, pose) of the frames the window removed
     last_report = None
-
-    def refresh_archive():
-        for fid in tree.frames():
-            archive[fid] = tree.frame_pose(fid)
-            frame_times[fid] = tree.node(fid).timestamp
 
     # records sharing a timestamp form one instant: all of them are
     # dispatched before window enforcement and solving, so a keyframe voted
@@ -96,10 +90,9 @@ def replay(app: Application, log_path, out_path=None, truth_path=None,
             events += app.pipeline.dispatch(rec.sensor, rec.t, rec.data)
         for event in events:
             if app.window_policy is not None:
-                tree.enforce_window(app.window_policy)
+                removed += tree.enforce_window(app.window_policy)
             sync(problem, tree)
-            last_report = lm_solve(problem, tree)
-            refresh_archive()
+            last_report = lm_solve(problem)
             if on_keyframe is not None:
                 on_keyframe(tree, event, last_report)
         i = j
@@ -107,11 +100,10 @@ def replay(app: Application, log_path, out_path=None, truth_path=None,
     if print_tree:
         print(tree.print_tree(), end="")
 
-    ordered = sorted(archive.items(), key=lambda kv: (frame_times[kv[0]], kv[0].index))
+    live = [(fid, tree.node(fid).timestamp, tree.frame_pose(fid)) for fid in tree.frames()]
     estimates = [
-        CaptureRecord(frame_times[fid], ESTIMATE_SENSOR,
-                      [pose.p[0], pose.p[1], pose.theta])
-        for fid, pose in ordered
+        CaptureRecord(t, ESTIMATE_SENSOR, [pose.p[0], pose.p[1], pose.theta])
+        for _fid, t, pose in sorted(removed + live, key=lambda e: (e[1], e[0].index))
     ]
     final_t = estimates[-1].t if estimates else 0.0
     out_records = list(estimates)

@@ -1,11 +1,12 @@
 """Built-in sparse Levenberg-Marquardt over the tree's unfixed state blocks.
 
-The solver mirrors the tree through its notification queue: ``sync`` applies
-pending add/remove events so the solver-side block and factor sets always
-match the live tree.  Each block owns a row (slot) of a value table and each
-factor a row of its kind's stack, so cost and normal equations take one
-kernel call per stack.  A solve fills the table from the tree, iterates on
-it alone and writes the result back.  Columns are assigned only to blocks
+The solver reads nothing from the tree but its notification stream: ``sync``
+applies pending add/remove events, each add carrying its state block or
+factor, so the solver-side block and factor sets always match the live tree.
+Each block owns a row (slot) of a value table and each factor a row of its
+kind's stack, so cost and normal equations take one kernel call per stack.
+A solve fills the table from the blocks it was handed, iterates on it alone
+and writes the result back to them.  Columns are assigned only to blocks
 that are unfixed and touched by at least one factor; everything else is
 held constant.
 
@@ -32,8 +33,8 @@ from .errors import (
     SingularSystemError,
     SyncError,
 )
-from .factors import Factor, FactorStack, evaluate
-from .manifold import ANGLE, wrap_angles
+from .factors import FactorStack, evaluate
+from .manifold import ANGLE, StateBlock, wrap_angles
 
 CONVERGED_DX = "converged_dx"
 CONVERGED_GRAD = "converged_grad"
@@ -73,10 +74,17 @@ class SolveReport:
 
 @dataclass
 class _BlockEntry:
-    kind: str
-    dim: int
+    block: StateBlock             # the tree's own block, as announced
     slot: int                     # row in the value table, stable while the block lives
     offset: Optional[int] = None  # None when fixed or untouched
+
+    @property
+    def kind(self) -> str:
+        return self.block.kind
+
+    @property
+    def dim(self) -> int:
+        return self.block.tangent_dim
 
 
 @dataclass
@@ -121,28 +129,24 @@ class SolverProblem:
 def sync(problem: SolverProblem, tree) -> None:
     """Drain tree notifications into the solver's block/factor sets.
 
-    Added factors become stack rows and removed ones are dropped from their
-    stacks.  Then reassigns contiguous column offsets to the active blocks,
-    reading the tree's fixed flags (the window manager flips them in place),
-    and maps every stack row onto those columns.
+    Added factors become stack rows, then removed ones are dropped from
+    their stacks, so a factor added and removed in one drain leaves no row.
+    Then reassigns contiguous column offsets to the active blocks, reading
+    each block's fixed flag (the window manager flips it in place), and maps
+    every stack row onto those columns.
     """
     added: dict = {}    # stack key -> ([Factor], [slot rows], [ids])
     removed: dict = {}  # stack key -> [ids]
     freed = []
     for note in tree.drain_notifications():
         if note.action == tree_mod.ADD_BLOCK:
-            node_id, name = note.target
-            try:
-                block = tree.block(node_id, name)
-            except Exception as exc:
-                raise SyncError(f"add_block for unknown target {note.target}") from exc
             if problem._free_slots:
                 slot = problem._free_slots.pop()
             else:
                 slot = problem._n_slots
                 problem._n_slots += 1
-            problem._width = max(problem._width, block.tangent_dim)
-            problem.blocks[note.target] = _BlockEntry(block.kind, block.tangent_dim, slot)
+            problem._width = max(problem._width, note.item.tangent_dim)
+            problem.blocks[note.target] = _BlockEntry(note.item, slot)
         elif note.action == tree_mod.REMOVE_BLOCK:
             if note.target not in problem.blocks:
                 raise SyncError(f"remove_block for unknown target {note.target}")
@@ -150,22 +154,17 @@ def sync(problem: SolverProblem, tree) -> None:
             # on the removed block is gone
             freed.append(problem.blocks.pop(note.target).slot)
         elif note.action == tree_mod.ADD_FACTOR:
+            factor = note.item
             try:
-                payload = tree.node(note.target).payload
-            except Exception as exc:
-                raise SyncError(f"add_factor for unknown node {note.target}") from exc
-            if not isinstance(payload, Factor):
-                raise SyncError(f"node {note.target} does not carry a factor")
-            try:
-                entries = [problem.blocks[tuple(c)] for c in payload.constrained]
+                entries = [problem.blocks[tuple(c)] for c in factor.constrained]
             except KeyError as exc:
                 raise SyncError(f"factor {note.target} constrains unknown block {exc}") from None
-            key = (payload.kind, tuple(e.dim for e in entries), tuple(e.kind for e in entries))
+            key = (factor.kind, tuple(e.dim for e in entries), tuple(e.kind for e in entries))
             factors, slots, ids = added.setdefault(key, ([], [], []))
-            factors.append(payload)
+            factors.append(factor)
             slots.append([e.slot for e in entries])
             ids.append(note.target.index)
-            problem.factors[note.target] = payload
+            problem.factors[note.target] = factor
             problem._stack_of[note.target] = key
         elif note.action == tree_mod.REMOVE_FACTOR:
             if note.target not in problem.factors:
@@ -175,13 +174,13 @@ def sync(problem: SolverProblem, tree) -> None:
         else:
             raise SyncError(f"unknown notification action {note.action!r}")
 
-    for key, ids in removed.items():
-        problem.stacks[key].drop(ids)
     for key, (factors, slots, ids) in added.items():
         if key in problem.stacks:
             problem.stacks[key].extend(factors, slots, ids)
         else:
             problem.stacks[key] = FactorStack(*key, factors, slots, ids)
+    for key, ids in removed.items():
+        problem.stacks[key].drop(ids)
     problem.stacks = {key: s for key, s in problem.stacks.items() if s.n}
     problem._free_slots.extend(freed)
 
@@ -191,8 +190,8 @@ def sync(problem: SolverProblem, tree) -> None:
     offset_of_slot = np.full(problem._n_slots, -1, dtype=np.intp)
     col_slot, col_comp, angle_slots = [], [], []
     offset = 0
-    for key, entry in problem.blocks.items():
-        if tree.block(*key).fixed or not touched[entry.slot]:
+    for entry in problem.blocks.values():
+        if entry.block.fixed or not touched[entry.slot]:
             entry.offset = None
             continue
         entry.offset = offset
@@ -227,12 +226,12 @@ def _scatter(stack: FactorStack, offsets: np.ndarray, n: int) -> _Scatter:
     )
 
 
-def _table(problem: SolverProblem, tree) -> np.ndarray:
-    """The value table: each block's current tree values in its slot row,
+def _table(problem: SolverProblem) -> np.ndarray:
+    """The value table: each block's current values in its slot row,
     left-aligned and zero-padded to the widest block."""
     x = np.zeros((problem._n_slots, problem._width))
-    for key, entry in problem.blocks.items():
-        x[entry.slot, :entry.dim] = tree.block(*key).values
+    for entry in problem.blocks.values():
+        x[entry.slot, :entry.dim] = entry.block.values
     return x
 
 
@@ -278,13 +277,13 @@ def _linearize(problem: SolverProblem, x: np.ndarray):
     return g, h.reshape(n, n)
 
 
-def lm_solve(problem: SolverProblem, tree) -> SolveReport:
+def lm_solve(problem: SolverProblem) -> SolveReport:
     """Iterate damped normal equations until convergence; write back results."""
     opts = problem.options
     if problem.total_dim == 0 or not problem.factors:
         raise ContractError("nothing to solve: no unfixed block touched by a factor")
 
-    x = _table(problem, tree)
+    x = _table(problem)
     cost = total_cost(problem, x)
     if not np.isfinite(cost):
         raise DivergenceError(f"initial cost is not finite: {cost}")
@@ -346,9 +345,9 @@ def lm_solve(problem: SolverProblem, tree) -> SolveReport:
         if termination == CONVERGED_DX:
             break
 
-    for key, entry in problem.blocks.items():
+    for entry in problem.blocks.values():
         if entry.offset is not None:
-            tree.block(*key).values = x[entry.slot, :entry.dim].copy()
+            entry.block.values = x[entry.slot, :entry.dim].copy()
 
     return SolveReport(
         iterations=iterations,

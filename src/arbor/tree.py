@@ -12,9 +12,10 @@ its residual.  Nodes enter only through the builders ``add_sensor``,
 are known to this module alone.
 
 Structural changes are queued as notifications so a solver can mirror the
-set of live state blocks and factors without walking the tree.  A window
-manager bounds the number of active frames by fixing or removing the oldest
-ones.
+set of live state blocks and factors without walking the tree: an add
+carries the state block or factor it announces, a remove only its target.
+A window manager bounds the number of active frames by fixing or removing
+the oldest ones.
 """
 
 from __future__ import annotations
@@ -80,6 +81,7 @@ class NodeId:
 class Notification:
     action: str
     target: object  # (NodeId, block name) for blocks, NodeId for factors
+    item: object = field(default=None, compare=False)  # an add's StateBlock or Factor
 
 
 @dataclass
@@ -122,7 +124,7 @@ class ProblemTree:
         self._nodes: dict[NodeId, TreeNode] = {}
         self._next_index = 0
         self._notifications: list[Notification] = []
-        self._incoming: dict[NodeId, set] = {}
+        self._incoming: dict[NodeId, dict] = {}  # target -> its referrers, in creation order
         self.problem_id = self._new_node(PROBLEM, None)
         self.hardware_id = self._new_node(HARDWARE, self.problem_id)
         self.trajectory_id = self._new_node(TRAJECTORY, self.problem_id)
@@ -139,11 +141,11 @@ class ProblemTree:
         if parent_id is not None:
             self._nodes[parent_id].children.append(node_id)
         for target in node.refs:
-            self._incoming.setdefault(target, set()).add(node_id)
-        for name in node.state_blocks:
-            self._notifications.append(Notification(ADD_BLOCK, (node_id, name)))
+            self._incoming.setdefault(target, {})[node_id] = None
+        for name, block in node.state_blocks.items():
+            self._notifications.append(Notification(ADD_BLOCK, (node_id, name), block))
         if kind == FACTOR:
-            self._notifications.append(Notification(ADD_FACTOR, node_id))
+            self._notifications.append(Notification(ADD_FACTOR, node_id, node.payload))
         return node_id
 
     def _expect(self, node_id: NodeId, kind: str) -> TreeNode:
@@ -205,7 +207,7 @@ class ProblemTree:
         if name in node.state_blocks:
             raise ConflictError(f"frame {frame} already has a block named {name!r}")
         node.state_blocks[name] = block
-        self._notifications.append(Notification(ADD_BLOCK, (frame, name)))
+        self._notifications.append(Notification(ADD_BLOCK, (frame, name), block))
 
     # ------------------------------------------------------------------
     # access
@@ -270,9 +272,8 @@ class ProblemTree:
         return {name: b.values.copy() for name, b in self._nodes[chosen].state_blocks.items()}
 
     def factors_referencing(self, node_id: NodeId) -> list:
-        """Live factor nodes that constrain a block of node_id."""
-        return [src for src in self._incoming.get(node_id, ())
-                if src.kind == FACTOR and src in self._nodes]
+        """Factor nodes that constrain a block of node_id, oldest first."""
+        return [src for src in self._incoming.get(node_id, ()) if src.kind == FACTOR]
 
     # ------------------------------------------------------------------
     # removal
@@ -294,17 +295,13 @@ class ProblemTree:
         if node.id.kind in _BRANCH_ROOTS:
             raise StructureError(f"cannot remove branch root {node_id}")
 
+        # referrers (captures, factors) own no blocks and nobody refers to
+        # them, so one pass over the subtree finds everything that goes
         doomed = set(self._subtree(node_id))
-        while True:
-            extra = set()
-            for target in doomed:
-                for src in self._incoming.get(target, ()):
-                    if src in doomed or src not in self._nodes:
-                        continue
-                    extra.update(self._subtree(src))
-            if extra <= doomed:
-                break
-            doomed |= extra
+        for target in list(doomed):
+            for src in self._incoming.get(target, ()):
+                if src not in doomed:
+                    doomed.update(self._subtree(src))
 
         # deterministic order: by node index
         for nid in sorted(doomed, key=lambda n: n.index):
@@ -315,36 +312,19 @@ class ProblemTree:
                 self._notifications.append(Notification(REMOVE_BLOCK, (nid, name)))
 
         for nid in doomed:
-            victim = self._nodes[nid]
+            victim = self._nodes.pop(nid)
             for target in victim.refs:
-                peers = self._incoming.get(target)
-                if peers is not None:
-                    peers.discard(nid)
-            parent = victim.parent
-            if parent is not None and parent in self._nodes and parent not in doomed:
-                self._nodes[parent].children.remove(nid)
-            del self._nodes[nid]
+                self._incoming.get(target, {}).pop(nid, None)
+            if victim.parent not in doomed:  # only the protected Problem root has none
+                self._nodes[victim.parent].children.remove(nid)
             self._incoming.pop(nid, None)
 
     # ------------------------------------------------------------------
     # notifications
 
     def drain_notifications(self) -> list:
-        """Pending notifications in order; an add cancelled by a later
-        remove of the same target drops out entirely."""
-        out = []
-        for n in self._notifications:
-            if n.action in (REMOVE_BLOCK, REMOVE_FACTOR):
-                paired = ADD_BLOCK if n.action == REMOVE_BLOCK else ADD_FACTOR
-                for i in range(len(out) - 1, -1, -1):
-                    if out[i].action == paired and out[i].target == n.target:
-                        del out[i]
-                        break
-                else:
-                    out.append(n)
-            else:
-                out.append(n)
-        self._notifications = []
+        """Pending notifications in the order they were queued."""
+        out, self._notifications = self._notifications, []
         return out
 
     # ------------------------------------------------------------------
@@ -382,17 +362,21 @@ class ProblemTree:
     # ------------------------------------------------------------------
     # window manager
 
-    def enforce_window(self, policy: WindowPolicy):
-        """Apply the sliding-window policy; call after each new keyframe."""
+    def enforce_window(self, policy: WindowPolicy) -> list:
+        """Apply the sliding-window policy; call after each new keyframe.
+
+        Returns the removed frames as (frame, t, pose) at their last
+        estimate, oldest first; ``fix_oldest`` removes none.
+        """
         frames = self.frames()
         if len(frames) <= policy.n_frames:
-            return
+            return []
         stale = frames[: len(frames) - policy.n_frames]
         if policy.variant == FIX_OLDEST:
             for fid in stale:
                 for block in self._nodes[fid].state_blocks.values():
                     block.fixed = True
-            return
+            return []
 
         # priors on sensor blocks alone (self-calibration priors) outlive the
         # frame whose capture holds them: they move to the survivor's prior
@@ -407,6 +391,7 @@ class ProblemTree:
                 if nid.kind == FACTOR and node.refs and all(
                         owner.kind == SENSOR for owner in node.refs):
                     sensor_priors.append(node.payload)
+        removed = [(fid, self._nodes[fid].timestamp, self.frame_pose(fid)) for fid in stale]
         for fid in stale:
             self.remove(fid)
 
@@ -422,6 +407,7 @@ class ProblemTree:
             capture = self.add_pose_prior(survivor, sensors[0], inherited_sqrt_info)
         for prior in sensor_priors:
             self.add_factor(capture, prior)
+        return removed
 
     # ------------------------------------------------------------------
     # diagnostics

@@ -178,6 +178,19 @@ class TestRunner:
         run(DATA / "demo_config.yaml", log, out_path=b)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_processor_names_need_not_be_unique(self, tmp_path):
+        # a processor named like another still receives the other's keyframes
+        log = tmp_path / "demo_log.jsonl"
+        write_jsonl(simulate(load_scenario((DATA / "demo_scenario.yaml").read_text()))[0], log)
+        renamed = tmp_path / "renamed.yaml"
+        renamed.write_text((DATA / "demo_config.yaml").read_text().replace(
+            "  - name: tracker\n", "  - name: odom\n"))
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        run(DATA / "demo_config.yaml", log, out_path=a)
+        run(renamed, log, out_path=b)
+        assert renamed.read_text() != (DATA / "demo_config.yaml").read_text()
+        assert a.read_bytes() == b.read_bytes()
+
     def test_every_record_dispatched_once(self, small_logs, monkeypatch):
         log, _ = small_logs
         records = read_jsonl(log)

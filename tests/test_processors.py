@@ -136,7 +136,7 @@ class TestMotionProcessor:
         for k in range(1, 6):
             proc.process_capture(tr, 0.1 * k, straight_step())
         foreign = tr.add_frame(0.305, Pose2.identity())
-        joined = proc.on_keyframe_broadcast(tr, KeyframeEvent(0.305, foreign, "other"))
+        joined = proc.on_keyframe_broadcast(tr, KeyframeEvent(0.305, foreign, None))
         assert joined is True
         assert proc.buffer.origin_frame == foreign
         assert len(proc.buffer.entries) == 2  # samples at 0.4, 0.5 re-integrated
@@ -150,7 +150,7 @@ class TestMotionProcessor:
             proc.process_capture(tr, 0.1 * k, straight_step())
         foreign = tr.add_frame(0.35, Pose2.identity())
         before = tr.print_tree()
-        joined = proc.on_keyframe_broadcast(tr, KeyframeEvent(0.35, foreign, "other"))
+        joined = proc.on_keyframe_broadcast(tr, KeyframeEvent(0.35, foreign, None))
         assert not joined
         assert tr.print_tree() == before  # decline never mutates
 

@@ -98,9 +98,12 @@ class TestSync:
         assert fid not in problem.factors
 
     def test_fabricated_notification_rejected(self):
+        # an ADD_FACTOR on a block the solver was never told about
         tr, _ = fresh()
         problem = SolverProblem()
-        tr._notifications.append(T.Notification(T.ADD_FACTOR, T.NodeId(T.FACTOR, 999)))
+        ghost = Factor(PRIOR_BLOCK, np.zeros(1), np.eye(1),
+                       constrained=[(T.NodeId(T.LANDMARK, 999), "p")])
+        tr._notifications.append(T.Notification(T.ADD_FACTOR, T.NodeId(T.FACTOR, 998), ghost))
         with pytest.raises(SyncError):
             sync(problem, tr)
 
@@ -122,13 +125,22 @@ class TestSyncMirror:
                 factor = tr.node(T.NodeId(T.FACTOR, int(index))).payload
                 assert list(slots) == [problem.blocks[c].slot for c in factor.constrained]
         for key, entry in problem.blocks.items():
-            assert entry.offset is None or not tr.block(*key).fixed
+            assert entry.block is tr.block(*key)
+            assert entry.offset is None or not entry.block.fixed
         assert tr.check_consistency() == []
 
     @pytest.mark.parametrize("variant", [T.FIX_OLDEST, T.REMOVE_WITH_PRIOR])
     def test_randomized_sequences(self, variant):
         rng = np.random.default_rng(71)
         tr = T.ProblemTree()
+        drains = []
+        real_drain = tr.drain_notifications
+
+        def drain():
+            drains.append(real_drain())
+            return drains[-1]
+
+        tr.drain_notifications = drain
         sensor = tr.add_sensor(None, {"ext_p": StateBlock(np.zeros(2)),
                                       "ext_o": StateBlock(np.zeros(1), ANGLE)})
         policy = T.WindowPolicy(variant, 4)
@@ -175,6 +187,10 @@ class TestSyncMirror:
         sync(problem, tr)
         self.assert_mirrors(tr, problem)
         assert problem.factors and problem.stacks
+        # some drain holds both the add and the remove of one target
+        assert any({n.target for n in notes if n.action in (T.ADD_BLOCK, T.ADD_FACTOR)}
+                   & {n.target for n in notes if n.action in (T.REMOVE_BLOCK, T.REMOVE_FACTOR)}
+                   for notes in drains)
         if variant == T.FIX_OLDEST:
             assert any(tr.block(*key).fixed for key in problem.blocks)
         else:
@@ -188,7 +204,7 @@ class TestTotalCost:
         attach_prior_block(tr, sensor, node, "p", 5.0, 1.0)
         problem = SolverProblem()
         sync(problem, tr)
-        assert total_cost(problem, _table(problem, tr)) == pytest.approx(0.0)
+        assert total_cost(problem, _table(problem)) == pytest.approx(0.0)
 
     def test_hand_value(self):
         # residual (3, 4): cost = ||r||^2 / 2 = 25/2
@@ -197,7 +213,7 @@ class TestTotalCost:
         attach_prior_block(tr, sensor, node, "p", np.zeros(2), np.eye(2))
         problem = SolverProblem()
         sync(problem, tr)
-        assert total_cost(problem, _table(problem, tr)) == pytest.approx(12.5)
+        assert total_cost(problem, _table(problem)) == pytest.approx(12.5)
 
     def test_block_order_invariance(self):
         tr, sensor = fresh()
@@ -207,7 +223,7 @@ class TestTotalCost:
         attach_prior_block(tr, sensor, b, "p", 0.0, 2.0)
         problem = SolverProblem()
         sync(problem, tr)
-        cost = total_cost(problem, _table(problem, tr))
+        cost = total_cost(problem, _table(problem))
         assert cost == pytest.approx(0.5 * (1.0 + 16.0))
 
 
@@ -233,7 +249,7 @@ class TestApplyStep:
 
     def test_zero_step(self):
         tr, problem, node, _, _ = self._problem()
-        before = _table(problem, tr)
+        before = _table(problem)
         after = _stepped(problem, before, np.zeros(problem.total_dim))
         np.testing.assert_array_equal(after, before)
 
@@ -242,13 +258,13 @@ class TestApplyStep:
         entry = problem.blocks[(frame, "o")]
         dx = np.zeros(problem.total_dim)
         dx[entry.offset] = 0.2
-        x = _stepped(problem, _table(problem, tr), dx)
+        x = _stepped(problem, _table(problem), dx)
         assert x[entry.slot, 0] == pytest.approx(-math.pi + 0.1)
 
     def test_fixed_block_bit_identical(self):
         tr, problem, _, _, fixed = self._problem()
         slot = problem.blocks[(fixed, "p")].slot
-        before = _table(problem, tr)
+        before = _table(problem)
         after = _stepped(problem, before, np.ones(problem.total_dim))
         np.testing.assert_array_equal(after[slot], before[slot])
 
@@ -277,7 +293,7 @@ class TestLmSolve:
         attach_prior_block(tr, sensor, node, "p", 5.0, 1.0)
         problem = SolverProblem(SolverOptions(max_iterations=1))
         sync(problem, tr)
-        report = lm_solve(problem, tr)
+        report = lm_solve(problem)
         assert tr.block(node, "p").values[0] == pytest.approx(5.0, abs=1e-3)
         assert report.accepted_steps == 1
         assert report.final_cost < 1e-6 * report.initial_cost
@@ -289,7 +305,7 @@ class TestLmSolve:
         attach_prior_block(tr, sensor, node, "p", 2.0, 1.0)
         problem = SolverProblem(SolverOptions(max_iterations=30))
         sync(problem, tr)
-        lm_solve(problem, tr)
+        lm_solve(problem)
         assert tr.block(node, "p").values[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_linear_problem_matches_dense_oracle(self):
@@ -318,7 +334,7 @@ class TestLmSolve:
             nodes.append(node)
         problem = SolverProblem(SolverOptions(max_iterations=2, tol_dx=1e-14))
         sync(problem, tr)
-        report = lm_solve(problem, tr)
+        report = lm_solve(problem)
         assert report.iterations <= 2
         for node, want in zip(nodes, expected):
             np.testing.assert_allclose(tr.block(node, "p").values, want, atol=1e-9)
@@ -339,7 +355,7 @@ class TestLmSolve:
             constrained=[(f_i, "p"), (f_i, "o"), (f_j, "p"), (f_j, "o")]))
         problem = SolverProblem(SolverOptions(max_iterations=50, tol_dx=1e-14))
         sync(problem, tr)
-        report = lm_solve(problem, tr)
+        report = lm_solve(problem)
         np.testing.assert_allclose(tr.frame_pose(f_j).as_array(), truth.as_array(),
                                    atol=1e-8)
         assert report.final_cost < 1e-12
@@ -355,7 +371,7 @@ class TestLmSolve:
         problem = SolverProblem()
         sync(problem, tr)
         with pytest.raises(SingularSystemError):
-            lm_solve(problem, tr)
+            lm_solve(problem)
 
     def test_gauge_fixed_by_fixing_first_frame(self):
         tr, sensor = fresh()
@@ -367,7 +383,7 @@ class TestLmSolve:
             constrained=[(f_i, "p"), (f_i, "o"), (f_j, "p"), (f_j, "o")]))
         problem = SolverProblem()
         sync(problem, tr)
-        lm_solve(problem, tr)
+        lm_solve(problem)
         np.testing.assert_allclose(tr.frame_pose(f_j).as_array(), [1.0, 0.0, 0.0],
                                    atol=1e-8)
         np.testing.assert_allclose(tr.frame_pose(f_i).as_array(), [0.0, 0.0, 0.0])
@@ -381,7 +397,7 @@ class TestLmSolve:
         attach_prior_block(tr, sensor, fixed, "p", 0.0, 1.0)
         problem = SolverProblem()
         sync(problem, tr)
-        lm_solve(problem, tr)
+        lm_solve(problem)
         assert tr.block(fixed, "p").values[0] == 7.0
         assert tr.block(untouched, "p").values[0] == 3.0
 
@@ -392,7 +408,7 @@ class TestLmSolve:
         problem = SolverProblem()
         sync(problem, tr)
         with pytest.raises(DivergenceError, match="initial cost is not finite"):
-            lm_solve(problem, tr)
+            lm_solve(problem)
         assert tr.block(node, "p").values[0] == 1e200
 
     def test_nothing_to_solve(self):
@@ -401,7 +417,7 @@ class TestLmSolve:
         problem = SolverProblem()
         sync(problem, tr)
         with pytest.raises(ContractError):
-            lm_solve(problem, tr)
+            lm_solve(problem)
 
     def test_report_costs_monotone(self):
         tr, sensor = fresh()
@@ -410,7 +426,7 @@ class TestLmSolve:
         attach_prior_block(tr, sensor, node, "p", 1.0, 3.0)
         problem = SolverProblem()
         sync(problem, tr)
-        report = lm_solve(problem, tr)
+        report = lm_solve(problem)
         assert report.final_cost <= report.initial_cost
         assert report.termination in (CONVERGED_DX, CONVERGED_GRAD)
 
@@ -442,7 +458,7 @@ class TestFillIn:
                 constrained=[(a, "p"), (a, "o"), (b, "p"), (b, "o")]))
         problem = SolverProblem()
         sync(problem, tr)
-        lm_solve(problem, tr)
+        lm_solve(problem)
         # 12 blocks: 6 within-frame pairs plus 4 per relative pose
         assert fill_in(problem) == 26 / 66
         for name in ("p", "o"):
@@ -489,7 +505,7 @@ class TestSingularTrialStep:
                 raise
 
         monkeypatch.setattr(arbor.solver, "total_cost", spy)
-        report = lm_solve(problem, tr)
+        report = lm_solve(problem)
         # call 1 is the initial cost, call 2 the first trial step
         assert singular == [2]
         assert report.accepted_steps >= 1
@@ -498,7 +514,7 @@ class TestSingularTrialStep:
     def test_singular_initial_cost_raises(self):
         tr, problem = self._landmark_problem([0.0, 0.0])
         with pytest.raises(SingularObservationError):
-            lm_solve(problem, tr)
+            lm_solve(problem)
 
 
 def per_factor_oracle(problem, values):
@@ -534,18 +550,18 @@ class TestAssemblyOracle:
         real_sync = arbor.runner.sync
 
         def spy(problem, tree):
-            synced.append((problem, tree))
+            synced.append(problem)
             real_sync(problem, tree)
 
         monkeypatch.setattr(arbor.runner, "sync", spy)
         estimates, _ = run(DATA / config, log)
-        return *synced[-1], len(estimates)
+        return synced[-1], len(estimates)
 
     @staticmethod
-    def _check_against_oracle(problem, tree):
+    def _check_against_oracle(problem):
         # away from the optimum, so that the gradient is not just round-off
         rng = np.random.default_rng(60)
-        x = _stepped(problem, _table(problem, tree), rng.normal(0.0, 0.05, problem.total_dim))
+        x = _stepped(problem, _table(problem), rng.normal(0.0, 0.05, problem.total_dim))
         values = {key: x[e.slot, :e.dim] for key, e in problem.blocks.items()}
         g, h = _linearize(problem, x)
         g_ref, h_ref, cost_ref = per_factor_oracle(problem, values)
@@ -554,19 +570,18 @@ class TestAssemblyOracle:
         assert total_cost(problem, x) == pytest.approx(cost_ref, rel=1e-9)
 
     def test_fix_oldest_mixes_fixed_and_active_columns(self, monkeypatch, tmp_path):
-        problem, tree, _ = self._replayed_problem("window_fix_config.yaml",
-                                                  monkeypatch, tmp_path)
+        problem, _ = self._replayed_problem("window_fix_config.yaml", monkeypatch, tmp_path)
         mixes = set()
         for factor in problem.factors.values():
             active = [problem.blocks[tuple(c)].offset is not None for c in factor.constrained]
             mixes.add((any(active), all(active)))
         # some factors mix fixed and active columns, some are all fixed
         assert (True, False) in mixes and (False, False) in mixes
-        self._check_against_oracle(problem, tree)
+        self._check_against_oracle(problem)
 
     def test_after_remove_with_prior(self, monkeypatch, tmp_path):
-        problem, tree, keyframes = self._replayed_problem("window_remove_config.yaml",
-                                                          monkeypatch, tmp_path)
+        problem, keyframes = self._replayed_problem("window_remove_config.yaml",
+                                                    monkeypatch, tmp_path)
         frames = {node for node, _ in problem.blocks if node.kind == T.FRAME}
         assert len(frames) < keyframes
-        self._check_against_oracle(problem, tree)
+        self._check_against_oracle(problem)

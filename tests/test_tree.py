@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,6 +15,9 @@ from arbor.errors import (
 )
 from arbor.factors import PRIOR_BLOCK, PRIOR_POSE, RANGE_BEARING, Factor
 from arbor.manifold import ANGLE, EUCLIDEAN, Pose2, StateBlock
+from arbor.solver import SolverProblem, sync
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def make_tree_with_sensor():
@@ -246,13 +254,20 @@ class TestNotifications:
         assert tr.drain_notifications() == []
 
     def test_add_then_remove_cancels(self):
+        # the queue keeps both halves; they cancel in the solver's mirror
         tr, sensor = make_tree_with_sensor()
         landmark = tr.add_landmark(np.zeros(2))
+        problem = SolverProblem()
+        sync(problem, tr)
+        before = dict(problem.blocks)
         frame = add_frame(tr, 0.0)
-        tr.drain_notifications()
-        _, _, factor = add_observation(tr, sensor, frame, landmark, 0.0)
-        tr.remove(factor)
-        assert tr.drain_notifications() == []
+        add_observation(tr, sensor, frame, landmark, 0.0)
+        tr.remove(frame)
+        sync(problem, tr)
+        assert problem.blocks == before
+        assert problem.factors == {} and problem.stacks == {}
+        for key, entry in problem.blocks.items():
+            assert entry.block is tr.block(*key)
 
     def test_fifo_order(self):
         tr = T.ProblemTree()
@@ -363,6 +378,40 @@ class TestWindow:
         # under the survivor's prior capture, next to its pose prior
         assert tr.node(tr.node(moved).parent).parent == tr.node(tr.node(pinned).parent).parent
         assert tr.check_consistency() == []
+
+    def test_remove_with_prior_returns_stale_frames(self):
+        tr, _ = self._windowed_tree(2)
+        stale = tr.frames()[:2]
+        before = [(fid, tr.node(fid).timestamp, list(tr.frame_pose(fid).as_array()))
+                  for fid in stale]
+        removed = tr.enforce_window(T.WindowPolicy(T.REMOVE_WITH_PRIOR, 2))
+        assert [(fid, t, list(pose.as_array())) for fid, t, pose in removed] == before
+        assert not any(fid in tr for fid in stale)
+
+    def test_fix_oldest_returns_nothing(self):
+        tr, _ = self._windowed_tree(2)
+        assert tr.enforce_window(T.WindowPolicy(T.FIX_OLDEST, 2)) == []
+
+    def test_last_created_prior_wins_under_any_hash_seed(self):
+        # the survivor inherits the sqrt_info of the newest pose prior on
+        # the removed frame, whatever the string hashes of this process
+        script = (
+            "import numpy as np\n"
+            "from arbor import tree as T\n"
+            "from arbor.manifold import Pose2, StateBlock\n"
+            "tr = T.ProblemTree()\n"
+            "sensor = tr.add_sensor(None, {'intrinsic': StateBlock(np.ones(3))})\n"
+            "frames = [tr.add_frame(float(k), Pose2(np.array([k, 0.0]), 0.0)) for k in range(3)]\n"
+            "for scale in (2.0, 7.0):\n"
+            "    tr.add_pose_prior(frames[0], sensor, scale * np.eye(3))\n"
+            "tr.enforce_window(T.WindowPolicy(T.REMOVE_WITH_PRIOR, 2))\n"
+            "(prior,) = tr.factors_referencing(frames[1])\n"
+            "print(tr.node(prior).payload.sqrt_info[0, 0])\n")
+        for seed in range(6):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=str(SRC))
+            out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                 capture_output=True, text=True).stdout
+            assert float(out) == 7.0, f"PYTHONHASHSEED={seed}"
 
     def test_under_capacity_no_change(self):
         tr, _ = self._windowed_tree(10)

@@ -1,10 +1,14 @@
-"""Only ``arbor.tree`` constructs tree nodes.
+"""Only ``arbor.tree`` constructs tree nodes; the solver only drains it.
 
 Every other module, tests included, grows the tree through the
 ``ProblemTree`` builders (``add_sensor``, ``add_processor``,
 ``add_landmark``, ``add_frame``, ``add_capture``, ``add_factor``,
 ``add_pose_prior``), never through the private constructor ``_new_node``,
 and the tree has no generic public ``emplace`` beside them.
+
+``arbor.solver`` reads nothing from the tree but its notification stream:
+``sync`` is its one function that takes the tree, and all it does with it is
+call ``drain_notifications``.
 """
 
 import ast
@@ -15,6 +19,7 @@ from arbor.tree import ProblemTree
 TESTS = Path(__file__).parent
 SRC = TESTS.parent / "src" / "arbor"
 PRIVATE_CONSTRUCTOR = "_new_node"
+SOLVER_ENTRY, SOLVER_TREE_CALL = "sync", "drain_notifications"
 
 
 def constructor_uses(source: str) -> list:
@@ -46,3 +51,42 @@ def test_only_tree_emplaces_frames_and_measurements():
                  for line in constructor_uses(path.read_text())]
     assert offenders == []
     assert not hasattr(ProblemTree, "emplace")
+
+
+def solver_tree_uses(source: str) -> list:
+    """Line numbers where ``tree`` is used other than as
+    ``tree.drain_notifications``, or is a parameter of a function other
+    than ``sync``."""
+    module = ast.parse(source)
+    lines = []
+    for node in ast.walk(module):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs + [
+                a for a in (args.vararg, args.kwarg) if a is not None]
+            if getattr(node, "name", None) != SOLVER_ENTRY and any(
+                    a.arg == "tree" for a in params):
+                lines.append(node.lineno)
+    allowed = {id(node.value) for node in ast.walk(module)
+               if isinstance(node, ast.Attribute) and node.attr == SOLVER_TREE_CALL}
+    lines += [node.lineno for node in ast.walk(module)
+              if isinstance(node, ast.Name) and node.id == "tree" and id(node) not in allowed]
+    return sorted(lines)
+
+
+def test_solver_guard_sees_each_use():
+    source = ("def sync(problem, tree):\n"
+              "    notes = tree.drain_notifications()\n"
+              "    block = tree.block(node, 'p')\n"
+              "    node = getattr(tree, 'node')(target)\n"
+              "    alias = tree\n"
+              "def _table(problem, tree):\n"
+              "    return None\n"
+              "lm_solve = lambda problem, *, tree=None: None\n"
+              "def helper(problem, **tree):\n"
+              "    return problem\n")
+    assert solver_tree_uses(source) == [3, 4, 5, 6, 8, 9]
+
+
+def test_solver_reads_the_tree_only_through_notifications():
+    assert solver_tree_uses((SRC / "solver.py").read_text()) == []
