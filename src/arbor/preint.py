@@ -6,17 +6,27 @@ respect to the calibration parameters.  Per sample the pipeline runs:
 
 1. pre-calibrate       v = f(u, c_bar)            with J_v_u, J_v_c
 2. current delta       delta = g(v)               with J_delta_v
-3. pre-integrate       D <- D o delta             with J_D_D, J_D_delta
-4. covariance          Q <- J_D_D Q J_D_D^T + A Q_u A^T,
-                       A = J_D_delta J_delta_v J_v_u
-5. calibration chain   J_D_c <- J_D_D J_D_c + J_D_delta J_delta_v J_v_c
+3. pre-integrate       D <- D o delta.  J_D_D is the shear
+                       Phi = [[1, 0, -dy], [0, 1, dx], [0, 0, 1]], with
+                       (dx, dy) the step's displacement in the frame D is
+                       expressed in, and J_D_delta rotates the position
+                       rows by D's heading
+4. covariance          Q <- Phi Q Phi^T + B Q_u B^T,
+                       B = J_D_delta J_delta_v J_v_u
+5. calibration chain   J_D_c <- Phi J_D_c + C,
+                       C = J_D_delta J_delta_v J_v_c
 
 Only steps 1-2 are sensor specific; they live in a motion-model object so
-the pipeline itself stays generic (composition and the pose retraction come
-from :mod:`arbor.manifold`).  The stored delta is re-corrected to first order
-for calibration values that moved away from the integration-time guess,
-D(c) = D (+) J_D_c (c - c_bar), in one place only: the motion factor's
-residual kernel, ``factors._motion``.
+the pipeline itself stays generic.  Models return plain floats: v as a
+tuple, the step delta as a :class:`Delta`, Jacobians as tuples of rows.
+Steps 3-5 are the same recursion as their matrix form, written out on
+floats (Forster et al., TRO 2017; Lupton & Sukkarieh, TRO 2012): Phi Q
+Phi^T touches the 6 unique entries of Q, and Phi J_D_c the 3 * calib_dim
+entries of J_D_c.  Entries and buffers show the moments as arrays and the
+delta as a :class:`Pose2` when read.  The stored delta is re-corrected to
+first order for calibration values that moved away from the
+integration-time guess, D(c) = D (+) J_D_c (c - c_bar), in one place only:
+the motion factor's residual kernel, ``factors._motion``.
 
 High-rate state queries compose the buffer origin pose with the delta
 accumulated up to the query time.
@@ -25,7 +35,10 @@ accumulated up to the query time.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass, field
+from operator import mul
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,7 +49,7 @@ from .errors import (
     JoinToleranceError,
     OrderingError,
 )
-from .manifold import Pose2, pose_compose
+from .manifold import Pose2, normalize_angle
 
 
 @dataclass
@@ -52,13 +65,29 @@ class RawMotion:
     q_u: np.ndarray
 
     def __post_init__(self):
-        self.u = np.atleast_1d(np.asarray(self.u, dtype=float))
-        self.q_u = np.atleast_2d(np.asarray(self.q_u, dtype=float))
-        if not np.all(np.isfinite(self.u)):
+        self.u = np.array(self.u, dtype=float, ndmin=1)
+        self.q_u = np.array(self.q_u, dtype=float, ndmin=2)
+        if not all(map(math.isfinite, self.u.tolist())):
             raise InvalidValueError("raw motion data must be finite")
         n = self.u.shape[0]
         if self.q_u.shape != (n, n):
             raise ContractError(f"covariance must be {n}x{n}, got {self.q_u.shape}")
+
+
+class Delta(NamedTuple):
+    """One sample's motion (x, y, theta) in plain floats, as a model returns it.
+
+    ``p`` lets :func:`arbor.manifold.pose_compose` take it in place of a
+    :class:`Pose2` motion.
+    """
+
+    x: float
+    y: float
+    theta: float
+
+    @property
+    def p(self):
+        return (self.x, self.y)
 
 
 class DiffDriveModel:
@@ -71,51 +100,86 @@ class DiffDriveModel:
 
     calib_dim = 3
 
-    def precalibrate(self, u: np.ndarray, c: np.ndarray):
+    def precalibrate(self, u, c):
         """v = f(u, c) with Jacobians J_v_u (2x2) and J_v_c (2x3)."""
-        c = np.asarray(c, dtype=float)
-        if c.shape != (3,):
-            raise ContractError(f"diff-drive calibration must have 3 entries, got {c.shape}")
+        if len(c) != 3:
+            raise ContractError(f"diff-drive calibration must have 3 entries, got {len(c)}")
         r_l, r_r, d = c
         if r_l <= 0.0 or r_r <= 0.0 or d <= 0.0:
             raise CalibrationError(f"wheel radii and separation must be positive, got {c}")
         dphi_l, dphi_r = u
         s = 0.5 * (r_l * dphi_l + r_r * dphi_r)
         w = (r_r * dphi_r - r_l * dphi_l) / d
-        v = np.array([s, w])
-        j_v_u = np.array([[0.5 * r_l, 0.5 * r_r], [-r_l / d, r_r / d]])
-        j_v_c = np.array(
-            [
-                [0.5 * dphi_l, 0.5 * dphi_r, 0.0],
-                [-dphi_l / d, dphi_r / d, -w / d],
-            ]
-        )
-        return v, j_v_u, j_v_c
+        j_v_u = ((0.5 * r_l, 0.5 * r_r), (-r_l / d, r_r / d))
+        j_v_c = ((0.5 * dphi_l, 0.5 * dphi_r, 0.0), (-dphi_l / d, dphi_r / d, -w / d))
+        return (s, w), j_v_u, j_v_c
 
-    def compute_delta(self, v: np.ndarray):
-        """delta = g(v) under the midpoint-chord motion model, with J_delta_v.
+    def compute_delta(self, v):
+        """delta = g(v) under the midpoint-chord motion model, with J_delta_v (3x2).
 
         The chord of the turned arc is traversed at half the heading change,
         which is exact for pure translations and pure rotations.
         """
-        s, w = float(v[0]), float(v[1])
+        s, w = v
         half = 0.5 * w
-        c, sn = np.cos(half), np.sin(half)
-        delta = Pose2(np.array([s * c, s * sn]), w)
-        j_delta_v = np.array([[c, -0.5 * s * sn], [sn, 0.5 * s * c], [0.0, 1.0]])
-        return delta, j_delta_v
+        c, sn = math.cos(half), math.sin(half)
+        return Delta(s * c, s * sn, w), ((c, -0.5 * s * sn), (sn, 0.5 * s * c), (0.0, 1.0))
+
+
+def _combine(vecs, rows) -> list:
+    """Columns of V M for V given by its columns ``vecs`` (3-vectors) and a
+    small matrix M given by its rows: sum_i vecs[i] M[i][l], per column l."""
+    if len(vecs) == 2:
+        # the inner dimension of the bundled models, unrolled
+        (a0, a1, a2), (b0, b1, b2) = vecs
+        return [(a0 * x + b0 * y, a1 * x + b1 * y, a2 * x + b2 * y) for x, y in zip(*rows)]
+    comps = list(zip(*vecs))
+    return [tuple([sum(map(mul, comp, col)) for comp in comps]) for col in zip(*rows)]
+
+
+def _upper_outer(us, vs) -> tuple:
+    """Entries 00, 01, 02, 11, 12, 22 of sum_l us[l] vs[l]^T over 3-vectors."""
+    if len(us) == 2:
+        # two data entries, as in the bundled models, unrolled
+        (a0, a1, a2), (b0, b1, b2) = us
+        (c0, c1, c2), (d0, d1, d2) = vs
+        return (a0 * c0 + b0 * d0, a0 * c1 + b0 * d1, a0 * c2 + b0 * d2,
+                a1 * c1 + b1 * d1, a1 * c2 + b1 * d2, a2 * c2 + b2 * d2)
+    u0, u1, u2 = zip(*us)
+    v0, v1, v2 = zip(*vs)
+    return (sum(map(mul, u0, v0)), sum(map(mul, u0, v1)), sum(map(mul, u0, v2)),
+            sum(map(mul, u1, v1)), sum(map(mul, u1, v2)), sum(map(mul, u2, v2)))
 
 
 @dataclass
 class PreintEntry:
-    """Pipeline state snapshot after integrating one sample."""
+    """Pipeline state after integrating one sample, as floats.
+
+    ``delta`` is (x, y, theta); ``q`` the unique entries (q00, q01, q02,
+    q11, q12, q22) of the delta covariance; ``j`` the columns of the
+    calibration Jacobian, one 3-vector per calibration parameter.
+    """
 
     t: float
     u: np.ndarray
     q_u: np.ndarray
-    delta_bar: Pose2
-    q_delta: np.ndarray
-    j_delta_c: np.ndarray
+    delta: tuple
+    q: tuple
+    j: list
+
+    @property
+    def delta_bar(self) -> Pose2:
+        x, y, theta = self.delta
+        return Pose2(np.array([x, y]), theta)
+
+    @property
+    def q_delta(self) -> np.ndarray:
+        q00, q01, q02, q11, q12, q22 = self.q
+        return np.array([[q00, q01, q02], [q01, q11, q12], [q02, q12, q22]])
+
+    @property
+    def j_delta_c(self) -> np.ndarray:
+        return np.array(self.j).reshape(-1, 3).T
 
 
 @dataclass
@@ -135,50 +199,63 @@ class PreintBuffer:
 
     def __post_init__(self):
         self.c_bar = np.asarray(self.c_bar, dtype=float).copy()
+        self._c = tuple(self.c_bar.tolist())
         self._times: list[float] = [e.t for e in self.entries]
+        self._origin = PreintEntry(self.origin_t, None, None, (0.0, 0.0, 0.0), (0.0,) * 6,
+                                   [(0.0, 0.0, 0.0)] * len(self._c))
+
+    @property
+    def tail(self) -> PreintEntry:
+        """The last entry; before the first, the identity state at the origin."""
+        return self.entries[-1] if self.entries else self._origin
 
     @property
     def delta_bar(self) -> Pose2:
-        if not self.entries:
-            return Pose2.identity()
-        return self.entries[-1].delta_bar
+        return self.tail.delta_bar
 
     @property
     def q_delta(self) -> np.ndarray:
-        if not self.entries:
-            return np.zeros((3, 3))
-        return self.entries[-1].q_delta
+        return self.tail.q_delta
 
     @property
     def j_delta_c(self) -> np.ndarray:
-        if not self.entries:
-            return np.zeros((3, self.c_bar.shape[0]))
-        return self.entries[-1].j_delta_c
+        return self.tail.j_delta_c
 
 
 def integrate_step(buf: PreintBuffer, u: RawMotion) -> PreintEntry:
     """Fold one raw sample into the buffer; returns the appended entry."""
-    last_t = buf.entries[-1].t if buf.entries else buf.origin_t
-    if u.t <= last_t:
-        raise OrderingError(f"sample at t={u.t} is not after t={last_t}")
+    last = buf.tail
+    if u.t <= last.t:
+        raise OrderingError(f"sample at t={u.t} is not after t={last.t}")
 
-    v, j_v_u, j_v_c = buf.model.precalibrate(u.u, buf.c_bar)
-    delta, j_delta_v = buf.model.compute_delta(v)
-    delta_bar, j_dd, j_ddelta = pose_compose(buf.delta_bar, delta)
+    v, j_v_u, j_v_c = buf.model.precalibrate(u.u.tolist(), buf._c)
+    (ex, ey, etheta), j_delta_v = buf.model.compute_delta(v)
+    x, y, theta = last.delta
+    c, s = math.cos(theta), math.sin(theta)
+    x, y = x + c * ex - s * ey, y + s * ex + c * ey
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise InvalidValueError(f"pre-integrated delta must be finite, got ({x}, {y})")
+    delta = (x, y, normalize_angle(theta + etheta))
+    # the shear Phi = [[1, 0, a], [0, 1, b], [0, 0, 1]]: a = -dy, b = dx
+    a, b = -s * ex - c * ey, c * ex - s * ey
 
-    a = j_ddelta @ j_delta_v @ j_v_u
-    q_delta = j_dd @ buf.q_delta @ j_dd.T + a @ u.q_u @ a.T
-    q_delta = 0.5 * (q_delta + q_delta.T)
-    j_delta_c = j_dd @ buf.j_delta_c + j_ddelta @ j_delta_v @ j_v_c
+    # columns of R G, with G = J_delta_v and R = J_D_delta the rotation by
+    # theta; then the columns of B = R G J_v_u and C = R G J_v_c
+    rg = [(c * p - s * q, s * p + c * q, r) for p, q, r in zip(*j_delta_v)]
+    bs = _combine(rg, j_v_u)
+    m00, m01, m02, m11, m12, m22 = _upper_outer(_combine(bs, u.q_u.tolist()), bs)
+    q00, q01, q02, q11, q12, q22 = last.q
+    p02, p12 = q02 + a * q22, q12 + b * q22
+    q = (q00 + a * q02 + a * p02 + m00,
+         q01 + a * q12 + b * p02 + m01,
+         p02 + m02,
+         q11 + b * q12 + b * p12 + m11,
+         p12 + m12,
+         q22 + m22)
+    j = [(p + a * r + e, q + b * r + f, r + g)
+         for (p, q, r), (e, f, g) in zip(last.j, _combine(rg, j_v_c))]
 
-    entry = PreintEntry(
-        t=u.t,
-        u=u.u.copy(),
-        q_u=u.q_u.copy(),
-        delta_bar=delta_bar,
-        q_delta=q_delta,
-        j_delta_c=j_delta_c,
-    )
+    entry = PreintEntry(u.t, u.u, u.q_u, delta, q, j)
     buf.entries.append(entry)
     buf._times.append(u.t)
     return entry
@@ -195,8 +272,11 @@ def state_at_high_rate(buf: PreintBuffer, x_origin: Pose2, t: float) -> Pose2:
     k = bisect.bisect_right(buf._times, t)
     if k == 0:
         return Pose2(x_origin.p.copy(), x_origin.theta)
-    out, _, _ = pose_compose(x_origin, buf.entries[k - 1].delta_bar)
-    return out
+    dx, dy, dtheta = buf.entries[k - 1].delta
+    c, s = math.cos(x_origin.theta), math.sin(x_origin.theta)
+    x, y = x_origin.p.tolist()
+    return Pose2(np.array([x + c * dx - s * dy, y + s * dx + c * dy]),
+                 x_origin.theta + dtheta)
 
 
 def split_buffer(buf: PreintBuffer, t_split: float, tol: float):

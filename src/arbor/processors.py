@@ -181,15 +181,17 @@ class MotionProcessor:
     def process_capture(self, tree, t: float, data) -> Optional[KeyframeEvent]:
         if self.buffer is None:
             raise NotReadyError(f"motion processor {self.name} has no origin yet")
-        try:
-            ticks = np.asarray(data, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise RecordFormatError(f"bad {self.sensor_name} record at t={t}: {exc}") from exc
-        if ticks.shape != (len(self.q_u),):
+        if not isinstance(data, (list, tuple, np.ndarray)):
             raise RecordFormatError(f"bad {self.sensor_name} record at t={t}: "
-                                    f"expected {len(self.q_u)} wheel ticks, got {ticks.shape}")
-        u = RawMotion(t, ticks, self.q_u)
-        integrate_step(self.buffer, u)
+                                    f"expected a list of wheel ticks, got {data!r}")
+        try:
+            ticks = tuple(map(float, data))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise RecordFormatError(f"bad {self.sensor_name} record at t={t}: {exc}") from exc
+        if len(ticks) != len(self.q_u):
+            raise RecordFormatError(f"bad {self.sensor_name} record at t={t}: "
+                                    f"expected {len(self.q_u)} wheel ticks, got {len(ticks)}")
+        integrate_step(self.buffer, RawMotion(t, ticks, self.q_u))
         self._retry_pending_joins(tree, t)
         if not self._vote(t):
             return None
@@ -207,11 +209,13 @@ class MotionProcessor:
         return KeyframeEvent(t, frame, self)
 
     def _vote(self, t: float) -> bool:
-        d = self.buffer.delta_bar
+        # a pending join may have just emptied the buffer: its tail is then
+        # the identity delta at the origin
+        x, y, theta = self.buffer.tail.delta
         pol = self.policy
-        if pol.max_dist is not None and np.linalg.norm(d.p) > pol.max_dist:
+        if pol.max_dist is not None and math.hypot(x, y) > pol.max_dist:
             return True
-        if pol.max_angle is not None and abs(d.theta) > pol.max_angle:
+        if pol.max_angle is not None and abs(theta) > pol.max_angle:
             return True
         if pol.max_time is not None and t - self.buffer.origin_t > pol.max_time:
             return True
@@ -231,12 +235,12 @@ class MotionProcessor:
         capture = tree.add_capture(frame, tail.t, self.sensor_id)
         tree.add_factor(capture, Factor(
             kind=MOTION,
-            z=tail.delta_bar.as_array(),
+            z=np.array(tail.delta),
             sqrt_info=sqrt_info,
             constrained=[(origin, "p"), (origin, "o"),
                          (frame, "p"), (frame, "o"),
                          (self.sensor_id, "intrinsic")],
-            aux=MotionData(tail.j_delta_c.copy(), segment.c_bar.copy()),
+            aux=MotionData(tail.j_delta_c, segment.c_bar.copy()),
         ))
 
     def _reset(self, tree, frame: T.NodeId, t: float):
@@ -255,8 +259,7 @@ class MotionProcessor:
         t_kf = tree.node(event.frame).timestamp
         if self._try_join(tree, event.frame, t_kf):
             return True
-        last_t = self.buffer.entries[-1].t if self.buffer.entries else self.buffer.origin_t
-        if t_kf > last_t:
+        if t_kf > self.buffer.tail.t:
             self._pending_joins.append((event.frame, t_kf))
         return False
 
@@ -316,7 +319,7 @@ class LandmarkTracker:
         self.association = association
         self.max_unseen_frames = max_unseen_frames
         self.pose_provider = pose_provider
-        self._pending = None  # (t, [(raw_id, z, matched landmark or None, world point)])
+        self._pending = None  # (t, the associations of _associate)
         self._by_raw_id: dict = {}
         self._last_seen: dict = {}  # landmark NodeId -> keyframe counter
         self._kf_count = 0
@@ -334,17 +337,15 @@ class LandmarkTracker:
         s, _, _ = pose_compose(pose, sensor_extrinsic(tree, self.sensor_id))
         return s
 
+    def _candidates(self, tree):
+        """In-window map landmarks, in creation order, and their positions."""
+        landmarks = tree.children(tree.map_id, T.LANDMARK)
+        if self.max_unseen_frames is not None:
+            landmarks = [lm for lm in landmarks if self._window_ok(lm)]
+        return landmarks, tree.block_values(landmarks, "p")
+
     def _associate(self, tree, pose: Pose2, scan):
-        s = self._sensor_pose(tree, pose)
-        candidates = None
-        if self.association == "gate":
-            in_window = [lm for lm in tree.children(tree.map_id, T.LANDMARK)
-                         if self._window_ok(lm)]
-            if in_window:
-                # children are in creation order, so argmin tie-breaks to
-                # the lowest landmark index
-                candidates = (in_window,
-                              np.array([tree.block(lm, "p").values for lm in in_window]))
+        """(raw id, (range, bearing), matched landmark or None, world point) per entry."""
         parsed = []
         try:
             for m in scan:
@@ -354,27 +355,36 @@ class LandmarkTracker:
                 rng, brg = float(m[-2]), float(m[-1])
                 if not (math.isfinite(rng) and math.isfinite(brg)):
                     raise ValueError(f"entry {m!r} is not finite")
+                if rng <= 0.0:
+                    raise ValueError(f"entry {m!r} has a non-positive range")
                 parsed.append((int(m[0]) if len(m) == 3 else None, rng, brg))
         except (TypeError, ValueError, OverflowError) as exc:
             raise RecordFormatError(f"bad {self.sensor_name} scan: {exc}") from exc
-        out = []
-        for raw_id, rng, brg in parsed:
+        s = self._sensor_pose(tree, pose)
+        sx, sy = s.p.tolist()
+        worlds = []
+        for _, rng, brg in parsed:
             heading = s.theta + brg
-            world = np.array([s.p[0] + rng * math.cos(heading),
-                              s.p[1] + rng * math.sin(heading)])
-            matched = None
-            if self.association == "id" and raw_id is not None:
-                lm = self._by_raw_id.get(raw_id)
+            worlds.append((sx + rng * math.cos(heading), sy + rng * math.sin(heading)))
+        matched = [None] * len(parsed)
+        if self.association == "id":
+            for i, (raw_id, _, _) in enumerate(parsed):
+                lm = self._by_raw_id.get(raw_id) if raw_id is not None else None
                 if lm is not None and lm in tree and self._window_ok(lm):
-                    matched = lm
-            elif candidates is not None:
-                dists = np.hypot(candidates[1][:, 0] - world[0],
-                                 candidates[1][:, 1] - world[1])
-                k = int(np.argmin(dists))
-                if dists[k] <= self.gate:
-                    matched = candidates[0][k]
-            out.append((raw_id, np.array([rng, brg]), matched, world))
-        return out
+                    matched[i] = lm
+        elif parsed:
+            landmarks, points = self._candidates(tree)
+            if landmarks:
+                # one (observations x landmarks) distance matrix; argmin
+                # tie-breaks to the lowest landmark index
+                w = np.array(worlds)
+                dists = np.hypot(w[:, :1] - points[:, 0], w[:, 1:] - points[:, 1])
+                nearest = dists.argmin(axis=1)
+                hits = dists[np.arange(len(worlds)), nearest] <= self.gate
+                matched = [landmarks[k] if hit else None
+                           for k, hit in zip(nearest.tolist(), hits.tolist())]
+        return [(raw_id, (rng, brg), lm, world)
+                for (raw_id, rng, brg), lm, world in zip(parsed, matched, worlds)]
 
     def process_capture(self, tree, t: float, data) -> Optional[KeyframeEvent]:
         if self.pose_provider is None:
@@ -416,7 +426,7 @@ class LandmarkTracker:
             self._last_seen[landmark] = self._kf_count
             tree.add_factor(capture, Factor(
                 kind=RANGE_BEARING,
-                z=z,
+                z=np.array(z),
                 sqrt_info=self.sqrt_info.copy(),
                 constrained=[(frame, "p"), (frame, "o"),
                              (self.sensor_id, "ext_p"), (self.sensor_id, "ext_o"),

@@ -240,6 +240,13 @@ class ProblemTree:
         except KeyError:
             raise NotFoundError(f"{node_id} has no block named {name!r}") from None
 
+    def block_values(self, node_ids, name: str) -> np.ndarray:
+        """Values of block ``name`` of each node, one row per node."""
+        try:
+            return np.array([self._nodes[i].state_blocks[name].values for i in node_ids])
+        except KeyError:
+            raise NotFoundError(f"some node of {list(node_ids)} has no block {name!r}") from None
+
     def frame_pose(self, frame: NodeId) -> Pose2:
         node = self.node(frame)
         return Pose2(node.state_blocks["p"].values.copy(),

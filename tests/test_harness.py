@@ -265,7 +265,9 @@ class TestTracerGuard:
             tracer.uninstall()
         assert tracer.missing == []
         totals = tracer.layer_totals()
-        for name in ("solver.linearize", "solver.total_cost", "factors.evaluate"):
+        for name in ("solver.linearize", "solver.total_cost", "factors.evaluate",
+                     "preint.integrate_step", "preint.state_at_high_rate",
+                     "processors.motion", "processors.tracker"):
             assert totals.get(name, (0,))[0] > 0, name
 
 
@@ -432,6 +434,9 @@ class TestCli:
         ("odom0", "abc"),    # wheel ticks that are not numbers
         ("odom0", [0.1]),    # one wheel tick where the model needs two
         ("odom0", None),     # a line that is not JSON at all
+        ("odom0", "12"),     # a string, not a list of wheel ticks
+        ("odom0", {"1": 0.1, "2": 0.1}),  # an object, not a list
+        ("odom0", [10**400, 0.0]),  # a tick too large for a float
     ])
     def test_malformed_record_exit_code(self, small_logs, tmp_path, capsys, sensor, data):
         lines = small_logs[0].read_text().splitlines()
@@ -447,6 +452,24 @@ class TestCli:
                      "--log", str(log), "--out", str(est)]) == 3
         err = capsys.readouterr().err
         assert "bad" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("rng", [0.0, -0.5])
+    def test_nonpositive_range_exit_code(self, small_logs, tmp_path, capsys, rng):
+        # a range sensor reports no return at a non-positive range; such an
+        # entry used to build a landmark behind the sensor
+        lines = small_logs[0].read_text().splitlines()
+        k = [i for i, line in enumerate(lines) if json.loads(line)["sensor"] == "rb0"][10]
+        rec = json.loads(lines[k])
+        rec["data"][0][1] = rng
+        lines[k] = json.dumps(rec)
+        log = tmp_path / "log.jsonl"
+        log.write_text("\n".join(lines) + "\n")
+        est = tmp_path / "est.jsonl"
+        assert main(["run", "--config", str(DATA / "demo_config.yaml"),
+                     "--log", str(log), "--out", str(est)]) == 3
+        err = capsys.readouterr().err
+        assert "non-positive range" in err and str(rec["data"][0]) in err
+        assert "Traceback" not in err
 
     def test_print_tree_flag(self, tmp_path, capsys):
         log = tmp_path / "log.jsonl"
@@ -466,6 +489,11 @@ def _set_scan_value(rec, rng, value):
     if rec["data"]:
         entry = rec["data"][int(rng.integers(len(rec["data"])))]
         entry[1 + int(rng.integers(2))] = value
+
+
+def _set_scan_range(rec, rng):
+    if rec["data"]:
+        rec["data"][int(rng.integers(len(rec["data"])))][-2] = float(rng.choice([0.0, -0.5]))
 
 
 def _scan_entry_arity(rec, rng):
@@ -490,6 +518,7 @@ LOG_MUTATIONS = {
     "t_backwards": (None, lambda rec, rng: rec.update(t=rec["t"] - rng.uniform(0.01, 1.0))),
     "t_nan": (None, lambda rec, rng: rec.update(t=float("nan"))),
     "unknown_sensor": (None, lambda rec, rng: rec.update(sensor="ghost")),
+    "scan_range_nonpositive": ("rb0", _set_scan_range),
 }
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from arbor.errors import CalibrationError, JoinToleranceError, OrderingError
 from arbor.factors import MOTION, Factor, MotionData, evaluate_one
 from arbor.manifold import Pose2, pose_compose
 from arbor.preint import (
+    Delta,
     DiffDriveModel,
     PreintBuffer,
     RawMotion,
@@ -77,23 +79,23 @@ class TestPrecalibrate:
 class TestComputeDelta:
     def test_straight(self):
         d, _ = MODEL.compute_delta(np.array([0.1, 0.0]))
-        np.testing.assert_allclose(d.as_array(), [0.1, 0.0, 0.0])
+        np.testing.assert_allclose(d, [0.1, 0.0, 0.0])
 
     def test_turn_in_place(self):
         d, _ = MODEL.compute_delta(np.array([0.0, math.pi / 2]))
-        np.testing.assert_allclose(d.as_array(), [0.0, 0.0, math.pi / 2])
+        np.testing.assert_allclose(d, [0.0, 0.0, math.pi / 2])
 
     def test_chord_hand_value(self):
         # (cos(pi/2), sin(pi/2), pi) = (0, 1, pi)
         d, _ = MODEL.compute_delta(np.array([1.0, math.pi]))
-        np.testing.assert_allclose(d.as_array(), [0.0, 1.0, math.pi], atol=1e-15)
+        np.testing.assert_allclose(d, [0.0, 1.0, math.pi], atol=1e-15)
 
     def test_jacobian_matches_finite_differences(self):
         rng = np.random.default_rng(4)
         for _ in range(1000):
             v = np.array([rng.uniform(-1, 1), rng.uniform(-2, 2)])
             _, j = MODEL.compute_delta(v)
-            fd = central_diff(lambda vv: MODEL.compute_delta(vv)[0].as_array(), v)
+            fd = central_diff(lambda vv: MODEL.compute_delta(vv)[0], v)
             assert np.max(np.abs(j - fd)) < 1e-5
 
 
@@ -206,19 +208,36 @@ class ScaledTwistModel:
 
     def precalibrate(self, u, c):
         scale = float(c[0])
-        v = np.array([scale * u[0], u[1]])
-        j_v_u = np.array([[scale, 0.0], [0.0, 1.0]])
-        j_v_c = np.array([[u[0]], [0.0]])
+        v = (scale * u[0], u[1])
+        j_v_u = ((scale, 0.0), (0.0, 1.0))
+        j_v_c = ((u[0],), (0.0,))
         return v, j_v_u, j_v_c
 
     def compute_delta(self, v):
         s, w = float(v[0]), float(v[1])
         half = 0.5 * w
-        delta = Pose2(np.array([s * math.cos(half), s * math.sin(half)]), w)
-        j = np.array([[math.cos(half), -0.5 * s * math.sin(half)],
-                      [math.sin(half), 0.5 * s * math.cos(half)],
-                      [0.0, 1.0]])
+        delta = Delta(s * math.cos(half), s * math.sin(half), w)
+        j = ((math.cos(half), -0.5 * s * math.sin(half)),
+             (math.sin(half), 0.5 * s * math.cos(half)),
+             (0.0, 1.0))
         return delta, j
+
+
+class HolonomicModel:
+    """Third motion model, with three data and three calibrated-data entries:
+    body-frame increments (dx, dy, dtheta), the translation scaled by c[0]."""
+
+    calib_dim = 1
+
+    def precalibrate(self, u, c):
+        scale = float(c[0])
+        v = (scale * u[0], scale * u[1], u[2])
+        j_v_u = ((scale, 0.0, 0.0), (0.0, scale, 0.0), (0.0, 0.0, 1.0))
+        j_v_c = ((u[0],), (u[1],), (0.0,))
+        return v, j_v_u, j_v_c
+
+    def compute_delta(self, v):
+        return Delta(*v), ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
 
 class TestAlternativeModel:
@@ -260,6 +279,83 @@ class TestAlternativeModel:
         assert buf.j_delta_c.shape == (3, 1)
 
 
+def reference_recursion(model, c_bar, samples):
+    """The per-step recursion in matrix form, with numpy: the reference for
+    the float recursion.  Returns (delta_bar, q_delta, j_delta_c) after each
+    sample."""
+    delta = Pose2.identity()
+    q = np.zeros((3, 3))
+    j = np.zeros((3, len(c_bar)))
+    out = []
+    for smp in samples:
+        v, j_v_u, j_v_c = model.precalibrate(smp.u, c_bar)
+        step, j_delta_v = model.compute_delta(v)
+        delta, j_dd, j_ddelta = pose_compose(delta, Pose2(np.array(step.p), step.theta))
+        j_delta_v = np.asarray(j_delta_v)
+        a = j_ddelta @ j_delta_v @ np.asarray(j_v_u)
+        q = j_dd @ q @ j_dd.T + a @ smp.q_u @ a.T
+        q = 0.5 * (q + q.T)
+        j = j_dd @ j + j_ddelta @ j_delta_v @ np.asarray(j_v_c)
+        out.append((delta, q, j))
+    return out
+
+
+ORACLE_MODELS = [
+    (DiffDriveModel(), C_NOM, 2),
+    (ScaledTwistModel(), np.array([1.25]), 2),
+    (HolonomicModel(), np.array([0.9]), 3),
+]
+
+
+class TestFloatRecursionOracle:
+    """The float recursion against :func:`reference_recursion`: the delta bit
+    for bit, the moments to 1e-12 relative."""
+
+    @staticmethod
+    def _samples(rng, n_u, n):
+        out = []
+        for k in range(n):
+            a = rng.normal(size=(n_u, n_u))
+            out.append(RawMotion(0.1 * (k + 1), rng.uniform(-0.3, 0.3, n_u),
+                                 1e-4 * (a @ a.T + 0.1 * np.eye(n_u))))
+        return out
+
+    @staticmethod
+    def _assert_matches(entries, reference):
+        assert len(entries) == len(reference)
+        for entry, (delta, q, j) in zip(entries, reference):
+            assert entry.delta == (delta.p[0], delta.p[1], delta.theta)
+            assert np.linalg.norm(entry.q_delta - q) <= 1e-12 * np.linalg.norm(q)
+            assert np.linalg.norm(entry.j_delta_c - j) <= 1e-12 * np.linalg.norm(j)
+
+    @pytest.mark.parametrize("model, c_bar, n_u", ORACLE_MODELS,
+                             ids=["diff_drive", "scaled_twist", "holonomic"])
+    def test_random_segments(self, model, c_bar, n_u):
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            samples = self._samples(rng, n_u, int(rng.integers(1, 60)))
+            buf = PreintBuffer(None, 0.0, c_bar, model)
+            for smp in samples:
+                integrate_step(buf, smp)
+            self._assert_matches(buf.entries, reference_recursion(model, c_bar, samples))
+
+    @pytest.mark.parametrize("model, c_bar, n_u", ORACLE_MODELS,
+                             ids=["diff_drive", "scaled_twist", "holonomic"])
+    def test_across_split(self, model, c_bar, n_u):
+        rng = np.random.default_rng(32)
+        for _ in range(20):
+            samples = self._samples(rng, n_u, int(rng.integers(2, 60)))
+            k = int(rng.integers(0, len(samples)))
+            buf = PreintBuffer(None, 0.0, c_bar, model)
+            for smp in samples:
+                integrate_step(buf, smp)
+            first, second = split_buffer(buf, 0.1 * k, tol=1e-9)
+            assert first.entries == buf.entries[:k]
+            self._assert_matches(first.entries, reference_recursion(model, c_bar, samples[:k]))
+            self._assert_matches(second.entries,
+                                 reference_recursion(model, c_bar, samples[k:]))
+
+
 class TestSegmentComposition:
     def test_split_then_compose_equals_direct(self):
         rng = np.random.default_rng(10)
@@ -299,8 +395,7 @@ class TestCorrectDelta:
     def test_zero_jacobian_ignores_calibration(self):
         entry_like = make_buffer()
         integrate_step(entry_like, RawMotion(0.1, np.zeros(2), np.zeros((2, 2))))
-        tail = entry_like.entries[-1]
-        tail.j_delta_c = np.zeros((3, 3))
+        tail = dataclasses.replace(entry_like.entries[-1], j=[(0.0, 0.0, 0.0)] * 3)
         err = correction_error(tail, C_NOM * 1.5, C_NOM, tail.delta_bar)
         np.testing.assert_allclose(err, np.zeros(3), atol=1e-15)
 

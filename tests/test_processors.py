@@ -6,7 +6,7 @@ import pytest
 from arbor import tree as T
 from arbor.errors import AlignmentError, DecompositionError, NotReadyError
 from arbor.factors import MOTION, RANGE_BEARING, RELATIVE_POSE, Factor
-from arbor.manifold import ANGLE, Pose2, StateBlock
+from arbor.manifold import ANGLE, Pose2, StateBlock, pose_compose
 from arbor.processors import (
     FeatureInfo,
     KeyframeEvent,
@@ -18,6 +18,7 @@ from arbor.processors import (
     MotionProcessor,
     Pipeline,
     SensorInfo,
+    sensor_extrinsic,
 )
 
 C_NOM = np.array([0.1, 0.1, 0.5])
@@ -171,6 +172,25 @@ class TestMotionProcessor:
         assert kinds == [MOTION]
         assert proc.buffer.origin_frame == foreign
 
+    def test_vote_after_pending_join_empties_buffer(self):
+        # a foreign keyframe ahead of the data waits; the next sample joins
+        # it and the split hands every integrated sample to the first part
+        tr, odom, _, first = build_tree()
+        proc = make_motion(tr, odom, first, max_dist=10.0, max_angle=1.0, max_time=5.0)
+        for k in range(1, 5):
+            proc.process_capture(tr, 0.1 * k, straight_step())
+        foreign = tr.add_frame(0.5, Pose2.identity())
+        assert proc.on_keyframe_broadcast(tr, KeyframeEvent(0.5, foreign, None)) is False
+        assert proc.process_capture(tr, 0.5, straight_step()) is None
+        assert proc.buffer.origin_frame == foreign
+        assert proc.buffer.entries == []
+        kinds = [tr.node(f).payload.kind for f in tr.factors_referencing(foreign)]
+        assert kinds == [MOTION]
+        # the vote on the emptied buffer saw the identity delta
+        np.testing.assert_allclose(proc.buffer.delta_bar.as_array(), [0, 0, 0])
+        assert proc.process_capture(tr, 0.6, straight_step()) is None
+        assert len(proc.buffer.entries) == 1
+
     def test_uninitialized_rejected(self):
         tr, odom, _, _ = build_tree()
         proc = MotionProcessor("odom", odom, "odom0", KeyframePolicy(max_dist=1.0),
@@ -253,6 +273,88 @@ class TestLandmarkTracker:
         tracker._last_seen[stale] = 1  # last seen 9 keyframes ago
         out = tracker._associate(tr, Pose2.identity(), [[3, 1.0, 0.0]])
         assert out[0][2] is None
+
+
+def reference_associate(tracker, tr, pose, scan):
+    """Association one observation at a time, each against every candidate."""
+    s, _, _ = pose_compose(pose, sensor_extrinsic(tr, tracker.sensor_id))
+    landmarks = [lm for lm in tr.children(tr.map_id, T.LANDMARK) if tracker._window_ok(lm)]
+    out = []
+    for m in scan:
+        raw_id = int(m[0]) if len(m) == 3 else None
+        rng, brg = float(m[-2]), float(m[-1])
+        heading = s.theta + brg
+        world = (s.p[0] + rng * math.cos(heading), s.p[1] + rng * math.sin(heading))
+        matched = None
+        if tracker.association == "id":
+            lm = tracker._by_raw_id.get(raw_id)
+            if lm is not None and lm in tr and tracker._window_ok(lm):
+                matched = lm
+        elif landmarks:
+            best = None
+            for lm in landmarks:
+                p = tr.block(lm, "p").values
+                d = float(np.hypot(p[0] - world[0], p[1] - world[1]))
+                if best is None or d < best[0]:
+                    best = (d, lm)
+            if best[0] <= tracker.gate:
+                matched = best[1]
+        out.append((raw_id, (rng, brg), matched, world))
+    return out
+
+
+class TestOneShotAssociation:
+    """The scan-at-once association against :func:`reference_associate`."""
+
+    def _assert_same(self, tracker, tr, pose, scan):
+        out = tracker._associate(tr, pose, scan)
+        ref = reference_associate(tracker, tr, pose, scan)
+        assert [o[:3] for o in out] == [r[:3] for r in ref]
+        assert [tuple(o[3]) for o in out] == [tuple(r[3]) for r in ref]
+        return out
+
+    def test_random_scans(self):
+        rng = np.random.default_rng(41)
+        for _ in range(30):
+            tr, _, rb, _ = build_tree()
+            for k in range(int(rng.integers(1, 30))):
+                tr.add_landmark(rng.uniform(-5, 5, 2), LandmarkInfo(k))
+            tracker = make_tracker(tr, rb, gate=float(rng.uniform(0.1, 1.0)))
+            pose = Pose2(rng.uniform(-2, 2, 2), rng.uniform(-3, 3))
+            scan = [[k, rng.uniform(0.2, 6.0), rng.uniform(-3, 3)]
+                    for k in range(int(rng.integers(1, 15)))]
+            self._assert_same(tracker, tr, pose, scan)
+
+    def test_equidistant_tie_goes_to_lowest_index(self):
+        tr, _, rb, _ = build_tree()
+        lm_a = tr.add_landmark(np.array([1.0, 0.25]))
+        tr.add_landmark(np.array([1.0, -0.25]))
+        tracker = make_tracker(tr, rb)
+        out = self._assert_same(tracker, tr, Pose2.identity(), [[1.0, 0.0], [2.0, 0.0]])
+        assert out[0][2] == lm_a and out[1][2] is None
+
+    def test_distance_at_gate_matches(self):
+        tr, _, rb, _ = build_tree()
+        lm = tr.add_landmark(np.array([1.5, 0.0]))
+        tracker = make_tracker(tr, rb, gate=0.5)
+        out = self._assert_same(tracker, tr, Pose2.identity(), [[1.0, 0.0], [0.9999, 0.0]])
+        assert out[0][2] == lm and out[1][2] is None
+
+    def test_empty_map(self):
+        tr, _, rb, _ = build_tree()
+        tracker = make_tracker(tr, rb)
+        out = self._assert_same(tracker, tr, Pose2(np.array([1.0, 2.0]), 0.3),
+                                [[0, 1.0, 0.0], [1, 2.0, 1.0]])
+        assert [o[2] for o in out] == [None, None]
+
+    def test_id_association(self):
+        tr, _, rb, _ = build_tree()
+        lms = [tr.add_landmark(np.array([5.0 + k, 0.0]), LandmarkInfo(k)) for k in range(3)]
+        tracker = make_tracker(tr, rb, association="id")
+        tracker._by_raw_id = {0: lms[0], 2: lms[2]}
+        out = self._assert_same(tracker, tr, Pose2.identity(),
+                                [[0, 1.0, 0.0], [1, 5.0, 0.0], [2, 1.0, 1.0], [1.0, 0.0]])
+        assert [o[2] for o in out] == [lms[0], None, lms[2], None]
 
 
 class TestLoopCloser:
