@@ -323,7 +323,6 @@ class Application:
 
     tree: T.ProblemTree
     pipeline: Pipeline
-    processors: list
     sensors: dict          # name -> (NodeId, SensorInfo)
     solver_options: SolverOptions
     window_policy: Optional[T.WindowPolicy]
@@ -419,12 +418,8 @@ def auto_setup(server: ParameterServer, registry: CreatorRegistry | None = None)
         prefix = f"map.landmarks.{i}"
         raw_id = server.get(f"{prefix}.id", None)
         p = [float(v) for v in server.require(f"{prefix}.p")]
-        lm = tree.add_landmark(np.array(p), LandmarkInfo(None if raw_id is None else int(raw_id)),
-                               fixed=_flag(server, f"{prefix}.fixed", False))
-        if raw_id is not None:
-            for proc in processors:
-                if isinstance(proc, LandmarkTracker):
-                    proc._by_raw_id[int(raw_id)] = lm
+        tree.add_landmark(np.array(p), LandmarkInfo(None if raw_id is None else int(raw_id)),
+                          fixed=_flag(server, f"{prefix}.fixed", False))
 
     pipeline = Pipeline(tree, processors)
     pipeline.initialize(first)
@@ -439,7 +434,6 @@ def auto_setup(server: ParameterServer, registry: CreatorRegistry | None = None)
     return Application(
         tree=tree,
         pipeline=pipeline,
-        processors=processors,
         sensors=sensors,
         solver_options=options,
         window_policy=window_policy,

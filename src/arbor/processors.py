@@ -1,33 +1,35 @@
-"""Front-end processors and the keyframe broadcast/join protocol.
+"""Front-end processors and the pipeline that owns the keyframe step.
 
-Three processors populate the tree from raw captures:
+Every processor implements the :class:`Processor` protocol: it reads the
+captures of one sensor (``process_capture``, which may vote for a keyframe),
+attaches its data to keyframes (``attach``, which may decline), and may
+offer a pose estimate (``pose_at``).  :class:`Pipeline` codes the keyframe
+step once.  On a vote it looks for a frame within the voter's
+``time_tolerance``: if there is one, only the voter attaches to it;
+otherwise it adds a frame at the voter's pose and offers it to the voter
+first, then to the others in installation order.  A processor that declines
+a frame ahead of its data is offered it again after its next captures.  A
+decline never mutates the tree.
 
-* the motion processor pre-integrates odometry between keyframes, votes for
-  a new keyframe on distance/angle/time thresholds, and emits one motion
-  factor per interval (carrying the frozen delta, covariance, and
-  calibration Jacobian, so the sensor intrinsics stay estimable);
-* the landmark tracker turns range-bearing scans into features, associates
+* The motion processor pre-integrates odometry between keyframes, votes on
+  distance/angle/time thresholds, and emits one motion factor per interval
+  (carrying the frozen delta, covariance, and calibration Jacobian, so the
+  sensor intrinsics stay estimable).
+* The landmark tracker turns range-bearing scans into features, associates
   them to map landmarks (by carried id or by nearest-within-gate), creates
-  landmarks for the unmatched, and votes when its track count drops;
-* the loop closer compares the raw landmark ids observed from the current
-  keyframe against past keyframes nearby, aligns the shared points, and
-  adds a relative-pose factor.
+  landmarks for the unmatched, and votes when its track count drops.
+* The loop closer aligns the landmarks a new keyframe shares with a past
+  keyframe nearby and adds a relative-pose factor.
 
-Keyframes made by one processor are broadcast to the others, which join by
-splitting their buffers (or attaching their pending capture) when the
-timestamps agree within their tolerance; a declined join never mutates the
-tree.  If a vote lands within tolerance of an existing frame, the voter
-joins that frame instead of creating a twin.
-
-Nodes enter the tree only through the ``ProblemTree`` builders
-(``add_frame``, ``add_capture``, ``add_factor``, ``add_landmark``, ...).
+Nodes enter the tree only through the ``ProblemTree`` builders.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -83,7 +85,6 @@ class LoopPolicy:
 class KeyframeEvent:
     t: float
     frame: T.NodeId
-    creator: object  # the processor that voted the keyframe
 
 
 @dataclass
@@ -140,7 +141,28 @@ def sensor_extrinsic(tree, sensor_id) -> Pose2:
                  float(node.state_blocks["ext_o"].values[0]))
 
 
-class MotionProcessor:
+class Processor:
+    """What the pipeline calls; every method is a no-op default.  Captures
+    of sensor ``sensor_name`` attach to keyframes within ``time_tolerance``."""
+
+    sensor_name: Optional[str] = None
+    time_tolerance: float = 0.0
+
+    def initialize(self, tree, first_frame: T.NodeId, pose_at=None):
+        """Once, before any capture; ``pose_at(tree, t)`` is the pipeline's."""
+
+    def process_capture(self, tree, t: float, data) -> Optional[bool]:
+        """Read one capture; True votes for a keyframe at t."""
+
+    def attach(self, tree, frame: T.NodeId, t: float) -> bool:
+        """Attach own data to the keyframe at t; False declines, untouched."""
+        return True
+
+    def pose_at(self, tree, t: float) -> Optional[Pose2]:
+        """Own pose estimate at t, if any."""
+
+
+class MotionProcessor(Processor):
     """Pre-integrating odometry front-end with a distance/angle/time policy."""
 
     def __init__(self, name, sensor_id, sensor_name, policy: KeyframePolicy,
@@ -154,20 +176,21 @@ class MotionProcessor:
         self.model = model or DiffDriveModel()
         self.q_u = np.eye(2) * tick_std**2
         self.buffer: Optional[PreintBuffer] = None
-        # foreign keyframes whose timestamp is ahead of the integrated data;
-        # retried as samples arrive, dropped once out of tolerance
-        self._pending_joins: list = []
+        # (t, sqrt information, newest frame) at a vote; the voter's attach
+        # comes right after its vote and consumes it
+        self._closing: Optional[tuple] = None
 
-    def initialize(self, tree, origin_frame: T.NodeId):
+    def initialize(self, tree, first_frame: T.NodeId, pose_at=None):
         """Anchor the first buffer at an existing frame."""
         c_bar = tree.block(self.sensor_id, "intrinsic").values.copy()
-        t0 = tree.node(origin_frame).timestamp
-        self.buffer = PreintBuffer(origin_frame, t0, c_bar, self.model)
+        t0 = tree.node(first_frame).timestamp
+        self.buffer = PreintBuffer(first_frame, t0, c_bar, self.model)
 
-    def high_rate_pose(self, tree, t: float) -> Pose2:
-        """Origin frame estimate advanced by the delta integrated up to t."""
-        if self.buffer is None:
-            raise NotReadyError(f"motion processor {self.name} has no origin yet")
+    def pose_at(self, tree, t: float) -> Optional[Pose2]:
+        """Origin frame estimate advanced by the delta integrated up to t;
+        None before the origin."""
+        if self.buffer is None or self.buffer.origin_t > t:
+            return None
         try:
             origin = tree.frame_pose(self.buffer.origin_frame)
         except NotFoundError as exc:
@@ -178,7 +201,7 @@ class MotionProcessor:
             ) from exc
         return state_at_high_rate(self.buffer, origin, t)
 
-    def process_capture(self, tree, t: float, data) -> Optional[KeyframeEvent]:
+    def process_capture(self, tree, t: float, data) -> Optional[bool]:
         if self.buffer is None:
             raise NotReadyError(f"motion processor {self.name} has no origin yet")
         if not isinstance(data, (list, tuple, np.ndarray)):
@@ -192,25 +215,14 @@ class MotionProcessor:
             raise RecordFormatError(f"bad {self.sensor_name} record at t={t}: "
                                     f"expected {len(self.q_u)} wheel ticks, got {len(ticks)}")
         integrate_step(self.buffer, RawMotion(t, ticks, self.q_u))
-        self._retry_pending_joins(tree, t)
         if not self._vote(t):
             return None
-        existing = tree.find_frame_near(t, self.time_tolerance)
-        if existing is not None and existing != self.buffer.origin_frame:
-            # a coincident frame already exists: join it instead of twinning
-            self._try_join(tree, existing, tree.node(existing).timestamp)
-            return None
-        # whiten before touching the tree: a singular interval covariance
+        # whiten before any frame exists: a singular interval covariance
         # (stationary or pure-rotation interval) must fail atomically
-        sqrt_info = whiten(self.buffer.q_delta)
-        frame = tree.add_frame(t, self.high_rate_pose(tree, t))
-        self._attach_segment(tree, frame, self.buffer, sqrt_info)
-        self._reset(tree, frame, t)
-        return KeyframeEvent(t, frame, self)
+        self._closing = (t, whiten(self.buffer.q_delta), tree.frames()[-1])
+        return True
 
     def _vote(self, t: float) -> bool:
-        # a pending join may have just emptied the buffer: its tail is then
-        # the identity delta at the origin
         x, y, theta = self.buffer.tail.delta
         pol = self.policy
         if pol.max_dist is not None and math.hypot(x, y) > pol.max_dist:
@@ -220,6 +232,21 @@ class MotionProcessor:
         if pol.max_time is not None and t - self.buffer.origin_t > pol.max_time:
             return True
         return False
+
+    def attach(self, tree, frame: T.NodeId, t: float) -> bool:
+        """Close the voted interval onto the frame made for the vote, the one
+        newer than the vote, and start a fresh buffer there; join any other
+        frame by splitting the buffer at t."""
+        closing, self._closing = self._closing, None
+        if frame == self.buffer.origin_frame:
+            return True
+        if closing is not None and frame.index > closing[2].index:
+            t_vote, sqrt_info, _ = closing
+            self._attach_segment(tree, frame, self.buffer, sqrt_info)
+            c_bar = tree.block(self.sensor_id, "intrinsic").values.copy()
+            self.buffer = PreintBuffer(frame, t_vote, c_bar, self.model)
+            return True
+        return self._try_join(tree, frame, t)
 
     def _attach_segment(self, tree, frame: T.NodeId, segment: PreintBuffer,
                         sqrt_info: np.ndarray | None):
@@ -243,37 +270,6 @@ class MotionProcessor:
             aux=MotionData(tail.j_delta_c, segment.c_bar.copy()),
         ))
 
-    def _reset(self, tree, frame: T.NodeId, t: float):
-        c_bar = tree.block(self.sensor_id, "intrinsic").values.copy()
-        self.buffer = PreintBuffer(frame, t, c_bar, self.model)
-
-    def on_keyframe_broadcast(self, tree, event: KeyframeEvent) -> bool:
-        """Join a foreign keyframe by splitting the buffer at its timestamp.
-
-        A frame ahead of the integrated data (its sample has not arrived
-        yet) is remembered and joined as soon as a sample within tolerance
-        comes in.  Returns whether the frame was joined now.
-        """
-        if self.buffer is None:
-            return False
-        t_kf = tree.node(event.frame).timestamp
-        if self._try_join(tree, event.frame, t_kf):
-            return True
-        if t_kf > self.buffer.tail.t:
-            self._pending_joins.append((event.frame, t_kf))
-        return False
-
-    def _retry_pending_joins(self, tree, t: float):
-        still_pending = []
-        for frame, t_kf in self._pending_joins:
-            if frame not in tree:
-                continue
-            if abs(t - t_kf) <= self.time_tolerance:
-                self._try_join(tree, frame, t_kf)
-            elif t < t_kf:
-                still_pending.append((frame, t_kf))
-        self._pending_joins = still_pending
-
     def _try_join(self, tree, frame: T.NodeId, t_kf: float) -> bool:
         """Split the buffer at t_kf and attach the first part to the frame.
 
@@ -292,11 +288,11 @@ class MotionProcessor:
         return True
 
 
-class LandmarkTracker:
+class LandmarkTracker(Processor):
     """Range-bearing feature tracker against the landmark map.
 
     Keeps the latest capture pending between keyframes and attaches its
-    features/factors when a keyframe arrives (own vote or join).  Landmarks
+    features/factors to a keyframe within tolerance of it.  Landmarks
     not seen for more than ``max_unseen_frames`` keyframes drop out of the
     association candidates, so revisits spawn fresh landmarks (loop closure
     is then up to the loop processor).
@@ -305,8 +301,7 @@ class LandmarkTracker:
     def __init__(self, name, sensor_id, sensor_name, policy: KeyframePolicy,
                  time_tolerance: float, range_std: float, bearing_std: float,
                  gate: float = 0.5, association: str = "gate",
-                 max_unseen_frames: Optional[int] = None,
-                 pose_provider: Optional[Callable] = None):
+                 max_unseen_frames: Optional[int] = None):
         if association not in ("gate", "id"):
             raise ContractError(f"unknown association mode {association!r}")
         self.name = name
@@ -318,7 +313,7 @@ class LandmarkTracker:
         self.gate = gate
         self.association = association
         self.max_unseen_frames = max_unseen_frames
-        self.pose_provider = pose_provider
+        self._pose_at = None  # the pipeline's pose estimate, from initialize
         self._pending = None  # (t, the associations of _associate)
         self._by_raw_id: dict = {}
         self._last_seen: dict = {}  # landmark NodeId -> keyframe counter
@@ -326,6 +321,14 @@ class LandmarkTracker:
         # votes are edge triggered: one keyframe per drop below min_tracks,
         # re-armed once the track count recovers
         self._vote_armed = True
+
+    def initialize(self, tree, first_frame: T.NodeId, pose_at=None):
+        """Take the pose estimate; know the map's landmarks by raw id."""
+        self._pose_at = pose_at
+        for lm in tree.children(tree.map_id, T.LANDMARK):
+            info = tree.node(lm).payload
+            if isinstance(info, LandmarkInfo) and info.raw_id is not None:
+                self._by_raw_id[info.raw_id] = lm
 
     def _window_ok(self, landmark) -> bool:
         if self.max_unseen_frames is None:
@@ -386,10 +389,10 @@ class LandmarkTracker:
         return [(raw_id, (rng, brg), lm, world)
                 for (raw_id, rng, brg), lm, world in zip(parsed, matched, worlds)]
 
-    def process_capture(self, tree, t: float, data) -> Optional[KeyframeEvent]:
-        if self.pose_provider is None:
-            raise NotReadyError(f"tracker {self.name} has no pose provider")
-        pose = self.pose_provider(tree, t)
+    def process_capture(self, tree, t: float, data) -> Optional[bool]:
+        if self._pose_at is None:
+            raise NotReadyError(f"tracker {self.name} has no pose estimate")
+        pose = self._pose_at(tree, t)
         associations = self._associate(tree, pose, data)
         self._pending = (t, associations)
         matched = sum(1 for _, _, lm, _ in associations if lm is not None)
@@ -401,22 +404,17 @@ class LandmarkTracker:
         if not self._vote_armed:
             return None
         self._vote_armed = False
-        existing = tree.find_frame_near(t, self.time_tolerance)
-        if existing is not None:
-            self._attach(tree, existing)
-            return None
-        frame = tree.add_frame(t, pose)
-        self._attach(tree, frame)
-        return KeyframeEvent(t, frame, self)
+        return True
 
-    def _attach(self, tree, frame: T.NodeId):
-        """Add the pending capture with its features, landmarks and factors."""
-        if self._pending is None:
-            return
-        t, associations = self._pending
+    def attach(self, tree, frame: T.NodeId, t: float) -> bool:
+        """Add the pending capture, if within tolerance of t, with its
+        features, landmarks and factors."""
+        if self._pending is None or abs(self._pending[0] - t) > self.time_tolerance:
+            return False
+        t_capture, associations = self._pending
         self._pending = None
         self._kf_count += 1
-        capture = tree.add_capture(frame, t, self.sensor_id)
+        capture = tree.add_capture(frame, t_capture, self.sensor_id)
         for raw_id, z, matched, world in associations:
             landmark = matched
             if landmark is None:
@@ -432,17 +430,10 @@ class LandmarkTracker:
                              (self.sensor_id, "ext_p"), (self.sensor_id, "ext_o"),
                              (landmark, "p")],
             ), FeatureInfo(raw_id))
-
-    def on_keyframe_broadcast(self, tree, event: KeyframeEvent) -> bool:
-        """Attach the pending capture to a keyframe within tolerance of it."""
-        if (self._pending is None
-                or abs(self._pending[0] - tree.node(event.frame).timestamp) > self.time_tolerance):
-            return False
-        self._attach(tree, event.frame)
         return True
 
 
-class LoopCloser:
+class LoopCloser(Processor):
     """Closes loops by aligning landmark observations shared with past frames."""
 
     def __init__(self, name, sensor_id, sensor_name, policy: LoopPolicy,
@@ -541,65 +532,79 @@ class LoopCloser:
             constrained=[(cand, "p"), (cand, "o"), (current, "p"), (current, "o")],
         ))
 
-    def on_keyframe_broadcast(self, tree, event: KeyframeEvent):
-        try:
-            return self.detect_and_close(tree, event.frame)
-        except AlignmentError:
-            return None
+    def attach(self, tree, frame: T.NodeId, t: float) -> bool:
+        """Look for a loop from the new frame; never declines, so a frame is
+        offered once, before the tree moves on."""
+        with contextlib.suppress(AlignmentError):
+            self.detect_and_close(tree, frame)
+        return True
 
 
 class Pipeline:
-    """Installation-ordered processors sharing one tree.
-
-    Captures are dispatched to the processors bound to their sensor; a
-    processor that votes a keyframe finishes its own bookkeeping before the
-    event is broadcast to the others, in installation order.
-    """
+    """Installation-ordered processors sharing one tree; owns the keyframe step."""
 
     def __init__(self, tree, processors):
         self.tree = tree
         self.processors = list(processors)
+        self._by_sensor: dict = {}
         for proc in self.processors:
-            if isinstance(proc, LandmarkTracker) and proc.pose_provider is None:
-                proc.pose_provider = self.pose_at
+            self._by_sensor.setdefault(proc.sensor_name, []).append(proc)
+        self._last_t: dict = {}  # id(processor) -> time of its last capture
+        self._held: list = []    # (processor, frame, t) declined ahead of its data
 
     def pose_at(self, tree, t: float) -> Pose2:
-        """Best pose estimate at t: high-rate if a motion buffer covers it,
+        """Best pose estimate at t: the first processor's that offers one,
         else the newest frame at or before t."""
         for proc in self.processors:
-            if isinstance(proc, MotionProcessor) and proc.buffer is not None:
-                if proc.buffer.origin_t <= t:
-                    return proc.high_rate_pose(tree, t)
+            pose = proc.pose_at(tree, t)
+            if pose is not None:
+                return pose
         try:
             state = tree.state_at(t)
         except NotFoundError as exc:
             raise NotReadyError(f"no pose estimate available at t={t}") from exc
-        if "p" not in state or "o" not in state:
-            raise NotReadyError("no pose estimate available")
         return Pose2(state["p"], float(state["o"][0]))
 
     def initialize(self, first_frame: T.NodeId):
         for proc in self.processors:
-            if isinstance(proc, MotionProcessor):
-                proc.initialize(self.tree, first_frame)
+            proc.initialize(self.tree, first_frame, self.pose_at)
 
     def dispatch(self, sensor_name: str, t: float, data) -> list:
         """Feed one capture; returns the keyframe events it triggered."""
+        tree = self.tree
         events = []
-        for proc in self.processors:
-            if getattr(proc, "sensor_name", None) != sensor_name:
-                continue
-            if not hasattr(proc, "process_capture"):
-                continue
-            event = proc.process_capture(self.tree, t, data)
-            if event is not None:
-                self.broadcast(event)
-                events.append(event)
+        for proc in self._by_sensor.get(sensor_name, ()):
+            self._last_t[id(proc)] = t
+            if proc.process_capture(tree, t, data):
+                existing = tree.find_frame_near(t, proc.time_tolerance)
+                if existing is not None:
+                    # join the coincident frame instead of making a twin
+                    proc.attach(tree, existing, tree.node(existing).timestamp)
+                else:
+                    pose = proc.pose_at(tree, t) or self.pose_at(tree, t)
+                    events.append(KeyframeEvent(t, tree.add_frame(t, pose)))
+                    self.broadcast(events[-1], proc)
+            if self._held:
+                self._retry_held(proc, t)
         return events
 
-    def broadcast(self, event: KeyframeEvent):
-        for proc in self.processors:
-            if proc is event.creator:
-                continue
-            if hasattr(proc, "on_keyframe_broadcast"):
-                proc.on_keyframe_broadcast(self.tree, event)
+    def broadcast(self, event: KeyframeEvent, voter: Processor):
+        """Offer a new keyframe to the voter, then the others in installation
+        order; one that declines it ahead of its own data is held."""
+        for proc in [voter] + [p for p in self.processors if p is not voter]:
+            if (not proc.attach(self.tree, event.frame, event.t)
+                    and self._last_t.get(id(proc), -math.inf) < event.t):
+                self._held.append((proc, event.frame, event.t))
+
+    def _retry_held(self, proc: Processor, t: float):
+        """Offer proc's held frames again after its capture at t; a frame
+        goes once attached or once t reaches its time less the tolerance."""
+        kept = []
+        for held in self._held:
+            holder, frame, t_kf = held
+            if holder is not proc:
+                kept.append(held)
+            elif (frame in self.tree and not proc.attach(self.tree, frame, t_kf)
+                  and t < t_kf - proc.time_tolerance):
+                kept.append(held)
+        self._held = kept

@@ -122,8 +122,8 @@ class TestAutoSetup:
                   if app.tree.node(f).payload.kind == PRIOR_POSE]
         assert len(priors) == 1
         assert app.tree.check_consistency() == []
-        assert isinstance(app.processors[0], MotionProcessor)
-        assert isinstance(app.processors[1], LandmarkTracker)
+        assert isinstance(app.pipeline.processors[0], MotionProcessor)
+        assert isinstance(app.pipeline.processors[1], LandmarkTracker)
         assert app.window_policy is None
         assert app.solver_options.max_iterations == 25
 
@@ -148,7 +148,7 @@ class TestAutoSetup:
         assert len(landmarks) == 3
         assert all(app.tree.block(lm, "p").fixed for lm in landmarks)
         # trackers in id mode know the configured landmarks
-        tracker = app.processors[1]
+        tracker = app.pipeline.processors[1]
         assert set(tracker._by_raw_id) == {0, 1, 2}
 
     def test_fixed_flags_reflected(self):
@@ -192,4 +192,4 @@ class TestAutoSetup:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ConfigWarning)
             app = auto_setup(parse_config(text))
-        assert isinstance(app.processors[2], LoopCloser)
+        assert isinstance(app.pipeline.processors[2], LoopCloser)

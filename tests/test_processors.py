@@ -9,7 +9,6 @@ from arbor.factors import MOTION, RANGE_BEARING, RELATIVE_POSE, Factor
 from arbor.manifold import ANGLE, Pose2, StateBlock, pose_compose
 from arbor.processors import (
     FeatureInfo,
-    KeyframeEvent,
     KeyframePolicy,
     LandmarkInfo,
     LandmarkTracker,
@@ -17,6 +16,7 @@ from arbor.processors import (
     LoopPolicy,
     MotionProcessor,
     Pipeline,
+    Processor,
     SensorInfo,
     sensor_extrinsic,
 )
@@ -51,6 +51,23 @@ def make_motion(tr, odom, first, **policy):
 def straight_step(r=0.1):
     # both wheels advance 0.1 m / r rad -> 0.1 m arc
     return np.array([0.1 / r, 0.1 / r])
+
+
+class Stamp(Processor):
+    """A processor type the library does not know: it votes on every
+    capture of its sensor and logs each keyframe offered to it, with the
+    number of captures the frame holds by then."""
+
+    def __init__(self, sensor_name="stamp", log=None):
+        self.sensor_name = sensor_name
+        self.log = [] if log is None else log
+
+    def process_capture(self, tree, t, data):
+        return True
+
+    def attach(self, tree, frame, t):
+        self.log.append((self.sensor_name, frame, t, len(tree.children(frame, T.CAPTURE))))
+        return True
 
 
 class TestMotionProcessor:
@@ -106,23 +123,26 @@ class TestMotionProcessor:
         proc.process_capture(tr, 0.1, straight_step())
         tr.remove(first)
         with pytest.raises(NotReadyError):
-            proc.high_rate_pose(tr, 0.1)
+            proc.pose_at(tr, 0.1)
 
     def test_buffer_reset_after_keyframe(self):
         tr, odom, _, first = build_tree()
         proc = make_motion(tr, odom, first, max_dist=0.45)
+        pipe = Pipeline(tr, [proc])
         for k in range(1, 6):
-            proc.process_capture(tr, 0.1 * k, straight_step())
+            pipe.dispatch("odom0", 0.1 * k, straight_step())
         assert len(proc.buffer.entries) == 0
         np.testing.assert_allclose(proc.buffer.delta_bar.as_array(), [0, 0, 0])
 
     def test_keyframe_carries_motion_factor(self):
         tr, odom, _, first = build_tree()
         proc = make_motion(tr, odom, first, max_dist=0.45)
-        event = None
+        pipe = Pipeline(tr, [proc])
+        events = []
         for k in range(1, 6):
-            event = proc.process_capture(tr, 0.1 * k, straight_step()) or event
-        assert event is not None
+            events += pipe.dispatch("odom0", 0.1 * k, straight_step())
+        assert len(events) == 1
+        event = events[0]
         factors = tr.factors_referencing(event.frame)
         kinds = [tr.node(f).payload.kind for f in factors]
         assert kinds == [MOTION]
@@ -137,7 +157,7 @@ class TestMotionProcessor:
         for k in range(1, 6):
             proc.process_capture(tr, 0.1 * k, straight_step())
         foreign = tr.add_frame(0.305, Pose2.identity())
-        joined = proc.on_keyframe_broadcast(tr, KeyframeEvent(0.305, foreign, None))
+        joined = proc.attach(tr, foreign, 0.305)
         assert joined is True
         assert proc.buffer.origin_frame == foreign
         assert len(proc.buffer.entries) == 2  # samples at 0.4, 0.5 re-integrated
@@ -151,45 +171,78 @@ class TestMotionProcessor:
             proc.process_capture(tr, 0.1 * k, straight_step())
         foreign = tr.add_frame(0.35, Pose2.identity())
         before = tr.print_tree()
-        joined = proc.on_keyframe_broadcast(tr, KeyframeEvent(0.35, foreign, None))
+        joined = proc.attach(tr, foreign, 0.35)
         assert not joined
         assert tr.print_tree() == before  # decline never mutates
 
     def test_vote_joins_coincident_frame_instead_of_twin(self):
         tr, odom, _, first = build_tree()
         proc = make_motion(tr, odom, first, max_dist=0.45)
+        pipe = Pipeline(tr, [proc])
         foreign = None
-        event = None
+        events = []
         for k in range(1, 6):
             t = 0.1 * k
             if k == 5:
                 # another processor created a frame at the vote's timestamp
                 foreign = tr.add_frame(t, Pose2.identity())
-            event = proc.process_capture(tr, t, straight_step()) or event
-        assert event is None  # joined, never twinned
+            events += pipe.dispatch("odom0", t, straight_step())
+        assert events == []  # joined, never twinned
         assert len(tr.frames()) == 2
         kinds = [tr.node(f).payload.kind for f in tr.factors_referencing(foreign)]
         assert kinds == [MOTION]
         assert proc.buffer.origin_frame == foreign
 
     def test_vote_after_pending_join_empties_buffer(self):
-        # a foreign keyframe ahead of the data waits; the next sample joins
-        # it and the split hands every integrated sample to the first part
+        # a foreign keyframe ahead of the data is held; the next sample
+        # joins it and the split hands every integrated sample to the first
+        # part
         tr, odom, _, first = build_tree()
         proc = make_motion(tr, odom, first, max_dist=10.0, max_angle=1.0, max_time=5.0)
+        pipe = Pipeline(tr, [proc, Stamp()])
         for k in range(1, 5):
-            proc.process_capture(tr, 0.1 * k, straight_step())
-        foreign = tr.add_frame(0.5, Pose2.identity())
-        assert proc.on_keyframe_broadcast(tr, KeyframeEvent(0.5, foreign, None)) is False
-        assert proc.process_capture(tr, 0.5, straight_step()) is None
+            pipe.dispatch("odom0", 0.1 * k, straight_step())
+        (event,) = pipe.dispatch("stamp", 0.5, None)
+        foreign = event.frame
+        assert tr.factors_referencing(foreign) == []  # declined for now
+        assert pipe.dispatch("odom0", 0.5, straight_step()) == []
         assert proc.buffer.origin_frame == foreign
         assert proc.buffer.entries == []
         kinds = [tr.node(f).payload.kind for f in tr.factors_referencing(foreign)]
         assert kinds == [MOTION]
-        # the vote on the emptied buffer saw the identity delta
         np.testing.assert_allclose(proc.buffer.delta_bar.as_array(), [0, 0, 0])
-        assert proc.process_capture(tr, 0.6, straight_step()) is None
+        assert pipe.dispatch("odom0", 0.6, straight_step()) == []
         assert len(proc.buffer.entries) == 1
+
+    def test_new_interval_starts_at_current_calibration(self):
+        tr, odom, _, first = build_tree()
+        proc = make_motion(tr, odom, first, max_dist=0.45)
+        pipe = Pipeline(tr, [proc])
+        for k in range(1, 5):
+            pipe.dispatch("odom0", 0.1 * k, straight_step())
+        tr.block(odom, "intrinsic").values[:] = C_NOM * 1.01  # a solve moved it
+        (event,) = pipe.dispatch("odom0", 0.5, straight_step())
+        assert proc.buffer.origin_frame == event.frame
+        np.testing.assert_array_equal(proc.buffer.c_bar, C_NOM * 1.01)
+
+    def test_vote_on_held_keyframe_joins_it(self):
+        # the sample that catches up with a held keyframe also crosses
+        # max_dist: its vote joins that keyframe by a split, as the held
+        # join would, rather than closing the interval onto it
+        tr, odom, _, first = build_tree()
+        proc = make_motion(tr, odom, first, max_dist=0.45)
+        pipe = Pipeline(tr, [proc, Stamp()])
+        for k in range(1, 5):
+            pipe.dispatch("odom0", 0.1 * k, straight_step())
+        (event,) = pipe.dispatch("stamp", 0.5, None)
+        c_bar = proc.buffer.c_bar.copy()
+        tr.block(odom, "intrinsic").values[:] = C_NOM * 1.01  # a solve moved it
+        assert pipe.dispatch("odom0", 0.5, straight_step()) == []
+        assert len(tr.frames()) == 2
+        kinds = [tr.node(f).payload.kind for f in tr.factors_referencing(event.frame)]
+        assert kinds == [MOTION]
+        assert proc.buffer.origin_frame == event.frame
+        np.testing.assert_array_equal(proc.buffer.c_bar, c_bar)
 
     def test_uninitialized_rejected(self):
         tr, odom, _, _ = build_tree()
@@ -203,8 +256,8 @@ def make_tracker(tr, rb, pose=Pose2.identity(), **kw):
     kw.setdefault("policy", KeyframePolicy(min_tracks=3))
     tracker = LandmarkTracker("tracker", rb, "rb0", kw.pop("policy"),
                               time_tolerance=0.01, range_std=0.02,
-                              bearing_std=0.01,
-                              pose_provider=lambda tree, t: pose, **kw)
+                              bearing_std=0.01, **kw)
+    tracker.initialize(tr, tr.frames()[0], lambda tree, t: pose)
     return tracker
 
 
@@ -213,7 +266,8 @@ class TestLandmarkTracker:
         tr, _, rb, first = build_tree()
         tracker = make_tracker(tr, rb)
         scan = [[0, 1.0, 0.0], [1, 2.0, 1.0], [2, 1.5, -0.5]]
-        tracker.process_capture(tr, 0.0, scan)  # votes; joins the t=0 frame
+        # votes; joins the t=0 frame
+        assert Pipeline(tr, [tracker]).dispatch("rb0", 0.0, scan) == []
         landmarks = tr.children(tr.map_id, T.LANDMARK)
         assert len(landmarks) == 3
         factors = [f for lm in landmarks for f in tr.factors_referencing(lm)]
@@ -472,3 +526,79 @@ class TestPipeline:
             pipe.dispatch("odom0", 0.1 * k, straight_step())
         pose = pipe.pose_at(tr, 0.5)
         np.testing.assert_allclose(pose.as_array(), [0.5, 0.0, 0.0], atol=1e-12)
+
+    def test_held_join_tracker_ahead_of_odometry(self):
+        # the scan at 0.5 comes before the odometry sample at 0.5: the
+        # tracker votes on its empty map, the motion processor has no sample
+        # near 0.5 yet and is held, and its next sample joins the keyframe
+        tr, odom, rb, first = build_tree()
+        motion = make_motion(tr, odom, first, max_dist=10.0)
+        tracker = LandmarkTracker("tracker", rb, "rb0", KeyframePolicy(min_tracks=3),
+                                  time_tolerance=0.01, range_std=0.02, bearing_std=0.01)
+        pipe = Pipeline(tr, [motion, tracker])
+        pipe.initialize(first)
+        for k in range(1, 5):
+            pipe.dispatch("odom0", 0.1 * k, straight_step())
+        (event,) = pipe.dispatch("rb0", 0.5, [[0, 1.0, 0.0], [1, 2.0, 0.5]])
+        assert motion.buffer.origin_frame == first
+        assert pipe.dispatch("odom0", 0.5, straight_step()) == []
+        assert motion.buffer.origin_frame == event.frame
+        kinds = sorted(tr.node(f).payload.kind for f in tr.factors_referencing(event.frame))
+        assert kinds == [MOTION, RANGE_BEARING, RANGE_BEARING]
+        # joined once: the next sample starts the new interval
+        assert pipe.dispatch("odom0", 0.6, straight_step()) == []
+        assert len(motion.buffer.entries) == 1
+        assert len(tr.frames()) == 2
+        assert tr.check_consistency() == []
+
+    def test_scan_within_tolerance_after_motion_keyframe_attaches(self):
+        tr, odom, rb, first = build_tree()
+        motion = make_motion(tr, odom, first, max_dist=0.45)
+        tracker = LandmarkTracker("tracker", rb, "rb0", KeyframePolicy(min_tracks=1),
+                                  time_tolerance=0.01, range_std=0.02, bearing_std=0.01,
+                                  association="id")
+        pipe = Pipeline(tr, [motion, tracker])
+        pipe.initialize(first)
+        pipe.dispatch("rb0", 0.0, [[0, 1.0, 0.0], [1, 2.0, 0.5]])  # map at the first frame
+        events = []
+        for k in range(1, 6):
+            events += pipe.dispatch("odom0", 0.1 * k, straight_step())
+            if k == 3:
+                pipe.dispatch("rb0", 0.3, [[0, 0.7, 0.0], [1, 1.7, 0.6]])
+        (event,) = events
+        kinds = [tr.node(f).payload.kind for f in tr.factors_referencing(event.frame)]
+        assert kinds == [MOTION]  # the scan at 0.3 is too old for it
+        assert pipe.dispatch("rb0", 0.505, [[0, 0.5, 0.0], [1, 1.5, 0.6]]) == []
+        kinds = sorted(tr.node(f).payload.kind for f in tr.factors_referencing(event.frame))
+        assert kinds == [MOTION, RANGE_BEARING, RANGE_BEARING]
+        assert tracker._pending is None
+        # a scan past the tolerance of the next keyframe drops it for good
+        for k in range(6, 11):
+            events += pipe.dispatch("odom0", 0.1 * k, straight_step())
+        assert pipe.dispatch("rb0", 1.02, [[0, 0.5, 0.0]]) == []
+        assert len(events) == 2
+        kinds = [tr.node(f).payload.kind for f in tr.factors_referencing(events[1].frame)]
+        assert kinds == [MOTION]
+        assert pipe._held == []
+        assert tr.check_consistency() == []
+
+    def test_unknown_processor_type_takes_part(self):
+        # two processors of a type defined here: a keyframe goes to its
+        # voter first, then to the others in installation order
+        tr, odom, _, first = build_tree()
+        motion = make_motion(tr, odom, first, max_dist=0.45)
+        log = []
+        pipe = Pipeline(tr, [Stamp("a", log), motion, Stamp("b", log)])
+        pipe.initialize(first)
+        events = []
+        for k in range(1, 8):
+            events += pipe.dispatch("odom0", 0.1 * k, straight_step())
+        (motion_kf,) = events
+        (b_kf,) = pipe.dispatch("b", 0.8, None)
+        assert log == [("a", motion_kf.frame, motion_kf.t, 1), ("b", motion_kf.frame, motion_kf.t, 1),
+                       ("b", b_kf.frame, 0.8, 0), ("a", b_kf.frame, 0.8, 0)]
+        # b's keyframe is ahead of the odometry, which joins it next
+        assert pipe.dispatch("odom0", 0.8, straight_step()) == []
+        kinds = [tr.node(f).payload.kind for f in tr.factors_referencing(b_kf.frame)]
+        assert kinds == [MOTION]
+        assert motion.buffer.origin_frame == b_kf.frame

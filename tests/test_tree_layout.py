@@ -9,11 +9,16 @@ and the tree has no generic public ``emplace`` beside them.
 ``arbor.solver`` reads nothing from the tree but its notification stream:
 ``sync`` is its one function that takes the tree, and all it does with it is
 call ``drain_notifications``.
+
+``Pipeline`` drives every processor through the ``Processor`` protocol alone:
+it probes no type or attribute, and ``config.auto_setup`` names no processor
+class, so a new processor type needs no edit to either.
 """
 
 import ast
 from pathlib import Path
 
+from arbor import processors as P
 from arbor.tree import ProblemTree
 
 TESTS = Path(__file__).parent
@@ -90,3 +95,62 @@ def test_solver_guard_sees_each_use():
 
 def test_solver_reads_the_tree_only_through_notifications():
     assert solver_tree_uses((SRC / "solver.py").read_text()) == []
+
+
+TYPE_PROBES = ("isinstance", "issubclass", "type", "hasattr", "getattr", "__class__")
+PROCESSOR_CLASSES = sorted(name for name, obj in vars(P).items()
+                           if isinstance(obj, type) and issubclass(obj, P.Processor))
+
+
+def _definition(source: str, name: str):
+    (node,) = [n for n in ast.parse(source).body
+               if isinstance(n, (ast.ClassDef, ast.FunctionDef)) and n.name == name]
+    return node
+
+
+def names_used(source: str, definition: str, names) -> list:
+    """Line numbers inside the top-level class or function ``definition``
+    that name one of ``names``: as a name, an attribute or a string."""
+    names = set(names)
+    return sorted({node.lineno for node in ast.walk(_definition(source, definition))
+                   if (isinstance(node, ast.Name) and node.id in names)
+                   or (isinstance(node, ast.Attribute) and node.attr in names)
+                   or (isinstance(node, ast.Constant) and node.value in names)})
+
+
+def test_pipeline_guard_sees_each_spelling():
+    source = ("class Pipeline:\n"
+              "    def dispatch(self, proc):\n"
+              "        if isinstance(proc, LandmarkTracker): pass\n"
+              "        if hasattr(proc, 'process_capture'): pass\n"
+              "        name = getattr(proc, 'sensor_name', None)\n"
+              "        probe = builtins.getattr\n"
+              "        if issubclass(type(proc), MotionProcessor): pass\n"
+              "        if proc.__class__ is LoopCloser: pass\n"
+              "        proc.process_capture(self.tree, 0.0, None)\n"
+              "def helper(x):\n"
+              "    return isinstance(x, int)\n")
+    assert names_used(source, "Pipeline", TYPE_PROBES) == [3, 4, 5, 6, 7, 8]
+
+
+def test_pipeline_probes_no_processor_type():
+    assert names_used((SRC / "processors.py").read_text(), "Pipeline", TYPE_PROBES) == []
+
+
+def test_auto_setup_guard_sees_each_spelling():
+    assert {"Processor", "MotionProcessor", "LandmarkTracker", "LoopCloser"} <= set(
+        PROCESSOR_CLASSES)
+    source = ("def auto_setup(server, processors):\n"
+              "    for proc in processors:\n"
+              "        if isinstance(proc, LandmarkTracker): pass\n"
+              "        if type(proc) is P.MotionProcessor: pass\n"
+              "        if issubclass(type(proc), (Processor, LoopCloser)): pass\n"
+              "        if type(proc).__name__ == 'LandmarkTracker': pass\n"
+              "    return processors\n"
+              "def helper(proc):\n"
+              "    return isinstance(proc, LandmarkTracker)\n")
+    assert names_used(source, "auto_setup", PROCESSOR_CLASSES) == [3, 4, 5, 6]
+
+
+def test_auto_setup_names_no_processor_class():
+    assert names_used((SRC / "config.py").read_text(), "auto_setup", PROCESSOR_CLASSES) == []
