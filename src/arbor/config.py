@@ -14,22 +14,15 @@ stay forward compatible.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import yaml
 
 from . import tree as T
-from .errors import (
-    BindingError,
-    ConfigError,
-    ConfigParseError,
-    ConflictError,
-    UnknownTypeError,
-)
+from .checks import as_flag, as_number, load_yaml
+from .errors import ConfigError, ContractError
 from .factors import PRIOR_BLOCK, PRIOR_POSE, Factor
 from .manifold import ANGLE, Pose2, StateBlock
 from .processors import (
@@ -51,27 +44,6 @@ _MISSING = object()
 
 class ConfigWarning(UserWarning):
     pass
-
-
-class _StrictLoader(yaml.SafeLoader):
-    """SafeLoader that rejects duplicate mapping keys."""
-
-
-def _strict_mapping(loader, node, deep=False):
-    mapping = {}
-    for key_node, value_node in node.value:
-        key = loader.construct_object(key_node, deep=deep)
-        if key in mapping:
-            raise ConflictError(
-                f"duplicate key {key!r} at line {key_node.start_mark.line + 1}"
-            )
-        mapping[key] = loader.construct_object(value_node, deep=deep)
-    return mapping
-
-
-_StrictLoader.add_constructor(
-    yaml.resolver.BaseResolver.DEFAULT_MAPPING_TAG, _strict_mapping
-)
 
 
 def _flatten(prefix: str, value, out: dict):
@@ -126,18 +98,11 @@ class ParameterServer:
 
 def parse_config(text: str) -> ParameterServer:
     """Parse YAML text into a flat parameter server with typed scalars."""
-    try:
-        data = yaml.load(text, Loader=_StrictLoader)
-    except ConflictError:
-        raise
-    except yaml.YAMLError as exc:
-        mark = getattr(exc, "problem_mark", None)
-        location = f" at line {mark.line + 1}" if mark is not None else ""
-        raise ConfigParseError(f"invalid YAML{location}: {exc}") from exc
+    data = load_yaml(text)
     if data is None:
         data = {}
     if not isinstance(data, dict):
-        raise ConfigParseError("top level of the configuration must be a mapping")
+        raise ConfigError("top level of the configuration must be a mapping")
     flat: dict = {}
     _flatten("", data, flat)
     return ParameterServer(flat)
@@ -152,7 +117,7 @@ class CreatorRegistry:
     def register(self, category: str, type_name: str, creator):
         key = (category, type_name)
         if key in self._creators:
-            raise ConflictError(f"{category} creator {type_name!r} already registered")
+            raise ContractError(f"{category} creator {type_name!r} already registered")
         self._creators[key] = creator
 
     def names(self, category: str):
@@ -161,7 +126,7 @@ class CreatorRegistry:
     def create(self, category: str, type_name: str, *args, **kwargs):
         key = (category, type_name)
         if key not in self._creators:
-            raise UnknownTypeError(
+            raise ConfigError(
                 f"unknown {category} type {type_name!r}; registered: "
                 f"{', '.join(self.names(category)) or '(none)'}"
             )
@@ -180,27 +145,11 @@ def _positive(server, key, default=_MISSING, zero_ok=False, integer=False):
     value = server.require(key) if default is _MISSING else server.get(key, default)
     if value is None and default is None:
         return None
-    return _as_positive(key, value, zero_ok, integer)
-
-
-def _as_positive(key, value, zero_ok=False, integer=False):
-    try:
-        x = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be a number, got {value!r}") from None
-    if (not math.isfinite(x) or x < 0.0 or (x == 0.0 and not zero_ok)
-            or (integer and not x.is_integer())):
-        raise ConfigError(f"{key} must be {'an integer' if integer else 'a finite number'} "
-                          f"{'>=' if zero_ok else '>'} 0, got {value!r}")
-    return int(x) if integer else x
+    return as_number(key, value, ">=" if zero_ok else ">", integer)
 
 
 def _flag(server, key, default):
-    """A YAML boolean; anything else (a quoted "false", 0) is a ConfigError."""
-    value = server.get(key, default)
-    if not isinstance(value, bool):
-        raise ConfigError(f"{key} must be true or false, got {value!r}")
-    return value
+    return as_flag(key, server.get(key, default))
 
 
 def _pose_blocks_from(server, prefix):
@@ -216,7 +165,7 @@ def _pose_blocks_from(server, prefix):
     sigma = server.get(f"{prefix}.sigma", None)
     if sigma is not None:
         pair = sigma if isinstance(sigma, list) and len(sigma) == 2 else [sigma, sigma]
-        sigma = tuple(_as_positive(f"{prefix}.sigma", v) for v in pair)
+        sigma = tuple(as_number(f"{prefix}.sigma", v) for v in pair)
     return blocks, sigma
 
 
@@ -227,7 +176,7 @@ def _create_diff_drive(tree, server, prefix):
     if len(intrinsic) != 3:
         raise ConfigError(f"{prefix}.intrinsic.state must be [r_left, r_right, separation]")
     blocks["intrinsic"] = StateBlock(
-        np.array([_as_positive(f"{prefix}.intrinsic.state", v) for v in intrinsic]),
+        np.array([as_number(f"{prefix}.intrinsic.state", v) for v in intrinsic]),
         fixed=_flag(server, f"{prefix}.intrinsic.fixed", True),
     )
     noise = {"tick_std": _positive(server, f"{prefix}.noise.tick_std")}
@@ -368,7 +317,7 @@ def auto_setup(server: ParameterServer, registry: CreatorRegistry | None = None)
         name = server.require(f"{prefix}.name")
         sensor_name = server.require(f"{prefix}.sensor")
         if sensor_name not in sensors:
-            raise BindingError(f"{prefix}.sensor references unknown sensor {sensor_name!r}")
+            raise ConfigError(f"{prefix}.sensor references unknown sensor {sensor_name!r}")
         sensor_id, info = sensors[sensor_name]
         processors.append(registry.create("processor", type_name, server, prefix,
                                           name, sensor_id, sensor_name, info))

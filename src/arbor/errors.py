@@ -2,6 +2,15 @@
 
 Every error raised on purpose derives from :class:`EstimationError` so callers
 can catch framework failures without swallowing programming errors.
+
+Four families carry most failures, chosen by where the failure comes from:
+:class:`ConfigError` (the configuration or scenario text), :class:`ContractError`
+(an argument, a value or a call breaks an API's precondition),
+:class:`RecordFormatError` (a capture or truth log) and :class:`SolveError`
+(the optimization itself).  A further class exists only because some handler
+in the package catches it by name to recover from that one failure; add one
+only together with such a handler.  ``tests/test_error_taxonomy.py`` checks
+both rules.
 """
 
 
@@ -9,44 +18,29 @@ class EstimationError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class InvalidValueError(EstimationError):
-    """A numeric input is non-finite or outside its domain."""
+class ConfigError(EstimationError):
+    """A configuration or scenario is unparsable, misses a key, or misuses one."""
 
 
 class ContractError(EstimationError):
-    """A dimension, shape, or precondition contract was violated."""
+    """An argument, value, or call violates a precondition of the API."""
+
+
+class RecordFormatError(EstimationError):
+    """A log is malformed: bad JSON, a missing key, data of the wrong shape or
+    type, an unknown sensor, time going backwards, or no matching truth."""
+
+
+class SolveError(EstimationError):
+    """The optimization failed: a singular system or a non-finite cost."""
 
 
 class NotFoundError(EstimationError):
     """A node, frame, or key does not exist."""
 
 
-class StructureError(EstimationError):
-    """An operation would break the node hierarchy rules."""
-
-
-class ConflictError(EstimationError):
-    """A name or key is already taken."""
-
-
-class CrossRefError(EstimationError):
-    """A factor constrains a block that does not exist."""
-
-
-class OrderingError(EstimationError):
-    """Timestamps arrived out of order."""
-
-
-class RecordFormatError(EstimationError):
-    """A log record is malformed: bad JSON, a missing key, or data of the wrong shape or type."""
-
-
 class JoinToleranceError(EstimationError):
     """No integrated sample lies within the join time tolerance."""
-
-
-class CalibrationError(EstimationError):
-    """Calibration parameters are invalid (non-positive geometry)."""
 
 
 class DecompositionError(EstimationError):
@@ -59,39 +53,3 @@ class SingularObservationError(EstimationError):
 
 class AlignmentError(EstimationError):
     """Point-set alignment is degenerate (too few points or zero spread)."""
-
-
-class NotReadyError(EstimationError):
-    """A processor was used before it had the state it needs."""
-
-
-class SyncError(EstimationError):
-    """A solver notification referenced an unknown target."""
-
-
-class SingularSystemError(EstimationError):
-    """The normal equations are numerically singular (gauge not fixed)."""
-
-
-class DivergenceError(EstimationError):
-    """The optimization produced a non-finite cost."""
-
-
-class AssociationError(EstimationError):
-    """Estimate and ground-truth records could not be matched in time."""
-
-
-class ConfigError(EstimationError):
-    """A configuration file is missing or misusing a key."""
-
-
-class ConfigParseError(ConfigError):
-    """The configuration text is not valid YAML."""
-
-
-class BindingError(ConfigError):
-    """A processor or log record references an unknown sensor."""
-
-
-class UnknownTypeError(ConfigError):
-    """A factory was asked for a type name that was never registered."""

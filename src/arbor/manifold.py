@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, InvalidValueError
+from .errors import ContractError
 
 EUCLIDEAN = "euclidean"
 ANGLE = "angle"
@@ -36,7 +36,7 @@ def normalize_angle(a: float) -> float:
     """
     a = float(a)
     if not math.isfinite(a):
-        raise InvalidValueError(f"angle must be finite, got {a}")
+        raise ContractError(f"angle must be finite, got {a}")
     r = math.remainder(a, _TAU)
     if r <= -math.pi:
         r += _TAU
@@ -53,7 +53,7 @@ def wrap_angles(a: np.ndarray) -> np.ndarray:
     r = a - np.rint(a / _TAU) * _TAU
     r[r <= -math.pi] += _TAU
     if not np.isfinite(r).all():
-        raise InvalidValueError(f"angles must be finite, got {a}")
+        raise ContractError(f"angles must be finite, got {a}")
     return r
 
 
@@ -73,7 +73,7 @@ def _as_finite_vector(values, n: int | None, what: str) -> np.ndarray:
         raise ContractError(f"{what} must have length {n}, got {v.shape[0]}")
     for x in v.tolist():
         if not math.isfinite(x):
-            raise InvalidValueError(f"{what} must be finite, got {v}")
+            raise ContractError(f"{what} must be finite, got {v}")
     return v
 
 

@@ -8,7 +8,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import AssociationError, ContractError
+from .errors import ContractError, RecordFormatError
 from .sim import TRUTH_SENSOR
 
 TIME_MATCH_TOL = 1e-6
@@ -34,12 +34,12 @@ def compute_ate(estimates, truth_records) -> float:
     poses.sort(key=lambda e: e[0])
     times = [t for t, _ in poses]
     if not estimates:
-        raise AssociationError("no estimates to score")
+        raise RecordFormatError("no estimates to score")
     sq_sum = 0.0
     for t, x, y in estimates:
         i = bisect.bisect_left(times, t - TIME_MATCH_TOL)
         if i >= len(times) or abs(times[i] - t) > TIME_MATCH_TOL:
-            raise AssociationError(f"no ground-truth pose within 1e-6s of t={t}")
+            raise RecordFormatError(f"no ground-truth pose within 1e-6s of t={t}")
         gx, gy = poses[i][1][0], poses[i][1][1]
         sq_sum += (x - gx) ** 2 + (y - gy) ** 2
     return float(np.sqrt(sq_sum / len(estimates)))

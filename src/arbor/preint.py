@@ -42,13 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    CalibrationError,
-    ContractError,
-    InvalidValueError,
-    JoinToleranceError,
-    OrderingError,
-)
+from .errors import ContractError, JoinToleranceError, RecordFormatError
 from .manifold import Pose2, normalize_angle
 
 
@@ -68,7 +62,7 @@ class RawMotion:
         self.u = np.array(self.u, dtype=float, ndmin=1)
         self.q_u = np.array(self.q_u, dtype=float, ndmin=2)
         if not all(map(math.isfinite, self.u.tolist())):
-            raise InvalidValueError("raw motion data must be finite")
+            raise ContractError("raw motion data must be finite")
         n = self.u.shape[0]
         if self.q_u.shape != (n, n):
             raise ContractError(f"covariance must be {n}x{n}, got {self.q_u.shape}")
@@ -106,7 +100,7 @@ class DiffDriveModel:
             raise ContractError(f"diff-drive calibration must have 3 entries, got {len(c)}")
         r_l, r_r, d = c
         if r_l <= 0.0 or r_r <= 0.0 or d <= 0.0:
-            raise CalibrationError(f"wheel radii and separation must be positive, got {c}")
+            raise ContractError(f"wheel radii and separation must be positive, got {c}")
         dphi_l, dphi_r = u
         s = 0.5 * (r_l * dphi_l + r_r * dphi_r)
         w = (r_r * dphi_r - r_l * dphi_l) / d
@@ -226,7 +220,7 @@ def integrate_step(buf: PreintBuffer, u: RawMotion) -> PreintEntry:
     """Fold one raw sample into the buffer; returns the appended entry."""
     last = buf.tail
     if u.t <= last.t:
-        raise OrderingError(f"sample at t={u.t} is not after t={last.t}")
+        raise RecordFormatError(f"sample at t={u.t} is not after t={last.t}")
 
     v, j_v_u, j_v_c = buf.model.precalibrate(u.u.tolist(), buf._c)
     (ex, ey, etheta), j_delta_v = buf.model.compute_delta(v)
@@ -234,7 +228,7 @@ def integrate_step(buf: PreintBuffer, u: RawMotion) -> PreintEntry:
     c, s = math.cos(theta), math.sin(theta)
     x, y = x + c * ex - s * ey, y + s * ex + c * ey
     if not (math.isfinite(x) and math.isfinite(y)):
-        raise InvalidValueError(f"pre-integrated delta must be finite, got ({x}, {y})")
+        raise ContractError(f"pre-integrated delta must be finite, got ({x}, {y})")
     delta = (x, y, normalize_angle(theta + etheta))
     # the shear Phi = [[1, 0, a], [0, 1, b], [0, 0, 1]]: a = -dy, b = dx
     a, b = -s * ex - c * ey, c * ex - s * ey
@@ -268,7 +262,7 @@ def state_at_high_rate(buf: PreintBuffer, x_origin: Pose2, t: float) -> Pose2:
     origin pose is returned unchanged.
     """
     if t < buf.origin_t:
-        raise OrderingError(f"query t={t} precedes buffer origin t={buf.origin_t}")
+        raise RecordFormatError(f"query t={t} precedes buffer origin t={buf.origin_t}")
     k = bisect.bisect_right(buf._times, t)
     if k == 0:
         return Pose2(x_origin.p.copy(), x_origin.theta)

@@ -40,7 +40,6 @@ from .errors import (
     DecompositionError,
     JoinToleranceError,
     NotFoundError,
-    NotReadyError,
     RecordFormatError,
 )
 from .factors import (
@@ -196,14 +195,14 @@ class MotionProcessor(Processor):
         except NotFoundError as exc:
             # the window manager outran this buffer; n_frames must stay
             # larger than the lag between keyframes and origin re-anchoring
-            raise NotReadyError(
+            raise ContractError(
                 f"origin frame of {self.name} was removed; use a larger window"
             ) from exc
         return state_at_high_rate(self.buffer, origin, t)
 
     def process_capture(self, tree, t: float, data) -> Optional[bool]:
         if self.buffer is None:
-            raise NotReadyError(f"motion processor {self.name} has no origin yet")
+            raise ContractError(f"motion processor {self.name} has no origin yet")
         if not isinstance(data, (list, tuple, np.ndarray)):
             raise RecordFormatError(f"bad {self.sensor_name} record at t={t}: "
                                     f"expected a list of wheel ticks, got {data!r}")
@@ -391,7 +390,7 @@ class LandmarkTracker(Processor):
 
     def process_capture(self, tree, t: float, data) -> Optional[bool]:
         if self._pose_at is None:
-            raise NotReadyError(f"tracker {self.name} has no pose estimate")
+            raise ContractError(f"tracker {self.name} has no pose estimate")
         pose = self._pose_at(tree, t)
         associations = self._associate(tree, pose, data)
         self._pending = (t, associations)
@@ -562,7 +561,7 @@ class Pipeline:
         try:
             state = tree.state_at(t)
         except NotFoundError as exc:
-            raise NotReadyError(f"no pose estimate available at t={t}") from exc
+            raise ContractError(f"no pose estimate available at t={t}") from exc
         return Pose2(state["p"], float(state["o"][0]))
 
     def initialize(self, first_frame: T.NodeId):

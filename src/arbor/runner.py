@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 from . import tree as T
 from .config import Application, auto_setup, parse_config
-from .errors import BindingError, ConfigError, OrderingError
+from .errors import ConfigError, RecordFormatError
 from .metrics import MetricsReport, compute_ate, compute_calib_error
 from .processors import LandmarkInfo
 from .sim import TRUTH_CALIB, CaptureRecord, read_jsonl, write_jsonl
@@ -69,9 +69,9 @@ def replay(app: Application, log_path, out_path=None, truth_path=None,
     last_t = None
     for rec in records:
         if rec.sensor not in sensor_names:
-            raise BindingError(f"log references unknown sensor {rec.sensor!r}")
+            raise RecordFormatError(f"log references unknown sensor {rec.sensor!r}")
         if last_t is not None and rec.t < last_t:
-            raise OrderingError(f"log goes back in time at t={rec.t}")
+            raise RecordFormatError(f"log goes back in time at t={rec.t}")
         last_t = rec.t
 
     removed = []  # (frame, t, pose) of the frames the window removed

@@ -20,8 +20,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import yaml
 
+from .checks import as_flag, as_number, load_yaml
 from .errors import ConfigError, RecordFormatError
 
 TRUTH_SENSOR = "truth"
@@ -98,54 +98,70 @@ class SimScenario:
     control: list                   # [ControlSegment, ...]
     initial_pose: tuple = (0.0, 0.0, 0.0)
 
-    def __post_init__(self):
-        self.calibration = np.asarray(self.calibration, dtype=float)
-        if self.odometry.rate <= 0 or self.range_bearing.rate <= 0:
-            raise ConfigError("sensor rates must be positive")
-        ratio = self.odometry.rate / self.range_bearing.rate
+
+def _numbers(key, values, n, bound=None):
+    """A list of ``n`` finite numbers, each checked by :func:`as_number`."""
+    if not isinstance(values, list) or len(values) != n:
+        raise ConfigError(f"{key} must be a list of {n} numbers, got {values!r}")
+    return [as_number(f"{key}.{i}", v, bound) for i, v in enumerate(values)]
+
+
+def load_scenario(text: str) -> SimScenario:
+    """Build a scenario from YAML, generating the landmark field if needed.
+
+    Every number is checked before anything is simulated, so a malformed
+    scenario is a ConfigError naming its key rather than a crash or a NaN in
+    the log.  The checks draw no random number.
+    """
+    data = load_yaml(text)
+    try:
+        seed = as_number("seed", data["seed"], ">=", integer=True)
+        duration = as_number("duration", data["duration"], ">=")
+        calib = data["calibration"]
+        calibration = np.array([as_number(f"calibration.{k}", calib[k])
+                                for k in ("r_left", "r_right", "separation")])
+        odo = data["odometry"]
+        odometry = OdometrySim(str(odo["name"]), as_number("odometry.rate", odo["rate"]),
+                               as_number("odometry.tick_std", odo.get("tick_std", 0.0), ">="))
+        rb = data["range_bearing"]
+        range_bearing = RangeBearingSim(
+            name=str(rb["name"]),
+            rate=as_number("range_bearing.rate", rb["rate"]),
+            range_std=as_number("range_bearing.range_std", rb.get("range_std", 0.0), ">="),
+            bearing_std=as_number("range_bearing.bearing_std", rb.get("bearing_std", 0.0), ">="),
+            max_range=as_number("range_bearing.max_range", rb.get("max_range", 10.0)),
+            fov=as_number("range_bearing.fov", rb.get("fov", 2.0 * math.pi)),
+            extrinsic=tuple(_numbers("range_bearing.extrinsic",
+                                     rb.get("extrinsic", [0.0, 0.0, 0.0]), 3)),
+            emit_ids=as_flag("range_bearing.emit_ids", rb.get("emit_ids", True)),
+        )
+        ratio = odometry.rate / range_bearing.rate
         if abs(ratio - round(ratio)) > 1e-9:
             raise ConfigError(
                 "odometry rate must be an integer multiple of the range-bearing rate"
             )
-
-
-def load_scenario(text: str) -> SimScenario:
-    """Build a scenario from YAML, generating the landmark field if needed."""
-    data = yaml.safe_load(text)
-    try:
-        seed = int(data["seed"])
-        duration = float(data["duration"])
-        calib = data["calibration"]
-        calibration = [float(calib["r_left"]), float(calib["r_right"]),
-                       float(calib["separation"])]
-        odo = data["odometry"]
-        odometry = OdometrySim(str(odo["name"]), float(odo["rate"]),
-                               float(odo.get("tick_std", 0.0)))
-        rb = data["range_bearing"]
-        range_bearing = RangeBearingSim(
-            name=str(rb["name"]),
-            rate=float(rb["rate"]),
-            range_std=float(rb.get("range_std", 0.0)),
-            bearing_std=float(rb.get("bearing_std", 0.0)),
-            max_range=float(rb.get("max_range", 10.0)),
-            fov=float(rb.get("fov", 2.0 * math.pi)),
-            extrinsic=tuple(float(v) for v in rb.get("extrinsic", [0.0, 0.0, 0.0])),
-            emit_ids=bool(rb.get("emit_ids", True)),
-        )
         lm_spec = data["landmarks"]
         if isinstance(lm_spec, list):
-            landmarks = [(int(e[0]), float(e[1]), float(e[2])) for e in lm_spec]
+            landmarks = []
+            for i, e in enumerate(lm_spec):
+                lid, x, y = _numbers(f"landmarks.{i}", e, 3)
+                landmarks.append((as_number(f"landmarks.{i}.0", lid, None, integer=True), x, y))
         else:
-            count = int(lm_spec["count"])
-            area = float(lm_spec["area"])
-            center = [float(v) for v in lm_spec.get("center", [0.0, 0.0])]
+            count = as_number("landmarks.count", lm_spec["count"], ">=", integer=True)
+            area = as_number("landmarks.area", lm_spec["area"], ">=")
+            center = _numbers("landmarks.center", lm_spec.get("center", [0.0, 0.0]), 2)
             rng = np.random.default_rng(seed)
             pts = rng.uniform(-0.5 * area, 0.5 * area, size=(count, 2)) + center
             landmarks = [(i, float(p[0]), float(p[1])) for i, p in enumerate(pts)]
-        control = [ControlSegment(float(c["duration"]), float(c["v"]), float(c["w"]))
-                   for c in data["control"]]
-        initial = tuple(float(v) for v in data.get("initial_pose", [0.0, 0.0, 0.0]))
-    except (KeyError, TypeError, ValueError) as exc:
+        segments = data["control"]
+        if not isinstance(segments, list) or not segments:
+            raise ConfigError(f"control must list at least one segment, got {segments!r}")
+        control = [ControlSegment(as_number(f"control.{i}.duration", c["duration"], ">="),
+                                  as_number(f"control.{i}.v", c["v"], None),
+                                  as_number(f"control.{i}.w", c["w"], None))
+                   for i, c in enumerate(segments)]
+        initial = tuple(_numbers("initial_pose", data.get("initial_pose", [0.0, 0.0, 0.0]), 3))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid scenario: {exc}") from exc
     return SimScenario(seed, duration, calibration, odometry, range_bearing,
                        landmarks, control, initial)

@@ -26,13 +26,7 @@ from typing import Optional
 import numpy as np
 
 from . import tree as tree_mod
-from .errors import (
-    ContractError,
-    DivergenceError,
-    SingularObservationError,
-    SingularSystemError,
-    SyncError,
-)
+from .errors import ContractError, SingularObservationError, SolveError
 from .factors import FactorStack, evaluate
 from .manifold import ANGLE, StateBlock, wrap_angles
 
@@ -149,7 +143,7 @@ def sync(problem: SolverProblem, tree) -> None:
             problem.blocks[note.target] = _BlockEntry(note.item, slot)
         elif note.action == tree_mod.REMOVE_BLOCK:
             if note.target not in problem.blocks:
-                raise SyncError(f"remove_block for unknown target {note.target}")
+                raise ContractError(f"remove_block for unknown target {note.target}")
             # a freed slot is reused only after this drain, once every factor
             # on the removed block is gone
             freed.append(problem.blocks.pop(note.target).slot)
@@ -158,7 +152,8 @@ def sync(problem: SolverProblem, tree) -> None:
             try:
                 entries = [problem.blocks[tuple(c)] for c in factor.constrained]
             except KeyError as exc:
-                raise SyncError(f"factor {note.target} constrains unknown block {exc}") from None
+                raise ContractError(
+                    f"factor {note.target} constrains unknown block {exc}") from None
             key = (factor.kind, tuple(e.dim for e in entries), tuple(e.kind for e in entries))
             factors, slots, ids = added.setdefault(key, ([], [], []))
             factors.append(factor)
@@ -168,11 +163,11 @@ def sync(problem: SolverProblem, tree) -> None:
             problem._stack_of[note.target] = key
         elif note.action == tree_mod.REMOVE_FACTOR:
             if note.target not in problem.factors:
-                raise SyncError(f"remove_factor for unknown factor {note.target}")
+                raise ContractError(f"remove_factor for unknown factor {note.target}")
             del problem.factors[note.target]
             removed.setdefault(problem._stack_of.pop(note.target), []).append(note.target.index)
         else:
-            raise SyncError(f"unknown notification action {note.action!r}")
+            raise ContractError(f"unknown notification action {note.action!r}")
 
     for key, (factors, slots, ids) in added.items():
         if key in problem.stacks:
@@ -286,7 +281,7 @@ def lm_solve(problem: SolverProblem) -> SolveReport:
     x = _table(problem)
     cost = total_cost(problem, x)
     if not np.isfinite(cost):
-        raise DivergenceError(f"initial cost is not finite: {cost}")
+        raise SolveError(f"initial cost is not finite: {cost}")
     initial_cost = cost
 
     lam = opts.lambda_init
@@ -301,7 +296,7 @@ def lm_solve(problem: SolverProblem) -> SolveReport:
         if iterations == 1:
             eigs = np.linalg.eigvalsh(h)
             if eigs[-1] <= 0.0 or eigs[0] <= _SINGULARITY_RTOL * eigs[-1]:
-                raise SingularSystemError(
+                raise SolveError(
                     "normal matrix is numerically singular; fix a block or add a prior"
                 )
 
@@ -330,7 +325,7 @@ def lm_solve(problem: SolverProblem) -> SolveReport:
                 lam *= _LAMBDA_UP
                 continue
             if not np.isfinite(new_cost):
-                raise DivergenceError(f"cost diverged to {new_cost}")
+                raise SolveError(f"cost diverged to {new_cost}")
             if new_cost < cost:
                 x = candidate
                 cost = new_cost

@@ -26,13 +26,7 @@ from typing import Optional
 import numpy as np
 
 from . import factors as factors_mod
-from .errors import (
-    ConflictError,
-    ContractError,
-    CrossRefError,
-    NotFoundError,
-    StructureError,
-)
+from .errors import ContractError, NotFoundError
 from .manifold import ANGLE, Pose2, StateBlock
 
 PROBLEM = "Problem"
@@ -151,7 +145,7 @@ class ProblemTree:
     def _expect(self, node_id: NodeId, kind: str) -> TreeNode:
         node = self.node(node_id)
         if node_id.kind != kind:
-            raise StructureError(f"{node_id} is not a {kind}")
+            raise ContractError(f"{node_id} is not a {kind}")
         return node
 
     def add_sensor(self, info, blocks: dict) -> NodeId:
@@ -188,7 +182,7 @@ class ProblemTree:
         for target, name in factor.constrained:
             owner = self._nodes.get(target)
             if owner is None or name not in owner.state_blocks:
-                raise CrossRefError(f"factor constrains missing block {target}.{name}")
+                raise ContractError(f"factor constrains missing block {target}.{name}")
         owners = tuple(dict.fromkeys(target for target, _name in factor.constrained))
         return self._new_node(FACTOR, self._new_node(FEATURE, capture, payload=feature),
                               payload=factor, refs=owners)
@@ -205,7 +199,7 @@ class ProblemTree:
         """Attach a state block to an existing frame (dynamic block growth)."""
         node = self._expect(frame, FRAME)
         if name in node.state_blocks:
-            raise ConflictError(f"frame {frame} already has a block named {name!r}")
+            raise ContractError(f"frame {frame} already has a block named {name!r}")
         node.state_blocks[name] = block
         self._notifications.append(Notification(ADD_BLOCK, (frame, name), block))
 
@@ -300,7 +294,7 @@ class ProblemTree:
         """
         node = self.node(node_id)
         if node.id.kind in _BRANCH_ROOTS:
-            raise StructureError(f"cannot remove branch root {node_id}")
+            raise ContractError(f"cannot remove branch root {node_id}")
 
         # referrers (captures, factors) own no blocks and nobody refers to
         # them, so one pass over the subtree finds everything that goes
@@ -410,7 +404,7 @@ class ProblemTree:
         if capture is None:
             sensors = self.sensors()
             if not sensors:
-                raise StructureError("window prior needs at least one sensor for its capture")
+                raise ContractError("window prior needs at least one sensor for its capture")
             capture = self.add_pose_prior(survivor, sensors[0], inherited_sqrt_info)
         for prior in sensor_priors:
             self.add_factor(capture, prior)

@@ -11,7 +11,7 @@ import numpy as np
 
 from arbor import tree as T
 from arbor.config import auto_setup, default_registry, parse_config
-from arbor.errors import ConfigError, UnknownTypeError
+from arbor.errors import ConfigError
 from arbor.factors import (
     MOTION,
     PRIOR_BLOCK,
@@ -493,7 +493,7 @@ class TestCriterion11ConfigDeterminism:
             default_registry().create("processor", "no_such_processor")
             unknown_ok = False
             unknown_msg = "no error raised"
-        except UnknownTypeError as exc:
+        except ConfigError as exc:
             unknown_msg = str(exc)
             unknown_ok = ("no_such_processor" in unknown_msg
                           and "motion_diff_drive" in unknown_msg)

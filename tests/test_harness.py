@@ -10,7 +10,7 @@ import yaml
 import arbor.cli
 import arbor.processors
 from arbor.cli import main
-from arbor.errors import AssociationError, BindingError, ConfigError, ContractError, OrderingError
+from arbor.errors import ConfigError, ContractError, RecordFormatError
 from arbor.factors import PRIOR_BLOCK
 from arbor.metrics import compute_ate, compute_calib_error
 from arbor.runner import build_application, replay, run
@@ -117,7 +117,7 @@ class TestMetrics:
 
     def test_ate_unmatched_timestamp(self):
         truth = [CaptureRecord(0.0, "truth", [0.0, 0.0, 0.0])]
-        with pytest.raises(AssociationError):
+        with pytest.raises(RecordFormatError, match="no ground-truth pose within"):
             compute_ate([(0.5, 0.0, 0.0)], truth)
 
     def test_calib_error_exact(self):
@@ -159,7 +159,7 @@ class TestRunner:
     def test_unknown_sensor_rejected(self, tmp_path):
         log = tmp_path / "ghost.jsonl"
         log.write_text('{"t": 0.0, "sensor": "ghost", "data": [0.0, 0.0]}\n')
-        with pytest.raises(BindingError):
+        with pytest.raises(RecordFormatError, match="log references unknown sensor"):
             run(DATA / "demo_config.yaml", log)
 
     def test_nonmonotonic_log_rejected(self, tmp_path):
@@ -168,7 +168,7 @@ class TestRunner:
             '{"t": 1.0, "sensor": "odom0", "data": [0.1, 0.1]}\n'
             '{"t": 0.5, "sensor": "odom0", "data": [0.1, 0.1]}\n'
         )
-        with pytest.raises(OrderingError):
+        with pytest.raises(RecordFormatError, match="goes back in time"):
             run(DATA / "demo_config.yaml", log)
 
     def test_estimate_files_deterministic(self, small_logs, tmp_path):
@@ -399,6 +399,35 @@ class TestCli:
         err = capsys.readouterr().err
         assert "config error" in err and "Traceback" not in err
         assert key in err and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("old, new, key", [
+        ("duration: 10.0\n", "duration: 10.0\n bad_indent: 1\n", "line 4"),
+        ("duration: 10.0", "duration: .nan", "duration"),
+        ("rate: 20.0, tick_std", "rate: .inf, tick_std", "odometry.rate"),
+        ("control:\n  - {duration: 10.0, v: 0.4, w: 0.2}\n", "control: []\n", "control"),
+        ("tick_std: 0.0", "tick_std: -1", "odometry.tick_std"),
+        ("range_std: 0.0", "range_std: .nan", "range_bearing.range_std"),
+        ("v: 0.4", "v: .nan", "control.0.v"),
+        ("- [0, 2.0, 1.0]", "- [0, 2.0]", "landmarks.0"),
+        ("initial_pose: [0.0, 0.0, 0.0]", "initial_pose: [0.0, 0.0]", "initial_pose"),
+        ("r_left: 0.1", "r_left: 0.0", "calibration.r_left"),
+        ("seed: 11", "seed: -1", "seed"),
+        ("emit_ids: true", 'emit_ids: "no"', "range_bearing.emit_ids"),
+    ], ids=["yaml_syntax", "duration_nan", "odometry_rate_inf", "control_empty",
+            "tick_std_negative", "range_std_nan", "control_v_nan", "landmark_short",
+            "initial_pose_short", "r_left_zero", "seed_negative", "emit_ids_string"])
+    def test_bad_scenario_exit_code(self, tmp_path, capsys, old, new, key):
+        """A bad scenario exits 2 and writes no log; the message names its key."""
+        assert old in SMALL_SCENARIO
+        scenario = tmp_path / "scenario.yaml"
+        scenario.write_text(SMALL_SCENARIO.replace(old, new))
+        log = tmp_path / "log.jsonl"
+        assert main(["sim", "--scenario", str(scenario), "--out", str(log)]) == 2
+        assert not log.exists()
+        first, *rest = capsys.readouterr().err.strip().splitlines()
+        assert first.startswith("error: ") and key in first
+        # a YAML syntax error quotes the offending lines, as `arbor run` does
+        assert rest == [] or "invalid YAML" in first
 
     def test_calibration_priors_survive_remove_with_prior(self, tmp_path, monkeypatch):
         """The window moves the intrinsic prior off each frame it removes."""

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from arbor.errors import ContractError, InvalidValueError
+from arbor.errors import ContractError
 from arbor.manifold import (
     ANGLE,
     EUCLIDEAN,
@@ -55,9 +55,9 @@ class TestNormalizeAngle:
             assert math.remainder(r - a, math.tau) == pytest.approx(0.0, abs=1e-9)
 
     def test_nonfinite_rejected(self):
-        with pytest.raises(InvalidValueError):
+        with pytest.raises(ContractError, match="angle must be finite"):
             normalize_angle(float("nan"))
-        with pytest.raises(InvalidValueError):
+        with pytest.raises(ContractError, match="angle must be finite"):
             normalize_angle(float("inf"))
 
 
@@ -73,7 +73,7 @@ class TestWrapAngles:
         assert wrap_angles(a).tolist() == [normalize_angle(v) for v in a]
 
     def test_non_finite_rejected(self):
-        with pytest.raises(InvalidValueError):
+        with pytest.raises(ContractError, match="angles must be finite"):
             wrap_angles(np.array([0.0, float("nan")]))
 
 
@@ -163,7 +163,7 @@ class TestStateBlock:
             StateBlock(np.array([1.0, 2.0]), ANGLE)
 
     def test_euclidean_rejects_nonfinite(self):
-        with pytest.raises(InvalidValueError):
+        with pytest.raises(ContractError, match="state block values must be finite"):
             StateBlock(np.array([1.0, float("nan")]))
 
     def test_block_plus_euclidean(self):

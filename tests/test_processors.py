@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from arbor import tree as T
-from arbor.errors import AlignmentError, DecompositionError, NotReadyError
+from arbor.errors import AlignmentError, ContractError, DecompositionError
 from arbor.factors import MOTION, RANGE_BEARING, RELATIVE_POSE, Factor
 from arbor.manifold import ANGLE, Pose2, StateBlock, pose_compose
 from arbor.processors import (
@@ -122,7 +122,7 @@ class TestMotionProcessor:
         proc = make_motion(tr, odom, first, max_dist=10.0)
         proc.process_capture(tr, 0.1, straight_step())
         tr.remove(first)
-        with pytest.raises(NotReadyError):
+        with pytest.raises(ContractError, match="was removed"):
             proc.pose_at(tr, 0.1)
 
     def test_buffer_reset_after_keyframe(self):
@@ -248,7 +248,7 @@ class TestMotionProcessor:
         tr, odom, _, _ = build_tree()
         proc = MotionProcessor("odom", odom, "odom0", KeyframePolicy(max_dist=1.0),
                                0.01, 0.001)
-        with pytest.raises(NotReadyError):
+        with pytest.raises(ContractError, match="has no origin yet"):
             proc.process_capture(tr, 0.1, straight_step())
 
 

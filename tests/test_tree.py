@@ -7,12 +7,7 @@ import numpy as np
 import pytest
 
 from arbor import tree as T
-from arbor.errors import (
-    ConflictError,
-    CrossRefError,
-    NotFoundError,
-    StructureError,
-)
+from arbor.errors import ContractError, NotFoundError
 from arbor.factors import PRIOR_BLOCK, PRIOR_POSE, RANGE_BEARING, Factor
 from arbor.manifold import ANGLE, EUCLIDEAN, Pose2, StateBlock
 from arbor.solver import SolverProblem, sync
@@ -67,13 +62,13 @@ class TestEmplace:
         frame = add_frame(tr, 0.0)
         cap = tr.add_capture(frame, 0.0, sensor)
         prior = Factor(PRIOR_POSE, np.zeros(3), np.eye(3), constrained=[(frame, "p"), (frame, "o")])
-        with pytest.raises(StructureError):
+        with pytest.raises(ContractError, match="is not a Frame"):
             tr.add_capture(sensor, 0.0, sensor)  # a capture goes under a Frame
-        with pytest.raises(StructureError):
+        with pytest.raises(ContractError, match="is not a Sensor"):
             tr.add_capture(frame, 0.0, frame)  # ... and refers to a Sensor
-        with pytest.raises(StructureError):
+        with pytest.raises(ContractError, match="is not a Capture"):
             tr.add_factor(frame, prior)  # a factor goes under a Capture
-        with pytest.raises(StructureError):
+        with pytest.raises(ContractError, match="is not a Frame"):
             tr.add_block_to_frame(cap, "v", StateBlock(np.zeros(2)))
         assert tr.children(frame) == [cap] and tr.check_consistency() == []
 
@@ -93,7 +88,7 @@ class TestEmplace:
         for constrained in ([(cap, "p")],                    # capture owns no blocks
                             [(frame, "p"), (frame, "v")],    # frame has no block v
                             [(T.NodeId(T.LANDMARK, 999), "p")]):
-            with pytest.raises(CrossRefError):
+            with pytest.raises(ContractError, match="constrains missing block"):
                 tr.add_factor(cap, Factor(PRIOR_BLOCK, np.zeros(2), np.eye(2),
                                           constrained=constrained))
         assert tr.children(cap) == [] and tr.drain_notifications() == []
@@ -164,7 +159,7 @@ class TestAddBlock:
     def test_duplicate_name(self):
         tr = T.ProblemTree()
         frame = add_frame(tr, 0.0)
-        with pytest.raises(ConflictError):
+        with pytest.raises(ContractError, match="already has a block named"):
             tr.add_block_to_frame(frame, "p", StateBlock(np.zeros(2)))
 
 
@@ -212,7 +207,7 @@ class TestRemove:
     def test_branch_roots_protected(self):
         tr = T.ProblemTree()
         for root in (tr.problem_id, tr.hardware_id, tr.trajectory_id, tr.map_id):
-            with pytest.raises(StructureError):
+            with pytest.raises(ContractError, match="cannot remove branch root"):
                 tr.remove(root)
 
     def test_unknown_node(self):
