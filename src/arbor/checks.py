@@ -51,6 +51,8 @@ def as_number(key, value, bound=">", integer=False):
     With ``integer`` it must also be integral and is returned as an int.
     """
     try:
+        if isinstance(value, bool):  # YAML true/false, which float() reads as 1/0
+            raise TypeError
         x = float(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{key} must be a number, got {value!r}") from None
@@ -58,7 +60,16 @@ def as_number(key, value, bound=">", integer=False):
             or (integer and not x.is_integer())):
         raise ConfigError(f"{key} must be {'an integer' if integer else 'a finite number'}"
                           f"{f' {bound} 0' if bound else ''}, got {value!r}")
-    return int(x) if integer else x
+    if integer:  # an int as given; a float above 2**53 would not round-trip
+        return value if isinstance(value, int) else int(x)
+    return x
+
+
+def as_numbers(key, values, n, bound=None):
+    """A list of ``n`` finite numbers, each checked by :func:`as_number`."""
+    if not isinstance(values, list) or len(values) != n:
+        raise ConfigError(f"{key} must be a list of {n} numbers, got {values!r}")
+    return [as_number(f"{key}.{i}", v, bound) for i, v in enumerate(values)]
 
 
 def as_flag(key, value):

@@ -26,14 +26,21 @@ def _cmd_sim(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     captures, truth = simulate(scenario)
-    write_jsonl(captures, args.out)
-    if args.truth:
-        write_jsonl(truth, args.truth)
+    try:
+        write_jsonl(captures, args.out)
+        if args.truth:
+            write_jsonl(truth, args.truth)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
     print(f"wrote {len(captures)} capture records to {args.out}")
     return EXIT_OK
 
 
 def _cmd_run(args) -> int:
+    if args.metrics and not args.truth:
+        print("config error: --metrics needs --truth to score against", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         app = build_application(args.config)
     except (EstimationError, OSError) as exc:
@@ -77,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--log", required=True, help="capture log input (JSONL)")
     p_run.add_argument("--out", required=True, help="estimate output (JSONL)")
     p_run.add_argument("--truth", help="ground-truth log for metrics (JSONL)")
-    p_run.add_argument("--metrics", help="metrics report output (JSON)")
+    p_run.add_argument("--metrics", help="metrics report output (JSON); needs --truth")
     p_run.add_argument("--print-tree", action="store_true",
                        help="print the final problem tree")
     p_run.set_defaults(func=_cmd_run)

@@ -21,19 +21,19 @@ from typing import Optional
 import numpy as np
 
 from . import tree as T
-from .checks import as_flag, as_number, load_yaml
+from .checks import as_flag, as_number, as_numbers, load_yaml
 from .errors import ConfigError, ContractError
 from .factors import PRIOR_BLOCK, PRIOR_POSE, Factor
 from .manifold import ANGLE, Pose2, StateBlock
 from .processors import (
     KeyframePolicy,
-    LandmarkInfo,
     LandmarkTracker,
     LoopCloser,
     LoopPolicy,
     MotionProcessor,
     Pipeline,
     ProcessorInfo,
+    RawIdInfo,
     SensorInfo,
     sensor_extrinsic,
 )
@@ -153,11 +153,8 @@ def _flag(server, key, default):
 
 
 def _pose_blocks_from(server, prefix):
-    state = server.get(f"{prefix}.state", [0.0, 0.0, 0.0])
+    state = as_numbers(f"{prefix}.state", server.get(f"{prefix}.state", [0.0, 0.0, 0.0]), 3)
     fixed = _flag(server, f"{prefix}.fixed", True)
-    state = [float(v) for v in state]
-    if len(state) != 3:
-        raise ConfigError(f"{prefix}.state must be [x, y, theta]")
     blocks = {
         "ext_p": StateBlock(np.array(state[:2]), fixed=fixed),
         "ext_o": StateBlock(np.array([state[2]]), ANGLE, fixed=fixed),
@@ -334,8 +331,8 @@ def auto_setup(server: ParameterServer, registry: CreatorRegistry | None = None)
         tol_grad=_positive(server, "solver.tol_grad", 1e-12, zero_ok=True),
     )
 
-    p0 = [float(v) for v in server.require("problem.first_frame.p")]
-    o0 = float(server.require("problem.first_frame.o"))
+    p0 = as_numbers("problem.first_frame.p", server.require("problem.first_frame.p"), 2)
+    o0 = as_number("problem.first_frame.o", server.require("problem.first_frame.o"), None)
     sigma_p = _positive(server, "problem.first_frame.sigma_p")
     sigma_o = _positive(server, "problem.first_frame.sigma_o")
     first = tree.add_frame(0.0, Pose2(np.array(p0), o0))
@@ -366,8 +363,10 @@ def auto_setup(server: ParameterServer, registry: CreatorRegistry | None = None)
     for i in range(n_landmarks):
         prefix = f"map.landmarks.{i}"
         raw_id = server.get(f"{prefix}.id", None)
-        p = [float(v) for v in server.require(f"{prefix}.p")]
-        tree.add_landmark(np.array(p), LandmarkInfo(None if raw_id is None else int(raw_id)),
+        if raw_id is not None:
+            raw_id = as_number(f"{prefix}.id", raw_id, None, integer=True)
+        p = as_numbers(f"{prefix}.p", server.require(f"{prefix}.p"), 2)
+        tree.add_landmark(np.array(p), RawIdInfo(raw_id),
                           fixed=_flag(server, f"{prefix}.fixed", False))
 
     pipeline = Pipeline(tree, processors)

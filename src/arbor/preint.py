@@ -17,16 +17,17 @@ respect to the calibration parameters.  Per sample the pipeline runs:
                        C = J_D_delta J_delta_v J_v_c
 
 Only steps 1-2 are sensor specific; they live in a motion-model object so
-the pipeline itself stays generic.  Models return plain floats: v as a
-tuple, the step delta as a :class:`Delta`, Jacobians as tuples of rows.
-Steps 3-5 are the same recursion as their matrix form, written out on
-floats (Forster et al., TRO 2017; Lupton & Sukkarieh, TRO 2012): Phi Q
-Phi^T touches the 6 unique entries of Q, and Phi J_D_c the 3 * calib_dim
-entries of J_D_c.  Entries and buffers show the moments as arrays and the
-delta as a :class:`Pose2` when read.  The stored delta is re-corrected to
-first order for calibration values that moved away from the
-integration-time guess, D(c) = D (+) J_D_c (c - c_bar), in one place only:
-the motion factor's residual kernel, ``factors._motion``.
+the pipeline itself stays generic.  A sample is its time, its data as
+floats and its covariance as rows; models return plain floats: v and the
+step delta (x, y, theta) as tuples, Jacobians as tuples of rows.  Steps 3-5
+are the same recursion as their matrix form, written out on floats (Forster
+et al., TRO 2017; Lupton & Sukkarieh, TRO 2012): Phi Q Phi^T touches the 6
+unique entries of Q, and Phi J_D_c the 3 * calib_dim entries of J_D_c.  An
+entry shows the moments as arrays and the delta as a :class:`Pose2` when
+read.  The stored delta is re-corrected to first order for calibration
+values that moved away from the integration-time guess,
+D(c) = D (+) J_D_c (c - c_bar), in one place only: the motion factor's
+residual kernel, ``factors._motion``.
 
 High-rate state queries compose the buffer origin pose with the delta
 accumulated up to the query time.
@@ -37,8 +38,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from operator import mul
-from typing import NamedTuple
+from operator import attrgetter, mul
 
 import numpy as np
 
@@ -46,47 +46,10 @@ from .errors import ContractError, JoinToleranceError, RecordFormatError
 from .manifold import Pose2, normalize_angle
 
 
-@dataclass
-class RawMotion:
-    """One raw motion sample: timestamp, data vector, and its covariance.
-
-    For a differential drive the data are the two wheel angle increments
-    (rad) accumulated since the previous sample.
-    """
-
-    t: float
-    u: np.ndarray
-    q_u: np.ndarray
-
-    def __post_init__(self):
-        self.u = np.array(self.u, dtype=float, ndmin=1)
-        self.q_u = np.array(self.q_u, dtype=float, ndmin=2)
-        if not all(map(math.isfinite, self.u.tolist())):
-            raise ContractError("raw motion data must be finite")
-        n = self.u.shape[0]
-        if self.q_u.shape != (n, n):
-            raise ContractError(f"covariance must be {n}x{n}, got {self.q_u.shape}")
-
-
-class Delta(NamedTuple):
-    """One sample's motion (x, y, theta) in plain floats, as a model returns it.
-
-    ``p`` lets :func:`arbor.manifold.pose_compose` take it in place of a
-    :class:`Pose2` motion.
-    """
-
-    x: float
-    y: float
-    theta: float
-
-    @property
-    def p(self):
-        return (self.x, self.y)
-
-
 class DiffDriveModel:
     """Differential-drive specialization of the pre-integration pipeline.
 
+    Data u = the two wheel angle increments (rad) since the previous sample.
     Calibration vector c = (r_left, r_right, separation), all in meters.
     Calibrated data v = (arc length, heading change) so the delta model
     itself is calibration free.
@@ -117,7 +80,7 @@ class DiffDriveModel:
         s, w = v
         half = 0.5 * w
         c, sn = math.cos(half), math.sin(half)
-        return Delta(s * c, s * sn, w), ((c, -0.5 * s * sn), (sn, 0.5 * s * c), (0.0, 1.0))
+        return (s * c, s * sn, w), ((c, -0.5 * s * sn), (sn, 0.5 * s * c), (0.0, 1.0))
 
 
 def _combine(vecs, rows) -> list:
@@ -149,14 +112,15 @@ def _upper_outer(us, vs) -> tuple:
 class PreintEntry:
     """Pipeline state after integrating one sample, as floats.
 
+    ``t``, ``u`` and ``q_u`` are the sample as :func:`integrate_step` took it;
     ``delta`` is (x, y, theta); ``q`` the unique entries (q00, q01, q02,
     q11, q12, q22) of the delta covariance; ``j`` the columns of the
     calibration Jacobian, one 3-vector per calibration parameter.
     """
 
     t: float
-    u: np.ndarray
-    q_u: np.ndarray
+    u: tuple
+    q_u: tuple
     delta: tuple
     q: tuple
     j: list
@@ -180,49 +144,37 @@ class PreintEntry:
 class PreintBuffer:
     """Working set of one pre-integration interval.
 
-    Starts at an origin frame/time with the calibration guess snapshotted
-    there; the recursion starts from the identity delta with zero covariance
-    and zero calibration Jacobian.  Entries are strictly increasing in time.
+    Starts at an origin frame/time with the calibration guess ``c_bar``
+    snapshotted there, as a tuple of floats; the recursion starts from the
+    identity delta with zero covariance and zero calibration Jacobian.
+    Entries are strictly increasing in time.
     """
 
     origin_frame: object
     origin_t: float
-    c_bar: np.ndarray
+    c_bar: tuple
     model: DiffDriveModel
     entries: list[PreintEntry] = field(default_factory=list)
 
     def __post_init__(self):
-        self.c_bar = np.asarray(self.c_bar, dtype=float).copy()
-        self._c = tuple(self.c_bar.tolist())
-        self._times: list[float] = [e.t for e in self.entries]
-        self._origin = PreintEntry(self.origin_t, None, None, (0.0, 0.0, 0.0), (0.0,) * 6,
-                                   [(0.0, 0.0, 0.0)] * len(self._c))
+        self.c_bar = tuple(map(float, self.c_bar))
+        self._origin = PreintEntry(self.origin_t, (), (), (0.0, 0.0, 0.0), (0.0,) * 6,
+                                   [(0.0, 0.0, 0.0)] * len(self.c_bar))
 
     @property
     def tail(self) -> PreintEntry:
         """The last entry; before the first, the identity state at the origin."""
         return self.entries[-1] if self.entries else self._origin
 
-    @property
-    def delta_bar(self) -> Pose2:
-        return self.tail.delta_bar
 
-    @property
-    def q_delta(self) -> np.ndarray:
-        return self.tail.q_delta
-
-    @property
-    def j_delta_c(self) -> np.ndarray:
-        return self.tail.j_delta_c
-
-
-def integrate_step(buf: PreintBuffer, u: RawMotion) -> PreintEntry:
-    """Fold one raw sample into the buffer; returns the appended entry."""
+def integrate_step(buf: PreintBuffer, t: float, u, q_u) -> PreintEntry:
+    """Fold the sample at time t, data ``u`` as floats and covariance ``q_u``
+    as rows, into the buffer; returns the appended entry."""
     last = buf.tail
-    if u.t <= last.t:
-        raise RecordFormatError(f"sample at t={u.t} is not after t={last.t}")
+    if t <= last.t:
+        raise RecordFormatError(f"sample at t={t} is not after t={last.t}")
 
-    v, j_v_u, j_v_c = buf.model.precalibrate(u.u.tolist(), buf._c)
+    v, j_v_u, j_v_c = buf.model.precalibrate(u, buf.c_bar)
     (ex, ey, etheta), j_delta_v = buf.model.compute_delta(v)
     x, y, theta = last.delta
     c, s = math.cos(theta), math.sin(theta)
@@ -237,7 +189,7 @@ def integrate_step(buf: PreintBuffer, u: RawMotion) -> PreintEntry:
     # theta; then the columns of B = R G J_v_u and C = R G J_v_c
     rg = [(c * p - s * q, s * p + c * q, r) for p, q, r in zip(*j_delta_v)]
     bs = _combine(rg, j_v_u)
-    m00, m01, m02, m11, m12, m22 = _upper_outer(_combine(bs, u.q_u.tolist()), bs)
+    m00, m01, m02, m11, m12, m22 = _upper_outer(_combine(bs, q_u), bs)
     q00, q01, q02, q11, q12, q22 = last.q
     p02, p12 = q02 + a * q22, q12 + b * q22
     q = (q00 + a * q02 + a * p02 + m00,
@@ -249,9 +201,8 @@ def integrate_step(buf: PreintBuffer, u: RawMotion) -> PreintEntry:
     j = [(p + a * r + e, q + b * r + f, r + g)
          for (p, q, r), (e, f, g) in zip(last.j, _combine(rg, j_v_c))]
 
-    entry = PreintEntry(u.t, u.u, u.q_u, delta, q, j)
+    entry = PreintEntry(t, u, q_u, delta, q, j)
     buf.entries.append(entry)
-    buf._times.append(u.t)
     return entry
 
 
@@ -263,7 +214,7 @@ def state_at_high_rate(buf: PreintBuffer, x_origin: Pose2, t: float) -> Pose2:
     """
     if t < buf.origin_t:
         raise RecordFormatError(f"query t={t} precedes buffer origin t={buf.origin_t}")
-    k = bisect.bisect_right(buf._times, t)
+    k = bisect.bisect_right(buf.entries, t, key=attrgetter("t"))
     if k == 0:
         return Pose2(x_origin.p.copy(), x_origin.theta)
     dx, dy, dtheta = buf.entries[k - 1].delta
@@ -277,27 +228,23 @@ def split_buffer(buf: PreintBuffer, t_split: float, tol: float):
     """Split at the integrated sample nearest t_split (ties go earlier).
 
     The first part keeps its entries as integrated; the second part
-    re-integrates the remaining raw samples from a fresh recursion anchored
-    at the split time.  The buffer origin itself is a valid split point,
+    re-integrates the remaining samples from a fresh recursion anchored at
+    the split time.  The buffer origin itself is a valid split point,
     yielding an empty first part.
     """
-    candidates = [buf.origin_t] + buf._times
-    best_idx = 0
-    best_gap = abs(candidates[0] - t_split)
-    for i, tc in enumerate(candidates[1:], start=1):
+    times = [buf.origin_t] + [e.t for e in buf.entries]
+    k, best_gap = 0, abs(times[0] - t_split)  # k: entries in the first part
+    for i, tc in enumerate(times):
         gap = abs(tc - t_split)
         if gap < best_gap - 1e-15:
-            best_idx, best_gap = i, gap
+            k, best_gap = i, gap
     if best_gap > tol:
         raise JoinToleranceError(
             f"no integrated sample within {tol}s of t={t_split} (nearest gap {best_gap:.6g}s)"
         )
-    k = best_idx  # number of entries in the first part
-    split_t = candidates[best_idx]
-
     first = PreintBuffer(buf.origin_frame, buf.origin_t, buf.c_bar, buf.model,
-                         entries=list(buf.entries[:k]))
-    second = PreintBuffer(None, split_t, buf.c_bar, buf.model)
+                         entries=buf.entries[:k])
+    second = PreintBuffer(None, times[k], buf.c_bar, buf.model)
     for entry in buf.entries[k:]:
-        integrate_step(second, RawMotion(entry.t, entry.u, entry.q_u))
+        integrate_step(second, entry.t, entry.u, entry.q_u)
     return first, second

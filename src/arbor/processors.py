@@ -54,7 +54,6 @@ from .manifold import Pose2, pose_between, pose_compose, rot2
 from .preint import (
     DiffDriveModel,
     PreintBuffer,
-    RawMotion,
     integrate_step,
     split_buffer,
     state_at_high_rate,
@@ -117,16 +116,9 @@ class ProcessorInfo:
 
 
 @dataclass
-class LandmarkInfo:
-    raw_id: Optional[int] = None
-
-    def tree_label(self):
-        return "" if self.raw_id is None else f"id={self.raw_id}"
-
-
-@dataclass
-class FeatureInfo:
-    """Payload of a tracker feature; its measurement is its factor's ``z``."""
+class RawIdInfo:
+    """Payload of a landmark or of a tracker feature: the id its sensor
+    reported, if any.  A feature's measurement is its factor's ``z``."""
 
     raw_id: Optional[int] = None
 
@@ -173,7 +165,8 @@ class MotionProcessor(Processor):
         self.policy = policy
         self.time_tolerance = float(time_tolerance)
         self.model = model or DiffDriveModel()
-        self.q_u = np.eye(2) * tick_std**2
+        var = tick_std**2
+        self.q_u = ((var, 0.0), (0.0, var))  # the ticks' covariance, as rows
         self.buffer: Optional[PreintBuffer] = None
         # (t, sqrt information, newest frame) at a vote; the voter's attach
         # comes right after its vote and consumes it
@@ -181,7 +174,7 @@ class MotionProcessor(Processor):
 
     def initialize(self, tree, first_frame: T.NodeId, pose_at=None):
         """Anchor the first buffer at an existing frame."""
-        c_bar = tree.block(self.sensor_id, "intrinsic").values.copy()
+        c_bar = tree.block(self.sensor_id, "intrinsic").values
         t0 = tree.node(first_frame).timestamp
         self.buffer = PreintBuffer(first_frame, t0, c_bar, self.model)
 
@@ -210,15 +203,15 @@ class MotionProcessor(Processor):
             ticks = tuple(map(float, data))
         except (TypeError, ValueError, OverflowError) as exc:
             raise RecordFormatError(f"bad {self.sensor_name} record at t={t}: {exc}") from exc
-        if len(ticks) != len(self.q_u):
+        if len(ticks) != len(self.q_u) or not all(map(math.isfinite, ticks)):
             raise RecordFormatError(f"bad {self.sensor_name} record at t={t}: "
-                                    f"expected {len(self.q_u)} wheel ticks, got {len(ticks)}")
-        integrate_step(self.buffer, RawMotion(t, ticks, self.q_u))
+                                    f"expected {len(self.q_u)} finite wheel ticks, got {data!r}")
+        integrate_step(self.buffer, t, ticks, self.q_u)
         if not self._vote(t):
             return None
         # whiten before any frame exists: a singular interval covariance
         # (stationary or pure-rotation interval) must fail atomically
-        self._closing = (t, whiten(self.buffer.q_delta), tree.frames()[-1])
+        self._closing = (t, whiten(self.buffer.tail.q_delta), tree.frames()[-1])
         return True
 
     def _vote(self, t: float) -> bool:
@@ -242,7 +235,7 @@ class MotionProcessor(Processor):
         if closing is not None and frame.index > closing[2].index:
             t_vote, sqrt_info, _ = closing
             self._attach_segment(tree, frame, self.buffer, sqrt_info)
-            c_bar = tree.block(self.sensor_id, "intrinsic").values.copy()
+            c_bar = tree.block(self.sensor_id, "intrinsic").values
             self.buffer = PreintBuffer(frame, t_vote, c_bar, self.model)
             return True
         return self._try_join(tree, frame, t)
@@ -251,7 +244,7 @@ class MotionProcessor(Processor):
                         sqrt_info: np.ndarray | None):
         """Capture/feature/motion-factor for one pre-integrated interval.
 
-        ``sqrt_info`` is the whitened ``segment.q_delta``, or None for an
+        ``sqrt_info`` is the whitened ``segment.tail.q_delta``, or None for an
         empty segment, which attaches nothing.
         """
         if not segment.entries:
@@ -266,7 +259,7 @@ class MotionProcessor(Processor):
             constrained=[(origin, "p"), (origin, "o"),
                          (frame, "p"), (frame, "o"),
                          (self.sensor_id, "intrinsic")],
-            aux=MotionData(tail.j_delta_c, segment.c_bar.copy()),
+            aux=MotionData(tail.j_delta_c, np.array(segment.c_bar)),
         ))
 
     def _try_join(self, tree, frame: T.NodeId, t_kf: float) -> bool:
@@ -278,7 +271,7 @@ class MotionProcessor(Processor):
         """
         try:
             first, second = split_buffer(self.buffer, t_kf, self.time_tolerance)
-            sqrt_info = whiten(first.q_delta) if first.entries else None
+            sqrt_info = whiten(first.tail.q_delta) if first.entries else None
         except (JoinToleranceError, DecompositionError):
             return False
         self._attach_segment(tree, frame, first, sqrt_info)
@@ -326,7 +319,7 @@ class LandmarkTracker(Processor):
         self._pose_at = pose_at
         for lm in tree.children(tree.map_id, T.LANDMARK):
             info = tree.node(lm).payload
-            if isinstance(info, LandmarkInfo) and info.raw_id is not None:
+            if isinstance(info, RawIdInfo) and info.raw_id is not None:
                 self._by_raw_id[info.raw_id] = lm
 
     def _window_ok(self, landmark) -> bool:
@@ -417,7 +410,7 @@ class LandmarkTracker(Processor):
         for raw_id, z, matched, world in associations:
             landmark = matched
             if landmark is None:
-                landmark = tree.add_landmark(world, LandmarkInfo(raw_id))
+                landmark = tree.add_landmark(world, RawIdInfo(raw_id))
             if raw_id is not None:
                 self._by_raw_id[raw_id] = landmark
             self._last_seen[landmark] = self._kf_count
@@ -428,7 +421,7 @@ class LandmarkTracker(Processor):
                 constrained=[(frame, "p"), (frame, "o"),
                              (self.sensor_id, "ext_p"), (self.sensor_id, "ext_o"),
                              (landmark, "p")],
-            ), FeatureInfo(raw_id))
+            ), RawIdInfo(raw_id))
         return True
 
 
@@ -451,7 +444,7 @@ class LoopCloser(Processor):
                 continue
             for feature in tree.children(capture, T.FEATURE):
                 info = tree.node(feature).payload
-                if isinstance(info, FeatureInfo) and info.raw_id is not None:
+                if isinstance(info, RawIdInfo) and info.raw_id is not None:
                     (factor,) = tree.children(feature, T.FACTOR)
                     out[info.raw_id] = tree.node(factor).payload.z
         return out

@@ -20,7 +20,7 @@ from . import tree as T
 from .config import Application, auto_setup, parse_config
 from .errors import ConfigError, RecordFormatError
 from .metrics import MetricsReport, compute_ate, compute_calib_error
-from .processors import LandmarkInfo
+from .processors import RawIdInfo
 from .sim import TRUTH_CALIB, CaptureRecord, read_jsonl, write_jsonl
 from .solver import SolverProblem, lm_solve, sync
 
@@ -109,7 +109,7 @@ def replay(app: Application, log_path, out_path=None, truth_path=None,
     out_records = list(estimates)
     for lm in tree.children(tree.map_id, T.LANDMARK):
         info = tree.node(lm).payload
-        raw = info.raw_id if isinstance(info, LandmarkInfo) and info.raw_id is not None else -1
+        raw = info.raw_id if isinstance(info, RawIdInfo) and info.raw_id is not None else -1
         p = tree.block(lm, "p").values
         out_records.append(CaptureRecord(final_t, ESTIMATE_LANDMARK,
                                          [raw, float(p[0]), float(p[1])]))

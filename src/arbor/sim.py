@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import as_flag, as_number, load_yaml
+from .checks import as_flag, as_number, as_numbers, load_yaml
 from .errors import ConfigError, RecordFormatError
 
 TRUTH_SENSOR = "truth"
@@ -99,13 +99,6 @@ class SimScenario:
     initial_pose: tuple = (0.0, 0.0, 0.0)
 
 
-def _numbers(key, values, n, bound=None):
-    """A list of ``n`` finite numbers, each checked by :func:`as_number`."""
-    if not isinstance(values, list) or len(values) != n:
-        raise ConfigError(f"{key} must be a list of {n} numbers, got {values!r}")
-    return [as_number(f"{key}.{i}", v, bound) for i, v in enumerate(values)]
-
-
 def load_scenario(text: str) -> SimScenario:
     """Build a scenario from YAML, generating the landmark field if needed.
 
@@ -131,8 +124,8 @@ def load_scenario(text: str) -> SimScenario:
             bearing_std=as_number("range_bearing.bearing_std", rb.get("bearing_std", 0.0), ">="),
             max_range=as_number("range_bearing.max_range", rb.get("max_range", 10.0)),
             fov=as_number("range_bearing.fov", rb.get("fov", 2.0 * math.pi)),
-            extrinsic=tuple(_numbers("range_bearing.extrinsic",
-                                     rb.get("extrinsic", [0.0, 0.0, 0.0]), 3)),
+            extrinsic=tuple(as_numbers("range_bearing.extrinsic",
+                                       rb.get("extrinsic", [0.0, 0.0, 0.0]), 3)),
             emit_ids=as_flag("range_bearing.emit_ids", rb.get("emit_ids", True)),
         )
         ratio = odometry.rate / range_bearing.rate
@@ -144,12 +137,12 @@ def load_scenario(text: str) -> SimScenario:
         if isinstance(lm_spec, list):
             landmarks = []
             for i, e in enumerate(lm_spec):
-                lid, x, y = _numbers(f"landmarks.{i}", e, 3)
+                lid, x, y = as_numbers(f"landmarks.{i}", e, 3)
                 landmarks.append((as_number(f"landmarks.{i}.0", lid, None, integer=True), x, y))
         else:
             count = as_number("landmarks.count", lm_spec["count"], ">=", integer=True)
             area = as_number("landmarks.area", lm_spec["area"], ">=")
-            center = _numbers("landmarks.center", lm_spec.get("center", [0.0, 0.0]), 2)
+            center = as_numbers("landmarks.center", lm_spec.get("center", [0.0, 0.0]), 2)
             rng = np.random.default_rng(seed)
             pts = rng.uniform(-0.5 * area, 0.5 * area, size=(count, 2)) + center
             landmarks = [(i, float(p[0]), float(p[1])) for i, p in enumerate(pts)]
@@ -160,7 +153,8 @@ def load_scenario(text: str) -> SimScenario:
                                   as_number(f"control.{i}.v", c["v"], None),
                                   as_number(f"control.{i}.w", c["w"], None))
                    for i, c in enumerate(segments)]
-        initial = tuple(_numbers("initial_pose", data.get("initial_pose", [0.0, 0.0, 0.0]), 3))
+        initial = tuple(as_numbers("initial_pose",
+                                   data.get("initial_pose", [0.0, 0.0, 0.0]), 3))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid scenario: {exc}") from exc
     return SimScenario(seed, duration, calibration, odometry, range_bearing,

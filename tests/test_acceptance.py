@@ -35,7 +35,6 @@ from arbor.manifold import (
 from arbor.preint import (
     DiffDriveModel,
     PreintBuffer,
-    RawMotion,
     integrate_step,
     state_at_high_rate,
 )
@@ -43,7 +42,7 @@ from arbor.runner import run
 from arbor.sim import load_scenario, simulate, write_jsonl
 
 from fdcheck import central_diff, delta_diff, wrap_angle
-from test_preint import correction_error
+from test_preint import ZERO_Q, as_pose, correction_error, random_samples
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -61,21 +60,10 @@ def random_pose(rng):
     return Pose2(rng.uniform(-10, 10, 2), rng.uniform(-np.pi, np.pi))
 
 
-def random_samples(rng, n, dt=0.1, tick_std=0.0):
-    samples = []
-    for k in range(n):
-        base = rng.uniform(0.02, 0.12)
-        turn = rng.uniform(-0.04, 0.04)
-        samples.append(RawMotion((k + 1) * dt,
-                                 np.array([base - turn, base + turn]),
-                                 np.eye(2) * tick_std**2))
-    return samples
-
-
 def integrated_buffer(rng, n=6, c_bar=C_NOM, tick_std=0.01):
     buf = PreintBuffer(None, 0.0, c_bar, MODEL)
     for s in random_samples(rng, n, tick_std=tick_std):
-        integrate_step(buf, s)
+        integrate_step(buf, *s)
     return buf
 
 
@@ -203,16 +191,16 @@ class TestCriterion1Jacobians:
             def one_step(u_vec):
                 buf = PreintBuffer(None, 0.0, c, MODEL)
                 for s in pre:
-                    integrate_step(buf, RawMotion(s.t, s.u, s.q_u))
-                entry = integrate_step(buf, RawMotion(1.0, u_vec, np.zeros((2, 2))))
+                    integrate_step(buf, *s)
+                entry = integrate_step(buf, 1.0, tuple(u_vec), ZERO_Q)
                 return entry.delta_bar.as_array()
 
             buf = PreintBuffer(None, 0.0, c, MODEL)
             for s in pre:
-                integrate_step(buf, RawMotion(s.t, s.u, s.q_u))
+                integrate_step(buf, *s)
             v, j_v_u, j_v_c = MODEL.precalibrate(u_probe, c)
             delta, j_delta_v = MODEL.compute_delta(v)
-            _, _, j_dd = pose_compose(buf.delta_bar, delta)
+            _, _, j_dd = pose_compose(buf.tail.delta_bar, as_pose(delta))
             chain = j_dd @ j_delta_v @ j_v_u
             worst = max(worst, np.max(np.abs(chain - central_diff(one_step, u_probe))))
             fd_c = central_diff(lambda cc: MODEL.precalibrate(u_probe, cc)[0], c)
@@ -229,15 +217,15 @@ class TestCriterion2SegmentComposition:
             k = int(rng.integers(0, 51))
             full = PreintBuffer(None, 0.0, C_NOM, MODEL)
             head = PreintBuffer(None, 0.0, C_NOM, MODEL)
-            tail = PreintBuffer(None, samples[k - 1].t if k else 0.0, C_NOM, MODEL)
+            tail = PreintBuffer(None, samples[k - 1][0] if k else 0.0, C_NOM, MODEL)
             for s in samples:
-                integrate_step(full, RawMotion(s.t, s.u, s.q_u))
+                integrate_step(full, *s)
             for s in samples[:k]:
-                integrate_step(head, RawMotion(s.t, s.u, s.q_u))
+                integrate_step(head, *s)
             for s in samples[k:]:
-                integrate_step(tail, RawMotion(s.t, s.u, s.q_u))
-            composed, _, _ = pose_compose(head.delta_bar, tail.delta_bar)
-            worst = max(worst, np.max(np.abs(delta_diff(composed, full.delta_bar))))
+                integrate_step(tail, *s)
+            composed, _, _ = pose_compose(head.tail.delta_bar, tail.tail.delta_bar)
+            worst = max(worst, np.max(np.abs(delta_diff(composed, full.tail.delta_bar))))
         report(2, worst < 1e-12, f"max split-compose mismatch {worst:.2e} (< 1e-12) "
                                  f"over 100 trajectories")
 
@@ -250,7 +238,7 @@ class TestCriterion3CovarianceConsistency:
         samples = random_samples(rng, 50, tick_std=tick_std)
         buf = PreintBuffer(None, 0.0, C_NOM, MODEL)
         for s in samples:
-            integrate_step(buf, s)
+            integrate_step(buf, *s)
 
         # independent vectorized re-integration oracle
         n_mc = 10_000
@@ -259,8 +247,8 @@ class TestCriterion3CovarianceConsistency:
         x = np.zeros(n_mc)
         y = np.zeros(n_mc)
         th = np.zeros(n_mc)
-        for s in samples:
-            noisy = s.u[None, :] + mc_rng.normal(0.0, tick_std, size=(n_mc, 2))
+        for _, u, _ in samples:
+            noisy = np.array(u)[None, :] + mc_rng.normal(0.0, tick_std, size=(n_mc, 2))
             arc = 0.5 * (r_l * noisy[:, 0] + r_r * noisy[:, 1])
             turn = (r_r * noisy[:, 1] - r_l * noisy[:, 0]) / d
             cx = arc * np.cos(0.5 * turn)
@@ -268,11 +256,12 @@ class TestCriterion3CovarianceConsistency:
             x = x + cx * np.cos(th) - cy * np.sin(th)
             y = y + cx * np.sin(th) + cy * np.cos(th)
             th = th + turn
-        nominal = buf.delta_bar.as_array()
+        nominal = buf.tail.delta_bar.as_array()
         devs = np.stack([x - nominal[0], y - nominal[1], wrap_angle(th - nominal[2])],
                         axis=1)
         sample_cov = np.cov(devs.T)
-        rel = np.linalg.norm(sample_cov - buf.q_delta) / np.linalg.norm(buf.q_delta)
+        q = buf.tail.q_delta
+        rel = np.linalg.norm(sample_cov - q) / np.linalg.norm(q)
         elapsed = time.perf_counter() - t0
         ok = rel < 0.10 and elapsed < 60.0
         report(3, ok, f"Frobenius relative error {100 * rel:.2f}% (< 10%) over "
@@ -285,7 +274,7 @@ class TestCriterion4CorrectionOrder:
         samples = random_samples(rng, 50)
         base = PreintBuffer(None, 0.0, C_NOM, MODEL)
         for s in samples:
-            integrate_step(base, s)
+            integrate_step(base, *s)
         direction = np.array([0.6, -0.6, 0.53])
         direction /= np.linalg.norm(direction)
         epsilons = np.logspace(-4, -2, 9)
@@ -294,9 +283,9 @@ class TestCriterion4CorrectionOrder:
             c = C_NOM + eps * direction
             reint = PreintBuffer(None, 0.0, c, MODEL)
             for s in samples:
-                integrate_step(reint, s)
-            errs.append(np.linalg.norm(correction_error(base.entries[-1], c, C_NOM,
-                                                        reint.delta_bar)))
+                integrate_step(reint, *s)
+            errs.append(np.linalg.norm(correction_error(base.tail, c, C_NOM,
+                                                        reint.tail.delta_bar)))
         slope = float(np.polyfit(np.log(epsilons), np.log(errs), 1)[0])
         ok = 1.8 <= slope <= 2.2
         report(4, ok, f"log-log slope {slope:.3f} (2.0 +/- 0.2)")
@@ -461,8 +450,7 @@ class TestCriterion10Throughput:
     def test_high_rate_queries(self):
         buf = PreintBuffer(None, 0.0, C_NOM, MODEL)
         for k in range(10_000):
-            integrate_step(buf, RawMotion(0.01 * (k + 1), np.array([0.1, 0.11]),
-                                          np.zeros((2, 2))))
+            integrate_step(buf, 0.01 * (k + 1), (0.1, 0.11), ZERO_Q)
         x0 = Pose2(np.zeros(2), 0.0)
         ts = np.random.default_rng(1010).uniform(0.0, 100.0, 10_000)
         t0 = time.perf_counter()

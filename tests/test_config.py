@@ -135,15 +135,16 @@ class TestAutoSetup:
             "  landmarks:\n"
             "    - {id: 0, p: [1.0, 2.0], fixed: true}\n"
             "    - {id: 1, p: [3.0, 4.0], fixed: true}\n"
-            "    - {id: 2, p: [5.0, 6.0], fixed: true}\n"
+            "    - {id: 1152921504606846977, p: [5.0, 6.0], fixed: true}\n"
         )
         app = auto_setup(parse_config(text))
         landmarks = app.tree.children(app.tree.map_id, T.LANDMARK)
         assert len(landmarks) == 3
         assert all(app.tree.block(lm, "p").fixed for lm in landmarks)
-        # trackers in id mode know the configured landmarks
+        # trackers in id mode know the configured landmarks, by their exact
+        # ids (2**60 + 1 has no float of its own)
         tracker = app.pipeline.processors[1]
-        assert set(tracker._by_raw_id) == {0, 1, 2}
+        assert set(tracker._by_raw_id) == {0, 1, 2**60 + 1}
 
     def test_fixed_flags_reflected(self):
         app = auto_setup(parse_config(DEMO))

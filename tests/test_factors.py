@@ -19,7 +19,7 @@ from arbor.factors import (
     whiten,
 )
 from arbor.manifold import ANGLE, Pose2, StateBlock, pose_compose
-from arbor.preint import DiffDriveModel, PreintBuffer, RawMotion, integrate_step
+from arbor.preint import DiffDriveModel, PreintBuffer, integrate_step
 
 C_NOM = np.array([0.1, 0.1, 0.5])
 
@@ -32,8 +32,8 @@ def random_spd(rng, n):
 def integrated_motion_data(rng, n_steps=8, c_bar=C_NOM):
     buf = PreintBuffer(None, 0.0, c_bar, DiffDriveModel())
     for k in range(n_steps):
-        u = rng.uniform(0.0, 0.2, 2)
-        integrate_step(buf, RawMotion(0.1 * (k + 1), u, 1e-4 * np.eye(2)))
+        u = tuple(rng.uniform(0.0, 0.2, 2).tolist())
+        integrate_step(buf, 0.1 * (k + 1), u, ((1e-4, 0.0), (0.0, 1e-4)))
     tail = buf.entries[-1]
     return tail, MotionData(tail.j_delta_c, c_bar.copy())
 

@@ -378,13 +378,32 @@ class TestCli:
          "landmarks.0.fixed"),
         ("demo_config.yaml", "state: [0.1, 0.1, 0.5]", "state: [0.1, -0.1, 0.5]",
          "intrinsic.state"),
+        ("demo_config.yaml", "max_iterations: 25", "max_iterations: true", "max_iterations"),
+        ("demo_config.yaml", "gate: 0.5", "gate: true", "gate"),
+        ("demo_config.yaml", "solver:\n",
+         "map:\n  landmarks:\n    - {id: 1, p: [3.0, 2.0, 9.0]}\nsolver:\n",
+         "map.landmarks.0.p"),
+        ("demo_config.yaml", "solver:\n",
+         "map:\n  landmarks:\n    - {id: 1, p: [3.0]}\nsolver:\n", "map.landmarks.0.p"),
+        ("demo_config.yaml", "solver:\n",
+         "map:\n  landmarks:\n    - {id: 1, p: [3.0, .nan]}\nsolver:\n", "map.landmarks.0.p"),
+        ("demo_config.yaml", "solver:\n",
+         "map:\n  landmarks:\n    - {id: 1.5, p: [3.0, 2.0]}\nsolver:\n",
+         "map.landmarks.0.id"),
+        ("demo_config.yaml", "    o: 0.0\n", "    o: true\n", "problem.first_frame.o"),
+        ("demo_config.yaml", "p: [0.0, 0.0]\n", "p: [0.0, .nan]\n", "problem.first_frame.p"),
+        ("demo_config.yaml", "state: [0.0, 0.0, 0.0]", "state: [0.0, 0.0, .nan]",
+         "extrinsic.state"),
     ], ids=["n_frames", "max_dist", "association", "max_iterations", "sigma_p", "lambda_init",
             "gate", "tick_std_zero", "tick_std_negative", "range_std", "time_tolerance",
             "intrinsic_sigma", "sigma_p_nan", "extrinsic_sigma_nan", "extrinsic_sigma_negative",
             "max_dist_nan", "max_dist_inf", "loop_radius_nan", "min_tracks_fraction",
             "min_frame_gap_fraction", "min_shared_landmarks_inf", "n_frames_fraction",
             "assoc_max_unseen_fraction", "max_iterations_fraction", "intrinsic_fixed_string",
-            "extrinsic_fixed_number", "landmark_fixed_string", "intrinsic_state_negative"])
+            "extrinsic_fixed_number", "landmark_fixed_string", "intrinsic_state_negative",
+            "max_iterations_boolean", "gate_boolean", "landmark_p_long", "landmark_p_short",
+            "landmark_p_nan", "landmark_id_fraction", "first_frame_o_boolean",
+            "first_frame_p_nan", "extrinsic_state_nan"])
     def test_bad_config_value_exit_code(self, tmp_path, capsys, config, old, new, key):
         """A bad value exits 2 with a one-line message naming its key."""
         text = (DATA / config).read_text()
@@ -429,6 +448,30 @@ class TestCli:
         # a YAML syntax error quotes the offending lines, as `arbor run` does
         assert rest == [] or "invalid YAML" in first
 
+    @pytest.mark.parametrize("flag", ["--out", "--truth"])
+    def test_sim_unwritable_output_exit_code(self, tmp_path, capsys, flag):
+        """An output in a missing directory exits 3 with one line naming it."""
+        scenario = tmp_path / "scenario.yaml"
+        scenario.write_text(SMALL_SCENARIO)
+        paths = {"--out": str(tmp_path / "log.jsonl"), "--truth": str(tmp_path / "truth.jsonl")}
+        paths[flag] = str(tmp_path / "missing" / "x.jsonl")
+        argv = ["sim", "--scenario", str(scenario)] + [a for kv in paths.items() for a in kv]
+        assert main(argv) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and paths[flag] in err[0]
+
+    def test_metrics_needs_truth(self, tmp_path, capsys, monkeypatch):
+        """--metrics without --truth exits 2 before any replay."""
+        monkeypatch.setattr(arbor.cli, "replay", None)  # a replay would fail loudly
+        log = tmp_path / "log.jsonl"
+        log.write_text("")
+        metrics = tmp_path / "metrics.json"
+        assert main(["run", "--config", str(DATA / "demo_config.yaml"), "--log", str(log),
+                     "--out", str(tmp_path / "est.jsonl"), "--metrics", str(metrics)]) == 2
+        err = capsys.readouterr().err
+        assert "--metrics" in err and "--truth" in err and "Traceback" not in err
+        assert not metrics.exists()
+
     def test_calibration_priors_survive_remove_with_prior(self, tmp_path, monkeypatch):
         """The window moves the intrinsic prior off each frame it removes."""
         config = tmp_path / "calib_window.yaml"
@@ -466,6 +509,8 @@ class TestCli:
         ("odom0", "12"),     # a string, not a list of wheel ticks
         ("odom0", {"1": 0.1, "2": 0.1}),  # an object, not a list
         ("odom0", [10**400, 0.0]),  # a tick too large for a float
+        ("odom0", [float("nan"), 0.0]),  # written as NaN, which JSON readers accept
+        ("odom0", [float("inf"), 0.0]),  # written as Infinity
     ])
     def test_malformed_record_exit_code(self, small_logs, tmp_path, capsys, sensor, data):
         lines = small_logs[0].read_text().splitlines()

@@ -8,10 +8,8 @@ from arbor.errors import ContractError, JoinToleranceError, RecordFormatError
 from arbor.factors import MOTION, Factor, MotionData, evaluate_one
 from arbor.manifold import Pose2, pose_compose
 from arbor.preint import (
-    Delta,
     DiffDriveModel,
     PreintBuffer,
-    RawMotion,
     integrate_step,
     split_buffer,
     state_at_high_rate,
@@ -21,6 +19,7 @@ from fdcheck import central_diff, delta_diff, wrap_angle
 
 MODEL = DiffDriveModel()
 C_NOM = np.array([0.1, 0.1, 0.5])
+ZERO_Q = ((0.0, 0.0), (0.0, 0.0))
 
 
 def make_buffer(c_bar=C_NOM, origin_t=0.0):
@@ -36,15 +35,21 @@ def correction_error(tail, c, c_bar, target):
     return evaluate_one(factor, [np.zeros(2), [0.0], target.p, [target.theta], c]).r
 
 
+def as_pose(delta) -> Pose2:
+    """A model's (x, y, theta) step delta as a Pose2."""
+    x, y, theta = delta
+    return Pose2(np.array([x, y]), theta)
+
+
 def random_samples(rng, n, dt=0.1, tick_std=0.0, t0=0.0):
-    """Wheel increment stream with mixed straight and turning motion."""
+    """Wheel increment stream with mixed straight and turning motion, as
+    (t, u, q_u) samples for :func:`integrate_step`."""
     samples = []
+    var = tick_std**2
     for k in range(n):
         base = rng.uniform(0.02, 0.12)
         turn = rng.uniform(-0.04, 0.04)
-        u = np.array([base - turn, base + turn])
-        q = np.eye(2) * tick_std**2
-        samples.append(RawMotion(t0 + (k + 1) * dt, u, q))
+        samples.append((t0 + (k + 1) * dt, (base - turn, base + turn), ((var, 0.0), (0.0, var))))
     return samples
 
 
@@ -102,43 +107,42 @@ class TestComputeDelta:
 class TestIntegrateStep:
     def test_first_step_from_zero_initial(self):
         buf = make_buffer()
-        entry = integrate_step(buf, RawMotion(0.1, np.array([1.0, 1.0]), np.zeros((2, 2))))
+        entry = integrate_step(buf, 0.1, (1.0, 1.0), ZERO_Q)
         np.testing.assert_allclose(entry.delta_bar.as_array(), [0.1, 0.0, 0.0])
         np.testing.assert_allclose(entry.q_delta, np.zeros((3, 3)))
         # prior J is zero, so the first step is the bare chain
         v, _, j_v_c = MODEL.precalibrate(np.array([1.0, 1.0]), C_NOM)
         _, j_delta_v = MODEL.compute_delta(v)
-        _, _, j_dd = pose_compose(Pose2.identity(), MODEL.compute_delta(v)[0])
+        _, _, j_dd = pose_compose(Pose2.identity(), as_pose(MODEL.compute_delta(v)[0]))
         np.testing.assert_allclose(entry.j_delta_c, j_dd @ j_delta_v @ j_v_c, atol=1e-12)
 
     def test_two_straight_steps_compose(self):
         buf = make_buffer()
-        u = np.array([1.0, 1.0])
-        integrate_step(buf, RawMotion(0.1, u, np.zeros((2, 2))))
-        integrate_step(buf, RawMotion(0.2, u, np.zeros((2, 2))))
-        np.testing.assert_allclose(buf.delta_bar.as_array(), [0.2, 0.0, 0.0], atol=1e-15)
+        integrate_step(buf, 0.1, (1.0, 1.0), ZERO_Q)
+        integrate_step(buf, 0.2, (1.0, 1.0), ZERO_Q)
+        np.testing.assert_allclose(buf.tail.delta_bar.as_array(), [0.2, 0.0, 0.0], atol=1e-15)
 
     def test_nonmonotonic_rejected(self):
         buf = make_buffer()
-        integrate_step(buf, RawMotion(0.1, np.zeros(2), np.zeros((2, 2))))
+        integrate_step(buf, 0.1, (0.0, 0.0), ZERO_Q)
         with pytest.raises(RecordFormatError, match="is not after"):
-            integrate_step(buf, RawMotion(0.1, np.zeros(2), np.zeros((2, 2))))
+            integrate_step(buf, 0.1, (0.0, 0.0), ZERO_Q)
         with pytest.raises(RecordFormatError, match="is not after"):
-            integrate_step(buf, RawMotion(0.05, np.zeros(2), np.zeros((2, 2))))
+            integrate_step(buf, 0.05, (0.0, 0.0), ZERO_Q)
 
     def test_covariance_zero_when_noise_free(self):
         rng = np.random.default_rng(5)
         buf = make_buffer()
         for s in random_samples(rng, 30):
-            integrate_step(buf, s)
-        np.testing.assert_allclose(buf.q_delta, np.zeros((3, 3)))
+            integrate_step(buf, *s)
+        np.testing.assert_allclose(buf.tail.q_delta, np.zeros((3, 3)))
 
     def test_covariance_symmetric_psd(self):
         rng = np.random.default_rng(6)
         buf = make_buffer()
         for s in random_samples(rng, 50, tick_std=0.01):
-            integrate_step(buf, s)
-            q = buf.q_delta
+            integrate_step(buf, *s)
+            q = buf.tail.q_delta
             np.testing.assert_allclose(q, q.T, atol=1e-15)
             assert np.min(np.linalg.eigvalsh(q)) > -1e-15
 
@@ -150,7 +154,7 @@ class TestIntegrateStep:
         samples = random_samples(rng, 50, tick_std=tick_std)
         buf = make_buffer()
         for s in samples:
-            integrate_step(buf, s)
+            integrate_step(buf, *s)
 
         n_mc = 4000
         r_l, r_r, d = C_NOM
@@ -158,8 +162,8 @@ class TestIntegrateStep:
         y = np.zeros(n_mc)
         th = np.zeros(n_mc)
         mc_rng = np.random.default_rng(8)
-        for s in samples:
-            noisy = s.u[None, :] + mc_rng.normal(0.0, tick_std, size=(n_mc, 2))
+        for _, u, _ in samples:
+            noisy = np.array(u)[None, :] + mc_rng.normal(0.0, tick_std, size=(n_mc, 2))
             arc = 0.5 * (r_l * noisy[:, 0] + r_r * noisy[:, 1])
             turn = (r_r * noisy[:, 1] - r_l * noisy[:, 0]) / d
             cx = arc * np.cos(0.5 * turn)
@@ -167,10 +171,11 @@ class TestIntegrateStep:
             x = x + cx * np.cos(th) - cy * np.sin(th)
             y = y + cx * np.sin(th) + cy * np.cos(th)
             th = th + turn
-        nominal = buf.delta_bar.as_array()
+        nominal = buf.tail.delta_bar.as_array()
         devs = np.stack([x - nominal[0], y - nominal[1], wrap_angle(th - nominal[2])], axis=1)
         sample_cov = np.cov(devs.T)
-        rel = np.linalg.norm(sample_cov - buf.q_delta) / np.linalg.norm(buf.q_delta)
+        q = buf.tail.q_delta
+        rel = np.linalg.norm(sample_cov - q) / np.linalg.norm(q)
         assert rel < 0.15
 
     def test_one_step_jacobian_chain_matches_finite_differences(self):
@@ -182,16 +187,16 @@ class TestIntegrateStep:
             def one_step(u_vec):
                 buf = make_buffer()
                 for s in pre:
-                    integrate_step(buf, RawMotion(s.t, s.u, s.q_u))
-                entry = integrate_step(buf, RawMotion(1.0, u_vec, np.zeros((2, 2))))
+                    integrate_step(buf, *s)
+                entry = integrate_step(buf, 1.0, tuple(u_vec), ZERO_Q)
                 return entry.delta_bar.as_array()
 
             buf = make_buffer()
             for s in pre:
-                integrate_step(buf, RawMotion(s.t, s.u, s.q_u))
+                integrate_step(buf, *s)
             v, j_v_u, _ = MODEL.precalibrate(u_probe, C_NOM)
             delta, j_delta_v = MODEL.compute_delta(v)
-            _, _, j_dd = pose_compose(buf.delta_bar, delta)
+            _, _, j_dd = pose_compose(buf.tail.delta_bar, as_pose(delta))
             chain = j_dd @ j_delta_v @ j_v_u
             fd = central_diff(one_step, u_probe)
             assert np.max(np.abs(chain - fd)) < 1e-5
@@ -216,7 +221,7 @@ class ScaledTwistModel:
     def compute_delta(self, v):
         s, w = float(v[0]), float(v[1])
         half = 0.5 * w
-        delta = Delta(s * math.cos(half), s * math.sin(half), w)
+        delta = (s * math.cos(half), s * math.sin(half), w)
         j = ((math.cos(half), -0.5 * s * math.sin(half)),
              (math.sin(half), 0.5 * s * math.cos(half)),
              (0.0, 1.0))
@@ -237,7 +242,7 @@ class HolonomicModel:
         return v, j_v_u, j_v_c
 
     def compute_delta(self, v):
-        return Delta(*v), ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+        return tuple(v), ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
 
 class TestAlternativeModel:
@@ -248,7 +253,7 @@ class TestAlternativeModel:
         twists = [np.array([rng.uniform(0.0, 0.2), rng.uniform(-0.3, 0.3)])
                   for _ in range(20)]
         for k, u in enumerate(twists):
-            integrate_step(buf, RawMotion(0.1 * (k + 1), u, 1e-4 * np.eye(2)))
+            integrate_step(buf, 0.1 * (k + 1), tuple(u), ((1e-4, 0.0), (0.0, 1e-4)))
         # reference: compose the per-sample chords by hand
         x = y = th = 0.0
         for u in twists:
@@ -257,26 +262,25 @@ class TestAlternativeModel:
             x, y = x + cx * math.cos(th) - cy * math.sin(th), \
                 y + cx * math.sin(th) + cy * math.cos(th)
             th += w
-        np.testing.assert_allclose(buf.delta_bar.as_array(),
+        np.testing.assert_allclose(buf.tail.delta_bar.as_array(),
                                    [x, y, wrap_angle(th)], atol=1e-12)
         # calibration correction stays first order for the scalar scale too
         eps = 1e-3
         reint = PreintBuffer(None, 0.0, c_scale + eps, ScaledTwistModel())
         for k, u in enumerate(twists):
-            integrate_step(reint, RawMotion(0.1 * (k + 1), u, 1e-4 * np.eye(2)))
-        err = np.linalg.norm(correction_error(buf.entries[-1], c_scale + eps, c_scale,
-                                              reint.delta_bar))
+            integrate_step(reint, 0.1 * (k + 1), tuple(u), ((1e-4, 0.0), (0.0, 1e-4)))
+        err = np.linalg.norm(correction_error(buf.tail, c_scale + eps, c_scale,
+                                              reint.tail.delta_bar))
         assert err < 10.0 * eps**2
 
     def test_covariance_chain_with_alternative_model(self):
         buf = PreintBuffer(None, 0.0, np.array([2.0]), ScaledTwistModel())
         for k in range(10):
-            integrate_step(buf, RawMotion(0.1 * (k + 1), np.array([0.1, 0.05]),
-                                          np.diag([1e-4, 4e-4])))
-        q = buf.q_delta
+            integrate_step(buf, 0.1 * (k + 1), (0.1, 0.05), ((1e-4, 0.0), (0.0, 4e-4)))
+        q = buf.tail.q_delta
         np.testing.assert_allclose(q, q.T, atol=1e-15)
         assert np.min(np.linalg.eigvalsh(q)) > 0.0
-        assert buf.j_delta_c.shape == (3, 1)
+        assert buf.tail.j_delta_c.shape == (3, 1)
 
 
 def reference_recursion(model, c_bar, samples):
@@ -287,13 +291,13 @@ def reference_recursion(model, c_bar, samples):
     q = np.zeros((3, 3))
     j = np.zeros((3, len(c_bar)))
     out = []
-    for smp in samples:
-        v, j_v_u, j_v_c = model.precalibrate(smp.u, c_bar)
+    for _, u, q_u in samples:
+        v, j_v_u, j_v_c = model.precalibrate(u, c_bar)
         step, j_delta_v = model.compute_delta(v)
-        delta, j_dd, j_ddelta = pose_compose(delta, Pose2(np.array(step.p), step.theta))
+        delta, j_dd, j_ddelta = pose_compose(delta, as_pose(step))
         j_delta_v = np.asarray(j_delta_v)
         a = j_ddelta @ j_delta_v @ np.asarray(j_v_u)
-        q = j_dd @ q @ j_dd.T + a @ smp.q_u @ a.T
+        q = j_dd @ q @ j_dd.T + a @ np.asarray(q_u) @ a.T
         q = 0.5 * (q + q.T)
         j = j_dd @ j + j_ddelta @ j_delta_v @ np.asarray(j_v_c)
         out.append((delta, q, j))
@@ -316,8 +320,8 @@ class TestFloatRecursionOracle:
         out = []
         for k in range(n):
             a = rng.normal(size=(n_u, n_u))
-            out.append(RawMotion(0.1 * (k + 1), rng.uniform(-0.3, 0.3, n_u),
-                                 1e-4 * (a @ a.T + 0.1 * np.eye(n_u))))
+            out.append((0.1 * (k + 1), tuple(rng.uniform(-0.3, 0.3, n_u).tolist()),
+                        tuple(map(tuple, (1e-4 * (a @ a.T + 0.1 * np.eye(n_u))).tolist()))))
         return out
 
     @staticmethod
@@ -336,7 +340,7 @@ class TestFloatRecursionOracle:
             samples = self._samples(rng, n_u, int(rng.integers(1, 60)))
             buf = PreintBuffer(None, 0.0, c_bar, model)
             for smp in samples:
-                integrate_step(buf, smp)
+                integrate_step(buf, *smp)
             self._assert_matches(buf.entries, reference_recursion(model, c_bar, samples))
 
     @pytest.mark.parametrize("model, c_bar, n_u", ORACLE_MODELS,
@@ -348,7 +352,7 @@ class TestFloatRecursionOracle:
             k = int(rng.integers(0, len(samples)))
             buf = PreintBuffer(None, 0.0, c_bar, model)
             for smp in samples:
-                integrate_step(buf, smp)
+                integrate_step(buf, *smp)
             first, second = split_buffer(buf, 0.1 * k, tol=1e-9)
             assert first.entries == buf.entries[:k]
             self._assert_matches(first.entries, reference_recursion(model, c_bar, samples[:k]))
@@ -365,13 +369,14 @@ class TestSegmentComposition:
             k = int(rng.integers(0, n + 1))
             full = make_buffer()
             for s in samples:
-                integrate_step(full, RawMotion(s.t, s.u, s.q_u))
+                integrate_step(full, *s)
             head = make_buffer()
             for s in samples[:k]:
-                integrate_step(head, RawMotion(s.t, s.u, s.q_u))
-            tail = make_buffer(origin_t=samples[k - 1].t if k else 0.0)
+                integrate_step(head, *s)
+            tail = make_buffer(origin_t=samples[k - 1][0] if k else 0.0)
             for s in samples[k:]:
-                integrate_step(tail, RawMotion(s.t, s.u, s.q_u))
+                integrate_step(tail, *s)
+            head, tail, full = head.tail, tail.tail, full.tail
             composed, j_a, j_b = pose_compose(head.delta_bar, tail.delta_bar)
             assert np.max(np.abs(delta_diff(composed, full.delta_bar))) < 1e-12
             # calibration Jacobian transports across the cut by the chain rule
@@ -383,18 +388,18 @@ class TestCorrectDelta:
     def _integrated(self, c_bar, rng):
         buf = make_buffer(c_bar=c_bar)
         for s in random_samples(rng, 50):
-            integrate_step(buf, s)
+            integrate_step(buf, *s)
         return buf
 
     def test_identity_correction(self):
         rng = np.random.default_rng(11)
         buf = self._integrated(C_NOM, rng)
-        err = correction_error(buf.entries[-1], C_NOM, C_NOM, buf.delta_bar)
+        err = correction_error(buf.tail, C_NOM, C_NOM, buf.tail.delta_bar)
         np.testing.assert_allclose(err, np.zeros(3), atol=1e-15)
 
     def test_zero_jacobian_ignores_calibration(self):
         entry_like = make_buffer()
-        integrate_step(entry_like, RawMotion(0.1, np.zeros(2), np.zeros((2, 2))))
+        integrate_step(entry_like, 0.1, (0.0, 0.0), ZERO_Q)
         tail = dataclasses.replace(entry_like.entries[-1], j=[(0.0, 0.0, 0.0)] * 3)
         err = correction_error(tail, C_NOM * 1.5, C_NOM, tail.delta_bar)
         np.testing.assert_allclose(err, np.zeros(3), atol=1e-15)
@@ -404,7 +409,7 @@ class TestCorrectDelta:
         samples = random_samples(rng, 50)
         base = make_buffer()
         for s in samples:
-            integrate_step(base, s)
+            integrate_step(base, *s)
         direction = np.array([0.7, -0.5, 0.8])
         direction /= np.linalg.norm(direction)
         epsilons = np.logspace(-4, -2, 7)
@@ -413,9 +418,9 @@ class TestCorrectDelta:
             c = C_NOM + eps * direction
             reint = make_buffer(c_bar=c)
             for s in samples:
-                integrate_step(reint, s)
-            errs.append(np.linalg.norm(correction_error(base.entries[-1], c, C_NOM,
-                                                        reint.delta_bar)))
+                integrate_step(reint, *s)
+            errs.append(np.linalg.norm(correction_error(base.tail, c, C_NOM,
+                                                        reint.tail.delta_bar)))
         slope = np.polyfit(np.log(epsilons), np.log(errs), 1)[0]
         assert 1.8 <= slope <= 2.2
 
@@ -424,7 +429,7 @@ class TestHighRateState:
     def _straight_buffer(self, n=10):
         buf = make_buffer()
         for k in range(n):
-            integrate_step(buf, RawMotion(0.1 * (k + 1), np.array([1.0, 1.0]), np.zeros((2, 2))))
+            integrate_step(buf, 0.1 * (k + 1), (1.0, 1.0), ZERO_Q)
         return buf
 
     def test_at_origin_time(self):
@@ -457,15 +462,15 @@ class TestSplitBuffer:
         rng = np.random.default_rng(13)
         buf = make_buffer()
         for s in random_samples(rng, n, tick_std=tick_std):
-            integrate_step(buf, s)
+            integrate_step(buf, *s)
         return buf
 
     def test_split_at_exact_entry(self):
         buf = self._buffer(6)
         first, second = split_buffer(buf, 0.3, tol=1e-9)
         assert len(first.entries) == 3 and len(second.entries) == 3
-        composed, _, _ = pose_compose(first.delta_bar, second.delta_bar)
-        assert np.max(np.abs(delta_diff(composed, buf.delta_bar))) < 1e-12
+        composed, _, _ = pose_compose(first.tail.delta_bar, second.tail.delta_bar)
+        assert np.max(np.abs(delta_diff(composed, buf.tail.delta_bar))) < 1e-12
         assert second.origin_t == pytest.approx(0.3)
 
     def test_degenerate_split_at_origin(self):
@@ -473,7 +478,7 @@ class TestSplitBuffer:
         first, second = split_buffer(buf, 0.004, tol=0.01)
         assert len(first.entries) == 0
         assert len(second.entries) == 6
-        assert np.max(np.abs(delta_diff(second.delta_bar, buf.delta_bar))) < 1e-12
+        assert np.max(np.abs(delta_diff(second.tail.delta_bar, buf.tail.delta_bar))) < 1e-12
 
     def test_out_of_tolerance(self):
         buf = self._buffer(6)

@@ -8,15 +8,14 @@ from arbor.errors import AlignmentError, ContractError, DecompositionError
 from arbor.factors import MOTION, RANGE_BEARING, RELATIVE_POSE, Factor
 from arbor.manifold import ANGLE, Pose2, StateBlock, pose_compose
 from arbor.processors import (
-    FeatureInfo,
     KeyframePolicy,
-    LandmarkInfo,
     LandmarkTracker,
     LoopCloser,
     LoopPolicy,
     MotionProcessor,
     Pipeline,
     Processor,
+    RawIdInfo,
     SensorInfo,
     sensor_extrinsic,
 )
@@ -132,7 +131,7 @@ class TestMotionProcessor:
         for k in range(1, 6):
             pipe.dispatch("odom0", 0.1 * k, straight_step())
         assert len(proc.buffer.entries) == 0
-        np.testing.assert_allclose(proc.buffer.delta_bar.as_array(), [0, 0, 0])
+        np.testing.assert_allclose(proc.buffer.tail.delta_bar.as_array(), [0, 0, 0])
 
     def test_keyframe_carries_motion_factor(self):
         tr, odom, _, first = build_tree()
@@ -210,7 +209,7 @@ class TestMotionProcessor:
         assert proc.buffer.entries == []
         kinds = [tr.node(f).payload.kind for f in tr.factors_referencing(foreign)]
         assert kinds == [MOTION]
-        np.testing.assert_allclose(proc.buffer.delta_bar.as_array(), [0, 0, 0])
+        np.testing.assert_allclose(proc.buffer.tail.delta_bar.as_array(), [0, 0, 0])
         assert pipe.dispatch("odom0", 0.6, straight_step()) == []
         assert len(proc.buffer.entries) == 1
 
@@ -235,7 +234,7 @@ class TestMotionProcessor:
         for k in range(1, 5):
             pipe.dispatch("odom0", 0.1 * k, straight_step())
         (event,) = pipe.dispatch("stamp", 0.5, None)
-        c_bar = proc.buffer.c_bar.copy()
+        c_bar = proc.buffer.c_bar
         tr.block(odom, "intrinsic").values[:] = C_NOM * 1.01  # a solve moved it
         assert pipe.dispatch("odom0", 0.5, straight_step()) == []
         assert len(tr.frames()) == 2
@@ -276,7 +275,7 @@ class TestLandmarkTracker:
 
     def test_gate_association_exact_inversion(self):
         tr, _, rb, first = build_tree()
-        lm = tr.add_landmark(np.array([1.0, 0.0]), LandmarkInfo(7))
+        lm = tr.add_landmark(np.array([1.0, 0.0]), RawIdInfo(7))
         tracker = make_tracker(tr, rb, policy=KeyframePolicy(min_tracks=1))
         out = tracker._associate(tr, Pose2.identity(), [[1.0, 0.0]])
         raw_id, z, matched, world = out[0]
@@ -295,7 +294,7 @@ class TestLandmarkTracker:
         tr, _, rb, first = build_tree()
         # 4 known landmarks straight ahead, min_tracks=5 -> vote
         for k in range(4):
-            tr.add_landmark(np.array([1.0 + k, 0.0]), LandmarkInfo(k))
+            tr.add_landmark(np.array([1.0 + k, 0.0]), RawIdInfo(k))
         tracker = make_tracker(tr, rb, policy=KeyframePolicy(min_tracks=5))
         scan = [[k, 1.0 + k, 0.0] for k in range(4)]
         tracker.association = "id"
@@ -308,7 +307,7 @@ class TestLandmarkTracker:
         tr, _, rb, first = build_tree()
         lms = []
         for k in range(3):
-            lms.append(tr.add_landmark(np.array([1.0 + k, 0.0]), LandmarkInfo(k)))
+            lms.append(tr.add_landmark(np.array([1.0 + k, 0.0]), RawIdInfo(k)))
         tracker = make_tracker(tr, rb, policy=KeyframePolicy(min_tracks=3),
                                association="id")
         for k, lm in enumerate(lms):
@@ -322,7 +321,7 @@ class TestLandmarkTracker:
         tracker = make_tracker(tr, rb, policy=KeyframePolicy(min_tracks=5),
                                association="id", max_unseen_frames=2)
         tracker._kf_count = 10
-        stale = tr.add_landmark(np.array([1.0, 0.0]), LandmarkInfo(3))
+        stale = tr.add_landmark(np.array([1.0, 0.0]), RawIdInfo(3))
         tracker._by_raw_id[3] = stale
         tracker._last_seen[stale] = 1  # last seen 9 keyframes ago
         out = tracker._associate(tr, Pose2.identity(), [[3, 1.0, 0.0]])
@@ -372,7 +371,7 @@ class TestOneShotAssociation:
         for _ in range(30):
             tr, _, rb, _ = build_tree()
             for k in range(int(rng.integers(1, 30))):
-                tr.add_landmark(rng.uniform(-5, 5, 2), LandmarkInfo(k))
+                tr.add_landmark(rng.uniform(-5, 5, 2), RawIdInfo(k))
             tracker = make_tracker(tr, rb, gate=float(rng.uniform(0.1, 1.0)))
             pose = Pose2(rng.uniform(-2, 2, 2), rng.uniform(-3, 3))
             scan = [[k, rng.uniform(0.2, 6.0), rng.uniform(-3, 3)]
@@ -403,7 +402,7 @@ class TestOneShotAssociation:
 
     def test_id_association(self):
         tr, _, rb, _ = build_tree()
-        lms = [tr.add_landmark(np.array([5.0 + k, 0.0]), LandmarkInfo(k)) for k in range(3)]
+        lms = [tr.add_landmark(np.array([5.0 + k, 0.0]), RawIdInfo(k)) for k in range(3)]
         tracker = make_tracker(tr, rb, association="id")
         tracker._by_raw_id = {0: lms[0], 2: lms[2]}
         out = self._assert_same(tracker, tr, Pose2.identity(),
@@ -416,11 +415,11 @@ class TestLoopCloser:
         frame = tr.add_frame(t, pose)
         cap = tr.add_capture(frame, t, rb)
         for raw_id, rng, brg in obs:
-            landmark = tr.add_landmark(np.zeros(2), LandmarkInfo(raw_id))
+            landmark = tr.add_landmark(np.zeros(2), RawIdInfo(raw_id))
             tr.add_factor(cap, Factor(
                 RANGE_BEARING, np.array([rng, brg]), np.eye(2),
                 constrained=[(frame, "p"), (frame, "o"), (rb, "ext_p"), (rb, "ext_o"),
-                             (landmark, "p")]), FeatureInfo(raw_id))
+                             (landmark, "p")]), RawIdInfo(raw_id))
         return frame
 
     def test_identity_loop(self):
