@@ -72,6 +72,13 @@ def as_numbers(key, values, n, bound=None):
     return [as_number(f"{key}.{i}", v, bound) for i, v in enumerate(values)]
 
 
+def as_text(key, value):
+    """A YAML string; anything else (a list, a number) is a ConfigError."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{key} must be a string, got {value!r}")
+    return value
+
+
 def as_flag(key, value):
     """A YAML boolean; anything else (a quoted "false", 0) is a ConfigError."""
     if not isinstance(value, bool):

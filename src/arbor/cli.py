@@ -1,6 +1,7 @@
 """Command-line entry points: simulate scenarios and replay capture logs.
 
-Exit codes: 0 on success, 2 on configuration errors, 3 on data errors.
+Exit codes: 0 on success, 2 on configuration errors, 3 on data errors.  A
+command that fails leaves none of its output files behind.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from pathlib import Path
 from .config import ConfigWarning  # noqa: F401  (re-exported for -W filters)
 from .errors import ConfigError, EstimationError
 from .runner import build_application, replay
-from .sim import load_scenario, simulate, write_jsonl
+from .sim import jsonl_lines, load_scenario, simulate, write_files
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -27,9 +28,8 @@ def _cmd_sim(args) -> int:
         return EXIT_CONFIG
     captures, truth = simulate(scenario)
     try:
-        write_jsonl(captures, args.out)
-        if args.truth:
-            write_jsonl(truth, args.truth)
+        write_files([(path, jsonl_lines(records))
+                     for path, records in ((args.out, captures), (args.truth, truth)) if path])
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

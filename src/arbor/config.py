@@ -4,9 +4,11 @@ A YAML file describing the whole setup (sensors, processors, solver, window
 manager, initial state, optional map) is flattened into a parameter server
 of dotted keys.  Factories registered per category turn server subtrees
 into live objects, so a new sensor or processor type only needs a creator
-registration.  ``auto_setup`` assembles the full problem: the hardware
-branch, the first frame with its prior, the initial map, the processor
-pipeline, and the solver options.
+registration.  A sensor creator also hangs the priors on its calibration
+blocks (``intrinsic.sigma``, ``extrinsic.sigma``) on its own Sensor node.
+``auto_setup`` assembles the full problem: the hardware branch, the first
+frame with its prior, the initial map, the processor pipeline, and the
+solver options.
 
 Keys the setup never reads are reported as warnings, not errors, so configs
 stay forward compatible.
@@ -21,21 +23,18 @@ from typing import Optional
 import numpy as np
 
 from . import tree as T
-from .checks import as_flag, as_number, as_numbers, load_yaml
+from .checks import as_flag, as_number, as_numbers, as_text, load_yaml
 from .errors import ConfigError, ContractError
 from .factors import PRIOR_BLOCK, PRIOR_POSE, Factor
 from .manifold import ANGLE, Pose2, StateBlock
 from .processors import (
-    KeyframePolicy,
     LandmarkTracker,
     LoopCloser,
-    LoopPolicy,
     MotionProcessor,
     Pipeline,
     ProcessorInfo,
     RawIdInfo,
     SensorInfo,
-    sensor_extrinsic,
 )
 from .solver import SolverOptions
 
@@ -152,6 +151,10 @@ def _flag(server, key, default):
     return as_flag(key, server.get(key, default))
 
 
+def _text(server, key):
+    return as_text(key, server.require(key))
+
+
 def _pose_blocks_from(server, prefix):
     state = as_numbers(f"{prefix}.state", server.get(f"{prefix}.state", [0.0, 0.0, 0.0]), 3)
     fixed = _flag(server, f"{prefix}.fixed", True)
@@ -166,54 +169,67 @@ def _pose_blocks_from(server, prefix):
     return blocks, sigma
 
 
+def _add_prior(tree, sensor, kind, names, sigmas):
+    """Hang a prior on ``sensor`` pinning its blocks ``names`` at their values,
+    with one sigma per block; none without sigmas or with the blocks fixed."""
+    blocks = [tree.block(sensor, name) for name in names]
+    if sigmas is None or blocks[0].fixed:
+        return
+    tree.add_factor(sensor, Factor(
+        kind=kind,
+        z=np.concatenate([block.values for block in blocks]),
+        sqrt_info=np.diag(np.concatenate([np.full(block.tangent_dim, 1.0 / sigma)
+                                          for block, sigma in zip(blocks, sigmas)])),
+        constrained=[(sensor, name) for name in names],
+    ))
+
+
 def _create_diff_drive(tree, server, prefix):
-    name = server.require(f"{prefix}.name")
+    name = _text(server, f"{prefix}.name")
     blocks, ext_sigma = _pose_blocks_from(server, f"{prefix}.extrinsic")
-    intrinsic = server.require(f"{prefix}.intrinsic.state")
-    if len(intrinsic) != 3:
-        raise ConfigError(f"{prefix}.intrinsic.state must be [r_left, r_right, separation]")
-    blocks["intrinsic"] = StateBlock(
-        np.array([as_number(f"{prefix}.intrinsic.state", v) for v in intrinsic]),
-        fixed=_flag(server, f"{prefix}.intrinsic.fixed", True),
-    )
+    key = f"{prefix}.intrinsic.state"
+    blocks["intrinsic"] = StateBlock(np.array(as_numbers(key, server.require(key), 3, ">")),
+                                     fixed=_flag(server, f"{prefix}.intrinsic.fixed", True))
     noise = {"tick_std": _positive(server, f"{prefix}.noise.tick_std")}
-    info = SensorInfo(name, "diff_drive", noise,
-                      intrinsic_prior_sigma=_positive(server, f"{prefix}.intrinsic.sigma", None),
-                      extrinsic_prior_sigma=ext_sigma)
-    return tree.add_sensor(info, blocks), info
+    info = SensorInfo(name, "diff_drive", noise)
+    sensor = tree.add_sensor(info, blocks)
+    sigma = _positive(server, f"{prefix}.intrinsic.sigma", None)
+    _add_prior(tree, sensor, PRIOR_BLOCK, ["intrinsic"], None if sigma is None else [sigma])
+    _add_prior(tree, sensor, PRIOR_POSE, ["ext_p", "ext_o"], ext_sigma)
+    return sensor, info
 
 
 def _create_range_bearing(tree, server, prefix):
-    name = server.require(f"{prefix}.name")
+    name = _text(server, f"{prefix}.name")
     blocks, ext_sigma = _pose_blocks_from(server, f"{prefix}.extrinsic")
     noise = {
         "range_std": _positive(server, f"{prefix}.noise.range_std"),
         "bearing_std": _positive(server, f"{prefix}.noise.bearing_std"),
     }
-    info = SensorInfo(name, "range_bearing_2d", noise, extrinsic_prior_sigma=ext_sigma)
-    return tree.add_sensor(info, blocks), info
+    info = SensorInfo(name, "range_bearing_2d", noise)
+    sensor = tree.add_sensor(info, blocks)
+    _add_prior(tree, sensor, PRIOR_POSE, ["ext_p", "ext_o"], ext_sigma)
+    return sensor, info
 
 
 def _create_motion_processor(server, prefix, name, sensor_id, sensor_name, info):
-    policy = KeyframePolicy(
+    return MotionProcessor(
+        name, sensor_id, sensor_name,
+        time_tolerance=_positive(server, f"{prefix}.time_tolerance", zero_ok=True),
+        tick_std=info.noise["tick_std"],
         max_dist=_positive(server, f"{prefix}.keyframe.max_dist", None),
         max_angle=_positive(server, f"{prefix}.keyframe.max_angle", None),
         max_time=_positive(server, f"{prefix}.keyframe.max_time", None),
     )
-    return MotionProcessor(
-        name, sensor_id, sensor_name, policy,
-        time_tolerance=_positive(server, f"{prefix}.time_tolerance", zero_ok=True),
-        tick_std=info.noise["tick_std"],
-    )
 
 
 def _create_tracker(server, prefix, name, sensor_id, sensor_name, info):
-    policy = KeyframePolicy(min_tracks=_positive(server, f"{prefix}.keyframe.min_tracks", None, integer=True))
     return LandmarkTracker(
-        name, sensor_id, sensor_name, policy,
+        name, sensor_id, sensor_name,
         time_tolerance=_positive(server, f"{prefix}.time_tolerance", zero_ok=True),
         range_std=info.noise["range_std"],
         bearing_std=info.noise["bearing_std"],
+        min_tracks=_positive(server, f"{prefix}.keyframe.min_tracks", None, integer=True),
         gate=_positive(server, f"{prefix}.gate", 0.5),
         association=server.get(f"{prefix}.association", "gate"),
         max_unseen_frames=_positive(server, f"{prefix}.assoc_max_unseen", None,
@@ -222,14 +238,12 @@ def _create_tracker(server, prefix, name, sensor_id, sensor_name, info):
 
 
 def _create_loop_closer(server, prefix, name, sensor_id, sensor_name, _info):
-    policy = LoopPolicy(
+    return LoopCloser(
+        name, sensor_id, sensor_name,
         radius=_positive(server, f"{prefix}.loop.radius"),
         min_frame_gap=_positive(server, f"{prefix}.loop.min_frame_gap", integer=True),
         min_shared_landmarks=_positive(server, f"{prefix}.loop.min_shared_landmarks",
                                        integer=True),
-    )
-    return LoopCloser(
-        name, sensor_id, sensor_name, policy,
         sigma_p=_positive(server, f"{prefix}.loop.sigma_p", 0.05),
         sigma_o=_positive(server, f"{prefix}.loop.sigma_o", 0.02),
     )
@@ -278,10 +292,11 @@ class Application:
 def auto_setup(server: ParameterServer, registry: CreatorRegistry | None = None) -> Application:
     """Build the configured problem from a parameter server.
 
-    Creates sensors and processor nodes under Hardware, the first frame with
-    its pose prior under Trajectory, optional initial landmarks under Map,
-    wires the processor pipeline, and returns the solver options and window
-    policy.  The resulting tree always passes the consistency check.
+    Creates sensors (with their calibration priors) and processor nodes
+    under Hardware, the first frame with its pose prior under Trajectory,
+    optional initial landmarks under Map, wires the processor pipeline, and
+    returns the solver options and window policy.  The resulting tree
+    always passes the consistency check.
     """
     registry = registry or default_registry()
     dimension = _positive(server, "problem.dimension", integer=True)
@@ -294,15 +309,13 @@ def auto_setup(server: ParameterServer, registry: CreatorRegistry | None = None)
     if n_sensors == 0:
         raise ConfigError("missing mandatory config key: sensors.0.type")
     sensors: dict = {}
-    sensor_order = []
     for i in range(n_sensors):
         prefix = f"sensors.{i}"
-        type_name = server.require(f"{prefix}.type")
+        type_name = _text(server, f"{prefix}.type")
         sensor_id, info = registry.create("sensor", type_name, tree, server, prefix)
         if info.name in sensors:
             raise ConfigError(f"duplicate sensor name {info.name!r}")
         sensors[info.name] = (sensor_id, info)
-        sensor_order.append(sensor_id)
 
     n_procs = server.count("processors")
     if n_procs == 0:
@@ -310,9 +323,9 @@ def auto_setup(server: ParameterServer, registry: CreatorRegistry | None = None)
     processors = []
     for i in range(n_procs):
         prefix = f"processors.{i}"
-        type_name = server.require(f"{prefix}.type")
+        type_name = _text(server, f"{prefix}.type")
         name = server.require(f"{prefix}.name")
-        sensor_name = server.require(f"{prefix}.sensor")
+        sensor_name = _text(server, f"{prefix}.sensor")
         if sensor_name not in sensors:
             raise ConfigError(f"{prefix}.sensor references unknown sensor {sensor_name!r}")
         sensor_id, info = sensors[sensor_name]
@@ -320,8 +333,8 @@ def auto_setup(server: ParameterServer, registry: CreatorRegistry | None = None)
                                           name, sensor_id, sensor_name, info))
         tree.add_processor(ProcessorInfo(name, type_name, sensor_id))
 
-    manager_type = server.get("problem.tree_manager.type", "none")
-    window_policy = registry.create("tree_manager", manager_type,
+    key = "problem.tree_manager.type"
+    window_policy = registry.create("tree_manager", as_text(key, server.get(key, "none")),
                                     server, "problem.tree_manager")
 
     options = SolverOptions(
@@ -336,28 +349,8 @@ def auto_setup(server: ParameterServer, registry: CreatorRegistry | None = None)
     sigma_p = _positive(server, "problem.first_frame.sigma_p")
     sigma_o = _positive(server, "problem.first_frame.sigma_o")
     first = tree.add_frame(0.0, Pose2(np.array(p0), o0))
-    capture = tree.add_pose_prior(first, sensor_order[0],
-                                  np.diag([1.0 / sigma_p, 1.0 / sigma_p, 1.0 / sigma_o]))
-
-    for name, (sensor_id, info) in sensors.items():
-        sigma = info.intrinsic_prior_sigma
-        if sigma is not None and not tree.block(sensor_id, "intrinsic").fixed:
-            block = tree.block(sensor_id, "intrinsic")
-            tree.add_factor(capture, Factor(
-                kind=PRIOR_BLOCK,
-                z=block.values.copy(),
-                sqrt_info=np.eye(block.tangent_dim) / sigma,
-                constrained=[(sensor_id, "intrinsic")],
-            ))
-        ext_sigma = info.extrinsic_prior_sigma
-        if ext_sigma is not None and not tree.block(sensor_id, "ext_p").fixed:
-            s_p, s_o = ext_sigma
-            tree.add_factor(capture, Factor(
-                kind=PRIOR_POSE,
-                z=sensor_extrinsic(tree, sensor_id).as_array(),
-                sqrt_info=np.diag([1.0 / s_p, 1.0 / s_p, 1.0 / s_o]),
-                constrained=[(sensor_id, "ext_p"), (sensor_id, "ext_o")],
-            ))
+    tree.add_pose_prior(first, tree.sensors()[0],
+                        np.diag([1.0 / sigma_p, 1.0 / sigma_p, 1.0 / sigma_o]))
 
     n_landmarks = server.count("map.landmarks")
     for i in range(n_landmarks):

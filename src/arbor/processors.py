@@ -61,25 +61,6 @@ from .preint import (
 
 
 @dataclass
-class KeyframePolicy:
-    """Positive keyframe vote thresholds; any subset may be enabled."""
-
-    max_dist: Optional[float] = None
-    max_angle: Optional[float] = None
-    max_time: Optional[float] = None
-    min_tracks: Optional[int] = None
-
-
-@dataclass
-class LoopPolicy:
-    """Positive loop-closure search bounds."""
-
-    radius: float
-    min_frame_gap: int
-    min_shared_landmarks: int
-
-
-@dataclass
 class KeyframeEvent:
     t: float
     frame: T.NodeId
@@ -87,19 +68,12 @@ class KeyframeEvent:
 
 @dataclass
 class SensorInfo:
-    """Payload of a Sensor node: identity plus noise levels by name.
-
-    The prior sigmas request weak priors on unfixed calibration blocks at
-    their configured initial guesses, which keeps self-calibration well
-    conditioned before the data pins it down.  Extrinsic priors take
-    (sigma_position, sigma_heading).
-    """
+    """Payload of a Sensor node: identity plus noise levels by name.  The
+    priors on its calibration blocks hang on the Sensor node itself."""
 
     name: str
     type_name: str
     noise: dict = field(default_factory=dict)
-    intrinsic_prior_sigma: Optional[float] = None
-    extrinsic_prior_sigma: Optional[tuple] = None
 
     def tree_label(self):
         return f"{self.name} [{self.type_name}]"
@@ -154,15 +128,19 @@ class Processor:
 
 
 class MotionProcessor(Processor):
-    """Pre-integrating odometry front-end with a distance/angle/time policy."""
+    """Pre-integrating odometry front-end; votes once the interval exceeds
+    any of the positive thresholds ``max_dist``, ``max_angle``, ``max_time``
+    given."""
 
-    def __init__(self, name, sensor_id, sensor_name, policy: KeyframePolicy,
-                 time_tolerance: float, tick_std: float,
-                 model: DiffDriveModel | None = None):
+    def __init__(self, name, sensor_id, sensor_name, time_tolerance: float, tick_std: float,
+                 max_dist: Optional[float] = None, max_angle: Optional[float] = None,
+                 max_time: Optional[float] = None, model: DiffDriveModel | None = None):
         self.name = name
         self.sensor_id = sensor_id
         self.sensor_name = sensor_name
-        self.policy = policy
+        self.max_dist = max_dist
+        self.max_angle = max_angle
+        self.max_time = max_time
         self.time_tolerance = float(time_tolerance)
         self.model = model or DiffDriveModel()
         var = tick_std**2
@@ -216,12 +194,11 @@ class MotionProcessor(Processor):
 
     def _vote(self, t: float) -> bool:
         x, y, theta = self.buffer.tail.delta
-        pol = self.policy
-        if pol.max_dist is not None and math.hypot(x, y) > pol.max_dist:
+        if self.max_dist is not None and math.hypot(x, y) > self.max_dist:
             return True
-        if pol.max_angle is not None and abs(theta) > pol.max_angle:
+        if self.max_angle is not None and abs(theta) > self.max_angle:
             return True
-        if pol.max_time is not None and t - self.buffer.origin_t > pol.max_time:
+        if self.max_time is not None and t - self.buffer.origin_t > self.max_time:
             return True
         return False
 
@@ -284,14 +261,15 @@ class LandmarkTracker(Processor):
     """Range-bearing feature tracker against the landmark map.
 
     Keeps the latest capture pending between keyframes and attaches its
-    features/factors to a keyframe within tolerance of it.  Landmarks
+    features/factors to a keyframe within tolerance of it.  With
+    ``min_tracks`` it votes once its matched count drops below it.  Landmarks
     not seen for more than ``max_unseen_frames`` keyframes drop out of the
     association candidates, so revisits spawn fresh landmarks (loop closure
     is then up to the loop processor).
     """
 
-    def __init__(self, name, sensor_id, sensor_name, policy: KeyframePolicy,
-                 time_tolerance: float, range_std: float, bearing_std: float,
+    def __init__(self, name, sensor_id, sensor_name, time_tolerance: float,
+                 range_std: float, bearing_std: float, min_tracks: Optional[int] = None,
                  gate: float = 0.5, association: str = "gate",
                  max_unseen_frames: Optional[int] = None):
         if association not in ("gate", "id"):
@@ -299,7 +277,7 @@ class LandmarkTracker(Processor):
         self.name = name
         self.sensor_id = sensor_id
         self.sensor_name = sensor_name
-        self.policy = policy
+        self.min_tracks = min_tracks
         self.time_tolerance = float(time_tolerance)
         self.sqrt_info = np.diag([1.0 / range_std, 1.0 / bearing_std])
         self.gate = gate
@@ -388,9 +366,9 @@ class LandmarkTracker(Processor):
         associations = self._associate(tree, pose, data)
         self._pending = (t, associations)
         matched = sum(1 for _, _, lm, _ in associations if lm is not None)
-        if self.policy.min_tracks is None:
+        if self.min_tracks is None:
             return None
-        if matched >= self.policy.min_tracks:
+        if matched >= self.min_tracks:
             self._vote_armed = True
             return None
         if not self._vote_armed:
@@ -426,14 +404,18 @@ class LandmarkTracker(Processor):
 
 
 class LoopCloser(Processor):
-    """Closes loops by aligning landmark observations shared with past frames."""
+    """Closes loops by aligning landmark observations shared with past frames:
+    at least ``min_shared_landmarks``, with a frame at least ``min_frame_gap``
+    frames older and within ``radius`` of the new keyframe."""
 
-    def __init__(self, name, sensor_id, sensor_name, policy: LoopPolicy,
-                 sigma_p: float = 0.05, sigma_o: float = 0.02):
+    def __init__(self, name, sensor_id, sensor_name, radius: float, min_frame_gap: int,
+                 min_shared_landmarks: int, sigma_p: float = 0.05, sigma_o: float = 0.02):
         self.name = name
         self.sensor_id = sensor_id
         self.sensor_name = sensor_name
-        self.policy = policy
+        self.radius = radius
+        self.min_frame_gap = min_frame_gap
+        self.min_shared_landmarks = min_shared_landmarks
         self.sqrt_info = np.diag([1.0 / sigma_p, 1.0 / sigma_p, 1.0 / sigma_o])
 
     def _observations(self, tree, frame: T.NodeId) -> dict:
@@ -490,13 +472,13 @@ class LoopCloser(Processor):
         cur_pose = tree.frame_pose(current)
 
         best = None  # (shared count, -distance) maximized; ties -> older frame
-        for pos in range(cur_pos - self.policy.min_frame_gap, -1, -1):
+        for pos in range(cur_pos - self.min_frame_gap, -1, -1):
             cand = frames[pos]
             dist = float(np.linalg.norm(tree.frame_pose(cand).p - cur_pose.p))
-            if dist > self.policy.radius:
+            if dist > self.radius:
                 continue
             shared = sorted(set(cur_obs) & set(self._observations(tree, cand)))
-            if len(shared) < self.policy.min_shared_landmarks:
+            if len(shared) < self.min_shared_landmarks:
                 continue
             key = (len(shared), -dist)
             if best is None or key > best[0]:

@@ -21,7 +21,7 @@ from .config import Application, auto_setup, parse_config
 from .errors import ConfigError, RecordFormatError
 from .metrics import MetricsReport, compute_ate, compute_calib_error
 from .processors import RawIdInfo
-from .sim import TRUTH_CALIB, CaptureRecord, read_jsonl, write_jsonl
+from .sim import TRUTH_CALIB, CaptureRecord, jsonl_lines, read_jsonl, write_files
 from .solver import SolverProblem, lm_solve, sync
 
 ESTIMATE_SENSOR = "estimate"
@@ -121,9 +121,6 @@ def replay(app: Application, log_path, out_path=None, truth_path=None,
                                              [float(v) for v in calib_est]))
             break
 
-    if out_path is not None:
-        write_jsonl(out_records, out_path)
-
     metrics = None
     if truth_path is not None:
         truth = read_jsonl(truth_path)
@@ -141,7 +138,11 @@ def replay(app: Application, log_path, out_path=None, truth_path=None,
             keyframes=len(estimates),
             wall_time=time.perf_counter() - t_start,
         )
-        if metrics_path is not None:
-            Path(metrics_path).write_text(json.dumps(asdict(metrics), indent=2) + "\n")
+
+    # written last, all or nothing: a failure leaves neither file
+    outputs = [(out_path, jsonl_lines(out_records))]
+    if metrics is not None:
+        outputs.append((metrics_path, [json.dumps(asdict(metrics), indent=2) + "\n"]))
+    write_files([(path, lines) for path, lines in outputs if path is not None])
 
     return out_records, metrics

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,11 +37,30 @@ class CaptureRecord:
     data: list
 
 
+def jsonl_lines(records):
+    """Each record as one line of the log format."""
+    return (json.dumps({"t": rec.t, "sensor": rec.sensor, "data": rec.data}) + "\n"
+            for rec in records)
+
+
+def write_files(outputs):
+    """Write each (path, lines) pair in turn.  If any write fails, the files
+    opened so far are removed before the error propagates, so a failed
+    command leaves no partial output behind."""
+    opened = []
+    try:
+        for path, lines in outputs:
+            with open(path, "w") as fh:
+                opened.append(path)
+                fh.writelines(lines)
+    except OSError:
+        for path in opened:
+            os.remove(path)
+        raise
+
+
 def write_jsonl(records, path):
-    with open(path, "w") as fh:
-        for rec in records:
-            fh.write(json.dumps({"t": rec.t, "sensor": rec.sensor, "data": rec.data}))
-            fh.write("\n")
+    write_files([(path, jsonl_lines(records))])
 
 
 def read_jsonl(path) -> list:

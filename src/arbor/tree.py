@@ -3,13 +3,14 @@
 The tree has a fixed top layout (Problem with Hardware, Trajectory, and Map
 branches) under which processors grow the estimation problem: sensors and
 processors under Hardware, frames/captures/features/factors under
-Trajectory, landmarks under Map.  Parent/child links are bidirectional.  A
-node's ``refs`` knit the tree into a factor graph: a capture refers to the
-sensor that produced it, a factor to every node whose state blocks appear in
-its residual.  Nodes enter only through the builders ``add_sensor``,
-``add_processor``, ``add_landmark``, ``add_frame``, ``add_capture``,
-``add_factor`` and ``add_pose_prior``, so each kind's place and references
-are known to this module alone.
+Trajectory, landmarks under Map.  A prior on a sensor's own blocks hangs on
+the sensor (Sensor -> Feature -> Factor), so removing frames leaves it be.
+Parent/child links are bidirectional.  A node's ``refs`` knit the tree into
+a factor graph: a capture refers to the sensor that produced it, a factor to
+every node whose state blocks appear in its residual.  Nodes enter only
+through the builders ``add_sensor``, ``add_processor``, ``add_landmark``,
+``add_frame``, ``add_capture``, ``add_factor`` and ``add_pose_prior``, so
+each kind's place and references are known to this module alone.
 
 Structural changes are queued as notifications so a solver can mirror the
 set of live state blocks and factors without walking the tree: an add
@@ -84,10 +85,10 @@ class WindowPolicy:
 
     ``fix_oldest`` freezes frames beyond the newest n as constants;
     ``remove_with_prior`` removes them and pins the oldest survivor with a
-    unary prior at its current estimate, moving the priors on sensor blocks
-    held by the removed frames under it.  ``n_frames`` must stay above the
-    number of frames a processor may lag behind the newest keyframe, or the
-    removal variant can pull a pre-integration origin out from under it.
+    unary prior at its current estimate.  Priors on sensor blocks hang on
+    their sensor, so no window touches them.  ``n_frames`` must stay above
+    the number of frames a processor may lag behind the newest keyframe, or
+    the removal variant can pull a pre-integration origin out from under it.
     """
 
     variant: str
@@ -142,10 +143,10 @@ class ProblemTree:
             self._notifications.append(Notification(ADD_FACTOR, node_id, node.payload))
         return node_id
 
-    def _expect(self, node_id: NodeId, kind: str) -> TreeNode:
+    def _expect(self, node_id: NodeId, *kinds: str) -> TreeNode:
         node = self.node(node_id)
-        if node_id.kind != kind:
-            raise ContractError(f"{node_id} is not a {kind}")
+        if node_id.kind not in kinds:
+            raise ContractError(f"{node_id} is not a {' or a '.join(kinds)}")
         return node
 
     def add_sensor(self, info, blocks: dict) -> NodeId:
@@ -172,19 +173,22 @@ class ProblemTree:
         self._expect(sensor, SENSOR)
         return self._new_node(CAPTURE, frame, timestamp=t, refs=(sensor,))
 
-    def add_factor(self, capture: NodeId, factor, feature=None) -> NodeId:
-        """A feature with payload ``feature`` under ``capture``, and ``factor`` under it.
+    def add_factor(self, parent: NodeId, factor, feature=None) -> NodeId:
+        """A feature with payload ``feature`` under ``parent``, and ``factor`` under it.
 
-        Every constrained block must exist; the factor refers to their
-        owners, each once, in order.
+        The parent is a capture, or a sensor for a prior on the sensor's own
+        blocks.  Every constrained block must exist; the factor refers to
+        their owners, each once, in order.
         """
-        self._expect(capture, CAPTURE)
+        self._expect(parent, CAPTURE, SENSOR)
+        if parent.kind == SENSOR and any(target != parent for target, _ in factor.constrained):
+            raise ContractError(f"a factor under {parent} constrains only its blocks")
         for target, name in factor.constrained:
             owner = self._nodes.get(target)
             if owner is None or name not in owner.state_blocks:
                 raise ContractError(f"factor constrains missing block {target}.{name}")
         owners = tuple(dict.fromkeys(target for target, _name in factor.constrained))
-        return self._new_node(FACTOR, self._new_node(FEATURE, capture, payload=feature),
+        return self._new_node(FACTOR, self._new_node(FEATURE, parent, payload=feature),
                               payload=factor, refs=owners)
 
     def add_pose_prior(self, frame: NodeId, sensor: NodeId, sqrt_info) -> NodeId:
@@ -379,35 +383,23 @@ class ProblemTree:
                     block.fixed = True
             return []
 
-        # priors on sensor blocks alone (self-calibration priors) outlive the
-        # frame whose capture holds them: they move to the survivor's prior
-        inherited_sqrt_info, sensor_priors = np.eye(3) / WINDOW_PRIOR_SIGMA, []
+        inherited_sqrt_info = np.eye(3) / WINDOW_PRIOR_SIGMA
         for fid in stale:
             for factor_id in self.factors_referencing(fid):
                 payload = self._nodes[factor_id].payload
                 if payload.kind == factors_mod.PRIOR_POSE:
                     inherited_sqrt_info = payload.sqrt_info.copy()
-            for nid in self._subtree(fid):
-                node = self._nodes[nid]
-                if nid.kind == FACTOR and node.refs and all(
-                        owner.kind == SENSOR for owner in node.refs):
-                    sensor_priors.append(node.payload)
         removed = [(fid, self._nodes[fid].timestamp, self.frame_pose(fid)) for fid in stale]
         for fid in stale:
             self.remove(fid)
 
         survivor = self.frames()[0]
-        capture = None
-        for factor_id in self.factors_referencing(survivor):
-            if self._nodes[factor_id].payload.kind == factors_mod.PRIOR_POSE:
-                capture = self._nodes[self._nodes[factor_id].parent].parent  # already pinned
-        if capture is None:
+        if not any(self._nodes[factor_id].payload.kind == factors_mod.PRIOR_POSE
+                   for factor_id in self.factors_referencing(survivor)):
             sensors = self.sensors()
             if not sensors:
                 raise ContractError("window prior needs at least one sensor for its capture")
-            capture = self.add_pose_prior(survivor, sensors[0], inherited_sqrt_info)
-        for prior in sensor_priors:
-            self.add_factor(capture, prior)
+            self.add_pose_prior(survivor, sensors[0], inherited_sqrt_info)
         return removed
 
     # ------------------------------------------------------------------

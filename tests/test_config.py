@@ -15,7 +15,7 @@ from arbor.config import (
     parse_config,
 )
 from arbor.errors import ConfigError, ContractError
-from arbor.factors import PRIOR_POSE
+from arbor.factors import PRIOR_BLOCK, PRIOR_POSE
 from arbor.processors import LandmarkTracker, LoopCloser, MotionProcessor
 
 DATA = Path(__file__).parent / "data"
@@ -120,6 +120,23 @@ class TestAutoSetup:
         assert isinstance(app.pipeline.processors[1], LandmarkTracker)
         assert app.window_policy is None
         assert app.solver_options.max_iterations == 25
+
+    def test_intrinsic_prior_hangs_on_its_sensor(self):
+        app = auto_setup(parse_config((DATA / "calib_config.yaml").read_text()))
+        tree = app.tree
+        odom_id, _ = app.sensors["odom0"]
+        (prior,) = tree.factors_referencing(odom_id)
+        payload = tree.node(prior).payload
+        assert payload.kind == PRIOR_BLOCK and payload.constrained == [(odom_id, "intrinsic")]
+        np.testing.assert_array_equal(payload.sqrt_info, np.eye(3) / 0.05)
+        feature = tree.node(prior).parent
+        assert tree.node(feature).parent == odom_id
+        assert tree.children(odom_id) == [feature] and tree.children(feature) == [prior]
+        # the first frame's prior capture holds only its pose prior
+        (capture,) = tree.children(app.first_frame, T.CAPTURE)
+        kinds = [tree.node(f).payload.kind for feat in tree.children(capture)
+                 for f in tree.children(feat)]
+        assert kinds == [PRIOR_POSE]
 
     def test_missing_mandatory_key_named(self):
         broken = DEMO.replace("max_iterations: 25", "iterations: 25")

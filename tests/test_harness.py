@@ -394,6 +394,13 @@ class TestCli:
         ("demo_config.yaml", "p: [0.0, 0.0]\n", "p: [0.0, .nan]\n", "problem.first_frame.p"),
         ("demo_config.yaml", "state: [0.0, 0.0, 0.0]", "state: [0.0, 0.0, .nan]",
          "extrinsic.state"),
+        ("demo_config.yaml", "state: [0.1, 0.1, 0.5]", "state: 5", "sensors.0.intrinsic.state"),
+        ("demo_config.yaml", "name: odom0", "name: [odom0]", "sensors.0.name"),
+        ("demo_config.yaml", "sensor: rb0", "sensor: [rb0]", "processors.1.sensor"),
+        ("demo_config.yaml", "type: diff_drive", "type: [diff_drive]", "sensors.0.type"),
+        ("demo_config.yaml", "type: motion_diff_drive", "type: [motion_diff_drive]",
+         "processors.0.type"),
+        ("demo_config.yaml", "type: none", "type: [none]", "problem.tree_manager.type"),
     ], ids=["n_frames", "max_dist", "association", "max_iterations", "sigma_p", "lambda_init",
             "gate", "tick_std_zero", "tick_std_negative", "range_std", "time_tolerance",
             "intrinsic_sigma", "sigma_p_nan", "extrinsic_sigma_nan", "extrinsic_sigma_negative",
@@ -403,7 +410,9 @@ class TestCli:
             "extrinsic_fixed_number", "landmark_fixed_string", "intrinsic_state_negative",
             "max_iterations_boolean", "gate_boolean", "landmark_p_long", "landmark_p_short",
             "landmark_p_nan", "landmark_id_fraction", "first_frame_o_boolean",
-            "first_frame_p_nan", "extrinsic_state_nan"])
+            "first_frame_p_nan", "extrinsic_state_nan", "intrinsic_state_scalar",
+            "sensor_name_list", "processor_sensor_list", "sensor_type_list",
+            "processor_type_list", "tree_manager_type_list"])
     def test_bad_config_value_exit_code(self, tmp_path, capsys, config, old, new, key):
         """A bad value exits 2 with a one-line message naming its key."""
         text = (DATA / config).read_text()
@@ -459,6 +468,22 @@ class TestCli:
         assert main(argv) == 3
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and paths[flag] in err[0]
+        # a failed sim leaves neither output, whichever one it wrote first
+        assert list(tmp_path.iterdir()) == [scenario]
+
+    @pytest.mark.parametrize("flag", ["--truth", "--metrics"])
+    def test_run_failure_leaves_no_output(self, small_logs, tmp_path, capsys, flag):
+        """A truth log or metrics file that cannot be read or written exits 3
+        with one line naming it, and leaves no estimate file behind."""
+        log, truth = small_logs
+        paths = {"--out": tmp_path / "est.jsonl", "--truth": truth,
+                 "--metrics": tmp_path / "metrics.json"}
+        paths[flag] = tmp_path / "missing" / "x.json"
+        argv = ["run", "--config", str(DATA / "demo_config.yaml"), "--log", str(log)]
+        assert main(argv + [str(a) for kv in paths.items() for a in kv]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("data error: ") and str(paths[flag]) in err[0]
+        assert list(tmp_path.iterdir()) == []
 
     def test_metrics_needs_truth(self, tmp_path, capsys, monkeypatch):
         """--metrics without --truth exits 2 before any replay."""
@@ -473,7 +498,7 @@ class TestCli:
         assert not metrics.exists()
 
     def test_calibration_priors_survive_remove_with_prior(self, tmp_path, monkeypatch):
-        """The window moves the intrinsic prior off each frame it removes."""
+        """The intrinsic prior hangs on its sensor, so the window never removes it."""
         config = tmp_path / "calib_window.yaml"
         config.write_text((DATA / "calib_config.yaml").read_text().replace(
             "    type: none\n", "    type: remove_with_prior\n    n_frames: 5\n"))

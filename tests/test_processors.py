@@ -8,10 +8,8 @@ from arbor.errors import AlignmentError, ContractError, DecompositionError
 from arbor.factors import MOTION, RANGE_BEARING, RELATIVE_POSE, Factor
 from arbor.manifold import ANGLE, Pose2, StateBlock, pose_compose
 from arbor.processors import (
-    KeyframePolicy,
     LandmarkTracker,
     LoopCloser,
-    LoopPolicy,
     MotionProcessor,
     Pipeline,
     Processor,
@@ -39,10 +37,9 @@ def build_tree():
     return tr, odom, rb, first
 
 
-def make_motion(tr, odom, first, **policy):
-    proc = MotionProcessor("odom", odom, "odom0",
-                           KeyframePolicy(**policy), time_tolerance=0.01,
-                           tick_std=0.001)
+def make_motion(tr, odom, first, **thresholds):
+    proc = MotionProcessor("odom", odom, "odom0", time_tolerance=0.01, tick_std=0.001,
+                           **thresholds)
     proc.initialize(tr, first)
     return proc
 
@@ -245,16 +242,14 @@ class TestMotionProcessor:
 
     def test_uninitialized_rejected(self):
         tr, odom, _, _ = build_tree()
-        proc = MotionProcessor("odom", odom, "odom0", KeyframePolicy(max_dist=1.0),
-                               0.01, 0.001)
+        proc = MotionProcessor("odom", odom, "odom0", 0.01, 0.001, max_dist=1.0)
         with pytest.raises(ContractError, match="has no origin yet"):
             proc.process_capture(tr, 0.1, straight_step())
 
 
 def make_tracker(tr, rb, pose=Pose2.identity(), **kw):
-    kw.setdefault("policy", KeyframePolicy(min_tracks=3))
-    tracker = LandmarkTracker("tracker", rb, "rb0", kw.pop("policy"),
-                              time_tolerance=0.01, range_std=0.02,
+    kw.setdefault("min_tracks", 3)
+    tracker = LandmarkTracker("tracker", rb, "rb0", time_tolerance=0.01, range_std=0.02,
                               bearing_std=0.01, **kw)
     tracker.initialize(tr, tr.frames()[0], lambda tree, t: pose)
     return tracker
@@ -276,7 +271,7 @@ class TestLandmarkTracker:
     def test_gate_association_exact_inversion(self):
         tr, _, rb, first = build_tree()
         lm = tr.add_landmark(np.array([1.0, 0.0]), RawIdInfo(7))
-        tracker = make_tracker(tr, rb, policy=KeyframePolicy(min_tracks=1))
+        tracker = make_tracker(tr, rb, min_tracks=1)
         out = tracker._associate(tr, Pose2.identity(), [[1.0, 0.0]])
         raw_id, z, matched, world = out[0]
         assert matched == lm
@@ -295,7 +290,7 @@ class TestLandmarkTracker:
         # 4 known landmarks straight ahead, min_tracks=5 -> vote
         for k in range(4):
             tr.add_landmark(np.array([1.0 + k, 0.0]), RawIdInfo(k))
-        tracker = make_tracker(tr, rb, policy=KeyframePolicy(min_tracks=5))
+        tracker = make_tracker(tr, rb, min_tracks=5)
         scan = [[k, 1.0 + k, 0.0] for k in range(4)]
         tracker.association = "id"
         for k in range(4):
@@ -308,7 +303,7 @@ class TestLandmarkTracker:
         lms = []
         for k in range(3):
             lms.append(tr.add_landmark(np.array([1.0 + k, 0.0]), RawIdInfo(k)))
-        tracker = make_tracker(tr, rb, policy=KeyframePolicy(min_tracks=3),
+        tracker = make_tracker(tr, rb, min_tracks=3,
                                association="id")
         for k, lm in enumerate(lms):
             tracker._by_raw_id[k] = lm
@@ -318,7 +313,7 @@ class TestLandmarkTracker:
 
     def test_unseen_window_spawns_fresh_landmark(self):
         tr, _, rb, first = build_tree()
-        tracker = make_tracker(tr, rb, policy=KeyframePolicy(min_tracks=5),
+        tracker = make_tracker(tr, rb, min_tracks=5,
                                association="id", max_unseen_frames=2)
         tracker._kf_count = 10
         stale = tr.add_landmark(np.array([1.0, 0.0]), RawIdInfo(3))
@@ -426,7 +421,7 @@ class TestLoopCloser:
         tr, _, rb, first = build_tree()
         obs = [(0, 1.0, 0.2), (1, 2.0, -0.4), (2, 1.5, 1.0)]
         pose = Pose2(np.zeros(2), 0.0)
-        closer = LoopCloser("loop", rb, "rb0", LoopPolicy(1.0, 2, 2))
+        closer = LoopCloser("loop", rb, "rb0", 1.0, 2, 2)
         frames = [self._frame_with_observations(tr, rb, float(k), pose, obs if k in (0, 4) else [])
                   for k in range(5)]
         factor = closer.detect_and_close(tr, frames[4])
@@ -437,7 +432,7 @@ class TestLoopCloser:
 
     def test_quarter_turn_recovered(self):
         tr, _, rb, first = build_tree()
-        closer = LoopCloser("loop", rb, "rb0", LoopPolicy(1.0, 2, 2))
+        closer = LoopCloser("loop", rb, "rb0", 1.0, 2, 2)
         # same world points seen from poses rotated by pi/2 about the sensor
         points = [np.array([1.0, 0.3]), np.array([0.4, -1.2]), np.array([-0.8, 0.9])]
 
@@ -465,7 +460,7 @@ class TestLoopCloser:
     def test_gap_too_small(self):
         tr, _, rb, first = build_tree()
         obs = [(0, 1.0, 0.2), (1, 2.0, -0.4)]
-        closer = LoopCloser("loop", rb, "rb0", LoopPolicy(1.0, 5, 2))
+        closer = LoopCloser("loop", rb, "rb0", 1.0, 5, 2)
         pose = Pose2(np.zeros(2), 0.0)
         f_a = self._frame_with_observations(tr, rb, 0.0, pose, obs)
         f_b = self._frame_with_observations(tr, rb, 1.0, pose, obs)
@@ -496,7 +491,7 @@ class TestPipeline:
     def test_motion_keyframe_joined_by_tracker(self):
         tr, odom, rb, first = build_tree()
         motion = make_motion(tr, odom, first, max_dist=0.45)
-        tracker = LandmarkTracker("tracker", rb, "rb0", KeyframePolicy(min_tracks=1),
+        tracker = LandmarkTracker("tracker", rb, "rb0", min_tracks=1,
                                   time_tolerance=0.01, range_std=0.02, bearing_std=0.01)
         pipe = Pipeline(tr, [motion, tracker])
         pipe.initialize(first)
@@ -517,7 +512,7 @@ class TestPipeline:
     def test_pose_provider_uses_high_rate(self):
         tr, odom, rb, first = build_tree()
         motion = make_motion(tr, odom, first, max_dist=100.0)
-        tracker = LandmarkTracker("tracker", rb, "rb0", KeyframePolicy(min_tracks=1),
+        tracker = LandmarkTracker("tracker", rb, "rb0", min_tracks=1,
                                   time_tolerance=0.01, range_std=0.02, bearing_std=0.01)
         pipe = Pipeline(tr, [motion, tracker])
         pipe.initialize(first)
@@ -532,7 +527,7 @@ class TestPipeline:
         # near 0.5 yet and is held, and its next sample joins the keyframe
         tr, odom, rb, first = build_tree()
         motion = make_motion(tr, odom, first, max_dist=10.0)
-        tracker = LandmarkTracker("tracker", rb, "rb0", KeyframePolicy(min_tracks=3),
+        tracker = LandmarkTracker("tracker", rb, "rb0", min_tracks=3,
                                   time_tolerance=0.01, range_std=0.02, bearing_std=0.01)
         pipe = Pipeline(tr, [motion, tracker])
         pipe.initialize(first)
@@ -553,7 +548,7 @@ class TestPipeline:
     def test_scan_within_tolerance_after_motion_keyframe_attaches(self):
         tr, odom, rb, first = build_tree()
         motion = make_motion(tr, odom, first, max_dist=0.45)
-        tracker = LandmarkTracker("tracker", rb, "rb0", KeyframePolicy(min_tracks=1),
+        tracker = LandmarkTracker("tracker", rb, "rb0", min_tracks=1,
                                   time_tolerance=0.01, range_std=0.02, bearing_std=0.01,
                                   association="id")
         pipe = Pipeline(tr, [motion, tracker])

@@ -61,7 +61,8 @@ class TestEmplace:
         tr, sensor = make_tree_with_sensor()
         frame = add_frame(tr, 0.0)
         cap = tr.add_capture(frame, 0.0, sensor)
-        prior = Factor(PRIOR_POSE, np.zeros(3), np.eye(3), constrained=[(frame, "p"), (frame, "o")])
+        prior = Factor(PRIOR_POSE, np.zeros(3), np.eye(3),
+                       constrained=[(frame, "p"), (frame, "o")])
         with pytest.raises(ContractError, match="is not a Frame"):
             tr.add_capture(sensor, 0.0, sensor)  # a capture goes under a Frame
         with pytest.raises(ContractError, match="is not a Sensor"):
@@ -359,20 +360,32 @@ class TestWindow:
     def test_remove_with_prior_keeps_sensor_priors(self, survivor_pinned):
         tr, sensor = self._windowed_tree(3)
         frames = tr.frames()
-        capture = tr.add_pose_prior(frames[0], sensor, np.eye(3))
+        tr.add_pose_prior(frames[0], sensor, np.eye(3))
         calib_prior = Factor(PRIOR_BLOCK, np.array([0.1, 0.1, 0.5]), np.eye(3),
                              constrained=[(sensor, "intrinsic")])
-        tr.add_factor(capture, calib_prior)
+        prior = tr.add_factor(sensor, calib_prior)
+        feature = tr.node(prior).parent
         if survivor_pinned:
             tr.add_pose_prior(frames[1], sensor, np.eye(3))
+        tr.drain_notifications()
         tr.enforce_window(T.WindowPolicy(T.REMOVE_WITH_PRIOR, 3))
         assert frames[0] not in tr
-        (moved,) = tr.factors_referencing(sensor)
-        assert tr.node(moved).payload is calib_prior
-        (pinned,) = tr.factors_referencing(frames[1])
-        # under the survivor's prior capture, next to its pose prior
-        assert tr.node(tr.node(moved).parent).parent == tr.node(tr.node(pinned).parent).parent
+        # the prior hangs on its sensor: the window leaves it where it was
+        assert tr.factors_referencing(sensor) == [prior]
+        assert tr.node(prior).payload is calib_prior
+        assert tr.node(prior).parent == feature and tr.node(feature).parent == sensor
+        assert prior not in {n.target for n in tr.drain_notifications()}
         assert tr.check_consistency() == []
+
+    def test_sensor_prior_constrains_only_its_sensor(self):
+        tr, sensor = self._windowed_tree(3)
+        frame = tr.frames()[0]
+        prior = Factor(PRIOR_POSE, np.zeros(3), np.eye(3),
+                       constrained=[(frame, "p"), (frame, "o")])
+        tr.drain_notifications()
+        with pytest.raises(ContractError, match="constrains only its blocks"):
+            tr.add_factor(sensor, prior)
+        assert tr.children(sensor) == [] and tr.drain_notifications() == []
 
     def test_remove_with_prior_returns_stale_frames(self):
         tr, _ = self._windowed_tree(2)

@@ -13,11 +13,15 @@ call ``drain_notifications``.
 ``Pipeline`` drives every processor through the ``Processor`` protocol alone:
 it probes no type or attribute, and ``config.auto_setup`` names no processor
 class, so a new processor type needs no edit to either.
+
+``config.auto_setup`` adds no factor and names no prior kind: a sensor's
+calibration priors are its creator's business and hang on the sensor.
 """
 
 import ast
 from pathlib import Path
 
+from arbor import factors as F
 from arbor import processors as P
 from arbor.tree import ProblemTree
 
@@ -154,3 +158,25 @@ def test_auto_setup_guard_sees_each_spelling():
 
 def test_auto_setup_names_no_processor_class():
     assert names_used((SRC / "config.py").read_text(), "auto_setup", PROCESSOR_CLASSES) == []
+
+
+PRIOR_NAMES = ("add_factor", "PRIOR_BLOCK", "PRIOR_POSE", F.PRIOR_BLOCK, F.PRIOR_POSE)
+
+
+def test_auto_setup_prior_guard_sees_each_spelling():
+    assert (F.PRIOR_BLOCK, F.PRIOR_POSE) == ("prior_block", "prior_pose")
+    source = ("def auto_setup(server, tree, sensor):\n"
+              "    tree.add_factor(sensor, prior)\n"
+              "    prior = Factor(kind=PRIOR_BLOCK, z=z, sqrt_info=w, constrained=c)\n"
+              "    prior = Factor(F.PRIOR_POSE, z, w, c)\n"
+              "    prior = Factor('prior_block', z, w, c)\n"
+              "    build = getattr(tree, 'add_factor')\n"
+              "    tree.add_pose_prior(first, sensor, w)\n"
+              "    return tree\n"
+              "def helper(tree, sensor):\n"
+              "    tree.add_factor(sensor, prior)\n")
+    assert names_used(source, "auto_setup", PRIOR_NAMES) == [2, 3, 4, 5, 6]
+
+
+def test_auto_setup_adds_no_sensor_prior():
+    assert names_used((SRC / "config.py").read_text(), "auto_setup", PRIOR_NAMES) == []
