@@ -122,14 +122,15 @@ class CreatorRegistry:
     def names(self, category: str):
         return sorted(name for cat, name in self._creators if cat == category)
 
-    def create(self, category: str, type_name: str, *args, **kwargs):
-        key = (category, type_name)
-        if key not in self._creators:
+    def create(self, category: str, type_name: str, *args, key: str | None = None, **kwargs):
+        """Call the creator registered for ``type_name``; an unknown name is a
+        ConfigError naming ``key``, the config key it was read from, if given."""
+        if (category, type_name) not in self._creators:
             raise ConfigError(
-                f"unknown {category} type {type_name!r}; registered: "
-                f"{', '.join(self.names(category)) or '(none)'}"
+                f"unknown {category} type {type_name!r}{f' at {key}' if key else ''}; "
+                f"registered: {', '.join(self.names(category)) or '(none)'}"
             )
-        return self._creators[key](*args, **kwargs)
+        return self._creators[(category, type_name)](*args, **kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -231,7 +232,8 @@ def _create_tracker(server, prefix, name, sensor_id, sensor_name, info):
         bearing_std=info.noise["bearing_std"],
         min_tracks=_positive(server, f"{prefix}.keyframe.min_tracks", None, integer=True),
         gate=_positive(server, f"{prefix}.gate", 0.5),
-        association=server.get(f"{prefix}.association", "gate"),
+        association=as_text(f"{prefix}.association",
+                            server.get(f"{prefix}.association", "gate")),
         max_unseen_frames=_positive(server, f"{prefix}.assoc_max_unseen", None,
                                     zero_ok=True, integer=True),
     )
@@ -311,8 +313,9 @@ def auto_setup(server: ParameterServer, registry: CreatorRegistry | None = None)
     sensors: dict = {}
     for i in range(n_sensors):
         prefix = f"sensors.{i}"
-        type_name = _text(server, f"{prefix}.type")
-        sensor_id, info = registry.create("sensor", type_name, tree, server, prefix)
+        key = f"{prefix}.type"
+        sensor_id, info = registry.create("sensor", _text(server, key), tree, server, prefix,
+                                          key=key)
         if info.name in sensors:
             raise ConfigError(f"duplicate sensor name {info.name!r}")
         sensors[info.name] = (sensor_id, info)
@@ -323,19 +326,20 @@ def auto_setup(server: ParameterServer, registry: CreatorRegistry | None = None)
     processors = []
     for i in range(n_procs):
         prefix = f"processors.{i}"
-        type_name = _text(server, f"{prefix}.type")
-        name = server.require(f"{prefix}.name")
+        key = f"{prefix}.type"
+        type_name = _text(server, key)
+        name = _text(server, f"{prefix}.name")
         sensor_name = _text(server, f"{prefix}.sensor")
         if sensor_name not in sensors:
             raise ConfigError(f"{prefix}.sensor references unknown sensor {sensor_name!r}")
         sensor_id, info = sensors[sensor_name]
         processors.append(registry.create("processor", type_name, server, prefix,
-                                          name, sensor_id, sensor_name, info))
+                                          name, sensor_id, sensor_name, info, key=key))
         tree.add_processor(ProcessorInfo(name, type_name, sensor_id))
 
     key = "problem.tree_manager.type"
     window_policy = registry.create("tree_manager", as_text(key, server.get(key, "none")),
-                                    server, "problem.tree_manager")
+                                    server, "problem.tree_manager", key=key)
 
     options = SolverOptions(
         max_iterations=_positive(server, "solver.max_iterations", integer=True),

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import as_flag, as_number, as_numbers, load_yaml
+from .checks import as_flag, as_number, as_numbers, as_text, load_yaml
 from .errors import ConfigError, RecordFormatError
 
 TRUTH_SENSOR = "truth"
@@ -134,11 +134,12 @@ def load_scenario(text: str) -> SimScenario:
         calibration = np.array([as_number(f"calibration.{k}", calib[k])
                                 for k in ("r_left", "r_right", "separation")])
         odo = data["odometry"]
-        odometry = OdometrySim(str(odo["name"]), as_number("odometry.rate", odo["rate"]),
+        odometry = OdometrySim(as_text("odometry.name", odo["name"]),
+                               as_number("odometry.rate", odo["rate"]),
                                as_number("odometry.tick_std", odo.get("tick_std", 0.0), ">="))
         rb = data["range_bearing"]
         range_bearing = RangeBearingSim(
-            name=str(rb["name"]),
+            name=as_text("range_bearing.name", rb["name"]),
             rate=as_number("range_bearing.rate", rb["rate"]),
             range_std=as_number("range_bearing.range_std", rb.get("range_std", 0.0), ">="),
             bearing_std=as_number("range_bearing.bearing_std", rb.get("bearing_std", 0.0), ">="),

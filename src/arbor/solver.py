@@ -15,6 +15,11 @@ meter and radian columns comparably conditioned.  Steps are retracted as
 block_plus does, adding and wrapping angles, so angle blocks stay on their
 manifold.  A step is accepted only if it strictly decreases the cost, so the
 report's final cost never exceeds the initial one.
+
+Each iterate is evaluated once: a trial point's cost and normal equations
+come from one linearization, kept for the next iteration if the step is
+accepted.  A Cholesky factor of the first normal matrix rejects a singular
+problem (a gauge left free) with a SolveError.
 """
 
 from __future__ import annotations
@@ -248,28 +253,31 @@ def _stepped(problem: SolverProblem, x: np.ndarray, dx: np.ndarray) -> np.ndarra
 
 
 def _linearize(problem: SolverProblem, x: np.ndarray):
-    """Gradient and normal equations at the value table ``x``, one kernel
-    call per stack.
+    """Cost, gradient and normal equations at the value table ``x``, one
+    kernel call per stack.
 
-    Each stack's Jᵀr and JᵀJ entries on active columns are scattered into
-    g and H with one bincount each; fixed columns are left out.
+    The cost sums every stack in order, as :func:`total_cost` does.  Each
+    stack's Jᵀr and JᵀJ entries on active columns are scattered into g and
+    H with one bincount each; fixed columns are left out.
     """
     n = problem.total_dim
+    cost = 0.0
     g_to, g_w, h_to, h_w = [], [], [], []
     for key, stack in problem.stacks.items():
         sc = problem._scatter[key]
-        if not len(sc.g_to):
+        r, j = evaluate(stack, x, bool(len(sc.g_to)))
+        cost += 0.5 * float(np.einsum("ij,ij->", r, r))
+        if j is None:
             continue
-        r, j = evaluate(stack, x, True)
         g_to.append(sc.g_to)
         g_w.append(np.einsum("nmi,nm->ni", j, r).ravel()[sc.g_at])
         h_to.append(sc.h_to)
         h_w.append((j.transpose(0, 2, 1) @ j).ravel()[sc.h_at])
     if not g_to:
-        return np.zeros(n), np.zeros((n, n))
+        return cost, np.zeros(n), np.zeros((n, n))
     g = -np.bincount(np.concatenate(g_to), np.concatenate(g_w), minlength=n)
     h = np.bincount(np.concatenate(h_to), np.concatenate(h_w), minlength=n * n)
-    return g, h.reshape(n, n)
+    return cost, g, h.reshape(n, n)
 
 
 def lm_solve(problem: SolverProblem) -> SolveReport:
@@ -284,28 +292,27 @@ def lm_solve(problem: SolverProblem) -> SolveReport:
         raise SolveError(f"initial cost is not finite: {cost}")
     initial_cost = cost
 
+    _, g, h = _linearize(problem, x)
+    try:
+        pivots = np.diag(np.linalg.cholesky(h)) ** 2
+    except np.linalg.LinAlgError:
+        pivots = np.zeros(1)
+    # a NaN or inf pivot fails too: cholesky returns those without raising
+    if not np.min(pivots) > _SINGULARITY_RTOL * np.max(np.diag(h)):
+        raise SolveError("normal matrix is numerically singular; fix a block or add a prior")
+
     lam = opts.lambda_init
-    iterations = 0
     accepted = 0
     termination = MAX_ITER
 
-    while iterations < opts.max_iterations:
-        iterations += 1
-        g, h = _linearize(problem, x)
-
-        if iterations == 1:
-            eigs = np.linalg.eigvalsh(h)
-            if eigs[-1] <= 0.0 or eigs[0] <= _SINGULARITY_RTOL * eigs[-1]:
-                raise SolveError(
-                    "normal matrix is numerically singular; fix a block or add a prior"
-                )
-
+    for iterations in range(1, opts.max_iterations + 1):
         if np.max(np.abs(g)) < opts.tol_grad:
             termination = CONVERGED_GRAD
             break
 
         while lam <= _LAMBDA_MAX:
-            damped = h + lam * np.diag(np.diag(h))
+            damped = h.copy()
+            damped.flat[::len(h) + 1] += lam * h.diagonal()
             try:
                 dx = np.linalg.solve(damped, g)
             except np.linalg.LinAlgError:
@@ -319,7 +326,7 @@ def lm_solve(problem: SolverProblem) -> SolveReport:
                 break
             candidate = _stepped(problem, x, dx)
             try:
-                new_cost = total_cost(problem, candidate)
+                new_cost, new_g, new_h = _linearize(problem, candidate)
             except SingularObservationError:
                 # the step put a landmark on a sensor origin: reject it
                 lam *= _LAMBDA_UP
@@ -327,8 +334,7 @@ def lm_solve(problem: SolverProblem) -> SolveReport:
             if not np.isfinite(new_cost):
                 raise SolveError(f"cost diverged to {new_cost}")
             if new_cost < cost:
-                x = candidate
-                cost = new_cost
+                x, cost, g, h = candidate, new_cost, new_g, new_h
                 lam = max(lam / _LAMBDA_DOWN, 1e-12)
                 accepted += 1
                 break
@@ -344,10 +350,4 @@ def lm_solve(problem: SolverProblem) -> SolveReport:
         if entry.offset is not None:
             entry.block.values = x[entry.slot, :entry.dim].copy()
 
-    return SolveReport(
-        iterations=iterations,
-        initial_cost=initial_cost,
-        final_cost=cost,
-        termination=termination,
-        accepted_steps=accepted,
-    )
+    return SolveReport(iterations, initial_cost, cost, termination, accepted)

@@ -401,6 +401,11 @@ class TestCli:
         ("demo_config.yaml", "type: motion_diff_drive", "type: [motion_diff_drive]",
          "processors.0.type"),
         ("demo_config.yaml", "type: none", "type: [none]", "problem.tree_manager.type"),
+        ("demo_config.yaml", "  - name: odom\n", "  - name: [odom]\n", "processors.0.name"),
+        ("demo_config.yaml", "association: gate", "association: [gate]",
+         "processors.1.association"),
+        ("demo_config.yaml", "type: motion_diff_drive", "type: no_such_processor",
+         "processors.0.type"),
     ], ids=["n_frames", "max_dist", "association", "max_iterations", "sigma_p", "lambda_init",
             "gate", "tick_std_zero", "tick_std_negative", "range_std", "time_tolerance",
             "intrinsic_sigma", "sigma_p_nan", "extrinsic_sigma_nan", "extrinsic_sigma_negative",
@@ -412,7 +417,8 @@ class TestCli:
             "landmark_p_nan", "landmark_id_fraction", "first_frame_o_boolean",
             "first_frame_p_nan", "extrinsic_state_nan", "intrinsic_state_scalar",
             "sensor_name_list", "processor_sensor_list", "sensor_type_list",
-            "processor_type_list", "tree_manager_type_list"])
+            "processor_type_list", "tree_manager_type_list", "processor_name_list",
+            "association_list", "processor_type_unknown"])
     def test_bad_config_value_exit_code(self, tmp_path, capsys, config, old, new, key):
         """A bad value exits 2 with a one-line message naming its key."""
         text = (DATA / config).read_text()
@@ -441,9 +447,12 @@ class TestCli:
         ("r_left: 0.1", "r_left: 0.0", "calibration.r_left"),
         ("seed: 11", "seed: -1", "seed"),
         ("emit_ids: true", 'emit_ids: "no"', "range_bearing.emit_ids"),
+        ("{name: odom0,", "{name: [odom0],", "odometry.name"),
+        ("name: rb0", "name: {id: rb0}", "range_bearing.name"),
     ], ids=["yaml_syntax", "duration_nan", "odometry_rate_inf", "control_empty",
             "tick_std_negative", "range_std_nan", "control_v_nan", "landmark_short",
-            "initial_pose_short", "r_left_zero", "seed_negative", "emit_ids_string"])
+            "initial_pose_short", "r_left_zero", "seed_negative", "emit_ids_string",
+            "odometry_name_list", "range_bearing_name_mapping"])
     def test_bad_scenario_exit_code(self, tmp_path, capsys, old, new, key):
         """A bad scenario exits 2 and writes no log; the message names its key."""
         assert old in SMALL_SCENARIO

@@ -405,6 +405,33 @@ class TestLmSolve:
             lm_solve(problem)
         assert tr.block(node, "p").values[0] == 1e200
 
+    def test_inf_in_normal_matrix_raises(self):
+        # a prior of sqrt_info 1e200 sits exactly at its value: the cost is
+        # 0, but its information overflows to inf on H's diagonal
+        tr, sensor = fresh()
+        stiff = scalar_block_node(tr, 5.0)
+        attach_prior_block(tr, sensor, stiff, "p", 5.0, 1e200)
+        node = scalar_block_node(tr, 1.0)
+        attach_prior_block(tr, sensor, node, "p", 0.0, 1.0)
+        problem = SolverProblem()
+        sync(problem, tr)
+        with np.errstate(over="ignore"), pytest.raises(SolveError, match="numerically singular"):
+            lm_solve(problem)
+
+    def test_nan_in_normal_matrix_raises(self):
+        # two priors at their value whose inf off-diagonal information terms
+        # have opposite signs: they sum to NaN in H
+        tr, sensor = fresh()
+        node = tr.add_landmark(np.array([1.0, 2.0]))
+        for off in (1e200, -1e200):
+            attach_prior_block(tr, sensor, node, "p", np.array([1.0, 2.0]),
+                               np.array([[1e200, off], [0.0, 1.0]]))
+        problem = SolverProblem()
+        sync(problem, tr)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(SolveError, match="numerically singular"):
+            lm_solve(problem)
+
     def test_nothing_to_solve(self):
         tr, _ = fresh()
         scalar_block_node(tr, 0.0)
@@ -487,7 +514,7 @@ class TestSingularTrialStep:
 
     def test_singular_trial_step_rejected(self, monkeypatch):
         tr, problem = self._landmark_problem([1.0, 0.0])
-        real = arbor.solver.total_cost
+        real = arbor.solver._linearize
         calls, singular = [], []
 
         def spy(problem, values):
@@ -498,9 +525,9 @@ class TestSingularTrialStep:
                 singular.append(len(calls))
                 raise
 
-        monkeypatch.setattr(arbor.solver, "total_cost", spy)
+        monkeypatch.setattr(arbor.solver, "_linearize", spy)
         report = lm_solve(problem)
-        # call 1 is the initial cost, call 2 the first trial step
+        # call 1 linearizes the initial point, call 2 the first trial step
         assert singular == [2]
         assert report.accepted_steps >= 1
         assert report.final_cost <= report.initial_cost
@@ -509,6 +536,48 @@ class TestSingularTrialStep:
         tr, problem = self._landmark_problem([0.0, 0.0])
         with pytest.raises(SingularObservationError):
             lm_solve(problem)
+
+
+class TestOneEvaluationPerIterate:
+    def test_each_trial_point_evaluated_once(self, monkeypatch):
+        # a free landmark seen once from a fixed pose, far from where the
+        # measurement puts it: the solve accepts some steps and rejects others
+        tr = T.ProblemTree()
+        rb = tr.add_sensor(None, {
+            "ext_p": StateBlock(np.zeros(2), fixed=True),
+            "ext_o": StateBlock(np.zeros(1), ANGLE, fixed=True),
+        })
+        frame = make_pose_frame(tr, 0.0, Pose2.identity(), fixed=True)
+        landmark = tr.add_landmark(np.array([-3.0, 0.1]))
+        cap = tr.add_capture(frame, 0.0, rb)
+        tr.add_factor(cap, Factor(
+            RANGE_BEARING, np.array([1.0, 0.0]), np.eye(2),
+            constrained=[(frame, "p"), (frame, "o"), (rb, "ext_p"), (rb, "ext_o"),
+                         (landmark, "p")]))
+        problem = SolverProblem()
+        sync(problem, tr)
+        real_evaluate, real_stepped = arbor.solver.evaluate, arbor.solver._stepped
+        calls, trials = [], []
+
+        def evaluate_spy(stack, x, jacobians=True):
+            calls.append((x, jacobians))
+            return real_evaluate(stack, x, jacobians)
+
+        def stepped_spy(*args):
+            trials.append(real_stepped(*args))
+            return trials[-1]
+
+        monkeypatch.setattr(arbor.solver, "evaluate", evaluate_spy)
+        monkeypatch.setattr(arbor.solver, "_stepped", stepped_spy)
+        report = lm_solve(problem)
+        assert 1 <= report.accepted_steps < len(trials)
+        np.testing.assert_allclose(tr.block(landmark, "p").values, [1.0, 0.0], atol=1e-9)
+        # one residual-only sweep, total_cost's initial cost; then one
+        # linearization of the start and one of each trial point
+        assert len(problem.stacks) == 1
+        assert [j for _, j in calls] == [False] + [True] * (1 + len(trials))
+        assert calls[1][0] is calls[0][0]
+        assert all(x is t for (x, _), t in zip(calls[2:], trials, strict=True))
 
 
 def per_factor_oracle(problem, values):
@@ -557,11 +626,14 @@ class TestAssemblyOracle:
         rng = np.random.default_rng(60)
         x = _stepped(problem, _table(problem), rng.normal(0.0, 0.05, problem.total_dim))
         values = {key: x[e.slot, :e.dim] for key, e in problem.blocks.items()}
-        g, h = _linearize(problem, x)
+        cost, g, h = _linearize(problem, x)
         g_ref, h_ref, cost_ref = per_factor_oracle(problem, values)
         assert np.max(np.abs(g - g_ref)) <= 1e-9 * np.max(np.abs(g_ref))
         assert np.max(np.abs(h - h_ref)) <= 1e-9 * np.max(np.abs(h_ref))
+        assert cost == pytest.approx(cost_ref, rel=1e-9)
         assert total_cost(problem, x) == pytest.approx(cost_ref, rel=1e-9)
+        # the same sum in the same order, so LM accepts the same steps
+        assert total_cost(problem, x) == cost
 
     def test_fix_oldest_mixes_fixed_and_active_columns(self, monkeypatch, tmp_path):
         problem, _ = self._replayed_problem("window_fix_config.yaml", monkeypatch, tmp_path)
