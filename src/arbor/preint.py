@@ -224,27 +224,35 @@ def state_at_high_rate(buf: PreintBuffer, x_origin: Pose2, t: float) -> Pose2:
                  x_origin.theta + dtheta)
 
 
-def split_buffer(buf: PreintBuffer, t_split: float, tol: float):
+def nearest_sample(buf: PreintBuffer, t: float):
+    """(k, gap) of the integrated sample nearest t: the origin for k = 0,
+    else the k-th entry; ties within 1e-15 go to the earlier sample."""
+    entries = buf.entries
+    k = bisect.bisect_left(entries, t, key=attrgetter("t"))  # entries[:k] are before t
+    before = entries[k - 1].t if k else buf.origin_t
+    if k < len(entries) and entries[k].t - t < abs(t - before) - 1e-15:
+        return k + 1, entries[k].t - t
+    return k, abs(t - before)
+
+
+def split_buffer(buf: PreintBuffer, t_split: float, tol: float, c_bar=None):
     """Split at the integrated sample nearest t_split (ties go earlier).
 
     The first part keeps its entries as integrated; the second part
     re-integrates the remaining samples from a fresh recursion anchored at
-    the split time.  The buffer origin itself is a valid split point,
-    yielding an empty first part.
+    the split time, at the calibration ``c_bar`` (by default the buffer's).
+    The buffer origin itself is a valid split point, yielding an empty first
+    part.
     """
-    times = [buf.origin_t] + [e.t for e in buf.entries]
-    k, best_gap = 0, abs(times[0] - t_split)  # k: entries in the first part
-    for i, tc in enumerate(times):
-        gap = abs(tc - t_split)
-        if gap < best_gap - 1e-15:
-            k, best_gap = i, gap
-    if best_gap > tol:
+    k, gap = nearest_sample(buf, t_split)
+    if gap > tol:
         raise JoinToleranceError(
-            f"no integrated sample within {tol}s of t={t_split} (nearest gap {best_gap:.6g}s)"
+            f"no integrated sample within {tol}s of t={t_split} (nearest gap {gap:.6g}s)"
         )
     first = PreintBuffer(buf.origin_frame, buf.origin_t, buf.c_bar, buf.model,
                          entries=buf.entries[:k])
-    second = PreintBuffer(None, times[k], buf.c_bar, buf.model)
+    second = PreintBuffer(None, first.tail.t, buf.c_bar if c_bar is None else c_bar,
+                          buf.model)
     for entry in buf.entries[k:]:
         integrate_step(second, entry.t, entry.u, entry.q_u)
     return first, second

@@ -4,12 +4,14 @@ Every processor implements the :class:`Processor` protocol: it reads the
 captures of one sensor (``process_capture``, which may vote for a keyframe),
 attaches its data to keyframes (``attach``, which may decline), and may
 offer a pose estimate (``pose_at``).  :class:`Pipeline` codes the keyframe
-step once.  On a vote it looks for a frame within the voter's
-``time_tolerance``: if there is one, only the voter attaches to it;
-otherwise it adds a frame at the voter's pose and offers it to the voter
-first, then to the others in installation order.  A processor that declines
-a frame ahead of its data is offered it again after its next captures.  A
-decline never mutates the tree.
+step once.  On a vote at t it looks for a frame within the voter's
+``time_tolerance``: if there is one, only the voter attaches to it.
+Otherwise the vote waits until every processor is ``ready(t)``, that is,
+holds its data for t, or until a capture later than t plus the widest
+``time_tolerance``, another processor's vote or the end of the input comes;
+the voter's own further votes meanwhile are dropped.  Then it adds a frame
+at t and offers it once to the voter, then to the others in installation
+order.  A decline is final and never mutates the tree.
 
 * The motion processor pre-integrates odometry between keyframes, votes on
   distance/angle/time thresholds, and emits one motion factor per interval
@@ -55,6 +57,7 @@ from .preint import (
     DiffDriveModel,
     PreintBuffer,
     integrate_step,
+    nearest_sample,
     split_buffer,
     state_at_high_rate,
 )
@@ -119,8 +122,13 @@ class Processor:
     def process_capture(self, tree, t: float, data) -> Optional[bool]:
         """Read one capture; True votes for a keyframe at t."""
 
+    def ready(self, t: float) -> bool:
+        """Whether own data for a keyframe at t is in; a vote waits for it."""
+        return True
+
     def attach(self, tree, frame: T.NodeId, t: float) -> bool:
-        """Attach own data to the keyframe at t; False declines, untouched."""
+        """Attach own data to the keyframe at t, offered once; False
+        declines for good, leaving the tree untouched."""
         return True
 
     def pose_at(self, tree, t: float) -> Optional[Pose2]:
@@ -146,9 +154,8 @@ class MotionProcessor(Processor):
         var = tick_std**2
         self.q_u = ((var, 0.0), (0.0, var))  # the ticks' covariance, as rows
         self.buffer: Optional[PreintBuffer] = None
-        # (t, sqrt information, newest frame) at a vote; the voter's attach
-        # comes right after its vote and consumes it
-        self._closing: Optional[tuple] = None
+        # the last vote's entry and whitened covariance, for attach to reuse
+        self._whitened: tuple = (None, None)
 
     def initialize(self, tree, first_frame: T.NodeId, pose_at=None):
         """Anchor the first buffer at an existing frame."""
@@ -189,7 +196,8 @@ class MotionProcessor(Processor):
             return None
         # whiten before any frame exists: a singular interval covariance
         # (stationary or pure-rotation interval) must fail atomically
-        self._closing = (t, whiten(self.buffer.tail.q_delta), tree.frames()[-1])
+        tail = self.buffer.tail
+        self._whitened = (tail, whiten(tail.q_delta))
         return True
 
     def _vote(self, t: float) -> bool:
@@ -202,58 +210,39 @@ class MotionProcessor(Processor):
             return True
         return False
 
+    def ready(self, t: float) -> bool:
+        return nearest_sample(self.buffer, t)[1] <= self.time_tolerance
+
     def attach(self, tree, frame: T.NodeId, t: float) -> bool:
-        """Close the voted interval onto the frame made for the vote, the one
-        newer than the vote, and start a fresh buffer there; join any other
-        frame by splitting the buffer at t."""
-        closing, self._closing = self._closing, None
+        """Split the buffer at t, attach the first part's motion factor to the
+        frame and restart there at the current calibration.  Declines,
+        untouched, when no sample lies within tolerance or the first part's
+        covariance is singular (a one-sample part carries no usable factor)."""
         if frame == self.buffer.origin_frame:
             return True
-        if closing is not None and frame.index > closing[2].index:
-            t_vote, sqrt_info, _ = closing
-            self._attach_segment(tree, frame, self.buffer, sqrt_info)
-            c_bar = tree.block(self.sensor_id, "intrinsic").values
-            self.buffer = PreintBuffer(frame, t_vote, c_bar, self.model)
-            return True
-        return self._try_join(tree, frame, t)
-
-    def _attach_segment(self, tree, frame: T.NodeId, segment: PreintBuffer,
-                        sqrt_info: np.ndarray | None):
-        """Capture/feature/motion-factor for one pre-integrated interval.
-
-        ``sqrt_info`` is the whitened ``segment.tail.q_delta``, or None for an
-        empty segment, which attaches nothing.
-        """
-        if not segment.entries:
-            return
-        tail = segment.entries[-1]
-        origin = segment.origin_frame
-        capture = tree.add_capture(frame, tail.t, self.sensor_id)
-        tree.add_factor(capture, Factor(
-            kind=MOTION,
-            z=np.array(tail.delta),
-            sqrt_info=sqrt_info,
-            constrained=[(origin, "p"), (origin, "o"),
-                         (frame, "p"), (frame, "o"),
-                         (self.sensor_id, "intrinsic")],
-            aux=MotionData(tail.j_delta_c, np.array(segment.c_bar)),
-        ))
-
-    def _try_join(self, tree, frame: T.NodeId, t_kf: float) -> bool:
-        """Split the buffer at t_kf and attach the first part to the frame.
-
-        Declines, leaving the tree untouched, when no integrated sample lies
-        within tolerance or the first part's covariance is singular (a
-        one-sample segment carries no usable motion factor).
-        """
+        c_bar = tree.block(self.sensor_id, "intrinsic").values
         try:
-            first, second = split_buffer(self.buffer, t_kf, self.time_tolerance)
-            sqrt_info = whiten(first.tail.q_delta) if first.entries else None
+            first, rest = split_buffer(self.buffer, t, self.time_tolerance, c_bar)
+            tail = first.entries[-1] if first.entries else None
+            voted, sqrt_info = self._whitened
+            if tail is not None and tail is not voted:
+                sqrt_info = whiten(tail.q_delta)
         except (JoinToleranceError, DecompositionError):
             return False
-        self._attach_segment(tree, frame, first, sqrt_info)
-        second.origin_frame = frame
-        self.buffer = second
+        if tail is not None:  # an empty first part attaches nothing
+            origin = first.origin_frame
+            capture = tree.add_capture(frame, tail.t, self.sensor_id)
+            tree.add_factor(capture, Factor(
+                kind=MOTION,
+                z=np.array(tail.delta),
+                sqrt_info=sqrt_info,
+                constrained=[(origin, "p"), (origin, "o"),
+                             (frame, "p"), (frame, "o"),
+                             (self.sensor_id, "intrinsic")],
+                aux=MotionData(tail.j_delta_c, np.array(first.c_bar)),
+            ))
+        rest.origin_frame = frame
+        self.buffer = rest
         return True
 
 
@@ -376,10 +365,13 @@ class LandmarkTracker(Processor):
         self._vote_armed = False
         return True
 
+    def ready(self, t: float) -> bool:
+        return self._pending is not None and abs(self._pending[0] - t) <= self.time_tolerance
+
     def attach(self, tree, frame: T.NodeId, t: float) -> bool:
         """Add the pending capture, if within tolerance of t, with its
         features, landmarks and factors."""
-        if self._pending is None or abs(self._pending[0] - t) > self.time_tolerance:
+        if not self.ready(t):
             return False
         t_capture, associations = self._pending
         self._pending = None
@@ -507,24 +499,26 @@ class LoopCloser(Processor):
         ))
 
     def attach(self, tree, frame: T.NodeId, t: float) -> bool:
-        """Look for a loop from the new frame; never declines, so a frame is
-        offered once, before the tree moves on."""
+        """Look for a loop from the new frame; never declines."""
         with contextlib.suppress(AlignmentError):
             self.detect_and_close(tree, frame)
         return True
 
 
 class Pipeline:
-    """Installation-ordered processors sharing one tree; owns the keyframe step."""
+    """Installation-ordered processors sharing one tree; owns the keyframe
+    step.  One vote at a time waits until every processor is ``ready``."""
 
     def __init__(self, tree, processors):
         self.tree = tree
         self.processors = list(processors)
         self._by_sensor: dict = {}
         for proc in self.processors:
-            self._by_sensor.setdefault(proc.sensor_name, []).append(proc)
-        self._last_t: dict = {}  # id(processor) -> time of its last capture
-        self._held: list = []    # (processor, frame, t) declined ahead of its data
+            if proc.sensor_name is not None:
+                self._by_sensor.setdefault(proc.sensor_name, []).append(proc)
+        # a waiting vote at t makes its frame before any capture after t + _wait
+        self._wait = max((proc.time_tolerance for proc in self.processors), default=0.0)
+        self._vote: Optional[tuple] = None  # (t, voter) of the waiting vote
 
     def pose_at(self, tree, t: float) -> Pose2:
         """Best pose estimate at t: the first processor's that offers one,
@@ -543,42 +537,38 @@ class Pipeline:
         for proc in self.processors:
             proc.initialize(self.tree, first_frame, self.pose_at)
 
-    def dispatch(self, sensor_name: str, t: float, data) -> list:
-        """Feed one capture; returns the keyframe events it triggered."""
+    def dispatch(self, sensor_name: Optional[str], t: float, data) -> list:
+        """Feed one capture; returns the keyframe events made by it.
+
+        ``dispatch(None, math.inf, None)`` ends the input: it makes the frame
+        of a vote still waiting.
+        """
         tree = self.tree
         events = []
+        if self._vote is not None and t > self._vote[0] + self._wait:
+            events.append(self.broadcast())
         for proc in self._by_sensor.get(sensor_name, ()):
-            self._last_t[id(proc)] = t
             if proc.process_capture(tree, t, data):
+                if self._vote is not None:
+                    if self._vote[1] is proc:
+                        continue  # the voter's own vote still waits
+                    events.append(self.broadcast())
                 existing = tree.find_frame_near(t, proc.time_tolerance)
                 if existing is not None:
                     # join the coincident frame instead of making a twin
                     proc.attach(tree, existing, tree.node(existing).timestamp)
                 else:
-                    pose = proc.pose_at(tree, t) or self.pose_at(tree, t)
-                    events.append(KeyframeEvent(t, tree.add_frame(t, pose)))
-                    self.broadcast(events[-1], proc)
-            if self._held:
-                self._retry_held(proc, t)
+                    self._vote = (t, proc)
+        if self._vote is not None and all(p.ready(self._vote[0]) for p in self.processors):
+            events.append(self.broadcast())
         return events
 
-    def broadcast(self, event: KeyframeEvent, voter: Processor):
-        """Offer a new keyframe to the voter, then the others in installation
-        order; one that declines it ahead of its own data is held."""
+    def broadcast(self) -> KeyframeEvent:
+        """Make the waiting vote's frame and offer it once to the voter, then
+        to the others in installation order."""
+        (t, voter), self._vote = self._vote, None
+        pose = voter.pose_at(self.tree, t) or self.pose_at(self.tree, t)
+        event = KeyframeEvent(t, self.tree.add_frame(t, pose))
         for proc in [voter] + [p for p in self.processors if p is not voter]:
-            if (not proc.attach(self.tree, event.frame, event.t)
-                    and self._last_t.get(id(proc), -math.inf) < event.t):
-                self._held.append((proc, event.frame, event.t))
-
-    def _retry_held(self, proc: Processor, t: float):
-        """Offer proc's held frames again after its capture at t; a frame
-        goes once attached or once t reaches its time less the tolerance."""
-        kept = []
-        for held in self._held:
-            holder, frame, t_kf = held
-            if holder is not proc:
-                kept.append(held)
-            elif (frame in self.tree and not proc.attach(self.tree, frame, t_kf)
-                  and t < t_kf - proc.time_tolerance):
-                kept.append(held)
-        self._held = kept
+            proc.attach(self.tree, event.frame, t)
+        return event

@@ -11,8 +11,11 @@ always covers the whole trajectory.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import asdict
+from itertools import groupby
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -79,14 +82,12 @@ def replay(app: Application, log_path, out_path=None, truth_path=None,
 
     # records sharing a timestamp form one instant: all of them are
     # dispatched before window enforcement and solving, so a keyframe voted
-    # on one sensor can still be joined by the others at the same tick
-    i = 0
-    while i < len(records):
-        j = i
-        while j < len(records) and records[j].t == records[i].t:
-            j += 1
+    # on one sensor can still be joined by the others at the same tick; the
+    # end record makes the frame of a vote still waiting for data
+    for _, instant in groupby(records + [CaptureRecord(math.inf, None, None)],
+                              key=attrgetter("t")):
         events = []
-        for rec in records[i:j]:
+        for rec in instant:
             events += app.pipeline.dispatch(rec.sensor, rec.t, rec.data)
         for event in events:
             if app.window_policy is not None:
@@ -95,7 +96,6 @@ def replay(app: Application, log_path, out_path=None, truth_path=None,
             last_report = lm_solve(problem)
             if on_keyframe is not None:
                 on_keyframe(tree, event, last_report)
-        i = j
 
     if print_tree:
         print(tree.print_tree(), end="")

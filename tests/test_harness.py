@@ -1,6 +1,7 @@
 import functools
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -203,7 +204,33 @@ class TestRunner:
 
         monkeypatch.setattr(arbor.processors.Pipeline, "dispatch", spy)
         run(DATA / "demo_config.yaml", log)
-        assert seen == [(r.sensor, r.t) for r in records]
+        # then the end of the input, once
+        assert seen == [(r.sensor, r.t) for r in records] + [(None, math.inf)]
+
+    def test_vote_waiting_at_end_of_log_makes_its_keyframe(self, tmp_path, monkeypatch):
+        # the last odometry sample votes; the tracker has no scan near it, so
+        # the vote waits until the end of the log, whose dispatch returns it
+        records = [CaptureRecord(0.0, "rb0", [[0, 1.0, 0.0], [1, 2.0, 0.5], [2, 3.0, -0.5]])]
+        records += [CaptureRecord(0.05 * k, "odom0", [1.2, 1.2]) for k in range(1, 6)]
+        log = tmp_path / "log.jsonl"
+        write_jsonl(records, log)
+        returned = []
+        original = arbor.processors.Pipeline.dispatch
+
+        def spy(self, sensor_name, t, data):
+            events = original(self, sensor_name, t, data)
+            returned.extend((sensor_name, event) for event in events)
+            return events
+
+        monkeypatch.setattr(arbor.processors.Pipeline, "dispatch", spy)
+        solved = []
+        est, _ = run(DATA / "demo_config.yaml", log,
+                     on_keyframe=lambda tree, event, report: solved.append(event))
+        assert returned == [(None, solved[0])]
+        assert [event.t for event in solved] == [0.25]
+        poses = [r for r in est if r.sensor == "estimate"]
+        assert [r.t for r in poses] == [0.0, 0.25]
+        np.testing.assert_allclose(poses[1].data, [0.6, 0.0, 0.0], atol=1e-9)
 
 
 class TestNonPositiveRange:

@@ -11,6 +11,7 @@ from arbor.preint import (
     DiffDriveModel,
     PreintBuffer,
     integrate_step,
+    nearest_sample,
     split_buffer,
     state_at_high_rate,
 )
@@ -489,3 +490,32 @@ class TestSplitBuffer:
         buf = self._buffer(6)
         first, _ = split_buffer(buf, 0.25, tol=0.06)
         assert len(first.entries) == 2
+
+    def test_nearest_sample_matches_linear_scan(self):
+        # reference: a scan over the origin and entry times in order
+        def scan(buf, t):
+            times = [buf.origin_t] + [e.t for e in buf.entries]
+            k, best = 0, abs(times[0] - t)
+            for i, tc in enumerate(times):
+                if abs(tc - t) < best - 1e-15:
+                    k, best = i, abs(tc - t)
+            return k, best
+
+        buf = self._buffer(6)
+        queries = [-0.1, 0.0, 0.05, 0.25, 0.3, 0.6, 0.9]
+        queries += np.random.default_rng(5).uniform(-0.1, 0.8, 50).tolist()
+        for t in queries:
+            assert nearest_sample(buf, t) == scan(buf, t)
+        assert nearest_sample(make_buffer(origin_t=0.2), 0.3) == (0, pytest.approx(0.1))
+
+    def test_second_part_at_given_calibration(self):
+        buf = self._buffer(6)
+        c_new = C_NOM * 1.01
+        first, second = split_buffer(buf, 0.3, tol=1e-9, c_bar=c_new)
+        assert first.c_bar == buf.c_bar
+        direct = make_buffer(c_bar=c_new, origin_t=second.origin_t)
+        for e in buf.entries[3:]:
+            integrate_step(direct, e.t, e.u, e.q_u)
+        assert second.c_bar == direct.c_bar
+        assert [e.delta for e in second.entries] == [e.delta for e in direct.entries]
+        assert second.entries[-1].delta != split_buffer(buf, 0.3, tol=1e-9)[1].entries[-1].delta

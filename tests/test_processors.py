@@ -190,18 +190,18 @@ class TestMotionProcessor:
         assert proc.buffer.origin_frame == foreign
 
     def test_vote_after_pending_join_empties_buffer(self):
-        # a foreign keyframe ahead of the data is held; the next sample
-        # joins it and the split hands every integrated sample to the first
-        # part
+        # a foreign vote ahead of the data waits; the next sample completes
+        # its keyframe and the split hands every integrated sample to the
+        # first part
         tr, odom, _, first = build_tree()
         proc = make_motion(tr, odom, first, max_dist=10.0, max_angle=1.0, max_time=5.0)
         pipe = Pipeline(tr, [proc, Stamp()])
         for k in range(1, 5):
             pipe.dispatch("odom0", 0.1 * k, straight_step())
-        (event,) = pipe.dispatch("stamp", 0.5, None)
+        assert pipe.dispatch("stamp", 0.5, None) == []
+        assert tr.frames() == [first]  # waiting for the odometry
+        (event,) = pipe.dispatch("odom0", 0.5, straight_step())
         foreign = event.frame
-        assert tr.factors_referencing(foreign) == []  # declined for now
-        assert pipe.dispatch("odom0", 0.5, straight_step()) == []
         assert proc.buffer.origin_frame == foreign
         assert proc.buffer.entries == []
         kinds = [tr.node(f).payload.kind for f in tr.factors_referencing(foreign)]
@@ -222,23 +222,23 @@ class TestMotionProcessor:
         np.testing.assert_array_equal(proc.buffer.c_bar, C_NOM * 1.01)
 
     def test_vote_on_held_keyframe_joins_it(self):
-        # the sample that catches up with a held keyframe also crosses
-        # max_dist: its vote joins that keyframe by a split, as the held
-        # join would, rather than closing the interval onto it
+        # the sample that completes a waiting keyframe also crosses
+        # max_dist: the waiting keyframe is made first and the vote joins it,
+        # with the new interval at the current calibration
         tr, odom, _, first = build_tree()
         proc = make_motion(tr, odom, first, max_dist=0.45)
         pipe = Pipeline(tr, [proc, Stamp()])
         for k in range(1, 5):
             pipe.dispatch("odom0", 0.1 * k, straight_step())
-        (event,) = pipe.dispatch("stamp", 0.5, None)
-        c_bar = proc.buffer.c_bar
+        assert pipe.dispatch("stamp", 0.5, None) == []
         tr.block(odom, "intrinsic").values[:] = C_NOM * 1.01  # a solve moved it
-        assert pipe.dispatch("odom0", 0.5, straight_step()) == []
+        (event,) = pipe.dispatch("odom0", 0.5, straight_step())
+        assert event.t == 0.5
         assert len(tr.frames()) == 2
         kinds = [tr.node(f).payload.kind for f in tr.factors_referencing(event.frame)]
         assert kinds == [MOTION]
         assert proc.buffer.origin_frame == event.frame
-        np.testing.assert_array_equal(proc.buffer.c_bar, c_bar)
+        np.testing.assert_array_equal(proc.buffer.c_bar, C_NOM * 1.01)
 
     def test_uninitialized_rejected(self):
         tr, odom, _, _ = build_tree()
@@ -295,8 +295,7 @@ class TestLandmarkTracker:
         tracker.association = "id"
         for k in range(4):
             tracker._by_raw_id[k] = tr.children(tr.map_id, T.LANDMARK)[k]
-        event = tracker.process_capture(tr, 0.5, scan)
-        assert event is not None or tr.find_frame_near(0.5, 0.01) is not None
+        assert tracker.process_capture(tr, 0.5, scan) is True
 
     def test_no_vote_when_tracks_sufficient(self):
         tr, _, rb, first = build_tree()
@@ -524,7 +523,7 @@ class TestPipeline:
     def test_held_join_tracker_ahead_of_odometry(self):
         # the scan at 0.5 comes before the odometry sample at 0.5: the
         # tracker votes on its empty map, the motion processor has no sample
-        # near 0.5 yet and is held, and its next sample joins the keyframe
+        # near 0.5 yet, and its next sample completes the keyframe
         tr, odom, rb, first = build_tree()
         motion = make_motion(tr, odom, first, max_dist=10.0)
         tracker = LandmarkTracker("tracker", rb, "rb0", min_tracks=3,
@@ -533,9 +532,10 @@ class TestPipeline:
         pipe.initialize(first)
         for k in range(1, 5):
             pipe.dispatch("odom0", 0.1 * k, straight_step())
-        (event,) = pipe.dispatch("rb0", 0.5, [[0, 1.0, 0.0], [1, 2.0, 0.5]])
+        assert pipe.dispatch("rb0", 0.5, [[0, 1.0, 0.0], [1, 2.0, 0.5]]) == []
         assert motion.buffer.origin_frame == first
-        assert pipe.dispatch("odom0", 0.5, straight_step()) == []
+        (event,) = pipe.dispatch("odom0", 0.5, straight_step())
+        assert event.t == 0.5
         assert motion.buffer.origin_frame == event.frame
         kinds = sorted(tr.node(f).payload.kind for f in tr.factors_referencing(event.frame))
         assert kinds == [MOTION, RANGE_BEARING, RANGE_BEARING]
@@ -559,21 +559,56 @@ class TestPipeline:
             events += pipe.dispatch("odom0", 0.1 * k, straight_step())
             if k == 3:
                 pipe.dispatch("rb0", 0.3, [[0, 0.7, 0.0], [1, 1.7, 0.6]])
+        assert events == []  # the vote at 0.5 waits: the scan at 0.3 is too old for it
+        events += pipe.dispatch("rb0", 0.505, [[0, 0.5, 0.0], [1, 1.5, 0.6]])
         (event,) = events
-        kinds = [tr.node(f).payload.kind for f in tr.factors_referencing(event.frame)]
-        assert kinds == [MOTION]  # the scan at 0.3 is too old for it
-        assert pipe.dispatch("rb0", 0.505, [[0, 0.5, 0.0], [1, 1.5, 0.6]]) == []
+        assert event.t == 0.5
         kinds = sorted(tr.node(f).payload.kind for f in tr.factors_referencing(event.frame))
         assert kinds == [MOTION, RANGE_BEARING, RANGE_BEARING]
         assert tracker._pending is None
-        # a scan past the tolerance of the next keyframe drops it for good
+        # a scan past the tolerance of the next keyframe makes it without a
+        # scan, before the tracker reads that scan
         for k in range(6, 11):
             events += pipe.dispatch("odom0", 0.1 * k, straight_step())
-        assert pipe.dispatch("rb0", 1.02, [[0, 0.5, 0.0]]) == []
+        assert len(events) == 1
+        (late,) = pipe.dispatch("rb0", 1.02, [[0, 0.5, 0.0]])
+        events.append(late)
         assert len(events) == 2
         kinds = [tr.node(f).payload.kind for f in tr.factors_referencing(events[1].frame)]
         assert kinds == [MOTION]
-        assert pipe._held == []
+        assert tracker._pending[0] == 1.02
+        assert pipe._vote is None
+        assert tr.check_consistency() == []
+
+    def test_declined_frame_offered_once(self):
+        # 100 Hz odometry votes between 20 Hz scans: the tracker has no scan
+        # within tolerance of most keyframes and declines each once
+        tr, odom, rb, first = build_tree()
+        motion = MotionProcessor("odom", odom, "odom0", time_tolerance=0.005,
+                                 tick_std=0.001, max_dist=0.075)
+        offers = []
+
+        class OfferLog(LandmarkTracker):
+            def attach(self, tree, frame, t):
+                offers.append(frame)
+                return super().attach(tree, frame, t)
+
+        tracker = OfferLog("tracker", rb, "rb0", time_tolerance=0.005,
+                           range_std=0.02, bearing_std=0.01)
+        pipe = Pipeline(tr, [motion, tracker])
+        pipe.initialize(first)
+        events = []
+        for k in range(1, 101):
+            t = 0.01 * k
+            if k % 5 == 0:  # the scan goes before the odometry at its tick
+                events += pipe.dispatch("rb0", t, [[0, 1.0, 0.0], [1, 2.0, 0.5]])
+            events += pipe.dispatch("odom0", t, straight_step(1.0))
+        frames = [event.frame for event in events]
+        assert len(frames) == 12
+        assert offers == frames  # each once, in order
+        with_scans = [f for f in frames if RANGE_BEARING in
+                      [tr.node(x).payload.kind for x in tr.factors_referencing(f)]]
+        assert 0 < len(with_scans) < len(frames)
         assert tr.check_consistency() == []
 
     def test_unknown_processor_type_takes_part(self):
@@ -588,11 +623,12 @@ class TestPipeline:
         for k in range(1, 8):
             events += pipe.dispatch("odom0", 0.1 * k, straight_step())
         (motion_kf,) = events
-        (b_kf,) = pipe.dispatch("b", 0.8, None)
+        # b's vote is ahead of the odometry, whose next sample completes it
+        assert pipe.dispatch("b", 0.8, None) == []
+        (b_kf,) = pipe.dispatch("odom0", 0.8, straight_step())
+        assert b_kf.t == 0.8
         assert log == [("a", motion_kf.frame, motion_kf.t, 1), ("b", motion_kf.frame, motion_kf.t, 1),
                        ("b", b_kf.frame, 0.8, 0), ("a", b_kf.frame, 0.8, 0)]
-        # b's keyframe is ahead of the odometry, which joins it next
-        assert pipe.dispatch("odom0", 0.8, straight_step()) == []
         kinds = [tr.node(f).payload.kind for f in tr.factors_referencing(b_kf.frame)]
         assert kinds == [MOTION]
         assert motion.buffer.origin_frame == b_kf.frame
