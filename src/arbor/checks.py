@@ -14,8 +14,9 @@ import yaml
 from .errors import ConfigError
 
 
-class _StrictLoader(yaml.SafeLoader):
-    """SafeLoader that rejects duplicate mapping keys."""
+class _StrictLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """SafeLoader that rejects duplicate mapping keys; on libyaml's parser
+    where PyYAML was built with it."""
 
 
 def _strict_mapping(loader, node, deep=False):

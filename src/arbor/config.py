@@ -11,7 +11,8 @@ frame with its prior, the initial map, the processor pipeline, and the
 solver options.
 
 Keys the setup never reads are reported as warnings, not errors, so configs
-stay forward compatible.
+stay forward compatible.  A mapping or a nested list where the setup reads a
+value is a ConfigError naming its key.
 """
 
 from __future__ import annotations
@@ -45,13 +46,17 @@ class ConfigWarning(UserWarning):
     pass
 
 
-def _flatten(prefix: str, value, out: dict):
+def _flatten(prefix: str, value, out: dict, expanded: dict):
+    """Dotted keys of the leaves into ``out``; each mapping or nested list
+    that was split into them, by its own key, into ``expanded``."""
     if isinstance(value, dict):
+        expanded[prefix] = value
         for k, v in value.items():
-            _flatten(f"{prefix}.{k}" if prefix else str(k), v, out)
+            _flatten(f"{prefix}.{k}" if prefix else str(k), v, out, expanded)
     elif isinstance(value, list) and value and any(isinstance(v, (dict, list)) for v in value):
+        expanded[prefix] = value
         for i, v in enumerate(value):
-            _flatten(f"{prefix}.{i}", v, out)
+            _flatten(f"{prefix}.{i}", v, out, expanded)
     else:
         out[prefix] = value
 
@@ -60,28 +65,35 @@ class ParameterServer:
     """Flat dotted-key view of a parsed configuration.
 
     Reads are tracked so auto-setup can warn about keys it never consumed.
+    Reading a key whose value was a mapping or a nested list (``expanded``,
+    as :func:`_flatten` records it) is a ConfigError: a value belongs there.
     """
 
-    def __init__(self, flat: dict):
+    def __init__(self, flat: dict, expanded: dict):
         self._flat = dict(flat)
+        self._expanded = expanded
         self._consumed: set = set()
-
-    def as_dict(self) -> dict:
-        return dict(self._flat)
 
     def get(self, key: str, default=_MISSING):
         if key in self._flat:
             self._consumed.add(key)
             return self._flat[key]
+        self._check_not_expanded(key)
         if default is _MISSING:
             return None
         return default
 
     def require(self, key: str):
         if key not in self._flat:
+            self._check_not_expanded(key)
             raise ConfigError(f"missing mandatory config key: {key}")
         self._consumed.add(key)
         return self._flat[key]
+
+    def _check_not_expanded(self, key: str):
+        if key in self._expanded:
+            raise ConfigError(f"{key} must be a value or a list of values, "
+                              f"got {self._expanded[key]!r}")
 
     def count(self, prefix: str) -> int:
         """Number of contiguous list entries under a dotted prefix."""
@@ -103,8 +115,9 @@ def parse_config(text: str) -> ParameterServer:
     if not isinstance(data, dict):
         raise ConfigError("top level of the configuration must be a mapping")
     flat: dict = {}
-    _flatten("", data, flat)
-    return ParameterServer(flat)
+    expanded: dict = {}
+    _flatten("", data, flat, expanded)
+    return ParameterServer(flat, expanded)
 
 
 class CreatorRegistry:

@@ -3,13 +3,11 @@
 A factor pins a measurement ``z`` with square-root information ``U``
 (upper-triangular, ``U^T U = Q^-1``) to an ordered list of constrained state
 blocks.  Residuals are whitened: ``r = U * error``.  Analytic Jacobians come
-back as one block per constrained state block, in order; a generic
-central-difference fallback is provided for cross-checking.
+back with one column group per constrained state block, in order.
 
-Factors are evaluated in stacks: all factors of one kind over blocks of the
-same sizes are the rows of a :class:`FactorStack`, and one numpy kernel per
-kind evaluates every row at once.  A single factor is a stack of one
-(:func:`evaluate_one`), so one-off and batched evaluation share their code.
+Factors are evaluated only in stacks: all factors of one kind over blocks of
+the same sizes are the rows of a :class:`FactorStack`, and one numpy kernel
+per kind evaluates every row at once.  There is no one-factor path.
 
 The motion factor implements the self-calibrating pre-integration residual.
 Its ``z`` is the pre-integrated delta; its :class:`MotionData` holds the
@@ -22,13 +20,12 @@ compares it against the relative pose of the two frames it links.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import ContractError, DecompositionError, SingularObservationError
-from .manifold import ANGLE, EUCLIDEAN, StateBlock, block_plus, wrap_angles
+from .manifold import ANGLE, wrap_angles
 
 MOTION = "motion"
 RANGE_BEARING = "range_bearing"
@@ -52,8 +49,8 @@ class Factor:
     """Measurement residual description bound to the blocks it constrains.
 
     ``constrained`` lists (node id, block name) pairs whose order fixes the
-    meaning of the values handed to :func:`evaluate_one` and the order of
-    the returned Jacobian blocks.
+    order of the block values a kernel reads and of the Jacobian's column
+    groups.
     """
 
     kind: str
@@ -74,14 +71,6 @@ class Factor:
             raise ContractError("sqrt_info must be upper triangular")
         if np.any(np.diag(u) <= 0.0):
             raise ContractError("sqrt_info must have a positive diagonal")
-
-
-@dataclass
-class Residual:
-    """Whitened residual plus one Jacobian block per constrained block."""
-
-    r: np.ndarray
-    jacobians: list
 
 
 def whiten(q: np.ndarray) -> np.ndarray:
@@ -293,64 +282,3 @@ def evaluate(stack: FactorStack, x: np.ndarray, jacobians: bool = True):
     blocks in order; otherwise None in their place.
     """
     return _KERNELS[stack.kind](stack, x[stack.slots], jacobians)
-
-
-def stack_of(factors: Sequence[Factor], values: Sequence[Sequence], kinds=None):
-    """A stack of same-kind factors and the value table that it reads.
-
-    ``values[i]`` lists factor i's block values in constrained order, and
-    ``kinds`` the blocks' kinds (default euclidean; only a prior on an
-    angle block reads it).  Each factor's blocks get their own table rows.
-    """
-    rows = [[np.atleast_1d(np.asarray(b, dtype=float)) for b in vals] for vals in values]
-    dims = tuple(len(b) for b in rows[0])
-    for factor, vals in zip(factors, rows):
-        if len(vals) != len(factor.constrained):
-            raise ContractError(
-                f"{factor.kind} factor expects {len(factor.constrained)} blocks, got {len(vals)}"
-            )
-        if tuple(len(b) for b in vals) != dims:
-            raise ContractError("factors of one stack must constrain blocks of the same sizes")
-    k = len(dims)
-    table = np.zeros((len(rows) * k, max(dims)))
-    for i, vals in enumerate(rows):
-        for j, b in enumerate(vals):
-            table[i * k + j, :len(b)] = b
-    stack = FactorStack(factors[0].kind, dims, kinds or (EUCLIDEAN,) * k, factors,
-                        np.arange(len(rows) * k), np.arange(len(rows)))
-    return stack, table
-
-
-def evaluate_one(factor: Factor, values: Sequence[np.ndarray],
-                 kinds: Sequence[str] | None = None) -> Residual:
-    """Evaluate a single factor, as a stack of one, on block values given
-    in constrained order."""
-    stack, table = stack_of([factor], [values], kinds)
-    r, j = evaluate(stack, table)
-    ends = list(accumulate(stack.dims))
-    return Residual(r[0], [j[0][:, a:b] for a, b in zip([0, *ends], ends)])
-
-
-def numeric_jacobian(residual_fn: Callable, blocks: Sequence[StateBlock], step: float = 1e-6):
-    """Central-difference Jacobian blocks of a residual over state blocks.
-
-    Perturbations go through block_plus, so angle blocks are differentiated
-    on their tangent and stay continuous across the wrap.
-    """
-    values = [b.values.copy() for b in blocks]
-    r0 = np.atleast_1d(np.asarray(residual_fn(values), dtype=float))
-    jacobians = []
-    for i, block in enumerate(blocks):
-        jac = np.zeros((r0.shape[0], block.tangent_dim))
-        for k in range(block.tangent_dim):
-            dx = np.zeros(block.tangent_dim)
-            dx[k] = step
-            hi = list(values)
-            lo = list(values)
-            hi[i] = block_plus(block, dx)
-            lo[i] = block_plus(block, -dx)
-            r_hi = np.asarray(residual_fn(hi), dtype=float)
-            r_lo = np.asarray(residual_fn(lo), dtype=float)
-            jac[:, k] = (r_hi - r_lo) / (2.0 * step)
-        jacobians.append(jac)
-    return jacobians

@@ -166,19 +166,3 @@ def pose_between(xi: Pose2, xj: Pose2):
         [0.0, 0.0, 1.0],
     ])
     return Pose2(p, xj.theta - xi.theta), j_xi, j_xj
-
-
-def block_plus(block: StateBlock, dx) -> np.ndarray:
-    """Retract a tangent increment onto a block's values.
-
-    Euclidean blocks add; angle blocks add then wrap.  Returns new values
-    without mutating the block.
-    """
-    dx = np.atleast_1d(np.asarray(dx, dtype=float))
-    if dx.shape != (block.tangent_dim,):
-        raise ContractError(
-            f"tangent has shape {dx.shape}, block expects ({block.tangent_dim},)"
-        )
-    if block.kind == ANGLE:
-        return np.array([normalize_angle(block.values[0] + dx[0])])
-    return block.values + dx

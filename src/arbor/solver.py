@@ -11,10 +11,13 @@ that are unfixed and touched by at least one factor; everything else is
 held constant.
 
 Damping is multiplicative on the diagonal of the normal matrix, which keeps
-meter and radian columns comparably conditioned.  Steps are retracted as
-block_plus does, adding and wrapping angles, so angle blocks stay on their
-manifold.  A step is accepted only if it strictly decreases the cost, so the
-report's final cost never exceeds the initial one.
+meter and radian columns comparably conditioned.  Steps are retracted by
+adding them and wrapping angles, so angle blocks stay on their manifold.  A
+step is accepted only if it strictly decreases the cost, so the report's
+final cost never exceeds the initial one.  A step whose predicted decrease
+(the damped model's, Madsen, Nielsen & Tingleff 2004) is not above machine
+epsilon times the cost could not show a decrease in the cost's rounding, so
+the solve stops there with ``converged_dx`` without trying it.
 
 Each iterate is evaluated once: a trial point's cost and normal equations
 come from one linearization, kept for the next iteration if the step is
@@ -321,7 +324,10 @@ def lm_solve(problem: SolverProblem) -> SolveReport:
             if not np.all(np.isfinite(dx)):
                 lam *= _LAMBDA_UP
                 continue
-            if np.max(np.abs(dx)) < opts.tol_dx:
+            # the damped model's decrease g·dx - dxᵀH dx/2, as (H + lam diag H)
+            # dx = g; at or below the cost's rounding no step can show one
+            predicted = 0.5 * (g @ dx + lam * (h.diagonal() @ (dx * dx)))
+            if np.max(np.abs(dx)) < opts.tol_dx or not predicted > np.finfo(float).eps * cost:
                 termination = CONVERGED_DX
                 break
             candidate = _stepped(problem, x, dx)

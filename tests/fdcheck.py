@@ -1,10 +1,21 @@
-"""Central finite-difference oracle used by the test suite.
+"""Finite-difference oracles and one-factor evaluation for the test suite.
 
-Kept separate from the package's own numeric-jacobian utility so the two
-differentiation paths stay independent of each other.
+``central_diff`` differentiates plain arrays with its own angle wrap;
+``numeric_jacobian`` differentiates a residual over state blocks, stepping
+them with ``block_plus``.  ``evaluate_one`` runs one factor through the
+package's stacked kernels as a stack of one (``stack_of``).  None of this is
+on the estimator's path, so it lives beside the tests that use it.
 """
 
+from dataclasses import dataclass
+from itertools import accumulate
+from typing import Callable, Sequence
+
 import numpy as np
+
+from arbor.errors import ContractError
+from arbor.factors import Factor, FactorStack, evaluate
+from arbor.manifold import ANGLE, EUCLIDEAN, StateBlock, normalize_angle
 
 
 def central_diff(fn, x, step=1e-6):
@@ -40,3 +51,88 @@ def delta_diff(d2, d1):
     the angle wrapped by :func:`wrap_angle`."""
     return np.array([d2.p[0] - d1.p[0], d2.p[1] - d1.p[1],
                      wrap_angle(d2.theta - d1.theta)])
+
+
+def block_plus(block: StateBlock, dx) -> np.ndarray:
+    """Retract a tangent increment onto a block's values.
+
+    Euclidean blocks add; angle blocks add then wrap.  Returns new values
+    without mutating the block.
+    """
+    dx = np.atleast_1d(np.asarray(dx, dtype=float))
+    if dx.shape != (block.tangent_dim,):
+        raise ContractError(
+            f"tangent has shape {dx.shape}, block expects ({block.tangent_dim},)"
+        )
+    if block.kind == ANGLE:
+        return np.array([normalize_angle(block.values[0] + dx[0])])
+    return block.values + dx
+
+
+@dataclass
+class Residual:
+    """Whitened residual plus one Jacobian block per constrained block."""
+
+    r: np.ndarray
+    jacobians: list
+
+
+def stack_of(factors: Sequence[Factor], values: Sequence[Sequence], kinds=None):
+    """A stack of same-kind factors and the value table that it reads.
+
+    ``values[i]`` lists factor i's block values in constrained order, and
+    ``kinds`` the blocks' kinds (default euclidean; only a prior on an
+    angle block reads it).  Each factor's blocks get their own table rows.
+    """
+    rows = [[np.atleast_1d(np.asarray(b, dtype=float)) for b in vals] for vals in values]
+    dims = tuple(len(b) for b in rows[0])
+    for factor, vals in zip(factors, rows):
+        if len(vals) != len(factor.constrained):
+            raise ContractError(
+                f"{factor.kind} factor expects {len(factor.constrained)} blocks, got {len(vals)}"
+            )
+        if tuple(len(b) for b in vals) != dims:
+            raise ContractError("factors of one stack must constrain blocks of the same sizes")
+    k = len(dims)
+    table = np.zeros((len(rows) * k, max(dims)))
+    for i, vals in enumerate(rows):
+        for j, b in enumerate(vals):
+            table[i * k + j, :len(b)] = b
+    stack = FactorStack(factors[0].kind, dims, kinds or (EUCLIDEAN,) * k, factors,
+                        np.arange(len(rows) * k), np.arange(len(rows)))
+    return stack, table
+
+
+def evaluate_one(factor: Factor, values: Sequence[np.ndarray],
+                 kinds: Sequence[str] | None = None) -> Residual:
+    """Evaluate a single factor, as a stack of one, on block values given
+    in constrained order."""
+    stack, table = stack_of([factor], [values], kinds)
+    r, j = evaluate(stack, table)
+    ends = list(accumulate(stack.dims))
+    return Residual(r[0], [j[0][:, a:b] for a, b in zip([0, *ends], ends)])
+
+
+def numeric_jacobian(residual_fn: Callable, blocks: Sequence[StateBlock], step: float = 1e-6):
+    """Central-difference Jacobian blocks of a residual over state blocks.
+
+    Perturbations go through block_plus, so angle blocks are differentiated
+    on their tangent and stay continuous across the wrap.
+    """
+    values = [b.values.copy() for b in blocks]
+    r0 = np.atleast_1d(np.asarray(residual_fn(values), dtype=float))
+    jacobians = []
+    for i, block in enumerate(blocks):
+        jac = np.zeros((r0.shape[0], block.tangent_dim))
+        for k in range(block.tangent_dim):
+            dx = np.zeros(block.tangent_dim)
+            dx[k] = step
+            hi = list(values)
+            lo = list(values)
+            hi[i] = block_plus(block, dx)
+            lo[i] = block_plus(block, -dx)
+            r_hi = np.asarray(residual_fn(hi), dtype=float)
+            r_lo = np.asarray(residual_fn(lo), dtype=float)
+            jac[:, k] = (r_hi - r_lo) / (2.0 * step)
+        jacobians.append(jac)
+    return jacobians

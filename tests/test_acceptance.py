@@ -21,8 +21,6 @@ from arbor.factors import (
     Factor,
     MotionData,
     evaluate,
-    numeric_jacobian,
-    stack_of,
     whiten,
 )
 from arbor.manifold import (
@@ -41,7 +39,7 @@ from arbor.preint import (
 from arbor.runner import run
 from arbor.sim import load_scenario, simulate, write_jsonl
 
-from fdcheck import central_diff, delta_diff, wrap_angle
+from fdcheck import central_diff, delta_diff, numeric_jacobian, stack_of, wrap_angle
 from test_preint import ZERO_Q, as_pose, correction_error, random_samples
 
 DATA = Path(__file__).parent / "data"

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import yaml
 
+from arbor import checks
 from arbor import tree as T
 from arbor.config import (
     ConfigWarning,
@@ -22,10 +23,15 @@ DATA = Path(__file__).parent / "data"
 DEMO = (DATA / "demo_config.yaml").read_text()
 
 
+def as_dict(server: ParameterServer) -> dict:
+    """The server's flat key map (test utility)."""
+    return dict(server._flat)
+
+
 def emit(server: ParameterServer) -> str:
     """Rebuild nested YAML from the flat key map (test utility)."""
     root: dict = {}
-    for key, value in server.as_dict().items():
+    for key, value in as_dict(server).items():
         parts = key.split(".")
         cursor = root
         for a, b in zip(parts, parts[1:]):
@@ -46,22 +52,35 @@ def emit(server: ParameterServer) -> str:
 class TestParseConfig:
     def test_nested_mapping_flattened(self):
         server = parse_config("solver: {max_iterations: 20}")
-        assert server.as_dict() == {"solver.max_iterations": 20}
+        assert as_dict(server) == {"solver.max_iterations": 20}
         assert isinstance(server.get("solver.max_iterations"), int)
 
     def test_sequence_index_flattening(self):
         server = parse_config("sensors: [{name: odom0}]")
-        assert server.as_dict() == {"sensors.0.name": "odom0"}
+        assert as_dict(server) == {"sensors.0.name": "odom0"}
 
     def test_scalar_list_stays_whole(self):
         server = parse_config("first: {p: [1.0, 2.0]}")
-        assert server.as_dict() == {"first.p": [1.0, 2.0]}
+        assert as_dict(server) == {"first.p": [1.0, 2.0]}
 
     def test_malformed_yaml_names_line(self):
         bad = "solver:\n  max_iterations: 20\n bad_indent: 1\n"
         with pytest.raises(ConfigError, match="invalid YAML") as err:
             parse_config(bad)
         assert "line 3" in str(err.value)
+
+    @pytest.mark.parametrize("bad, line", [
+        ("a: 1\nb:\n\tc: 2\n", 3),
+        ('a: 1\nb: "open\nc: 2\n', 4),
+        ("a: [1, 2\nb: 3\n", 2),
+    ], ids=["tab", "unterminated_string", "open_flow_sequence"])
+    def test_syntax_error_names_line(self, bad, line):
+        with pytest.raises(ConfigError, match=f"^invalid YAML at line {line}: "):
+            parse_config(bad)
+
+    def test_parsed_by_libyaml_when_built_with_it(self):
+        # the C parser reads a workload config about eight times faster
+        assert not yaml.__with_libyaml__ or issubclass(checks._StrictLoader, yaml.CSafeLoader)
 
     def test_duplicate_key_conflict(self):
         with pytest.raises(ConfigError, match="duplicate key") as err:
@@ -78,7 +97,7 @@ class TestParseConfig:
     def test_round_trip_through_emit(self):
         server = parse_config(DEMO)
         again = parse_config(emit(server))
-        assert again.as_dict() == server.as_dict()
+        assert as_dict(again) == as_dict(server)
 
 
 class TestRegistry:

@@ -13,13 +13,12 @@ from arbor.factors import (
     Factor,
     MotionData,
     evaluate,
-    evaluate_one,
-    numeric_jacobian,
-    stack_of,
     whiten,
 )
 from arbor.manifold import ANGLE, Pose2, StateBlock, pose_compose
 from arbor.preint import DiffDriveModel, PreintBuffer, integrate_step
+
+from fdcheck import evaluate_one, numeric_jacobian, stack_of
 
 C_NOM = np.array([0.1, 0.1, 0.5])
 

@@ -433,6 +433,9 @@ class TestCli:
          "processors.1.association"),
         ("demo_config.yaml", "type: motion_diff_drive", "type: no_such_processor",
          "processors.0.type"),
+        ("demo_config.yaml", "lambda_init: 1.0e-4", "lambda_init: {a: 1}", "solver.lambda_init"),
+        ("demo_config.yaml", "extrinsic: {state: [0.0, 0.0, 0.0], fixed: true}",
+         "extrinsic: {state: [[0.0], 0.0, 0.0], fixed: true}", "sensors.0.extrinsic.state"),
     ], ids=["n_frames", "max_dist", "association", "max_iterations", "sigma_p", "lambda_init",
             "gate", "tick_std_zero", "tick_std_negative", "range_std", "time_tolerance",
             "intrinsic_sigma", "sigma_p_nan", "extrinsic_sigma_nan", "extrinsic_sigma_negative",
@@ -445,7 +448,8 @@ class TestCli:
             "first_frame_p_nan", "extrinsic_state_nan", "intrinsic_state_scalar",
             "sensor_name_list", "processor_sensor_list", "sensor_type_list",
             "processor_type_list", "tree_manager_type_list", "processor_name_list",
-            "association_list", "processor_type_unknown"])
+            "association_list", "processor_type_unknown", "lambda_init_mapping",
+            "extrinsic_state_nested_list"])
     def test_bad_config_value_exit_code(self, tmp_path, capsys, config, old, new, key):
         """A bad value exits 2 with a one-line message naming its key."""
         text = (DATA / config).read_text()
@@ -490,7 +494,7 @@ class TestCli:
         assert not log.exists()
         first, *rest = capsys.readouterr().err.strip().splitlines()
         assert first.startswith("error: ") and key in first
-        # a YAML syntax error quotes the offending lines, as `arbor run` does
+        # a YAML syntax error adds the parser's location lines, as `arbor run` does
         assert rest == [] or "invalid YAML" in first
 
     @pytest.mark.parametrize("flag", ["--out", "--truth"])

@@ -9,14 +9,13 @@ from arbor.manifold import (
     EUCLIDEAN,
     Pose2,
     StateBlock,
-    block_plus,
     normalize_angle,
     pose_between,
     pose_compose,
     wrap_angles,
 )
 
-from fdcheck import central_diff, wrap_angle
+from fdcheck import block_plus, central_diff, wrap_angle
 
 RNG = np.random.default_rng(20240811)
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from arbor.errors import ContractError, JoinToleranceError, RecordFormatError
-from arbor.factors import MOTION, Factor, MotionData, evaluate_one
+from arbor.factors import MOTION, Factor, MotionData
 from arbor.manifold import Pose2, pose_compose
 from arbor.preint import (
     DiffDriveModel,
@@ -16,7 +16,7 @@ from arbor.preint import (
     state_at_high_rate,
 )
 
-from fdcheck import central_diff, delta_diff, wrap_angle
+from fdcheck import central_diff, delta_diff, evaluate_one, wrap_angle
 
 MODEL = DiffDriveModel()
 C_NOM = np.array([0.1, 0.1, 0.5])

@@ -15,7 +15,6 @@ from arbor.factors import (
     RANGE_BEARING,
     RELATIVE_POSE,
     Factor,
-    evaluate_one,
 )
 from arbor.manifold import ANGLE, Pose2, StateBlock, pose_compose
 from arbor.runner import run
@@ -32,6 +31,8 @@ from arbor.solver import (
     sync,
     total_cost,
 )
+
+from fdcheck import evaluate_one
 
 DATA = Path(__file__).parent / "data"
 
@@ -578,6 +579,45 @@ class TestOneEvaluationPerIterate:
         assert [j for _, j in calls] == [False] + [True] * (1 + len(trials))
         assert calls[1][0] is calls[0][0]
         assert all(x is t for (x, _), t in zip(calls[2:], trials, strict=True))
+
+
+class TestRoundingFloorStop:
+    def test_converged_problem_tries_no_trial_point(self, monkeypatch):
+        # two disagreeing relative-pose measurements leave a residual at the
+        # optimum; once there, no step's predicted decrease exceeds the cost's
+        # rounding, so a re-solve with both tolerances at 0 stops at its start
+        tr, sensor = fresh()
+        xi = Pose2(np.array([0.5, -0.2]), 0.4)
+        f_i = make_pose_frame(tr, 0.0, xi)
+        f_j = make_pose_frame(tr, 1.0, Pose2(np.array([1.0, 1.0]), 1.0))
+        cap = tr.add_capture(f_i, 0.0, sensor)
+        tr.add_factor(cap, Factor(
+            PRIOR_POSE, xi.as_array(), np.eye(3) * 100.0,
+            constrained=[(f_i, "p"), (f_i, "o")]))
+        for z in ([1.0, 0.3, 0.6], [1.1, 0.2, 0.65]):
+            tr.add_factor(cap, Factor(
+                RELATIVE_POSE, np.array(z), np.eye(3) * 10.0,
+                constrained=[(f_i, "p"), (f_i, "o"), (f_j, "p"), (f_j, "o")]))
+        problem = SolverProblem(SolverOptions(max_iterations=50))
+        sync(problem, tr)
+        lm_solve(problem)
+        converged = {key: e.block.values.copy() for key, e in problem.blocks.items()}
+
+        real = arbor.solver._linearize
+        calls = []
+
+        def spy(problem, x):
+            calls.append(None)
+            return real(problem, x)
+
+        monkeypatch.setattr(arbor.solver, "_linearize", spy)
+        problem.options = SolverOptions(max_iterations=50, tol_dx=0.0, tol_grad=0.0)
+        report = lm_solve(problem)
+        assert report.termination == CONVERGED_DX
+        assert report.final_cost > 0.0
+        assert (report.iterations, report.accepted_steps, len(calls)) == (1, 0, 1)
+        for key, entry in problem.blocks.items():
+            assert np.array_equal(entry.block.values, converged[key])
 
 
 def per_factor_oracle(problem, values):
