@@ -19,16 +19,19 @@ final cost never exceeds the initial one.  A step whose predicted decrease
 epsilon times the cost could not show a decrease in the cost's rounding, so
 the solve stops there with ``converged_dx`` without trying it.
 
-Each iterate is evaluated once: a trial point's cost and normal equations
-come from one linearization, kept for the next iteration if the step is
-accepted.  A Cholesky factor of the first normal matrix rejects a singular
-problem (a gauge left free) with a SolveError.
+Each iterate is evaluated once, the start point too: its cost, which the
+solve checks for finiteness, comes from its linearization, and a trial
+point's cost and normal equations come from one linearization, kept for the
+next iteration if the step is accepted.  A Cholesky factor of the first
+normal matrix rejects a singular problem (a gauge left free) with a
+SolveError.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -122,6 +125,9 @@ class SolverProblem:
         self._n_slots = 0
         self._free_slots: list = []
         self._width = 1          # widest block, the value table's width
+        # per slot: its block's tangent dim and whether it is an angle block
+        self._slot_dim = np.zeros(0, dtype=np.intp)
+        self._slot_angle = np.zeros(0, dtype=bool)
         # per active column: its block's slot and component; active angle slots
         self._col_slot = np.zeros(0, dtype=np.intp)
         self._col_comp = np.zeros(0, dtype=np.intp)
@@ -140,6 +146,7 @@ def sync(problem: SolverProblem, tree) -> None:
     added: dict = {}    # stack key -> ([Factor], [slot rows], [ids])
     removed: dict = {}  # stack key -> [ids]
     freed = []
+    new_slots = []      # (slot, tangent dim, is angle) of each added block
     for note in tree.drain_notifications():
         if note.action == tree_mod.ADD_BLOCK:
             if problem._free_slots:
@@ -147,8 +154,10 @@ def sync(problem: SolverProblem, tree) -> None:
             else:
                 slot = problem._n_slots
                 problem._n_slots += 1
-            problem._width = max(problem._width, note.item.tangent_dim)
-            problem.blocks[note.target] = _BlockEntry(note.item, slot)
+            block = note.item
+            problem._width = max(problem._width, block.tangent_dim)
+            problem.blocks[note.target] = _BlockEntry(block, slot)
+            new_slots.append((slot, block.tangent_dim, block.kind == ANGLE))
         elif note.action == tree_mod.REMOVE_BLOCK:
             if note.target not in problem.blocks:
                 raise ContractError(f"remove_block for unknown target {note.target}")
@@ -186,37 +195,49 @@ def sync(problem: SolverProblem, tree) -> None:
         problem.stacks[key].drop(ids)
     problem.stacks = {key: s for key, s in problem.stacks.items() if s.n}
     problem._free_slots.extend(freed)
+    if new_slots:
+        grow = problem._n_slots - len(problem._slot_dim)
+        problem._slot_dim = np.concatenate([problem._slot_dim, np.zeros(grow, np.intp)])
+        problem._slot_angle = np.concatenate([problem._slot_angle, np.zeros(grow, bool)])
+        at, dim, angle = zip(*new_slots)
+        problem._slot_dim[list(at)] = dim
+        problem._slot_angle[list(at)] = angle
 
+    # a block is active when unfixed and touched by some factor; offsets run
+    # over the active blocks in insertion order
+    entries = list(problem.blocks.values())
+    live = np.array([entry.slot for entry in entries], dtype=np.intp)
+    fixed = np.array([entry.block.fixed for entry in entries], dtype=bool)
     touched = np.zeros(problem._n_slots, dtype=bool)
     for stack in problem.stacks.values():
         touched[stack.slots] = True
+    slots = live[touched[live] & ~fixed]
+    dims = problem._slot_dim[slots]
+    ends = np.cumsum(dims)
+    problem.total_dim = n = int(ends[-1]) if len(ends) else 0
     offset_of_slot = np.full(problem._n_slots, -1, dtype=np.intp)
-    col_slot, col_comp, angle_slots = [], [], []
-    offset = 0
-    for entry in problem.blocks.values():
-        if entry.block.fixed or not touched[entry.slot]:
-            entry.offset = None
-            continue
-        entry.offset = offset
-        offset_of_slot[entry.slot] = offset
-        col_slot += [entry.slot] * entry.dim
-        col_comp += range(entry.dim)
-        if entry.kind == ANGLE:
-            angle_slots.append(entry.slot)
-        offset += entry.dim
-    problem.total_dim = offset
-    problem._col_slot = np.array(col_slot, dtype=np.intp)
-    problem._col_comp = np.array(col_comp, dtype=np.intp)
-    problem._angle_slots = np.array(angle_slots, dtype=np.intp)
-    problem._scatter = {key: _scatter(stack, offset_of_slot[stack.slots], offset)
+    offset_of_slot[slots] = starts = ends - dims
+    for entry, offset in zip(entries, offset_of_slot[live].tolist()):
+        entry.offset = offset if offset >= 0 else None
+    problem._col_slot = np.repeat(slots, dims)
+    problem._col_comp = np.arange(n) - np.repeat(starts, dims)
+    problem._angle_slots = slots[problem._slot_angle[slots]]
+    problem._scatter = {key: _scatter(stack, offset_of_slot[stack.slots], n)
                         for key, stack in problem.stacks.items()}
+
+
+@lru_cache(maxsize=None)
+def _layout(dims: tuple):
+    """Per Jacobian column of a stack whose blocks have sizes ``dims``: its
+    block's index, and its component within the block."""
+    return (np.repeat(np.arange(len(dims)), dims),
+            np.concatenate([np.arange(d) for d in dims]))
 
 
 def _scatter(stack: FactorStack, offsets: np.ndarray, n: int) -> _Scatter:
     # column of each Jacobian entry: its block's offset plus the component
     # within the block, or -1 on an inactive block
-    block_of_col = np.repeat(np.arange(len(stack.dims)), stack.dims)
-    within = np.concatenate([np.arange(d) for d in stack.dims])
+    block_of_col, within = _layout(stack.dims)
     base = offsets[:, block_of_col]
     cols = np.where(base >= 0, base + within, -1)
     active = cols >= 0
@@ -290,12 +311,11 @@ def lm_solve(problem: SolverProblem) -> SolveReport:
         raise ContractError("nothing to solve: no unfixed block touched by a factor")
 
     x = _table(problem)
-    cost = total_cost(problem, x)
+    cost, g, h = _linearize(problem, x)
     if not np.isfinite(cost):
         raise SolveError(f"initial cost is not finite: {cost}")
     initial_cost = cost
 
-    _, g, h = _linearize(problem, x)
     try:
         pivots = np.diag(np.linalg.cholesky(h)) ** 2
     except np.linalg.LinAlgError:

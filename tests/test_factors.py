@@ -310,6 +310,24 @@ class TestFactorValidation:
         with pytest.raises(ContractError):
             Factor("bogus", np.zeros(1), np.eye(1), constrained=[None])
 
+    def test_nan_measurement_and_information_rejected(self):
+        with pytest.raises(ContractError, match="finite"):
+            Factor(PRIOR_BLOCK, [np.nan], [[np.nan]], [])
+
+    def test_inf_diagonal_rejected(self):
+        with pytest.raises(ContractError, match="finite"):
+            Factor(PRIOR_BLOCK, np.zeros(2), np.diag([1.0, np.inf]), constrained=[None])
+
+    def test_inf_heading_rejected(self):
+        with pytest.raises(ContractError, match="finite"):
+            Factor(PRIOR_POSE, np.array([0.0, 0.0, np.inf]), np.eye(3), constrained=[None])
+
+    def test_nan_below_diagonal_rejected(self):
+        # abs(nan) > 0 is False, so a lower-triangle test alone lets it through
+        with pytest.raises(ContractError, match="finite"):
+            Factor(PRIOR_BLOCK, np.zeros(2), np.array([[1.0, 0.0], [np.nan, 1.0]]),
+                   constrained=[None])
+
 
 class TestStacks:
     """Every kind evaluated on stacks of several rows, each row checked alone.

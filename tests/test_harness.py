@@ -292,10 +292,12 @@ class TestTracerGuard:
             tracer.uninstall()
         assert tracer.missing == []
         totals = tracer.layer_totals()
-        for name in ("solver.linearize", "solver.total_cost", "factors.evaluate",
+        for name in ("solver.linearize", "factors.evaluate",
                      "preint.integrate_step", "preint.state_at_high_rate",
                      "processors.motion", "processors.tracker"):
             assert totals.get(name, (0,))[0] > 0, name
+        # the start's cost comes from its linearization: no separate sweep
+        assert "solver.total_cost" not in totals
 
 
 class TestExtrinsicSelfCalibration:
