@@ -53,11 +53,12 @@ def _cmd_run(args) -> int:
             out_path=args.out,
             truth_path=args.truth,
             metrics_path=args.metrics,
-            print_tree=args.print_tree,
         )
     except (EstimationError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    if args.print_tree:
+        print(app.tree.print_tree(), end="")
     if metrics is not None:
         print(f"ate_rmse: {metrics.ate_rmse:.6g} m over {metrics.keyframes} keyframes")
         if metrics.calib_rel is not None:

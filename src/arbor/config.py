@@ -96,12 +96,11 @@ class ParameterServer:
                               f"got {self._expanded[key]!r}")
 
     def count(self, prefix: str) -> int:
-        """Number of contiguous list entries under a dotted prefix."""
-        n = 0
-        while any(k == f"{prefix}.{n}" or k.startswith(f"{prefix}.{n}.")
-                  for k in self._flat):
-            n += 1
-        return n
+        """Number of entries of the list split under a dotted prefix."""
+        entries = self._expanded.get(prefix, ())
+        if isinstance(entries, dict):
+            raise ConfigError(f"{prefix} must be a list, got {entries!r}")
+        return len(entries)
 
     def unconsumed(self):
         return sorted(k for k in self._flat if k not in self._consumed)

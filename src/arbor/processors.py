@@ -4,14 +4,14 @@ Every processor implements the :class:`Processor` protocol: it reads the
 captures of one sensor (``process_capture``, which may vote for a keyframe),
 attaches its data to keyframes (``attach``, which may decline), and may
 offer a pose estimate (``pose_at``).  :class:`Pipeline` codes the keyframe
-step once.  On a vote at t it looks for a frame within the voter's
-``time_tolerance``: if there is one, only the voter attaches to it.
-Otherwise the vote waits until every processor is ``ready(t)``, that is,
-holds its data for t, or until a capture later than t plus the widest
-``time_tolerance``, another processor's vote or the end of the input comes;
-the voter's own further votes meanwhile are dropped.  Then it adds a frame
-at t and offers it once to the voter, then to the others in installation
-order.  A decline is final and never mutates the tree.
+step once.  A vote at t joins the newest frame if that frame is within the
+voter's ``time_tolerance``: only the voter attaches to it.  Otherwise the
+vote waits until every processor is ``ready(t)``, that is, holds its data
+for t, or until a capture later than t plus the widest ``time_tolerance``,
+another processor's vote or the end of the input comes; the voter's own
+further votes meanwhile are dropped.  Then it adds a frame at t and offers
+it once to the voter, then to the others in installation order.  A decline
+is final and never mutates the tree.
 
 * The motion processor pre-integrates odometry between keyframes, votes on
   distance/angle/time thresholds, and emits one motion factor per interval
@@ -507,7 +507,9 @@ class LoopCloser(Processor):
 
 class Pipeline:
     """Installation-ordered processors sharing one tree; owns the keyframe
-    step.  One vote at a time waits until every processor is ``ready``."""
+    step.  A vote joins the newest frame if it is within the voter's
+    ``time_tolerance``; otherwise one vote at a time waits until every
+    processor is ``ready``."""
 
     def __init__(self, tree, processors):
         self.tree = tree
@@ -522,16 +524,15 @@ class Pipeline:
 
     def pose_at(self, tree, t: float) -> Pose2:
         """Best pose estimate at t: the first processor's that offers one,
-        else the newest frame at or before t."""
+        else the newest frame's, if it is not later than t."""
         for proc in self.processors:
             pose = proc.pose_at(tree, t)
             if pose is not None:
                 return pose
-        try:
-            state = tree.state_at(t)
-        except NotFoundError as exc:
-            raise ContractError(f"no pose estimate available at t={t}") from exc
-        return Pose2(state["p"], float(state["o"][0]))
+        newest = tree.frames()[-1]
+        if tree.node(newest).timestamp > t:
+            raise ContractError(f"no pose estimate available at t={t}")
+        return tree.frame_pose(newest)
 
     def initialize(self, first_frame: T.NodeId):
         for proc in self.processors:
@@ -553,10 +554,11 @@ class Pipeline:
                     if self._vote[1] is proc:
                         continue  # the voter's own vote still waits
                     events.append(self.broadcast())
-                existing = tree.find_frame_near(t, proc.time_tolerance)
-                if existing is not None:
-                    # join the coincident frame instead of making a twin
-                    proc.attach(tree, existing, tree.node(existing).timestamp)
+                # join the newest frame if coincident instead of making a twin;
+                # frames come in time order, so no older one is nearer
+                newest = tree.node(tree.frames()[-1])
+                if abs(newest.timestamp - t) <= proc.time_tolerance:
+                    proc.attach(tree, newest.id, newest.timestamp)
                 else:
                     self._vote = (t, proc)
         if self._vote is not None and all(p.ready(self._vote[0]) for p in self.processors):

@@ -14,8 +14,6 @@ import json
 import math
 import time
 from dataclasses import asdict
-from itertools import groupby
-from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -46,8 +44,7 @@ def build_application(config_path) -> Application:
 
 
 def run(config_path, log_path, out_path=None, truth_path=None,
-        metrics_path=None, print_tree: bool = False,
-        on_keyframe: Optional[Callable] = None):
+        metrics_path=None, on_keyframe: Optional[Callable] = None):
     """Replay a capture log; returns (estimate records, metrics or None).
 
     ``on_keyframe(tree, event, report)`` is called after each keyframe's
@@ -55,14 +52,17 @@ def run(config_path, log_path, out_path=None, truth_path=None,
     """
     app = build_application(config_path)
     return replay(app, log_path, out_path=out_path, truth_path=truth_path,
-                  metrics_path=metrics_path, print_tree=print_tree,
-                  on_keyframe=on_keyframe)
+                  metrics_path=metrics_path, on_keyframe=on_keyframe)
 
 
 def replay(app: Application, log_path, out_path=None, truth_path=None,
-           metrics_path=None, print_tree: bool = False,
-           on_keyframe: Optional[Callable] = None):
-    """Data phase of a run: feed a capture log through a built application."""
+           metrics_path=None, on_keyframe: Optional[Callable] = None):
+    """Data phase of a run: feed a capture log through a built application.
+
+    Records are dispatched one at a time, and each keyframe is solved as soon
+    as the dispatch that made it returns: a record sharing its timestamp with
+    the record that completes a keyframe is dispatched after that solve.
+    """
     t_start = time.perf_counter()
     tree = app.tree
     problem = SolverProblem(app.solver_options)
@@ -80,25 +80,15 @@ def replay(app: Application, log_path, out_path=None, truth_path=None,
     removed = []  # (frame, t, pose) of the frames the window removed
     last_report = None
 
-    # records sharing a timestamp form one instant: all of them are
-    # dispatched before window enforcement and solving, so a keyframe voted
-    # on one sensor can still be joined by the others at the same tick; the
-    # end record makes the frame of a vote still waiting for data
-    for _, instant in groupby(records + [CaptureRecord(math.inf, None, None)],
-                              key=attrgetter("t")):
-        events = []
-        for rec in instant:
-            events += app.pipeline.dispatch(rec.sensor, rec.t, rec.data)
-        for event in events:
+    # the end record makes the frame of a vote still waiting for data
+    for rec in records + [CaptureRecord(math.inf, None, None)]:
+        for event in app.pipeline.dispatch(rec.sensor, rec.t, rec.data):
             if app.window_policy is not None:
                 removed += tree.enforce_window(app.window_policy)
             sync(problem, tree)
             last_report = lm_solve(problem)
             if on_keyframe is not None:
                 on_keyframe(tree, event, last_report)
-
-    if print_tree:
-        print(tree.print_tree(), end="")
 
     live = [(fid, tree.node(fid).timestamp, tree.frame_pose(fid)) for fid in tree.frames()]
     estimates = [

@@ -72,11 +72,14 @@ def read_jsonl(path) -> list:
                 continue
             try:
                 obj = json.loads(line)
-                t = float(obj["t"])
+                t = obj["t"]
+                if type(t) not in (int, float):  # a JSON number; not a bool
+                    raise TypeError(f"timestamp {t!r} is not a number")
+                t = float(t)
                 if not math.isfinite(t):
                     raise ValueError(f"timestamp {t} is not finite")
                 records.append(CaptureRecord(t, str(obj["sensor"]), obj["data"]))
-            except (ValueError, KeyError, TypeError) as exc:
+            except (ValueError, KeyError, TypeError, OverflowError) as exc:
                 raise RecordFormatError(f"bad record at line {line_no}: {exc}") from exc
     return records
 

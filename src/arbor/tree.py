@@ -250,32 +250,6 @@ class ProblemTree:
         return Pose2(node.state_blocks["p"].values.copy(),
                      float(node.state_blocks["o"].values[0]))
 
-    def find_frame_near(self, t: float, tol: float):
-        """Frame whose timestamp is nearest t within tol, or None."""
-        best, best_gap = None, tol
-        for fid in self.frames():
-            gap = abs(self._nodes[fid].timestamp - t)
-            if gap <= best_gap:
-                best, best_gap = fid, gap
-        return best
-
-    def state_at(self, t: Optional[float] = None) -> dict:
-        """Block values of the frame with the largest timestamp <= t.
-
-        With t omitted the last frame wins.  Values are copies.
-        """
-        frames = self.frames()
-        if not frames:
-            raise NotFoundError("tree has no frames")
-        if t is None:
-            chosen = max(frames, key=lambda f: self._nodes[f].timestamp)
-        else:
-            eligible = [f for f in frames if self._nodes[f].timestamp <= t]
-            if not eligible:
-                raise NotFoundError(f"no frame at or before t={t}")
-            chosen = max(eligible, key=lambda f: self._nodes[f].timestamp)
-        return {name: b.values.copy() for name, b in self._nodes[chosen].state_blocks.items()}
-
     def factors_referencing(self, node_id: NodeId) -> list:
         """Factor nodes that constrain a block of node_id, oldest first."""
         return [src for src in self._incoming.get(node_id, ()) if src.kind == FACTOR]

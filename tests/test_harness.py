@@ -2,6 +2,7 @@ import functools
 import importlib.util
 import json
 import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import yaml
 
 import arbor.cli
 import arbor.processors
+import arbor.runner
 from arbor.cli import main
 from arbor.errors import ConfigError, ContractError, RecordFormatError
 from arbor.factors import PRIOR_BLOCK
@@ -50,6 +52,13 @@ landmarks:
 control:
   - {duration: 10.0, v: 0.4, w: 0.2}
 """
+
+
+@dataclass(frozen=True)
+class Timestamp:
+    """A malformed-record case's value for the record's ``t``, not its data."""
+
+    value: object
 
 
 @pytest.fixture(scope="module")
@@ -231,6 +240,37 @@ class TestRunner:
         poses = [r for r in est if r.sensor == "estimate"]
         assert [r.t for r in poses] == [0.0, 0.25]
         np.testing.assert_allclose(poses[1].data, [0.6, 0.0, 0.0], atol=1e-9)
+
+    def test_keyframe_solved_before_next_record_at_its_time(self, tmp_path, monkeypatch):
+        # the odometry sample at 0.25 completes a keyframe (the scan at 0.25
+        # is in); a second scan at 0.25 follows it in the log
+        def scan(x):
+            return [[i, math.hypot(px - x, py), math.atan2(py, px - x)]
+                    for i, (px, py) in enumerate([(1.0, 0.0), (2.0, 1.0), (3.0, -1.0)])]
+
+        records = [CaptureRecord(0.0, "rb0", scan(0.0))]
+        records += [CaptureRecord(0.05 * k, "odom0", [1.2, 1.2]) for k in range(1, 5)]
+        records += [CaptureRecord(0.25, "rb0", scan(0.6)), CaptureRecord(0.25, "odom0", [1.2, 1.2]),
+                    CaptureRecord(0.25, "rb0", scan(0.6))]
+        log = tmp_path / "log.jsonl"
+        write_jsonl(records, log)
+        seen = []
+        dispatch = arbor.processors.Pipeline.dispatch
+        solve = arbor.runner.lm_solve
+
+        def dispatch_spy(self, sensor_name, t, data):
+            seen.append((sensor_name, t))
+            return dispatch(self, sensor_name, t, data)
+
+        def solve_spy(problem):
+            seen.append("solve")
+            return solve(problem)
+
+        monkeypatch.setattr(arbor.processors.Pipeline, "dispatch", dispatch_spy)
+        monkeypatch.setattr(arbor.runner, "lm_solve", solve_spy)
+        run(DATA / "demo_config.yaml", log)
+        assert seen[-4:] == [("odom0", 0.25), "solve", ("rb0", 0.25), (None, math.inf)]
+        assert seen.count("solve") == 1
 
 
 class TestNonPositiveRange:
@@ -438,6 +478,10 @@ class TestCli:
         ("demo_config.yaml", "lambda_init: 1.0e-4", "lambda_init: {a: 1}", "solver.lambda_init"),
         ("demo_config.yaml", "extrinsic: {state: [0.0, 0.0, 0.0], fixed: true}",
          "extrinsic: {state: [[0.0], 0.0, 0.0], fixed: true}", "sensors.0.extrinsic.state"),
+        ("demo_config.yaml", "  - name: tracker\n", "  - {}\n  - name: tracker\n",
+         "processors.1.type"),
+        ("demo_config.yaml", "solver:\n",
+         "map:\n  landmarks: {a: {id: 1, p: [1.0, 2.0]}}\nsolver:\n", "map.landmarks"),
     ], ids=["n_frames", "max_dist", "association", "max_iterations", "sigma_p", "lambda_init",
             "gate", "tick_std_zero", "tick_std_negative", "range_std", "time_tolerance",
             "intrinsic_sigma", "sigma_p_nan", "extrinsic_sigma_nan", "extrinsic_sigma_negative",
@@ -451,7 +495,7 @@ class TestCli:
             "sensor_name_list", "processor_sensor_list", "sensor_type_list",
             "processor_type_list", "tree_manager_type_list", "processor_name_list",
             "association_list", "processor_type_unknown", "lambda_init_mapping",
-            "extrinsic_state_nested_list"])
+            "extrinsic_state_nested_list", "processor_entry_empty", "landmarks_mapping"])
     def test_bad_config_value_exit_code(self, tmp_path, capsys, config, old, new, key):
         """A bad value exits 2 with a one-line message naming its key."""
         text = (DATA / config).read_text()
@@ -578,14 +622,24 @@ class TestCli:
         ("odom0", [10**400, 0.0]),  # a tick too large for a float
         ("odom0", [float("nan"), 0.0]),  # written as NaN, which JSON readers accept
         ("odom0", [float("inf"), 0.0]),  # written as Infinity
+        pytest.param("odom0", Timestamp("1.0"), id="t_string"),
+        pytest.param("odom0", Timestamp(True), id="t_boolean"),
+        pytest.param("odom0", Timestamp(10**400), id="t_too_large"),  # no float holds it
     ])
     def test_malformed_record_exit_code(self, small_logs, tmp_path, capsys, sensor, data):
         lines = small_logs[0].read_text().splitlines()
-        k = [i for i, line in enumerate(lines) if json.loads(line)["sensor"] == sensor][10]
+        records = [json.loads(line) for line in lines]
+        k = [i for i, rec in enumerate(records) if rec["sensor"] == sensor][10]
         if data is None:
             lines[k] = lines[k][:-1]
+        elif isinstance(data, Timestamp):
+            # the record at t=1.0, so that the value read as a float (1.0)
+            # keeps the log in time order
+            k = next(i for i, rec in enumerate(records)
+                     if rec["sensor"] == sensor and rec["t"] == 1.0)
+            lines[k] = json.dumps({**records[k], "t": data.value})
         else:
-            lines[k] = json.dumps({**json.loads(lines[k]), "data": data})
+            lines[k] = json.dumps({**records[k], "data": data})
         log = tmp_path / "log.jsonl"
         log.write_text("\n".join(lines) + "\n")
         est = tmp_path / "est.jsonl"
@@ -593,6 +647,8 @@ class TestCli:
                      "--log", str(log), "--out", str(est)]) == 3
         err = capsys.readouterr().err
         assert "bad" in err and "Traceback" not in err
+        if isinstance(data, Timestamp):
+            assert f"line {k + 1}:" in err
 
     @pytest.mark.parametrize("rng", [0.0, -0.5])
     def test_nonpositive_range_exit_code(self, small_logs, tmp_path, capsys, rng):
@@ -620,6 +676,14 @@ class TestCli:
                      "--log", str(log), "--out", str(est), "--print-tree"]) == 0
         out = capsys.readouterr().out
         assert "Problem#0" in out and "Sensor#" in out
+
+    def test_failed_run_prints_no_tree(self, small_logs, tmp_path, capsys):
+        """--print-tree prints the tree of a successful run only."""
+        log, _ = small_logs
+        assert main(["run", "--config", str(DATA / "demo_config.yaml"), "--log", str(log),
+                     "--out", str(tmp_path / "est.jsonl"),
+                     "--truth", str(tmp_path / "missing" / "t.jsonl"), "--print-tree"]) == 3
+        assert capsys.readouterr().out == ""
 
 
 def _set_tick(rec, rng, value):

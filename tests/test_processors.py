@@ -520,6 +520,18 @@ class TestPipeline:
         pose = pipe.pose_at(tr, 0.5)
         np.testing.assert_allclose(pose.as_array(), [0.5, 0.0, 0.0], atol=1e-12)
 
+    def test_pose_falls_back_to_newest_frame(self):
+        # no processor offers a pose: the newest frame's holds from its time on
+        tr, _, _, first = build_tree()
+        newest = tr.add_frame(1.0, Pose2(np.array([1.0, 2.0]), 0.3))
+        pipe = Pipeline(tr, [Stamp()])
+        pipe.initialize(first)
+        for t in (1.0, 2.5):
+            np.testing.assert_array_equal(pipe.pose_at(tr, t).as_array(),
+                                          tr.frame_pose(newest).as_array())
+        with pytest.raises(ContractError, match="no pose estimate available at t=0.5"):
+            pipe.pose_at(tr, 0.5)
+
     def test_held_join_tracker_ahead_of_odometry(self):
         # the scan at 0.5 comes before the odometry sample at 0.5: the
         # tracker votes on its empty map, the motion processor has no sample

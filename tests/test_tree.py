@@ -217,33 +217,6 @@ class TestRemove:
             tr.remove(T.NodeId(T.FRAME, 12345))
 
 
-class TestStateAt:
-    def test_floor_semantics(self):
-        tr = T.ProblemTree()
-        add_frame(tr, 0.0, x=0.0)
-        add_frame(tr, 1.0, x=1.0)
-        add_frame(tr, 2.0, x=2.0)
-        state = tr.state_at(1.5)
-        assert state["p"][0] == 1.0
-
-    def test_no_frames(self):
-        tr = T.ProblemTree()
-        with pytest.raises(NotFoundError):
-            tr.state_at(0.0)
-
-    def test_before_first_frame(self):
-        tr = T.ProblemTree()
-        add_frame(tr, 1.0)
-        with pytest.raises(NotFoundError):
-            tr.state_at(0.5)
-
-    def test_omitted_t_gives_last(self):
-        tr = T.ProblemTree()
-        add_frame(tr, 0.0, x=0.0)
-        add_frame(tr, 2.0, x=2.0)
-        assert tr.state_at()["p"][0] == 2.0
-
-
 class TestNotifications:
     def test_empty_queue(self):
         tr = T.ProblemTree()
