@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -263,12 +264,8 @@ def _create_loop_closer(server, prefix, name, sensor_id, sensor_name, _info):
     )
 
 
-def _manager_fix_oldest(server, prefix):
-    return T.WindowPolicy(T.FIX_OLDEST, _positive(server, f"{prefix}.n_frames", integer=True))
-
-
-def _manager_remove_with_prior(server, prefix):
-    return T.WindowPolicy(T.REMOVE_WITH_PRIOR, _positive(server, f"{prefix}.n_frames", integer=True))
+def _manager_window(variant, server, prefix):
+    return T.WindowPolicy(variant, _positive(server, f"{prefix}.n_frames", integer=True))
 
 
 def _manager_none(server, prefix):
@@ -282,8 +279,8 @@ def default_registry() -> CreatorRegistry:
     reg.register("processor", "motion_diff_drive", _create_motion_processor)
     reg.register("processor", "tracker_landmark_2d", _create_tracker)
     reg.register("processor", "loop_closure_2d", _create_loop_closer)
-    reg.register("tree_manager", "fix_oldest", _manager_fix_oldest)
-    reg.register("tree_manager", "remove_with_prior", _manager_remove_with_prior)
+    for variant in (T.FIX_OLDEST, T.REMOVE_WITH_PRIOR):
+        reg.register("tree_manager", variant, partial(_manager_window, variant))
     reg.register("tree_manager", "none", _manager_none)
     return reg
 

@@ -87,8 +87,11 @@ def whiten(q: np.ndarray) -> np.ndarray:
     q = np.atleast_2d(np.asarray(q, dtype=float))
     if q.shape[0] != q.shape[1]:
         raise ContractError(f"covariance must be square, got {q.shape}")
+    scale = float(np.abs(q).max())
+    if not scale < np.inf:  # inf, or NaN, which the max carries
+        raise DecompositionError("covariance is not finite")
     # np.allclose costs more than the inverse and the factor together
-    if not np.abs(q - q.T).max() <= 1e-9 * max(1.0, float(np.abs(q).max())):
+    if not np.abs(q - q.T).max() <= 1e-9 * max(1.0, scale):
         raise DecompositionError("covariance is not symmetric")
     try:
         inv = np.linalg.inv(q)

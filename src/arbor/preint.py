@@ -23,11 +23,10 @@ step delta (x, y, theta) as tuples, Jacobians as tuples of rows.  Steps 3-5
 are the same recursion as their matrix form, written out on floats (Forster
 et al., TRO 2017; Lupton & Sukkarieh, TRO 2012): Phi Q Phi^T touches the 6
 unique entries of Q, and Phi J_D_c the 3 * calib_dim entries of J_D_c.  An
-entry shows the moments as arrays and the delta as a :class:`Pose2` when
-read.  The stored delta is re-corrected to first order for calibration
-values that moved away from the integration-time guess,
-D(c) = D (+) J_D_c (c - c_bar), in one place only: the motion factor's
-residual kernel, ``factors._motion``.
+entry shows the moments as arrays when read.  The stored delta is
+re-corrected to first order for calibration values that moved away from the
+integration-time guess, D(c) = D (+) J_D_c (c - c_bar), in one place only:
+the motion factor's residual kernel, ``factors._motion``.
 
 High-rate state queries compose the buffer origin pose with the delta
 accumulated up to the query time.
@@ -124,11 +123,6 @@ class PreintEntry:
     delta: tuple
     q: tuple
     j: list
-
-    @property
-    def delta_bar(self) -> Pose2:
-        x, y, theta = self.delta
-        return Pose2(np.array([x, y]), theta)
 
     @property
     def q_delta(self) -> np.ndarray:

@@ -9,9 +9,9 @@ voter's ``time_tolerance``: only the voter attaches to it.  Otherwise the
 vote waits until every processor is ``ready(t)``, that is, holds its data
 for t, or until a capture later than t plus the widest ``time_tolerance``,
 another processor's vote or the end of the input comes; the voter's own
-further votes meanwhile are dropped.  Then it adds a frame at t and offers
-it once to the voter, then to the others in installation order.  A decline
-is final and never mutates the tree.
+further votes meanwhile are dropped.  Then it adds a frame at t with
+``Pipeline.pose_at``'s pose and offers it once to the voter, then to the
+others in installation order.  A decline is final and never mutates the tree.
 
 * The motion processor pre-integrates odometry between keyframes, votes on
   distance/angle/time thresholds, and emits one motion factor per interval
@@ -31,6 +31,7 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -61,6 +62,10 @@ from .preint import (
     split_buffer,
     state_at_high_rate,
 )
+
+
+# JSON values that float() and int() read although they are not numbers
+_NOT_NUMBERS = frozenset((str, bool))
 
 
 @dataclass
@@ -181,14 +186,12 @@ class MotionProcessor(Processor):
     def process_capture(self, tree, t: float, data) -> Optional[bool]:
         if self.buffer is None:
             raise ContractError(f"motion processor {self.name} has no origin yet")
-        if not isinstance(data, (list, tuple, np.ndarray)):
-            raise RecordFormatError(f"bad {self.sensor_name} record at t={t}: "
-                                    f"expected a list of wheel ticks, got {data!r}")
         try:
             ticks = tuple(map(float, data))
         except (TypeError, ValueError, OverflowError) as exc:
             raise RecordFormatError(f"bad {self.sensor_name} record at t={t}: {exc}") from exc
-        if len(ticks) != len(self.q_u) or not all(map(math.isfinite, ticks)):
+        if (len(ticks) != len(self.q_u) or not all(map(math.isfinite, ticks))
+                or not _NOT_NUMBERS.isdisjoint(map(type, data))):
             raise RecordFormatError(f"bad {self.sensor_name} record at t={t}: "
                                     f"expected {len(self.q_u)} finite wheel ticks, got {data!r}")
         integrate_step(self.buffer, t, ticks, self.q_u)
@@ -310,9 +313,12 @@ class LandmarkTracker(Processor):
         """(raw id, (range, bearing), matched landmark or None, world point) per entry."""
         parsed = []
         try:
+            if not _NOT_NUMBERS.isdisjoint(map(type, chain.from_iterable(scan))):
+                bad = next(v for v in chain.from_iterable(scan) if type(v) in _NOT_NUMBERS)
+                raise ValueError(f"{bad!r} is not a number")
             for m in scan:
-                if len(m) not in (2, 3):
-                    raise ValueError(f"entry {m!r} is not [id, range, bearing] "
+                if len(m) not in (2, 3) or len(m) == 3 and m[0] != int(m[0]):
+                    raise ValueError(f"entry {m!r} is not [integer id, range, bearing] "
                                      "or [range, bearing]")
                 rng, brg = float(m[-2]), float(m[-1])
                 if not (math.isfinite(rng) and math.isfinite(brg)):
@@ -411,7 +417,7 @@ class LoopCloser(Processor):
         self.sqrt_info = np.diag([1.0 / sigma_p, 1.0 / sigma_p, 1.0 / sigma_o])
 
     def _observations(self, tree, frame: T.NodeId) -> dict:
-        """Raw landmark id -> (range, bearing) seen from a frame by our sensor."""
+        """Raw landmark id -> sensor-frame point (x, y) seen from a frame by our sensor."""
         out = {}
         for capture in tree.children(frame, T.CAPTURE):
             if self.sensor_id not in tree.node(capture).refs:
@@ -420,16 +426,9 @@ class LoopCloser(Processor):
                 info = tree.node(feature).payload
                 if isinstance(info, RawIdInfo) and info.raw_id is not None:
                     (factor,) = tree.children(feature, T.FACTOR)
-                    out[info.raw_id] = tree.node(factor).payload.z
+                    rng, brg = tree.node(factor).payload.z.tolist()
+                    out[info.raw_id] = (rng * math.cos(brg), rng * math.sin(brg))
         return out
-
-    @staticmethod
-    def _local_points(obs: dict, ids) -> dict:
-        return {
-            i: np.array([obs[i][0] * math.cos(obs[i][1]),
-                         obs[i][0] * math.sin(obs[i][1])])
-            for i in ids
-        }
 
     @staticmethod
     def align(points_a: list, points_b: list):
@@ -469,20 +468,17 @@ class LoopCloser(Processor):
             dist = float(np.linalg.norm(tree.frame_pose(cand).p - cur_pose.p))
             if dist > self.radius:
                 continue
-            shared = sorted(set(cur_obs) & set(self._observations(tree, cand)))
+            cand_obs = self._observations(tree, cand)
+            shared = sorted(set(cur_obs) & set(cand_obs))
             if len(shared) < self.min_shared_landmarks:
                 continue
             key = (len(shared), -dist)
             if best is None or key > best[0]:
-                best = (key, cand, shared)
+                best = (key, cand, shared, cand_obs)
         if best is None:
             return None
-        _, cand, shared = best
-
-        cand_obs = self._observations(tree, cand)
-        pts_a = self._local_points(cand_obs, shared)
-        pts_b = self._local_points(cur_obs, shared)
-        theta, t = self.align([pts_a[i] for i in shared], [pts_b[i] for i in shared])
+        _, cand, shared, cand_obs = best
+        theta, t = self.align([cand_obs[i] for i in shared], [cur_obs[i] for i in shared])
 
         # sensor-frame transform conjugated into the robot frame: ext o T o ext^-1
         ext = sensor_extrinsic(tree, self.sensor_id)
@@ -509,7 +505,7 @@ class Pipeline:
     """Installation-ordered processors sharing one tree; owns the keyframe
     step.  A vote joins the newest frame if it is within the voter's
     ``time_tolerance``; otherwise one vote at a time waits until every
-    processor is ``ready``."""
+    processor is ``ready``.  A new frame's pose is :meth:`pose_at`'s."""
 
     def __init__(self, tree, processors):
         self.tree = tree
@@ -569,8 +565,7 @@ class Pipeline:
         """Make the waiting vote's frame and offer it once to the voter, then
         to the others in installation order."""
         (t, voter), self._vote = self._vote, None
-        pose = voter.pose_at(self.tree, t) or self.pose_at(self.tree, t)
-        event = KeyframeEvent(t, self.tree.add_frame(t, pose))
+        event = KeyframeEvent(t, self.tree.add_frame(t, self.pose_at(self.tree, t)))
         for proc in [voter] + [p for p in self.processors if p is not voter]:
             proc.attach(self.tree, event.frame, t)
         return event

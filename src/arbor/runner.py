@@ -43,18 +43,6 @@ def build_application(config_path) -> Application:
         raise ConfigError(f"bad config value: {exc}") from exc
 
 
-def run(config_path, log_path, out_path=None, truth_path=None,
-        metrics_path=None, on_keyframe: Optional[Callable] = None):
-    """Replay a capture log; returns (estimate records, metrics or None).
-
-    ``on_keyframe(tree, event, report)`` is called after each keyframe's
-    window enforcement and solve, mainly for tests and instrumentation.
-    """
-    app = build_application(config_path)
-    return replay(app, log_path, out_path=out_path, truth_path=truth_path,
-                  metrics_path=metrics_path, on_keyframe=on_keyframe)
-
-
 def replay(app: Application, log_path, out_path=None, truth_path=None,
            metrics_path=None, on_keyframe: Optional[Callable] = None):
     """Data phase of a run: feed a capture log through a built application.

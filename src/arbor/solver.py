@@ -260,12 +260,8 @@ def _table(problem: SolverProblem) -> np.ndarray:
 
 
 def total_cost(problem: SolverProblem, x: np.ndarray) -> float:
-    """Sum of ||r||^2/2 over all factors at the value table ``x``."""
-    cost = 0.0
-    for stack in problem.stacks.values():
-        r, _ = evaluate(stack, x, False)
-        cost += 0.5 * float(np.einsum("ij,ij->", r, r))
-    return cost
+    """Sum of ||r||^2/2 over all factors at the value table ``x``, as linearized."""
+    return _linearize(problem, x)[0]
 
 
 def _stepped(problem: SolverProblem, x: np.ndarray, dx: np.ndarray) -> np.ndarray:
@@ -280,9 +276,9 @@ def _linearize(problem: SolverProblem, x: np.ndarray):
     """Cost, gradient and normal equations at the value table ``x``, one
     kernel call per stack.
 
-    The cost sums every stack in order, as :func:`total_cost` does.  Each
-    stack's Jᵀr and JᵀJ entries on active columns are scattered into g and
-    H with one bincount each; fixed columns are left out.
+    The cost sums every stack in order.  Each stack's Jᵀr and JᵀJ entries on
+    active columns are scattered into g and H with one bincount each; a stack
+    with none is evaluated for its residuals only.
     """
     n = problem.total_dim
     cost = 0.0

@@ -36,7 +36,7 @@ from arbor.preint import (
     integrate_step,
     state_at_high_rate,
 )
-from arbor.runner import run
+from arbor.runner import build_application, replay
 from arbor.sim import load_scenario, simulate, write_jsonl
 
 from fdcheck import central_diff, delta_diff, numeric_jacobian, stack_of, wrap_angle
@@ -139,7 +139,7 @@ class TestCriterion1Jacobians:
         buf = integrated_buffer(rng, n=3)
         tail = buf.entries[-1]
         aux = MotionData(tail.j_delta_c, C_NOM.copy())
-        factor = Factor(MOTION, tail.delta_bar.as_array(),
+        factor = Factor(MOTION, as_pose(tail.delta).as_array(),
                         moderate_whiten(tail.q_delta), constrained=[None] * 5, aux=aux)
         blocks = [*self._pose_blocks(rng), *self._pose_blocks(rng),
                   StateBlock(C_NOM * rng.uniform(0.9, 1.1, 3))]
@@ -191,14 +191,14 @@ class TestCriterion1Jacobians:
                 for s in pre:
                     integrate_step(buf, *s)
                 entry = integrate_step(buf, 1.0, tuple(u_vec), ZERO_Q)
-                return entry.delta_bar.as_array()
+                return as_pose(entry.delta).as_array()
 
             buf = PreintBuffer(None, 0.0, c, MODEL)
             for s in pre:
                 integrate_step(buf, *s)
             v, j_v_u, j_v_c = MODEL.precalibrate(u_probe, c)
             delta, j_delta_v = MODEL.compute_delta(v)
-            _, _, j_dd = pose_compose(buf.tail.delta_bar, as_pose(delta))
+            _, _, j_dd = pose_compose(as_pose(buf.tail.delta), as_pose(delta))
             chain = j_dd @ j_delta_v @ j_v_u
             worst = max(worst, np.max(np.abs(chain - central_diff(one_step, u_probe))))
             fd_c = central_diff(lambda cc: MODEL.precalibrate(u_probe, cc)[0], c)
@@ -222,8 +222,8 @@ class TestCriterion2SegmentComposition:
                 integrate_step(head, *s)
             for s in samples[k:]:
                 integrate_step(tail, *s)
-            composed, _, _ = pose_compose(head.tail.delta_bar, tail.tail.delta_bar)
-            worst = max(worst, np.max(np.abs(delta_diff(composed, full.tail.delta_bar))))
+            composed, _, _ = pose_compose(as_pose(head.tail.delta), as_pose(tail.tail.delta))
+            worst = max(worst, np.max(np.abs(delta_diff(composed, as_pose(full.tail.delta)))))
         report(2, worst < 1e-12, f"max split-compose mismatch {worst:.2e} (< 1e-12) "
                                  f"over 100 trajectories")
 
@@ -254,7 +254,7 @@ class TestCriterion3CovarianceConsistency:
             x = x + cx * np.cos(th) - cy * np.sin(th)
             y = y + cx * np.sin(th) + cy * np.cos(th)
             th = th + turn
-        nominal = buf.tail.delta_bar.as_array()
+        nominal = as_pose(buf.tail.delta).as_array()
         devs = np.stack([x - nominal[0], y - nominal[1], wrap_angle(th - nominal[2])],
                         axis=1)
         sample_cov = np.cov(devs.T)
@@ -283,7 +283,7 @@ class TestCriterion4CorrectionOrder:
             for s in samples:
                 integrate_step(reint, *s)
             errs.append(np.linalg.norm(correction_error(base.tail, c, C_NOM,
-                                                        reint.tail.delta_bar)))
+                                                        as_pose(reint.tail.delta))))
         slope = float(np.polyfit(np.log(epsilons), np.log(errs), 1)[0])
         ok = 1.8 <= slope <= 2.2
         report(4, ok, f"log-log slope {slope:.3f} (2.0 +/- 0.2)")
@@ -297,7 +297,7 @@ class TestCriterion5ZeroNoiseEndToEnd:
         log, truth_p = tmp_path / "log.jsonl", tmp_path / "truth.jsonl"
         write_jsonl(caps, log)
         write_jsonl(truth, truth_p)
-        est, metrics = run(DATA / "demo_config.yaml", log, truth_path=truth_p)
+        est, metrics = replay(build_application(DATA / "demo_config.yaml"), log, truth_path=truth_p)
         elapsed = time.perf_counter() - t0
         landmarks = sum(1 for r in est if r.sensor == "estimate_landmark")
         ok = (metrics.ate_rmse < 1e-6 and metrics.final_cost < 1e-10
@@ -319,7 +319,8 @@ class TestCriterion6SelfCalibration:
             truth_p = tmp_path / f"truth_{seed}.jsonl"
             write_jsonl(caps, log)
             write_jsonl(truth, truth_p)
-            _, metrics = run(DATA / "calib_config.yaml", log, truth_path=truth_p)
+            _, metrics = replay(build_application(DATA / "calib_config.yaml"), log,
+                                truth_path=truth_p)
             rels.append(metrics.calib_rel)
         median = np.median(np.array(rels), axis=0)
         elapsed = time.perf_counter() - t0
@@ -340,8 +341,10 @@ class TestCriterion7LoopClosureBenefit:
             truth_p = tmp_path / f"truth_{seed}.jsonl"
             write_jsonl(caps, log)
             write_jsonl(truth, truth_p)
-            _, m_on = run(DATA / "loop_config_on.yaml", log, truth_path=truth_p)
-            _, m_off = run(DATA / "loop_config_off.yaml", log, truth_path=truth_p)
+            _, m_on = replay(build_application(DATA / "loop_config_on.yaml"), log,
+                             truth_path=truth_p)
+            _, m_off = replay(build_application(DATA / "loop_config_off.yaml"), log,
+                              truth_path=truth_p)
             with_loop.append(m_on.ate_rmse)
             without_loop.append(m_off.ate_rmse)
         med_on = float(np.median(with_loop))
@@ -365,7 +368,7 @@ class TestCriterion8SlidingWindow:
                           if any(not b.fixed for b in tree.node(f).state_blocks.values()))
             stats.append((len(frames), unfixed))
 
-        run(DATA / config, log, on_keyframe=spy)
+        replay(build_application(DATA / config), log, on_keyframe=spy)
         return stats
 
     def test_both_policies(self, tmp_path):

@@ -19,6 +19,7 @@ from arbor.manifold import ANGLE, Pose2, StateBlock, pose_compose
 from arbor.preint import DiffDriveModel, PreintBuffer, integrate_step
 
 from fdcheck import evaluate_one, numeric_jacobian, stack_of
+from test_preint import as_pose
 
 C_NOM = np.array([0.1, 0.1, 0.5])
 
@@ -46,7 +47,7 @@ def motion_factor(rng):
         u = u * (10.0 / scale)
     return Factor(
         kind=MOTION,
-        z=tail.delta_bar.as_array(),
+        z=as_pose(tail.delta).as_array(),
         sqrt_info=u,
         constrained=[("fi", "p"), ("fi", "o"), ("fj", "p"), ("fj", "o"), ("s", "intrinsic")],
         aux=aux,
@@ -85,6 +86,16 @@ class TestWhiten:
         with pytest.raises(DecompositionError):
             whiten(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
+    def test_infinite_rejected(self):
+        with pytest.raises(DecompositionError, match="not finite"):
+            whiten(np.diag([np.inf, 1.0, 1.0]))
+
+    def test_nan_rejected(self):
+        q = np.eye(3)
+        q[0, 1] = np.nan
+        with pytest.raises(DecompositionError, match="not finite"):
+            whiten(q)
+
 
 class TestMotionFactor:
     def test_zero_at_consistent_triple(self):
@@ -100,10 +111,10 @@ class TestMotionFactor:
         rng = np.random.default_rng(22)
         tail, aux = integrated_motion_data(rng)
         sigma = np.array([0.05, 0.07, 0.02])
-        f = Factor(MOTION, tail.delta_bar.as_array(), np.diag(1.0 / sigma),
+        f = Factor(MOTION, as_pose(tail.delta).as_array(), np.diag(1.0 / sigma),
                    constrained=[None] * 5, aux=aux)
         xi = Pose2.identity()
-        xj, _, _ = pose_compose(xi, tail.delta_bar)
+        xj, _, _ = pose_compose(xi, as_pose(tail.delta))
         eps = 1e-3
         res = evaluate_one(f, [xi.p, [xi.theta], xj.p + np.array([eps, 0.0]), [xj.theta], C_NOM])
         assert np.linalg.norm(res.r) == pytest.approx(eps / sigma[0], rel=1e-6)
@@ -112,9 +123,9 @@ class TestMotionFactor:
         rng = np.random.default_rng(23)
         tail, aux = integrated_motion_data(rng)
         lam = 16.0
-        f1 = Factor(MOTION, tail.delta_bar.as_array(), whiten(tail.q_delta),
+        f1 = Factor(MOTION, as_pose(tail.delta).as_array(), whiten(tail.q_delta),
                     constrained=[None] * 5, aux=aux)
-        f2 = Factor(MOTION, tail.delta_bar.as_array(), whiten(lam * tail.q_delta),
+        f2 = Factor(MOTION, as_pose(tail.delta).as_array(), whiten(lam * tail.q_delta),
                     constrained=[None] * 5, aux=aux)
         xi = Pose2(np.array([1.0, -2.0]), 0.3)
         xj = Pose2(np.array([1.5, -1.0]), 0.7)

@@ -16,7 +16,7 @@ from arbor.cli import main
 from arbor.errors import ConfigError, ContractError, RecordFormatError
 from arbor.factors import PRIOR_BLOCK
 from arbor.metrics import compute_ate, compute_calib_error
-from arbor.runner import build_application, replay, run
+from arbor.runner import build_application, replay
 from arbor.sim import (
     CaptureRecord,
     load_scenario,
@@ -148,8 +148,8 @@ class TestRunner:
     def test_small_zero_noise_run(self, small_logs, tmp_path):
         log, truth = small_logs
         out = tmp_path / "est.jsonl"
-        est, metrics = run(DATA / "demo_config.yaml", log, out_path=out,
-                           truth_path=truth)
+        est, metrics = replay(build_application(DATA / "demo_config.yaml"), log, out_path=out,
+                              truth_path=truth)
         assert metrics.ate_rmse < 1e-6
         assert metrics.final_cost < 1e-10
         assert out.exists()
@@ -161,7 +161,7 @@ class TestRunner:
     def test_empty_log_keeps_initial_frame(self, tmp_path):
         log = tmp_path / "empty.jsonl"
         log.write_text("")
-        est, _ = run(DATA / "demo_config.yaml", log)
+        est, _ = replay(build_application(DATA / "demo_config.yaml"), log)
         poses = [r for r in est if r.sensor == "estimate"]
         assert len(poses) == 1
         np.testing.assert_allclose(poses[0].data, [0.0, 0.0, 0.0])
@@ -170,7 +170,7 @@ class TestRunner:
         log = tmp_path / "ghost.jsonl"
         log.write_text('{"t": 0.0, "sensor": "ghost", "data": [0.0, 0.0]}\n')
         with pytest.raises(RecordFormatError, match="log references unknown sensor"):
-            run(DATA / "demo_config.yaml", log)
+            replay(build_application(DATA / "demo_config.yaml"), log)
 
     def test_nonmonotonic_log_rejected(self, tmp_path):
         log = tmp_path / "bad.jsonl"
@@ -179,13 +179,13 @@ class TestRunner:
             '{"t": 0.5, "sensor": "odom0", "data": [0.1, 0.1]}\n'
         )
         with pytest.raises(RecordFormatError, match="goes back in time"):
-            run(DATA / "demo_config.yaml", log)
+            replay(build_application(DATA / "demo_config.yaml"), log)
 
     def test_estimate_files_deterministic(self, small_logs, tmp_path):
         log, _ = small_logs
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        run(DATA / "demo_config.yaml", log, out_path=a)
-        run(DATA / "demo_config.yaml", log, out_path=b)
+        replay(build_application(DATA / "demo_config.yaml"), log, out_path=a)
+        replay(build_application(DATA / "demo_config.yaml"), log, out_path=b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_processor_names_need_not_be_unique(self, tmp_path):
@@ -196,8 +196,8 @@ class TestRunner:
         renamed.write_text((DATA / "demo_config.yaml").read_text().replace(
             "  - name: tracker\n", "  - name: odom\n"))
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        run(DATA / "demo_config.yaml", log, out_path=a)
-        run(renamed, log, out_path=b)
+        replay(build_application(DATA / "demo_config.yaml"), log, out_path=a)
+        replay(build_application(renamed), log, out_path=b)
         assert renamed.read_text() != (DATA / "demo_config.yaml").read_text()
         assert a.read_bytes() == b.read_bytes()
 
@@ -212,7 +212,7 @@ class TestRunner:
             return original(self, sensor_name, t, data)
 
         monkeypatch.setattr(arbor.processors.Pipeline, "dispatch", spy)
-        run(DATA / "demo_config.yaml", log)
+        replay(build_application(DATA / "demo_config.yaml"), log)
         # then the end of the input, once
         assert seen == [(r.sensor, r.t) for r in records] + [(None, math.inf)]
 
@@ -233,8 +233,8 @@ class TestRunner:
 
         monkeypatch.setattr(arbor.processors.Pipeline, "dispatch", spy)
         solved = []
-        est, _ = run(DATA / "demo_config.yaml", log,
-                     on_keyframe=lambda tree, event, report: solved.append(event))
+        est, _ = replay(build_application(DATA / "demo_config.yaml"), log,
+                        on_keyframe=lambda tree, event, report: solved.append(event))
         assert returned == [(None, solved[0])]
         assert [event.t for event in solved] == [0.25]
         poses = [r for r in est if r.sensor == "estimate"]
@@ -268,7 +268,7 @@ class TestRunner:
 
         monkeypatch.setattr(arbor.processors.Pipeline, "dispatch", dispatch_spy)
         monkeypatch.setattr(arbor.runner, "lm_solve", solve_spy)
-        run(DATA / "demo_config.yaml", log)
+        replay(build_application(DATA / "demo_config.yaml"), log)
         assert seen[-4:] == [("odom0", 0.25), "solve", ("rb0", 0.25), (None, math.inf)]
         assert seen.count("solve") == 1
 
@@ -326,8 +326,8 @@ class TestTracerGuard:
         tracer = tracer_mod.Tracer()
         tracer.install()
         try:
-            run(DATA / "demo_config.yaml", small_logs[0],
-                on_keyframe=lambda *_: tracer.on_keyframe())
+            replay(build_application(DATA / "demo_config.yaml"), small_logs[0],
+                   on_keyframe=lambda *_: tracer.on_keyframe())
         finally:
             tracer.uninstall()
         assert tracer.missing == []
@@ -625,6 +625,14 @@ class TestCli:
         pytest.param("odom0", Timestamp("1.0"), id="t_string"),
         pytest.param("odom0", Timestamp(True), id="t_boolean"),
         pytest.param("odom0", Timestamp(10**400), id="t_too_large"),  # no float holds it
+        # values that float() and int() read although they are not JSON numbers
+        pytest.param("odom0", ["0.13", "0.15"], id="ticks_strings"),
+        pytest.param("odom0", [True, False], id="ticks_booleans"),
+        pytest.param("rb0", [[0, "1.0", 0.1]], id="range_string"),
+        pytest.param("rb0", [[0, 1.0, True]], id="bearing_boolean"),
+        pytest.param("rb0", [[0.5, 1.0, 0.1]], id="id_fraction"),  # int() made it 0
+        pytest.param("rb0", [[True, 1.0, 0.1]], id="id_boolean"),
+        pytest.param("rb0", [{"a": 1.0, "b": 0.1}], id="entry_object"),  # was a KeyError
     ])
     def test_malformed_record_exit_code(self, small_logs, tmp_path, capsys, sensor, data):
         lines = small_logs[0].read_text().splitlines()

@@ -31,7 +31,7 @@ def correction_error(tail, c, c_bar, target):
     """D(c) (-) target, with D(c) the calibration correction of ``tail``'s
     delta to ``c`` as the motion kernel applies it: the kernel's residual
     for unit sqrt_info, xi at the identity and xj = target."""
-    factor = Factor(MOTION, tail.delta_bar.as_array(), np.eye(3),
+    factor = Factor(MOTION, as_pose(tail.delta).as_array(), np.eye(3),
                     constrained=[None] * 5, aux=MotionData(tail.j_delta_c, c_bar))
     return evaluate_one(factor, [np.zeros(2), [0.0], target.p, [target.theta], c]).r
 
@@ -109,7 +109,7 @@ class TestIntegrateStep:
     def test_first_step_from_zero_initial(self):
         buf = make_buffer()
         entry = integrate_step(buf, 0.1, (1.0, 1.0), ZERO_Q)
-        np.testing.assert_allclose(entry.delta_bar.as_array(), [0.1, 0.0, 0.0])
+        np.testing.assert_allclose(as_pose(entry.delta).as_array(), [0.1, 0.0, 0.0])
         np.testing.assert_allclose(entry.q_delta, np.zeros((3, 3)))
         # prior J is zero, so the first step is the bare chain
         v, _, j_v_c = MODEL.precalibrate(np.array([1.0, 1.0]), C_NOM)
@@ -121,7 +121,7 @@ class TestIntegrateStep:
         buf = make_buffer()
         integrate_step(buf, 0.1, (1.0, 1.0), ZERO_Q)
         integrate_step(buf, 0.2, (1.0, 1.0), ZERO_Q)
-        np.testing.assert_allclose(buf.tail.delta_bar.as_array(), [0.2, 0.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(as_pose(buf.tail.delta).as_array(), [0.2, 0.0, 0.0], atol=1e-15)
 
     def test_nonmonotonic_rejected(self):
         buf = make_buffer()
@@ -172,7 +172,7 @@ class TestIntegrateStep:
             x = x + cx * np.cos(th) - cy * np.sin(th)
             y = y + cx * np.sin(th) + cy * np.cos(th)
             th = th + turn
-        nominal = buf.tail.delta_bar.as_array()
+        nominal = as_pose(buf.tail.delta).as_array()
         devs = np.stack([x - nominal[0], y - nominal[1], wrap_angle(th - nominal[2])], axis=1)
         sample_cov = np.cov(devs.T)
         q = buf.tail.q_delta
@@ -190,14 +190,14 @@ class TestIntegrateStep:
                 for s in pre:
                     integrate_step(buf, *s)
                 entry = integrate_step(buf, 1.0, tuple(u_vec), ZERO_Q)
-                return entry.delta_bar.as_array()
+                return as_pose(entry.delta).as_array()
 
             buf = make_buffer()
             for s in pre:
                 integrate_step(buf, *s)
             v, j_v_u, _ = MODEL.precalibrate(u_probe, C_NOM)
             delta, j_delta_v = MODEL.compute_delta(v)
-            _, _, j_dd = pose_compose(buf.tail.delta_bar, as_pose(delta))
+            _, _, j_dd = pose_compose(as_pose(buf.tail.delta), as_pose(delta))
             chain = j_dd @ j_delta_v @ j_v_u
             fd = central_diff(one_step, u_probe)
             assert np.max(np.abs(chain - fd)) < 1e-5
@@ -263,7 +263,7 @@ class TestAlternativeModel:
             x, y = x + cx * math.cos(th) - cy * math.sin(th), \
                 y + cx * math.sin(th) + cy * math.cos(th)
             th += w
-        np.testing.assert_allclose(buf.tail.delta_bar.as_array(),
+        np.testing.assert_allclose(as_pose(buf.tail.delta).as_array(),
                                    [x, y, wrap_angle(th)], atol=1e-12)
         # calibration correction stays first order for the scalar scale too
         eps = 1e-3
@@ -271,7 +271,7 @@ class TestAlternativeModel:
         for k, u in enumerate(twists):
             integrate_step(reint, 0.1 * (k + 1), tuple(u), ((1e-4, 0.0), (0.0, 1e-4)))
         err = np.linalg.norm(correction_error(buf.tail, c_scale + eps, c_scale,
-                                              reint.tail.delta_bar))
+                                              as_pose(reint.tail.delta)))
         assert err < 10.0 * eps**2
 
     def test_covariance_chain_with_alternative_model(self):
@@ -378,8 +378,8 @@ class TestSegmentComposition:
             for s in samples[k:]:
                 integrate_step(tail, *s)
             head, tail, full = head.tail, tail.tail, full.tail
-            composed, j_a, j_b = pose_compose(head.delta_bar, tail.delta_bar)
-            assert np.max(np.abs(delta_diff(composed, full.delta_bar))) < 1e-12
+            composed, j_a, j_b = pose_compose(as_pose(head.delta), as_pose(tail.delta))
+            assert np.max(np.abs(delta_diff(composed, as_pose(full.delta)))) < 1e-12
             # calibration Jacobian transports across the cut by the chain rule
             j_total = j_a @ head.j_delta_c + j_b @ tail.j_delta_c
             np.testing.assert_allclose(j_total, full.j_delta_c, atol=1e-12)
@@ -395,14 +395,14 @@ class TestCorrectDelta:
     def test_identity_correction(self):
         rng = np.random.default_rng(11)
         buf = self._integrated(C_NOM, rng)
-        err = correction_error(buf.tail, C_NOM, C_NOM, buf.tail.delta_bar)
+        err = correction_error(buf.tail, C_NOM, C_NOM, as_pose(buf.tail.delta))
         np.testing.assert_allclose(err, np.zeros(3), atol=1e-15)
 
     def test_zero_jacobian_ignores_calibration(self):
         entry_like = make_buffer()
         integrate_step(entry_like, 0.1, (0.0, 0.0), ZERO_Q)
         tail = dataclasses.replace(entry_like.entries[-1], j=[(0.0, 0.0, 0.0)] * 3)
-        err = correction_error(tail, C_NOM * 1.5, C_NOM, tail.delta_bar)
+        err = correction_error(tail, C_NOM * 1.5, C_NOM, as_pose(tail.delta))
         np.testing.assert_allclose(err, np.zeros(3), atol=1e-15)
 
     def test_first_order_accuracy_slope_two(self):
@@ -421,7 +421,7 @@ class TestCorrectDelta:
             for s in samples:
                 integrate_step(reint, *s)
             errs.append(np.linalg.norm(correction_error(base.tail, c, C_NOM,
-                                                        reint.tail.delta_bar)))
+                                                        as_pose(reint.tail.delta))))
         slope = np.polyfit(np.log(epsilons), np.log(errs), 1)[0]
         assert 1.8 <= slope <= 2.2
 
@@ -470,8 +470,8 @@ class TestSplitBuffer:
         buf = self._buffer(6)
         first, second = split_buffer(buf, 0.3, tol=1e-9)
         assert len(first.entries) == 3 and len(second.entries) == 3
-        composed, _, _ = pose_compose(first.tail.delta_bar, second.tail.delta_bar)
-        assert np.max(np.abs(delta_diff(composed, buf.tail.delta_bar))) < 1e-12
+        composed, _, _ = pose_compose(as_pose(first.tail.delta), as_pose(second.tail.delta))
+        assert np.max(np.abs(delta_diff(composed, as_pose(buf.tail.delta)))) < 1e-12
         assert second.origin_t == pytest.approx(0.3)
 
     def test_degenerate_split_at_origin(self):
@@ -479,7 +479,7 @@ class TestSplitBuffer:
         first, second = split_buffer(buf, 0.004, tol=0.01)
         assert len(first.entries) == 0
         assert len(second.entries) == 6
-        assert np.max(np.abs(delta_diff(second.tail.delta_bar, buf.tail.delta_bar))) < 1e-12
+        assert np.max(np.abs(delta_diff(as_pose(second.tail.delta), as_pose(buf.tail.delta)))) < 1e-12
 
     def test_out_of_tolerance(self):
         buf = self._buffer(6)

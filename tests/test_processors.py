@@ -18,6 +18,8 @@ from arbor.processors import (
     sensor_extrinsic,
 )
 
+from test_preint import as_pose
+
 C_NOM = np.array([0.1, 0.1, 0.5])
 
 
@@ -64,6 +66,17 @@ class Stamp(Processor):
     def attach(self, tree, frame, t):
         self.log.append((self.sensor_name, frame, t, len(tree.children(frame, T.CAPTURE))))
         return True
+
+
+class Posed(Stamp):
+    """A Stamp that also offers a fixed pose estimate."""
+
+    def __init__(self, sensor_name, pose):
+        super().__init__(sensor_name)
+        self.pose = pose
+
+    def pose_at(self, tree, t):
+        return self.pose
 
 
 class TestMotionProcessor:
@@ -128,7 +141,7 @@ class TestMotionProcessor:
         for k in range(1, 6):
             pipe.dispatch("odom0", 0.1 * k, straight_step())
         assert len(proc.buffer.entries) == 0
-        np.testing.assert_allclose(proc.buffer.tail.delta_bar.as_array(), [0, 0, 0])
+        np.testing.assert_allclose(as_pose(proc.buffer.tail.delta).as_array(), [0, 0, 0])
 
     def test_keyframe_carries_motion_factor(self):
         tr, odom, _, first = build_tree()
@@ -206,7 +219,7 @@ class TestMotionProcessor:
         assert proc.buffer.entries == []
         kinds = [tr.node(f).payload.kind for f in tr.factors_referencing(foreign)]
         assert kinds == [MOTION]
-        np.testing.assert_allclose(proc.buffer.tail.delta_bar.as_array(), [0, 0, 0])
+        np.testing.assert_allclose(as_pose(proc.buffer.tail.delta).as_array(), [0, 0, 0])
         assert pipe.dispatch("odom0", 0.6, straight_step()) == []
         assert len(proc.buffer.entries) == 1
 
@@ -478,6 +491,27 @@ class TestLoopCloser:
             assert abs(math.remainder(got_theta - theta, math.tau)) < 1e-9
             np.testing.assert_allclose(got_t, t, atol=1e-9)
 
+    def test_each_frame_walked_once(self, monkeypatch):
+        # the closing candidate's points come from the search; frame 1 lies
+        # outside the radius and frame 3 inside the gap, so neither is walked,
+        # and the search goes on past frame 0 to the tree's first frame
+        tr, _, rb, first = build_tree()
+        obs = [(0, 1.0, 0.2), (1, 2.0, -0.4), (2, 1.5, 1.0)]
+        closer = LoopCloser("loop", rb, "rb0", 1.0, 2, 2)
+        frames = [self._frame_with_observations(
+            tr, rb, float(k), Pose2(np.array([5.0 if k == 1 else 0.0, 0.0]), 0.0),
+            obs if k in (0, 4) else []) for k in range(5)]
+        walked = []
+        observations = LoopCloser._observations
+
+        def spy(self, tree, frame):
+            walked.append(frame)
+            return observations(self, tree, frame)
+
+        monkeypatch.setattr(LoopCloser, "_observations", spy)
+        assert closer.detect_and_close(tr, frames[4]) is not None
+        assert walked == [frames[4], frames[2], frames[0], first]
+
     def test_degenerate_alignment(self):
         with pytest.raises(AlignmentError):
             LoopCloser.align([np.zeros(2)], [np.zeros(2)])
@@ -531,6 +565,19 @@ class TestPipeline:
                                           tr.frame_pose(newest).as_array())
         with pytest.raises(ContractError, match="no pose estimate available at t=0.5"):
             pipe.pose_at(tr, 0.5)
+
+    def test_new_frame_takes_pipeline_pose(self):
+        # both processors offer a pose and the second votes: the new frame
+        # takes Pipeline.pose_at's, the first processor's, not the voter's
+        tr, _, _, first = build_tree()
+        ahead = Posed("a", Pose2(np.array([1.0, 0.0]), 0.1))
+        voter = Posed("b", Pose2(np.array([5.0, 5.0]), -0.2))
+        pipe = Pipeline(tr, [ahead, voter])
+        pipe.initialize(first)
+        (event,) = pipe.dispatch("b", 1.0, None)
+        pose = tr.frame_pose(event.frame).as_array()
+        np.testing.assert_array_equal(pose, pipe.pose_at(tr, 1.0).as_array())
+        np.testing.assert_array_equal(pose, ahead.pose.as_array())
 
     def test_held_join_tracker_ahead_of_odometry(self):
         # the scan at 0.5 comes before the odometry sample at 0.5: the

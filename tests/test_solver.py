@@ -17,7 +17,7 @@ from arbor.factors import (
     Factor,
 )
 from arbor.manifold import ANGLE, Pose2, StateBlock, pose_compose
-from arbor.runner import run
+from arbor.runner import build_application, replay
 from arbor.sim import load_scenario, simulate, write_jsonl
 from arbor.solver import (
     CONVERGED_DX,
@@ -688,7 +688,7 @@ class TestAssemblyOracle:
             real_sync(problem, tree)
 
         monkeypatch.setattr(arbor.runner, "sync", spy)
-        estimates, _ = run(DATA / config, log)
+        estimates, _ = replay(build_application(DATA / config), log)
         return synced[-1], len(estimates)
 
     @staticmethod
