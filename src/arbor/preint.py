@@ -107,7 +107,7 @@ def _upper_outer(us, vs) -> tuple:
             sum(map(mul, u1, v1)), sum(map(mul, u1, v2)), sum(map(mul, u2, v2)))
 
 
-@dataclass
+@dataclass(slots=True)
 class PreintEntry:
     """Pipeline state after integrating one sample, as floats.
 

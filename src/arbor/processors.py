@@ -31,7 +31,6 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -53,7 +52,7 @@ from .factors import (
     MotionData,
     whiten,
 )
-from .manifold import Pose2, pose_between, pose_compose, rot2
+from .manifold import Pose2, normalize_angle, pose_between, pose_compose, rot2
 from .preint import (
     DiffDriveModel,
     PreintBuffer,
@@ -187,29 +186,30 @@ class MotionProcessor(Processor):
         if self.buffer is None:
             raise ContractError(f"motion processor {self.name} has no origin yet")
         try:
-            ticks = tuple(map(float, data))
-        except (TypeError, ValueError, OverflowError) as exc:
+            # one pass: a tick that is not a finite number is left out, and
+            # the count below reports it
+            ticks = tuple([float(u) for u in data
+                           if type(u) not in _NOT_NUMBERS and math.isfinite(u)])
+        except (TypeError, OverflowError) as exc:
             raise RecordFormatError(f"bad {self.sensor_name} record at t={t}: {exc}") from exc
-        if (len(ticks) != len(self.q_u) or not all(map(math.isfinite, ticks))
-                or not _NOT_NUMBERS.isdisjoint(map(type, data))):
+        if len(ticks) != len(self.q_u) or len(ticks) != len(data):
             raise RecordFormatError(f"bad {self.sensor_name} record at t={t}: "
                                     f"expected {len(self.q_u)} finite wheel ticks, got {data!r}")
-        integrate_step(self.buffer, t, ticks, self.q_u)
-        if not self._vote(t):
+        entry = integrate_step(self.buffer, t, ticks, self.q_u)
+        if not self._vote(entry):
             return None
         # whiten before any frame exists: a singular interval covariance
         # (stationary or pure-rotation interval) must fail atomically
-        tail = self.buffer.tail
-        self._whitened = (tail, whiten(tail.q_delta))
+        self._whitened = (entry, whiten(entry.q_delta))
         return True
 
-    def _vote(self, t: float) -> bool:
-        x, y, theta = self.buffer.tail.delta
+    def _vote(self, entry) -> bool:
+        x, y, theta = entry.delta
         if self.max_dist is not None and math.hypot(x, y) > self.max_dist:
             return True
         if self.max_angle is not None and abs(theta) > self.max_angle:
             return True
-        if self.max_time is not None and t - self.buffer.origin_t > self.max_time:
+        if self.max_time is not None and entry.t - self.buffer.origin_t > self.max_time:
             return True
         return False
 
@@ -298,9 +298,16 @@ class LandmarkTracker(Processor):
         return self._kf_count - self._last_seen.get(landmark, self._kf_count) \
             <= self.max_unseen_frames
 
-    def _sensor_pose(self, tree, pose: Pose2) -> Pose2:
-        s, _, _ = pose_compose(pose, sensor_extrinsic(tree, self.sensor_id))
-        return s
+    def _sensor_pose(self, tree, pose: Pose2) -> tuple:
+        """(x, y, heading) of the sensor at robot pose ``pose``: the pose
+        composed with the sensor's extrinsic, on floats, by the operations of
+        :func:`pose_compose` in its order."""
+        blocks = tree.node(self.sensor_id).state_blocks
+        bx, by = blocks["ext_p"].values.tolist()
+        (ax, ay), theta = pose.p.tolist(), pose.theta
+        c, s = math.cos(theta), math.sin(theta)
+        return (ax + c * bx - s * by, ay + s * bx + c * by,
+                normalize_angle(theta + float(blocks["ext_o"].values[0])))
 
     def _candidates(self, tree):
         """In-window map landmarks, in creation order, and their positions."""
@@ -311,13 +318,18 @@ class LandmarkTracker(Processor):
 
     def _associate(self, tree, pose: Pose2, scan):
         """(raw id, (range, bearing), matched landmark or None, world point) per entry."""
-        parsed = []
+        sx, sy, heading = self._sensor_pose(tree, pose)
+        parsed, worlds = [], []
         try:
-            if not _NOT_NUMBERS.isdisjoint(map(type, chain.from_iterable(scan))):
-                bad = next(v for v in chain.from_iterable(scan) if type(v) in _NOT_NUMBERS)
-                raise ValueError(f"{bad!r} is not a number")
             for m in scan:
-                if len(m) not in (2, 3) or len(m) == 3 and m[0] != int(m[0]):
+                if not _NOT_NUMBERS.isdisjoint(map(type, m)):
+                    bad = next(v for v in m if type(v) in _NOT_NUMBERS)
+                    raise ValueError(f"{bad!r} is not a number")
+                if len(m) == 2:
+                    raw_id = None
+                elif len(m) == 3 and m[0] == int(m[0]):
+                    raw_id = int(m[0])
+                else:
                     raise ValueError(f"entry {m!r} is not [integer id, range, bearing] "
                                      "or [range, bearing]")
                 rng, brg = float(m[-2]), float(m[-1])
@@ -325,15 +337,11 @@ class LandmarkTracker(Processor):
                     raise ValueError(f"entry {m!r} is not finite")
                 if rng <= 0.0:
                     raise ValueError(f"entry {m!r} has a non-positive range")
-                parsed.append((int(m[0]) if len(m) == 3 else None, rng, brg))
+                parsed.append((raw_id, rng, brg))
+                bearing = heading + brg
+                worlds.append((sx + rng * math.cos(bearing), sy + rng * math.sin(bearing)))
         except (TypeError, ValueError, OverflowError) as exc:
             raise RecordFormatError(f"bad {self.sensor_name} scan: {exc}") from exc
-        s = self._sensor_pose(tree, pose)
-        sx, sy = s.p.tolist()
-        worlds = []
-        for _, rng, brg in parsed:
-            heading = s.theta + brg
-            worlds.append((sx + rng * math.cos(heading), sy + rng * math.sin(heading)))
         matched = [None] * len(parsed)
         if self.association == "id":
             for i, (raw_id, _, _) in enumerate(parsed):
@@ -347,10 +355,9 @@ class LandmarkTracker(Processor):
                 # tie-breaks to the lowest landmark index
                 w = np.array(worlds)
                 dists = np.hypot(w[:, :1] - points[:, 0], w[:, 1:] - points[:, 1])
-                nearest = dists.argmin(axis=1)
-                hits = dists[np.arange(len(worlds)), nearest] <= self.gate
+                hits = dists.min(axis=1) <= self.gate
                 matched = [landmarks[k] if hit else None
-                           for k, hit in zip(nearest.tolist(), hits.tolist())]
+                           for k, hit in zip(dists.argmin(axis=1).tolist(), hits.tolist())]
         return [(raw_id, (rng, brg), lm, world)
                 for (raw_id, rng, brg), lm, world in zip(parsed, matched, worlds)]
 

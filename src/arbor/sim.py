@@ -30,7 +30,7 @@ TRUTH_CALIB = "truth_calib"
 TRUTH_LANDMARK = "truth_landmark"
 
 
-@dataclass
+@dataclass(slots=True)
 class CaptureRecord:
     t: float
     sensor: str
@@ -63,7 +63,27 @@ def write_jsonl(records, path):
     write_files([(path, jsonl_lines(records))])
 
 
+# the C scanner that json.loads wraps, and the whitespace loads skips
+# before it reports trailing data
+_scan_value = json.JSONDecoder().scan_once
+_WHITESPACE = json.decoder.WHITESPACE
+
+
+def _decode_line(line: str):
+    """``json.loads(line)`` for a stripped line, with its errors, minus the
+    wrapping a line needs no part of."""
+    try:
+        obj, end = _scan_value(line, 0)
+    except StopIteration as exc:
+        raise json.JSONDecodeError("Expecting value", line, exc.value) from None
+    if end != len(line):
+        raise json.JSONDecodeError("Extra data", line, _WHITESPACE.match(line, end).end())
+    return obj
+
+
 def read_jsonl(path) -> list:
+    """The records of a log, one JSON object per non-blank line; a line that
+    is not one raises :class:`RecordFormatError` naming its number."""
     records = []
     with open(path) as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -71,7 +91,7 @@ def read_jsonl(path) -> list:
             if not line:
                 continue
             try:
-                obj = json.loads(line)
+                obj = _decode_line(line)
                 t = obj["t"]
                 if type(t) not in (int, float):  # a JSON number; not a bool
                     raise TypeError(f"timestamp {t!r} is not a number")

@@ -132,6 +132,7 @@ class SolverProblem:
         self._col_slot = np.zeros(0, dtype=np.intp)
         self._col_comp = np.zeros(0, dtype=np.intp)
         self._angle_slots = np.zeros(0, dtype=np.intp)
+        self._active: list = []  # the active blocks' entries, in offset order
 
 
 def sync(problem: SolverProblem, tree) -> None:
@@ -217,8 +218,11 @@ def sync(problem: SolverProblem, tree) -> None:
     problem.total_dim = n = int(ends[-1]) if len(ends) else 0
     offset_of_slot = np.full(problem._n_slots, -1, dtype=np.intp)
     offset_of_slot[slots] = starts = ends - dims
+    problem._active = []
     for entry, offset in zip(entries, offset_of_slot[live].tolist()):
         entry.offset = offset if offset >= 0 else None
+        if offset >= 0:
+            problem._active.append(entry)
     problem._col_slot = np.repeat(slots, dims)
     problem._col_comp = np.arange(n) - np.repeat(starts, dims)
     problem._angle_slots = slots[problem._slot_angle[slots]]
@@ -254,8 +258,9 @@ def _table(problem: SolverProblem) -> np.ndarray:
     """The value table: each block's current values in its slot row,
     left-aligned and zero-padded to the widest block."""
     x = np.zeros((problem._n_slots, problem._width))
+    dims = problem._slot_dim.tolist()
     for entry in problem.blocks.values():
-        x[entry.slot, :entry.dim] = entry.block.values
+        x[entry.slot, :dims[entry.slot]] = entry.block.values
     return x
 
 
@@ -368,8 +373,8 @@ def lm_solve(problem: SolverProblem) -> SolveReport:
         if termination == CONVERGED_DX:
             break
 
-    for entry in problem.blocks.values():
-        if entry.offset is not None:
-            entry.block.values = x[entry.slot, :entry.dim].copy()
+    dims = problem._slot_dim.tolist()
+    for entry in problem._active:
+        entry.block.values = x[entry.slot, :dims[entry.slot]].copy()
 
     return SolveReport(iterations, initial_cost, cost, termination, accepted)

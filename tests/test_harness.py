@@ -658,6 +658,30 @@ class TestCli:
         if isinstance(data, Timestamp):
             assert f"line {k + 1}:" in err
 
+    @pytest.mark.parametrize("make_line, as_loads", [
+        pytest.param(lambda line: line + " " + line, True, id="two_objects"),
+        pytest.param(lambda line: line + " trailing", True, id="trailing_text"),
+        pytest.param(lambda line: "\ufeff" + line, False, id="bom"),
+        pytest.param(lambda line: "[" + line + "]", False, id="array"),
+        pytest.param(lambda line: "12", False, id="bare_number"),
+    ])
+    def test_malformed_line_exit_code(self, small_logs, tmp_path, capsys, make_line, as_loads):
+        """A line that is not exactly one JSON object is a bad record named by
+        its line number; trailing data is reported where json.loads reports it."""
+        lines = small_logs[0].read_text().splitlines()
+        k = 10
+        lines[k] = make_line(lines[k])
+        log = tmp_path / "log.jsonl"
+        log.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["run", "--config", str(DATA / "demo_config.yaml"),
+                     "--log", str(log), "--out", str(tmp_path / "est.jsonl")]) == 3
+        err = capsys.readouterr().err
+        assert f"bad record at line {k + 1}:" in err and "Traceback" not in err
+        if as_loads:
+            with pytest.raises(json.JSONDecodeError, match="Extra data") as exc:
+                json.loads(lines[k])
+            assert str(exc.value) in err
+
     @pytest.mark.parametrize("rng", [0.0, -0.5])
     def test_nonpositive_range_exit_code(self, small_logs, tmp_path, capsys, rng):
         # a range sensor reports no return at a non-positive range; such an

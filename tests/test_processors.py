@@ -377,6 +377,10 @@ class TestOneShotAssociation:
         rng = np.random.default_rng(41)
         for _ in range(30):
             tr, _, rb, _ = build_tree()
+            # mount the sensor away from the robot origin and turned on it,
+            # so that every term of the sensor pose's composition counts
+            tr.block(rb, "ext_p").values = rng.uniform(-0.5, 0.5, 2)
+            tr.block(rb, "ext_o").values = np.array([rng.uniform(-3, 3)])
             for k in range(int(rng.integers(1, 30))):
                 tr.add_landmark(rng.uniform(-5, 5, 2), RawIdInfo(k))
             tracker = make_tracker(tr, rb, gate=float(rng.uniform(0.1, 1.0)))
