@@ -75,13 +75,11 @@ class ParameterServer:
         self._expanded = expanded
         self._consumed: set = set()
 
-    def get(self, key: str, default=_MISSING):
+    def get(self, key: str, default=None):
         if key in self._flat:
             self._consumed.add(key)
             return self._flat[key]
         self._check_not_expanded(key)
-        if default is _MISSING:
-            return None
         return default
 
     def require(self, key: str):
@@ -238,18 +236,21 @@ def _create_motion_processor(server, prefix, name, sensor_id, sensor_name, info)
 
 
 def _create_tracker(server, prefix, name, sensor_id, sensor_name, info):
-    return LandmarkTracker(
-        name, sensor_id, sensor_name,
-        time_tolerance=_positive(server, f"{prefix}.time_tolerance", zero_ok=True),
-        range_std=info.noise["range_std"],
-        bearing_std=info.noise["bearing_std"],
-        min_tracks=_positive(server, f"{prefix}.keyframe.min_tracks", None, integer=True),
-        gate=_positive(server, f"{prefix}.gate", 0.5),
-        association=as_text(f"{prefix}.association",
-                            server.get(f"{prefix}.association", "gate")),
-        max_unseen_frames=_positive(server, f"{prefix}.assoc_max_unseen", None,
-                                    zero_ok=True, integer=True),
-    )
+    key = f"{prefix}.association"
+    try:
+        return LandmarkTracker(
+            name, sensor_id, sensor_name,
+            time_tolerance=_positive(server, f"{prefix}.time_tolerance", zero_ok=True),
+            range_std=info.noise["range_std"],
+            bearing_std=info.noise["bearing_std"],
+            min_tracks=_positive(server, f"{prefix}.keyframe.min_tracks", None, integer=True),
+            gate=_positive(server, f"{prefix}.gate", 0.5),
+            association=as_text(key, server.get(key, "gate")),
+            max_unseen_frames=_positive(server, f"{prefix}.assoc_max_unseen", None,
+                                        zero_ok=True, integer=True),
+        )
+    except ContractError as exc:  # the constructor's check of the mode
+        raise ConfigError(f"{key}: {exc}") from exc
 
 
 def _create_loop_closer(server, prefix, name, sensor_id, sensor_name, _info):
@@ -265,7 +266,11 @@ def _create_loop_closer(server, prefix, name, sensor_id, sensor_name, _info):
 
 
 def _manager_window(variant, server, prefix):
-    return T.WindowPolicy(variant, _positive(server, f"{prefix}.n_frames", integer=True))
+    key = f"{prefix}.n_frames"
+    try:
+        return T.WindowPolicy(variant, _positive(server, key, integer=True))
+    except ContractError as exc:  # the policy's check of the window size
+        raise ConfigError(f"{key}: {exc}") from exc
 
 
 def _manager_none(server, prefix):

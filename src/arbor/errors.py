@@ -39,10 +39,6 @@ class NotFoundError(EstimationError):
     """A node, frame, or key does not exist."""
 
 
-class JoinToleranceError(EstimationError):
-    """No integrated sample lies within the join time tolerance."""
-
-
 class DecompositionError(EstimationError):
     """A covariance is singular or indefinite and cannot be whitened."""
 

@@ -41,7 +41,7 @@ from operator import attrgetter, mul
 
 import numpy as np
 
-from .errors import ContractError, JoinToleranceError, RecordFormatError
+from .errors import ContractError, RecordFormatError
 from .manifold import Pose2, normalize_angle
 
 
@@ -229,24 +229,18 @@ def nearest_sample(buf: PreintBuffer, t: float):
     return k, abs(t - before)
 
 
-def split_buffer(buf: PreintBuffer, t_split: float, tol: float, c_bar=None):
+def split_buffer(buf: PreintBuffer, t_split: float, c_bar):
     """Split at the integrated sample nearest t_split (ties go earlier).
 
     The first part keeps its entries as integrated; the second part
     re-integrates the remaining samples from a fresh recursion anchored at
-    the split time, at the calibration ``c_bar`` (by default the buffer's).
-    The buffer origin itself is a valid split point, yielding an empty first
-    part.
+    the split time, at the calibration ``c_bar``.  The buffer origin itself
+    is a valid split point, yielding an empty first part.
     """
-    k, gap = nearest_sample(buf, t_split)
-    if gap > tol:
-        raise JoinToleranceError(
-            f"no integrated sample within {tol}s of t={t_split} (nearest gap {gap:.6g}s)"
-        )
+    k, _ = nearest_sample(buf, t_split)
     first = PreintBuffer(buf.origin_frame, buf.origin_t, buf.c_bar, buf.model,
                          entries=buf.entries[:k])
-    second = PreintBuffer(None, first.tail.t, buf.c_bar if c_bar is None else c_bar,
-                          buf.model)
+    second = PreintBuffer(None, first.tail.t, c_bar, buf.model)
     for entry in buf.entries[k:]:
         integrate_step(second, entry.t, entry.u, entry.q_u)
     return first, second

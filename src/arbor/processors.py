@@ -2,16 +2,18 @@
 
 Every processor implements the :class:`Processor` protocol: it reads the
 captures of one sensor (``process_capture``, which may vote for a keyframe),
-attaches its data to keyframes (``attach``, which may decline), and may
-offer a pose estimate (``pose_at``).  :class:`Pipeline` codes the keyframe
-step once.  A vote at t joins the newest frame if that frame is within the
-voter's ``time_tolerance``: only the voter attaches to it.  Otherwise the
-vote waits until every processor is ``ready(t)``, that is, holds its data
-for t, or until a capture later than t plus the widest ``time_tolerance``,
-another processor's vote or the end of the input comes; the voter's own
-further votes meanwhile are dropped.  Then it adds a frame at t with
-``Pipeline.pose_at``'s pose and offers it once to the voter, then to the
-others in installation order.  A decline is final and never mutates the tree.
+holds its data for a keyframe at t or not (``ready``), attaches that data
+(``attach``), and may offer a pose estimate (``pose_at``).  :class:`Pipeline`
+codes the keyframe step once.  A vote at t joins the newest frame if that
+frame is within the voter's ``time_tolerance``; only the voter takes part.
+Otherwise the vote waits until every processor is ready at t, or until a
+capture later than t plus the widest ``time_tolerance``, another processor's
+vote or the end of the input comes; the voter's own further votes meanwhile
+are dropped.  Then it adds a frame at t with ``Pipeline.pose_at``'s pose.  A
+keyframe is offered once to each processor ready at its time: the voter
+first, then the others in installation order.  ``attach`` declines only when
+its data cannot make a factor (the motion processor's singular interval),
+and a decline never mutates the tree.
 
 * The motion processor pre-integrates odometry between keyframes, votes on
   distance/angle/time thresholds, and emits one motion factor per interval
@@ -40,7 +42,6 @@ from .errors import (
     AlignmentError,
     ContractError,
     DecompositionError,
-    JoinToleranceError,
     NotFoundError,
     RecordFormatError,
 )
@@ -131,8 +132,8 @@ class Processor:
         return True
 
     def attach(self, tree, frame: T.NodeId, t: float) -> bool:
-        """Attach own data to the keyframe at t, offered once; False
-        declines for good, leaving the tree untouched."""
+        """Attach own data to the keyframe at t, offered once if ``ready(t)``;
+        False, only when the data makes no factor, leaves the tree untouched."""
         return True
 
     def pose_at(self, tree, t: float) -> Optional[Pose2]:
@@ -146,7 +147,7 @@ class MotionProcessor(Processor):
 
     def __init__(self, name, sensor_id, sensor_name, time_tolerance: float, tick_std: float,
                  max_dist: Optional[float] = None, max_angle: Optional[float] = None,
-                 max_time: Optional[float] = None, model: DiffDriveModel | None = None):
+                 max_time: Optional[float] = None):
         self.name = name
         self.sensor_id = sensor_id
         self.sensor_name = sensor_name
@@ -154,7 +155,6 @@ class MotionProcessor(Processor):
         self.max_angle = max_angle
         self.max_time = max_time
         self.time_tolerance = float(time_tolerance)
-        self.model = model or DiffDriveModel()
         var = tick_std**2
         self.q_u = ((var, 0.0), (0.0, var))  # the ticks' covariance, as rows
         self.buffer: Optional[PreintBuffer] = None
@@ -165,7 +165,7 @@ class MotionProcessor(Processor):
         """Anchor the first buffer at an existing frame."""
         c_bar = tree.block(self.sensor_id, "intrinsic").values
         t0 = tree.node(first_frame).timestamp
-        self.buffer = PreintBuffer(first_frame, t0, c_bar, self.model)
+        self.buffer = PreintBuffer(first_frame, t0, c_bar, DiffDriveModel())
 
     def pose_at(self, tree, t: float) -> Optional[Pose2]:
         """Origin frame estimate advanced by the delta integrated up to t;
@@ -217,20 +217,20 @@ class MotionProcessor(Processor):
         return nearest_sample(self.buffer, t)[1] <= self.time_tolerance
 
     def attach(self, tree, frame: T.NodeId, t: float) -> bool:
-        """Split the buffer at t, attach the first part's motion factor to the
-        frame and restart there at the current calibration.  Declines,
-        untouched, when no sample lies within tolerance or the first part's
-        covariance is singular (a one-sample part carries no usable factor)."""
+        """Split the buffer at its sample nearest t, attach the first part's
+        motion factor to the frame and restart there at the current
+        calibration.  Declines, untouched, when the first part's covariance
+        is singular (a one-sample part carries no usable factor)."""
         if frame == self.buffer.origin_frame:
             return True
         c_bar = tree.block(self.sensor_id, "intrinsic").values
         try:
-            first, rest = split_buffer(self.buffer, t, self.time_tolerance, c_bar)
+            first, rest = split_buffer(self.buffer, t, c_bar)
             tail = first.entries[-1] if first.entries else None
             voted, sqrt_info = self._whitened
             if tail is not None and tail is not voted:
                 sqrt_info = whiten(tail.q_delta)
-        except (JoinToleranceError, DecompositionError):
+        except DecompositionError:
             return False
         if tail is not None:  # an empty first part attaches nothing
             origin = first.origin_frame
@@ -382,10 +382,7 @@ class LandmarkTracker(Processor):
         return self._pending is not None and abs(self._pending[0] - t) <= self.time_tolerance
 
     def attach(self, tree, frame: T.NodeId, t: float) -> bool:
-        """Add the pending capture, if within tolerance of t, with its
-        features, landmarks and factors."""
-        if not self.ready(t):
-            return False
+        """Add the pending capture with its features, landmarks and factors."""
         t_capture, associations = self._pending
         self._pending = None
         self._kf_count += 1
@@ -512,7 +509,8 @@ class Pipeline:
     """Installation-ordered processors sharing one tree; owns the keyframe
     step.  A vote joins the newest frame if it is within the voter's
     ``time_tolerance``; otherwise one vote at a time waits until every
-    processor is ``ready``.  A new frame's pose is :meth:`pose_at`'s."""
+    processor is ``ready``.  A new frame takes :meth:`pose_at`'s pose and is
+    offered once to each processor ready at its time, the voter first."""
 
     def __init__(self, tree, processors):
         self.tree = tree
@@ -561,7 +559,7 @@ class Pipeline:
                 # frames come in time order, so no older one is nearer
                 newest = tree.node(tree.frames()[-1])
                 if abs(newest.timestamp - t) <= proc.time_tolerance:
-                    proc.attach(tree, newest.id, newest.timestamp)
+                    self._offer(proc, newest.id, newest.timestamp)
                 else:
                     self._vote = (t, proc)
         if self._vote is not None and all(p.ready(self._vote[0]) for p in self.processors):
@@ -569,10 +567,15 @@ class Pipeline:
         return events
 
     def broadcast(self) -> KeyframeEvent:
-        """Make the waiting vote's frame and offer it once to the voter, then
-        to the others in installation order."""
+        """Make the waiting vote's frame and offer it to the voter, then to
+        the others in installation order."""
         (t, voter), self._vote = self._vote, None
         event = KeyframeEvent(t, self.tree.add_frame(t, self.pose_at(self.tree, t)))
         for proc in [voter] + [p for p in self.processors if p is not voter]:
-            proc.attach(self.tree, event.frame, t)
+            self._offer(proc, event.frame, t)
         return event
+
+    def _offer(self, proc, frame: T.NodeId, t: float):
+        """The one place a keyframe is offered: to ``proc`` if it is ready at t."""
+        if proc.ready(t):
+            proc.attach(self.tree, frame, t)

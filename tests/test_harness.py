@@ -408,9 +408,10 @@ class TestCli:
 
     @pytest.mark.parametrize("config, old, new, key", [
         ("demo_config.yaml", "    type: none\n", "    type: fix_oldest\n    n_frames: 1\n",
-         "n_frames"),
+         "problem.tree_manager.n_frames"),
         ("demo_config.yaml", "max_dist: 0.5", "max_dist: -0.5", "max_dist"),
-        ("demo_config.yaml", "association: gate", "association: nearest", "association"),
+        ("demo_config.yaml", "association: gate", "association: nearest",
+         "processors.1.association"),
         ("demo_config.yaml", "max_iterations: 25", "max_iterations: many", "max_iterations"),
         ("demo_config.yaml", "sigma_p: 0.01", "sigma_p: 0.0", "sigma_p"),
         ("demo_config.yaml", "lambda_init: 1.0e-4", "lambda_init: 0", "lambda_init"),

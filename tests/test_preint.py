@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from arbor.errors import ContractError, JoinToleranceError, RecordFormatError
+from arbor.errors import ContractError, RecordFormatError
 from arbor.factors import MOTION, Factor, MotionData
 from arbor.manifold import Pose2, pose_compose
 from arbor.preint import (
@@ -354,7 +354,7 @@ class TestFloatRecursionOracle:
             buf = PreintBuffer(None, 0.0, c_bar, model)
             for smp in samples:
                 integrate_step(buf, *smp)
-            first, second = split_buffer(buf, 0.1 * k, tol=1e-9)
+            first, second = split_buffer(buf, 0.1 * k, c_bar)
             assert first.entries == buf.entries[:k]
             self._assert_matches(first.entries, reference_recursion(model, c_bar, samples[:k]))
             self._assert_matches(second.entries,
@@ -468,7 +468,7 @@ class TestSplitBuffer:
 
     def test_split_at_exact_entry(self):
         buf = self._buffer(6)
-        first, second = split_buffer(buf, 0.3, tol=1e-9)
+        first, second = split_buffer(buf, 0.3, buf.c_bar)
         assert len(first.entries) == 3 and len(second.entries) == 3
         composed, _, _ = pose_compose(as_pose(first.tail.delta), as_pose(second.tail.delta))
         assert np.max(np.abs(delta_diff(composed, as_pose(buf.tail.delta)))) < 1e-12
@@ -476,19 +476,14 @@ class TestSplitBuffer:
 
     def test_degenerate_split_at_origin(self):
         buf = self._buffer(6)
-        first, second = split_buffer(buf, 0.004, tol=0.01)
+        first, second = split_buffer(buf, 0.004, buf.c_bar)
         assert len(first.entries) == 0
         assert len(second.entries) == 6
         assert np.max(np.abs(delta_diff(as_pose(second.tail.delta), as_pose(buf.tail.delta)))) < 1e-12
 
-    def test_out_of_tolerance(self):
-        buf = self._buffer(6)
-        with pytest.raises(JoinToleranceError):
-            split_buffer(buf, 0.35, tol=0.01)
-
     def test_tie_goes_earlier(self):
         buf = self._buffer(6)
-        first, _ = split_buffer(buf, 0.25, tol=0.06)
+        first, _ = split_buffer(buf, 0.25, buf.c_bar)
         assert len(first.entries) == 2
 
     def test_nearest_sample_matches_linear_scan(self):
@@ -511,11 +506,11 @@ class TestSplitBuffer:
     def test_second_part_at_given_calibration(self):
         buf = self._buffer(6)
         c_new = C_NOM * 1.01
-        first, second = split_buffer(buf, 0.3, tol=1e-9, c_bar=c_new)
+        first, second = split_buffer(buf, 0.3, c_new)
         assert first.c_bar == buf.c_bar
         direct = make_buffer(c_bar=c_new, origin_t=second.origin_t)
         for e in buf.entries[3:]:
             integrate_step(direct, e.t, e.u, e.q_u)
         assert second.c_bar == direct.c_bar
         assert [e.delta for e in second.entries] == [e.delta for e in direct.entries]
-        assert second.entries[-1].delta != split_buffer(buf, 0.3, tol=1e-9)[1].entries[-1].delta
+        assert second.entries[-1].delta != split_buffer(buf, 0.3, buf.c_bar)[1].entries[-1].delta

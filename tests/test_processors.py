@@ -1,9 +1,11 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from arbor import tree as T
+from arbor.config import auto_setup, parse_config
 from arbor.errors import AlignmentError, ContractError, DecompositionError
 from arbor.factors import MOTION, RANGE_BEARING, RELATIVE_POSE, Factor
 from arbor.manifold import ANGLE, Pose2, StateBlock, pose_compose
@@ -21,6 +23,7 @@ from arbor.processors import (
 from test_preint import as_pose
 
 C_NOM = np.array([0.1, 0.1, 0.5])
+DEMO_CONFIG = Path(__file__).parent / "data" / "demo_config.yaml"
 
 
 def build_tree():
@@ -174,15 +177,13 @@ class TestMotionProcessor:
         assert MOTION in kinds
 
     def test_join_declined_out_of_tolerance(self):
+        # no sample within tolerance of 0.35: not ready, so never offered
         tr, odom, _, first = build_tree()
         proc = make_motion(tr, odom, first, max_dist=10.0)
         for k in range(1, 6):
             proc.process_capture(tr, 0.1 * k, straight_step())
-        foreign = tr.add_frame(0.35, Pose2.identity())
-        before = tr.print_tree()
-        joined = proc.attach(tr, foreign, 0.35)
-        assert not joined
-        assert tr.print_tree() == before  # decline never mutates
+        assert proc.ready(0.35) is False
+        assert proc.ready(0.305) is True
 
     def test_vote_joins_coincident_frame_instead_of_twin(self):
         tr, odom, _, first = build_tree()
@@ -645,7 +646,7 @@ class TestPipeline:
 
     def test_declined_frame_offered_once(self):
         # 100 Hz odometry votes between 20 Hz scans: the tracker has no scan
-        # within tolerance of most keyframes and declines each once
+        # within tolerance of most keyframes and is offered only the others
         tr, odom, rb, first = build_tree()
         motion = MotionProcessor("odom", odom, "odom0", time_tolerance=0.005,
                                  tick_std=0.001, max_dist=0.075)
@@ -668,10 +669,34 @@ class TestPipeline:
             events += pipe.dispatch("odom0", t, straight_step(1.0))
         frames = [event.frame for event in events]
         assert len(frames) == 12
-        assert offers == frames  # each once, in order
         with_scans = [f for f in frames if RANGE_BEARING in
                       [tr.node(x).payload.kind for x in tr.factors_referencing(f)]]
+        assert offers == with_scans  # each ready frame once, in order
         assert 0 < len(with_scans) < len(frames)
+        assert tr.check_consistency() == []
+
+    def test_motion_not_ready_is_not_offered(self):
+        # the tracker votes at 0.25 in an odometry gap: the frame is made on
+        # the next sample, past the wait, with the scan and without a motion
+        # factor: the motion processor is not ready at 0.25, is not offered
+        # the frame, and its buffer stays anchored at the first frame
+        app = auto_setup(parse_config(DEMO_CONFIG.read_text()))
+        tr, pipe, first = app.tree, app.pipeline, app.first_frame
+        motion, _ = pipe.processors
+        scan = [[1.0, 0.0], [2.0, 0.5], [1.5, -0.5]]
+        events = pipe.dispatch("rb0", 0.0, scan)
+        for k in range(1, 21):
+            events += pipe.dispatch("odom0", 0.01 * k, [0.05, 0.05])
+            if k == 10:
+                events += pipe.dispatch("rb0", 0.1, scan)  # re-arms the vote
+        events += pipe.dispatch("rb0", 0.25, scan[:2])
+        events += pipe.dispatch("odom0", 0.27, [0.05, 0.05])
+        events += pipe.dispatch(None, math.inf, None)
+        (event,) = events
+        assert event.t == 0.25
+        kinds = [tr.node(f).payload.kind for f in tr.factors_referencing(event.frame)]
+        assert kinds and set(kinds) == {RANGE_BEARING}
+        assert motion.buffer.origin_frame == first
         assert tr.check_consistency() == []
 
     def test_unknown_processor_type_takes_part(self):
