@@ -2,31 +2,38 @@
 
 Between two keyframes, raw motion samples are folded into a single
 pre-integrated delta together with its covariance and its Jacobian with
-respect to the calibration parameters.  Per sample the pipeline runs:
+respect to the calibration parameters (Forster et al., TRO 2017; Lupton &
+Sukkarieh, TRO 2012).  The pipeline is
 
 1. pre-calibrate       v = f(u, c_bar)            with J_v_u, J_v_c
 2. current delta       delta = g(v)               with J_delta_v
-3. pre-integrate       D <- D o delta.  J_D_D is the shear
-                       Phi = [[1, 0, -dy], [0, 1, dx], [0, 0, 1]], with
-                       (dx, dy) the step's displacement in the frame D is
-                       expressed in, and J_D_delta rotates the position
-                       rows by D's heading
-4. covariance          Q <- Phi Q Phi^T + B Q_u B^T,
-                       B = J_D_delta J_delta_v J_v_u
-5. calibration chain   J_D_c <- Phi J_D_c + C,
-                       C = J_D_delta J_delta_v J_v_c
+3. per sample: the delta
+                       D_k = D_{k-1} o delta_k, on floats
+4. per interval: the moments, in closed form
+                       Q_N = sum_k S_k B_k Q_u,k B_k^T S_k^T
+                       J_N = sum_k S_k C_k
+                       with B_k = R_k J_delta_v J_v_u, C_k = R_k J_delta_v
+                       J_v_c, and R_k the rotation of the position rows by
+                       the heading of D_{k-1}
 
 Only steps 1-2 are sensor specific; they live in a motion-model object so
 the pipeline itself stays generic.  A sample is its time, its data as
-floats and its covariance as rows; models return plain floats: v and the
-step delta (x, y, theta) as tuples, Jacobians as tuples of rows.  Steps 3-5
-are the same recursion as their matrix form, written out on floats (Forster
-et al., TRO 2017; Lupton & Sukkarieh, TRO 2012): Phi Q Phi^T touches the 6
-unique entries of Q, and Phi J_D_c the 3 * calib_dim entries of J_D_c.  An
-entry shows the moments as arrays when read.  The stored delta is
-re-corrected to first order for calibration values that moved away from the
-integration-time guess, D(c) = D (+) J_D_c (c - c_bar), in one place only:
-the motion factor's residual kernel, ``factors._motion``.
+floats and its covariance as rows.  A model checks the calibration once,
+where a buffer snapshots it.  Per sample, it returns v and the step delta
+(x, y, theta) as float tuples; per interval, its three Jacobians as arrays
+over the interval's samples.
+
+Step 4 unrolls the per-step recursion Q_k = Phi_k Q_{k-1} Phi_k^T + B_k
+Q_u,k B_k^T, J_k = Phi_k J_{k-1} + C_k.  Its transition Phi_k =
+[[1, 0, a_k], [0, 1, b_k], [0, 0, 1]] is a shear by the step's displacement
+(a_k, b_k) = (y_{k-1} - y_k, x_k - x_{k-1}), and shears compose by adding
+their offsets.  So Phi_N ... Phi_{k+1} is the shear S_k by (y_k - y_N,
+x_N - x_k) that carries step k to the interval's end.  A vote and the
+motion factor need the moments only at the interval's last sample, so they
+are computed there, once, and the per-sample work is the delta alone.  The
+stored delta is re-corrected to first order for calibration values that
+moved away from the integration-time guess, D(c) = D (+) J_N (c - c_bar), in
+one place only: the motion factor's residual kernel, ``factors._motion``.
 
 High-rate state queries compose the buffer origin pose with the delta
 accumulated up to the query time.
@@ -37,7 +44,8 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from operator import attrgetter, mul
+from itertools import chain
+from operator import attrgetter
 
 import numpy as np
 
@@ -56,82 +64,61 @@ class DiffDriveModel:
 
     calib_dim = 3
 
-    def precalibrate(self, u, c):
-        """v = f(u, c) with Jacobians J_v_u (2x2) and J_v_c (2x3)."""
+    def check_calibration(self, c):
+        """Raise ContractError unless c holds three positive lengths."""
         if len(c) != 3:
             raise ContractError(f"diff-drive calibration must have 3 entries, got {len(c)}")
         r_l, r_r, d = c
         if r_l <= 0.0 or r_r <= 0.0 or d <= 0.0:
             raise ContractError(f"wheel radii and separation must be positive, got {c}")
+
+    def precalibrate(self, u, c):
+        """v = f(u, c), for a calibration that passed ``check_calibration``."""
+        r_l, r_r, d = c
         dphi_l, dphi_r = u
-        s = 0.5 * (r_l * dphi_l + r_r * dphi_r)
-        w = (r_r * dphi_r - r_l * dphi_l) / d
-        j_v_u = ((0.5 * r_l, 0.5 * r_r), (-r_l / d, r_r / d))
-        j_v_c = ((0.5 * dphi_l, 0.5 * dphi_r, 0.0), (-dphi_l / d, dphi_r / d, -w / d))
-        return (s, w), j_v_u, j_v_c
+        return 0.5 * (r_l * dphi_l + r_r * dphi_r), (r_r * dphi_r - r_l * dphi_l) / d
 
     def compute_delta(self, v):
-        """delta = g(v) under the midpoint-chord motion model, with J_delta_v (3x2).
+        """delta = g(v) under the midpoint-chord motion model.
 
         The chord of the turned arc is traversed at half the heading change,
         which is exact for pure translations and pure rotations.
         """
         s, w = v
         half = 0.5 * w
-        c, sn = math.cos(half), math.sin(half)
-        return (s * c, s * sn, w), ((c, -0.5 * s * sn), (sn, 0.5 * s * c), (0.0, 1.0))
+        return s * math.cos(half), s * math.sin(half), w
 
-
-def _combine(vecs, rows) -> list:
-    """Columns of V M for V given by its columns ``vecs`` (3-vectors) and a
-    small matrix M given by its rows: sum_i vecs[i] M[i][l], per column l."""
-    if len(vecs) == 2:
-        # the inner dimension of the bundled models, unrolled
-        (a0, a1, a2), (b0, b1, b2) = vecs
-        return [(a0 * x + b0 * y, a1 * x + b1 * y, a2 * x + b2 * y) for x, y in zip(*rows)]
-    comps = list(zip(*vecs))
-    return [tuple([sum(map(mul, comp, col)) for comp in comps]) for col in zip(*rows)]
-
-
-def _upper_outer(us, vs) -> tuple:
-    """Entries 00, 01, 02, 11, 12, 22 of sum_l us[l] vs[l]^T over 3-vectors."""
-    if len(us) == 2:
-        # two data entries, as in the bundled models, unrolled
-        (a0, a1, a2), (b0, b1, b2) = us
-        (c0, c1, c2), (d0, d1, d2) = vs
-        return (a0 * c0 + b0 * d0, a0 * c1 + b0 * d1, a0 * c2 + b0 * d2,
-                a1 * c1 + b1 * d1, a1 * c2 + b1 * d2, a2 * c2 + b2 * d2)
-    u0, u1, u2 = zip(*us)
-    v0, v1, v2 = zip(*vs)
-    return (sum(map(mul, u0, v0)), sum(map(mul, u0, v1)), sum(map(mul, u0, v2)),
-            sum(map(mul, u1, v1)), sum(map(mul, u1, v2)), sum(map(mul, u2, v2)))
+    def jacobians(self, u, c):
+        """J_v_u (n x 2 x 2), J_v_c (n x 2 x 3) and J_delta_v (n x 3 x 2) at
+        the data ``u`` (n x 2) of n samples."""
+        r_l, r_r, d = c
+        n = len(u)
+        j_v_u = np.array([[0.5 * r_l, 0.5 * r_r], [-r_l / d, r_r / d]])
+        s, w = (u @ j_v_u.T).T
+        j_v_c = np.zeros((n, 2, 3))
+        j_v_c[:, :, :2] = u[:, None, :] * np.array([[0.5, 0.5], [-1.0 / d, 1.0 / d]])
+        j_v_c[:, 1, 2] = -w / d
+        half = 0.5 * w
+        cos, sin = np.cos(half), np.sin(half)
+        j_delta_v = np.zeros((n, 3, 2))
+        j_delta_v[:, 0, 0] = cos
+        j_delta_v[:, 1, 0] = sin
+        j_delta_v[:, 0, 1] = -0.5 * s * sin
+        j_delta_v[:, 1, 1] = 0.5 * s * cos
+        j_delta_v[:, 2, 1] = 1.0
+        return np.broadcast_to(j_v_u, (n, 2, 2)), j_v_c, j_delta_v
 
 
 @dataclass(slots=True)
 class PreintEntry:
-    """Pipeline state after integrating one sample, as floats.
-
-    ``t``, ``u`` and ``q_u`` are the sample as :func:`integrate_step` took it;
-    ``delta`` is (x, y, theta); ``q`` the unique entries (q00, q01, q02,
-    q11, q12, q22) of the delta covariance; ``j`` the columns of the
-    calibration Jacobian, one 3-vector per calibration parameter.
-    """
+    """Pipeline state after integrating one sample, as floats: the sample as
+    :func:`integrate_step` took it (``t``, ``u``, ``q_u``) and the delta
+    (x, y, theta) accumulated through it."""
 
     t: float
     u: tuple
     q_u: tuple
     delta: tuple
-    q: tuple
-    j: list
-
-    @property
-    def q_delta(self) -> np.ndarray:
-        q00, q01, q02, q11, q12, q22 = self.q
-        return np.array([[q00, q01, q02], [q01, q11, q12], [q02, q12, q22]])
-
-    @property
-    def j_delta_c(self) -> np.ndarray:
-        return np.array(self.j).reshape(-1, 3).T
 
 
 @dataclass
@@ -139,9 +126,8 @@ class PreintBuffer:
     """Working set of one pre-integration interval.
 
     Starts at an origin frame/time with the calibration guess ``c_bar``
-    snapshotted there, as a tuple of floats; the recursion starts from the
-    identity delta with zero covariance and zero calibration Jacobian.
-    Entries are strictly increasing in time.
+    snapshotted there, as a tuple of floats and checked by the model; the
+    delta starts from the identity.  Entries are strictly increasing in time.
     """
 
     origin_frame: object
@@ -152,8 +138,8 @@ class PreintBuffer:
 
     def __post_init__(self):
         self.c_bar = tuple(map(float, self.c_bar))
-        self._origin = PreintEntry(self.origin_t, (), (), (0.0, 0.0, 0.0), (0.0,) * 6,
-                                   [(0.0, 0.0, 0.0)] * len(self.c_bar))
+        self.model.check_calibration(self.c_bar)
+        self._origin = PreintEntry(self.origin_t, (), (), (0.0, 0.0, 0.0))
 
     @property
     def tail(self) -> PreintEntry:
@@ -163,41 +149,46 @@ class PreintBuffer:
 
 def integrate_step(buf: PreintBuffer, t: float, u, q_u) -> PreintEntry:
     """Fold the sample at time t, data ``u`` as floats and covariance ``q_u``
-    as rows, into the buffer; returns the appended entry."""
+    as rows, into the buffer's delta; returns the appended entry."""
     last = buf.tail
     if t <= last.t:
         raise RecordFormatError(f"sample at t={t} is not after t={last.t}")
-
-    v, j_v_u, j_v_c = buf.model.precalibrate(u, buf.c_bar)
-    (ex, ey, etheta), j_delta_v = buf.model.compute_delta(v)
+    model = buf.model
+    ex, ey, etheta = model.compute_delta(model.precalibrate(u, buf.c_bar))
     x, y, theta = last.delta
     c, s = math.cos(theta), math.sin(theta)
     x, y = x + c * ex - s * ey, y + s * ex + c * ey
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ContractError(f"pre-integrated delta must be finite, got ({x}, {y})")
-    delta = (x, y, normalize_angle(theta + etheta))
-    # the shear Phi = [[1, 0, a], [0, 1, b], [0, 0, 1]]: a = -dy, b = dx
-    a, b = -s * ex - c * ey, c * ex - s * ey
-
-    # columns of R G, with G = J_delta_v and R = J_D_delta the rotation by
-    # theta; then the columns of B = R G J_v_u and C = R G J_v_c
-    rg = [(c * p - s * q, s * p + c * q, r) for p, q, r in zip(*j_delta_v)]
-    bs = _combine(rg, j_v_u)
-    m00, m01, m02, m11, m12, m22 = _upper_outer(_combine(bs, q_u), bs)
-    q00, q01, q02, q11, q12, q22 = last.q
-    p02, p12 = q02 + a * q22, q12 + b * q22
-    q = (q00 + a * q02 + a * p02 + m00,
-         q01 + a * q12 + b * p02 + m01,
-         p02 + m02,
-         q11 + b * q12 + b * p12 + m11,
-         p12 + m12,
-         q22 + m22)
-    j = [(p + a * r + e, q + b * r + f, r + g)
-         for (p, q, r), (e, f, g) in zip(last.j, _combine(rg, j_v_c))]
-
-    entry = PreintEntry(t, u, q_u, delta, q, j)
+    entry = PreintEntry(t, u, q_u, (x, y, normalize_angle(theta + etheta)))
     buf.entries.append(entry)
     return entry
+
+
+def interval_moments(buf: PreintBuffer) -> tuple:
+    """(Q_N, J_N): the covariance (3 x 3) and the calibration Jacobian
+    (3 x calib_dim) of the delta through the last of the buffer's entries,
+    of which there must be at least one, by the closed form of step 4."""
+    entries = buf.entries
+    n, n_u = len(entries), len(entries[0].u)
+    # flat float streams: numpy reads them several times faster than nested tuples
+    flat = chain.from_iterable
+    u = np.fromiter(flat(map(attrgetter("u"), entries)), float, n * n_u).reshape(n, n_u)
+    q_u = np.fromiter(flat(flat(map(attrgetter("q_u"), entries))), float,
+                      n * n_u * n_u).reshape(n, n_u, n_u)
+    x, y, theta = np.fromiter(flat(map(attrgetter("delta"), entries)), float,
+                              3 * n).reshape(n, 3).T
+    j_v_u, j_v_c, j_delta_v = buf.model.jacobians(u, buf.c_bar)
+    # S_k R_k, indexed [row, column, sample]: R_k rotates by the heading of
+    # D_{k-1}, S_k shears by (y_k - y_N, x_N - x_k)
+    before = np.concatenate(([0.0], theta[:-1]))
+    cos, sin = np.cos(before), np.sin(before)
+    zero, one = np.zeros(n), np.ones(n)
+    sr = np.array([[cos, -sin, y - y[-1]], [sin, cos, x[-1] - x], [zero, zero, one]])
+    m = np.einsum("ikn,nkv->inv", sr, j_delta_v)
+    bs = np.einsum("ink,nkl->inl", m, j_v_u)  # the rows of S_k B_k
+    q = np.einsum("inl,nlk,jnk->ij", bs, q_u, bs)
+    return 0.5 * (q + q.T), np.einsum("ink,nkl->il", m, j_v_c)
 
 
 def state_at_high_rate(buf: PreintBuffer, x_origin: Pose2, t: float) -> Pose2:
@@ -233,8 +224,8 @@ def split_buffer(buf: PreintBuffer, t_split: float, c_bar):
     """Split at the integrated sample nearest t_split (ties go earlier).
 
     The first part keeps its entries as integrated; the second part
-    re-integrates the remaining samples from a fresh recursion anchored at
-    the split time, at the calibration ``c_bar``.  The buffer origin itself
+    re-integrates the remaining samples' deltas from the identity at the
+    split time, at the calibration ``c_bar``.  The buffer origin itself
     is a valid split point, yielding an empty first part.
     """
     k, _ = nearest_sample(buf, t_split)

@@ -58,6 +58,7 @@ from .preint import (
     DiffDriveModel,
     PreintBuffer,
     integrate_step,
+    interval_moments,
     nearest_sample,
     split_buffer,
     state_at_high_rate,
@@ -158,8 +159,9 @@ class MotionProcessor(Processor):
         var = tick_std**2
         self.q_u = ((var, 0.0), (0.0, var))  # the ticks' covariance, as rows
         self.buffer: Optional[PreintBuffer] = None
-        # the last vote's entry and whitened covariance, for attach to reuse
-        self._whitened: tuple = (None, None)
+        # the last vote's entry, whitened covariance and calibration
+        # Jacobian, for attach to reuse
+        self._voted: tuple = (None, None, None)
 
     def initialize(self, tree, first_frame: T.NodeId, pose_at=None):
         """Anchor the first buffer at an existing frame."""
@@ -200,7 +202,8 @@ class MotionProcessor(Processor):
             return None
         # whiten before any frame exists: a singular interval covariance
         # (stationary or pure-rotation interval) must fail atomically
-        self._whitened = (entry, whiten(entry.q_delta))
+        q, j = interval_moments(self.buffer)
+        self._voted = (entry, whiten(q), j)
         return True
 
     def _vote(self, entry) -> bool:
@@ -227,9 +230,10 @@ class MotionProcessor(Processor):
         try:
             first, rest = split_buffer(self.buffer, t, c_bar)
             tail = first.entries[-1] if first.entries else None
-            voted, sqrt_info = self._whitened
+            voted, sqrt_info, j = self._voted
             if tail is not None and tail is not voted:
-                sqrt_info = whiten(tail.q_delta)
+                q, j = interval_moments(first)
+                sqrt_info = whiten(q)
         except DecompositionError:
             return False
         if tail is not None:  # an empty first part attaches nothing
@@ -242,7 +246,7 @@ class MotionProcessor(Processor):
                 constrained=[(origin, "p"), (origin, "o"),
                              (frame, "p"), (frame, "o"),
                              (self.sensor_id, "intrinsic")],
-                aux=MotionData(tail.j_delta_c, np.array(first.c_bar)),
+                aux=MotionData(j, np.array(first.c_bar)),
             ))
         rest.origin_frame = frame
         self.buffer = rest

@@ -34,13 +34,14 @@ from arbor.preint import (
     DiffDriveModel,
     PreintBuffer,
     integrate_step,
+    interval_moments,
     state_at_high_rate,
 )
 from arbor.runner import build_application, replay
 from arbor.sim import load_scenario, simulate, write_jsonl
 
 from fdcheck import central_diff, delta_diff, numeric_jacobian, stack_of, wrap_angle
-from test_preint import ZERO_Q, as_pose, correction_error, random_samples
+from test_preint import ZERO_Q, as_pose, correction_error, one_row, random_samples
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -137,10 +138,10 @@ class TestCriterion1Jacobians:
 
     def _motion_instance(self, rng):
         buf = integrated_buffer(rng, n=3)
-        tail = buf.entries[-1]
-        aux = MotionData(tail.j_delta_c, C_NOM.copy())
-        factor = Factor(MOTION, as_pose(tail.delta).as_array(),
-                        moderate_whiten(tail.q_delta), constrained=[None] * 5, aux=aux)
+        q_delta, j_delta_c = interval_moments(buf)
+        aux = MotionData(j_delta_c, C_NOM.copy())
+        factor = Factor(MOTION, as_pose(buf.tail.delta).as_array(),
+                        moderate_whiten(q_delta), constrained=[None] * 5, aux=aux)
         blocks = [*self._pose_blocks(rng), *self._pose_blocks(rng),
                   StateBlock(C_NOM * rng.uniform(0.9, 1.1, 3))]
         return factor, blocks, None
@@ -196,12 +197,12 @@ class TestCriterion1Jacobians:
             buf = PreintBuffer(None, 0.0, c, MODEL)
             for s in pre:
                 integrate_step(buf, *s)
-            v, j_v_u, j_v_c = MODEL.precalibrate(u_probe, c)
-            delta, j_delta_v = MODEL.compute_delta(v)
+            j_v_u, j_v_c, j_delta_v = one_row(MODEL, u_probe, c)
+            delta = MODEL.compute_delta(MODEL.precalibrate(u_probe, c))
             _, _, j_dd = pose_compose(as_pose(buf.tail.delta), as_pose(delta))
             chain = j_dd @ j_delta_v @ j_v_u
             worst = max(worst, np.max(np.abs(chain - central_diff(one_step, u_probe))))
-            fd_c = central_diff(lambda cc: MODEL.precalibrate(u_probe, cc)[0], c)
+            fd_c = central_diff(lambda cc: MODEL.precalibrate(u_probe, cc), c)
             worst = max(worst, np.max(np.abs(j_v_c - fd_c)))
         return worst
 
@@ -258,7 +259,7 @@ class TestCriterion3CovarianceConsistency:
         devs = np.stack([x - nominal[0], y - nominal[1], wrap_angle(th - nominal[2])],
                         axis=1)
         sample_cov = np.cov(devs.T)
-        q = buf.tail.q_delta
+        q = interval_moments(buf)[0]
         rel = np.linalg.norm(sample_cov - q) / np.linalg.norm(q)
         elapsed = time.perf_counter() - t0
         ok = rel < 0.10 and elapsed < 60.0
@@ -273,6 +274,7 @@ class TestCriterion4CorrectionOrder:
         base = PreintBuffer(None, 0.0, C_NOM, MODEL)
         for s in samples:
             integrate_step(base, *s)
+        j_base = interval_moments(base)[1]
         direction = np.array([0.6, -0.6, 0.53])
         direction /= np.linalg.norm(direction)
         epsilons = np.logspace(-4, -2, 9)
@@ -282,7 +284,7 @@ class TestCriterion4CorrectionOrder:
             reint = PreintBuffer(None, 0.0, c, MODEL)
             for s in samples:
                 integrate_step(reint, *s)
-            errs.append(np.linalg.norm(correction_error(base.tail, c, C_NOM,
+            errs.append(np.linalg.norm(correction_error(base.tail.delta, j_base, c, C_NOM,
                                                         as_pose(reint.tail.delta))))
         slope = float(np.polyfit(np.log(epsilons), np.log(errs), 1)[0])
         ok = 1.8 <= slope <= 2.2

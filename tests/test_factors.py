@@ -16,7 +16,7 @@ from arbor.factors import (
     whiten,
 )
 from arbor.manifold import ANGLE, Pose2, StateBlock, pose_compose
-from arbor.preint import DiffDriveModel, PreintBuffer, integrate_step
+from arbor.preint import DiffDriveModel, PreintBuffer, integrate_step, interval_moments
 
 from fdcheck import evaluate_one, numeric_jacobian, stack_of
 from test_preint import as_pose
@@ -34,13 +34,13 @@ def integrated_motion_data(rng, n_steps=8, c_bar=C_NOM):
     for k in range(n_steps):
         u = tuple(rng.uniform(0.0, 0.2, 2).tolist())
         integrate_step(buf, 0.1 * (k + 1), u, ((1e-4, 0.0), (0.0, 1e-4)))
-    tail = buf.entries[-1]
-    return tail, MotionData(tail.j_delta_c, c_bar.copy())
+    q_delta, j_delta_c = interval_moments(buf)
+    return buf.tail, q_delta, MotionData(j_delta_c, c_bar.copy())
 
 
 def motion_factor(rng):
-    tail, aux = integrated_motion_data(rng)
-    u = whiten(tail.q_delta)
+    tail, q_delta, aux = integrated_motion_data(rng)
+    u = whiten(q_delta)
     # keep whitening moderate so the finite-difference oracle stays accurate
     scale = np.max(np.abs(u))
     if scale > 10.0:
@@ -109,7 +109,7 @@ class TestMotionFactor:
 
     def test_whitened_perturbation_magnitude(self):
         rng = np.random.default_rng(22)
-        tail, aux = integrated_motion_data(rng)
+        tail, _, aux = integrated_motion_data(rng)
         sigma = np.array([0.05, 0.07, 0.02])
         f = Factor(MOTION, as_pose(tail.delta).as_array(), np.diag(1.0 / sigma),
                    constrained=[None] * 5, aux=aux)
@@ -121,11 +121,11 @@ class TestMotionFactor:
 
     def test_whitening_invariance_under_scaling(self):
         rng = np.random.default_rng(23)
-        tail, aux = integrated_motion_data(rng)
+        tail, q_delta, aux = integrated_motion_data(rng)
         lam = 16.0
-        f1 = Factor(MOTION, as_pose(tail.delta).as_array(), whiten(tail.q_delta),
+        f1 = Factor(MOTION, as_pose(tail.delta).as_array(), whiten(q_delta),
                     constrained=[None] * 5, aux=aux)
-        f2 = Factor(MOTION, as_pose(tail.delta).as_array(), whiten(lam * tail.q_delta),
+        f2 = Factor(MOTION, as_pose(tail.delta).as_array(), whiten(lam * q_delta),
                     constrained=[None] * 5, aux=aux)
         xi = Pose2(np.array([1.0, -2.0]), 0.3)
         xj = Pose2(np.array([1.5, -1.0]), 0.7)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +10,7 @@ from arbor.preint import (
     DiffDriveModel,
     PreintBuffer,
     integrate_step,
+    interval_moments,
     nearest_sample,
     split_buffer,
     state_at_high_rate,
@@ -27,13 +27,26 @@ def make_buffer(c_bar=C_NOM, origin_t=0.0):
     return PreintBuffer(origin_frame=None, origin_t=origin_t, c_bar=c_bar, model=MODEL)
 
 
-def correction_error(tail, c, c_bar, target):
-    """D(c) (-) target, with D(c) the calibration correction of ``tail``'s
-    delta to ``c`` as the motion kernel applies it: the kernel's residual
-    for unit sqrt_info, xi at the identity and xj = target."""
-    factor = Factor(MOTION, as_pose(tail.delta).as_array(), np.eye(3),
-                    constrained=[None] * 5, aux=MotionData(tail.j_delta_c, c_bar))
+def correction_error(delta, j_delta_c, c, c_bar, target):
+    """D(c) (-) target, with D(c) the calibration correction of ``delta``
+    to ``c`` as the motion kernel applies it: the kernel's residual for unit
+    sqrt_info, xi at the identity and xj = target."""
+    factor = Factor(MOTION, as_pose(delta).as_array(), np.eye(3),
+                    constrained=[None] * 5, aux=MotionData(j_delta_c, c_bar))
     return evaluate_one(factor, [np.zeros(2), [0.0], target.p, [target.theta], c]).r
+
+
+def moments(buf):
+    """:func:`interval_moments`, with the zero moments of the identity delta
+    for a buffer without entries."""
+    if not buf.entries:
+        return np.zeros((3, 3)), np.zeros((3, len(buf.c_bar)))
+    return interval_moments(buf)
+
+
+def one_row(model, u, c):
+    """The model's Jacobians (J_v_u, J_v_c, J_delta_v) at the single sample u."""
+    return [j[0] for j in model.jacobians(np.array([u], dtype=float), c)]
 
 
 def as_pose(delta) -> Pose2:
@@ -56,52 +69,57 @@ def random_samples(rng, n, dt=0.1, tick_std=0.0, t0=0.0):
 
 class TestPrecalibrate:
     def test_hand_values(self):
-        v, _, _ = MODEL.precalibrate(np.array([1.0, 1.0]), C_NOM)
+        v = MODEL.precalibrate(np.array([1.0, 1.0]), C_NOM)
         # ((0.1*1 + 0.1*1)/2, (0.1*1 - 0.1*1)/0.5) = (0.1, 0)
         np.testing.assert_allclose(v, [0.1, 0.0])
 
     def test_zero_motion(self):
-        v, _, _ = MODEL.precalibrate(np.zeros(2), np.array([0.3, 0.2, 1.0]))
+        v = MODEL.precalibrate(np.zeros(2), np.array([0.3, 0.2, 1.0]))
         np.testing.assert_allclose(v, [0.0, 0.0])
 
     def test_invalid_calibration(self):
+        # checked once, where a buffer snapshots its calibration
         with pytest.raises(ContractError, match="wheel radii and separation must be positive"):
-            MODEL.precalibrate(np.zeros(2), np.array([0.1, 0.1, 0.0]))
+            make_buffer(c_bar=np.array([0.1, 0.1, 0.0]))
         with pytest.raises(ContractError, match="wheel radii and separation must be positive"):
-            MODEL.precalibrate(np.zeros(2), np.array([-0.1, 0.1, 0.5]))
+            make_buffer(c_bar=np.array([-0.1, 0.1, 0.5]))
 
     def test_jacobians_match_finite_differences(self):
         rng = np.random.default_rng(3)
         for _ in range(1000):
             u = rng.uniform(-0.5, 0.5, 2)
             c = rng.uniform(0.05, 0.8, 3)
-            _, j_u, j_c = MODEL.precalibrate(u, c)
-            fd_u = central_diff(lambda uu: MODEL.precalibrate(uu, c)[0], u)
-            fd_c = central_diff(lambda cc: MODEL.precalibrate(u, cc)[0], c)
+            j_u, j_c, _ = one_row(MODEL, u, c)
+            fd_u = central_diff(lambda uu: MODEL.precalibrate(uu, c), u)
+            fd_c = central_diff(lambda cc: MODEL.precalibrate(u, cc), c)
             assert np.max(np.abs(j_u - fd_u)) < 1e-5
             assert np.max(np.abs(j_c - fd_c)) < 1e-5
 
 
 class TestComputeDelta:
     def test_straight(self):
-        d, _ = MODEL.compute_delta(np.array([0.1, 0.0]))
+        d = MODEL.compute_delta(np.array([0.1, 0.0]))
         np.testing.assert_allclose(d, [0.1, 0.0, 0.0])
 
     def test_turn_in_place(self):
-        d, _ = MODEL.compute_delta(np.array([0.0, math.pi / 2]))
+        d = MODEL.compute_delta(np.array([0.0, math.pi / 2]))
         np.testing.assert_allclose(d, [0.0, 0.0, math.pi / 2])
 
     def test_chord_hand_value(self):
         # (cos(pi/2), sin(pi/2), pi) = (0, 1, pi)
-        d, _ = MODEL.compute_delta(np.array([1.0, math.pi]))
+        d = MODEL.compute_delta(np.array([1.0, math.pi]))
         np.testing.assert_allclose(d, [0.0, 1.0, math.pi], atol=1e-15)
 
     def test_jacobian_matches_finite_differences(self):
+        # the model gives J_delta_v at the data u, so each drawn v is mapped
+        # back to the u that calibrates to it: v is linear in u
         rng = np.random.default_rng(4)
+        j_v_u = one_row(MODEL, (0.0, 0.0), C_NOM)[0]
         for _ in range(1000):
             v = np.array([rng.uniform(-1, 1), rng.uniform(-2, 2)])
-            _, j = MODEL.compute_delta(v)
-            fd = central_diff(lambda vv: MODEL.compute_delta(vv)[0], v)
+            u = np.linalg.solve(j_v_u, v)
+            _, _, j = one_row(MODEL, u, C_NOM)
+            fd = central_diff(MODEL.compute_delta, np.array(MODEL.precalibrate(u, C_NOM)))
             assert np.max(np.abs(j - fd)) < 1e-5
 
 
@@ -110,12 +128,13 @@ class TestIntegrateStep:
         buf = make_buffer()
         entry = integrate_step(buf, 0.1, (1.0, 1.0), ZERO_Q)
         np.testing.assert_allclose(as_pose(entry.delta).as_array(), [0.1, 0.0, 0.0])
-        np.testing.assert_allclose(entry.q_delta, np.zeros((3, 3)))
+        q_delta, j_delta_c = interval_moments(buf)
+        np.testing.assert_allclose(q_delta, np.zeros((3, 3)))
         # prior J is zero, so the first step is the bare chain
-        v, _, j_v_c = MODEL.precalibrate(np.array([1.0, 1.0]), C_NOM)
-        _, j_delta_v = MODEL.compute_delta(v)
-        _, _, j_dd = pose_compose(Pose2.identity(), as_pose(MODEL.compute_delta(v)[0]))
-        np.testing.assert_allclose(entry.j_delta_c, j_dd @ j_delta_v @ j_v_c, atol=1e-12)
+        _, j_v_c, j_delta_v = one_row(MODEL, (1.0, 1.0), C_NOM)
+        step = MODEL.compute_delta(MODEL.precalibrate((1.0, 1.0), C_NOM))
+        _, _, j_dd = pose_compose(Pose2.identity(), as_pose(step))
+        np.testing.assert_allclose(j_delta_c, j_dd @ j_delta_v @ j_v_c, atol=1e-12)
 
     def test_two_straight_steps_compose(self):
         buf = make_buffer()
@@ -136,14 +155,14 @@ class TestIntegrateStep:
         buf = make_buffer()
         for s in random_samples(rng, 30):
             integrate_step(buf, *s)
-        np.testing.assert_allclose(buf.tail.q_delta, np.zeros((3, 3)))
+        np.testing.assert_allclose(interval_moments(buf)[0], np.zeros((3, 3)))
 
     def test_covariance_symmetric_psd(self):
         rng = np.random.default_rng(6)
         buf = make_buffer()
         for s in random_samples(rng, 50, tick_std=0.01):
             integrate_step(buf, *s)
-            q = buf.tail.q_delta
+            q = interval_moments(buf)[0]
             np.testing.assert_allclose(q, q.T, atol=1e-15)
             assert np.min(np.linalg.eigvalsh(q)) > -1e-15
 
@@ -175,7 +194,7 @@ class TestIntegrateStep:
         nominal = as_pose(buf.tail.delta).as_array()
         devs = np.stack([x - nominal[0], y - nominal[1], wrap_angle(th - nominal[2])], axis=1)
         sample_cov = np.cov(devs.T)
-        q = buf.tail.q_delta
+        q = interval_moments(buf)[0]
         rel = np.linalg.norm(sample_cov - q) / np.linalg.norm(q)
         assert rel < 0.15
 
@@ -195,8 +214,8 @@ class TestIntegrateStep:
             buf = make_buffer()
             for s in pre:
                 integrate_step(buf, *s)
-            v, j_v_u, _ = MODEL.precalibrate(u_probe, C_NOM)
-            delta, j_delta_v = MODEL.compute_delta(v)
+            j_v_u, _, j_delta_v = one_row(MODEL, u_probe, C_NOM)
+            delta = MODEL.compute_delta(MODEL.precalibrate(u_probe, C_NOM))
             _, _, j_dd = pose_compose(as_pose(buf.tail.delta), as_pose(delta))
             chain = j_dd @ j_delta_v @ j_v_u
             fd = central_diff(one_step, u_probe)
@@ -212,21 +231,30 @@ class ScaledTwistModel:
 
     calib_dim = 1
 
+    def check_calibration(self, c):
+        """Any scale is accepted."""
+
     def precalibrate(self, u, c):
-        scale = float(c[0])
-        v = (scale * u[0], u[1])
-        j_v_u = ((scale, 0.0), (0.0, 1.0))
-        j_v_c = ((u[0],), (0.0,))
-        return v, j_v_u, j_v_c
+        return c[0] * u[0], u[1]
 
     def compute_delta(self, v):
-        s, w = float(v[0]), float(v[1])
+        s, w = v
         half = 0.5 * w
-        delta = (s * math.cos(half), s * math.sin(half), w)
-        j = ((math.cos(half), -0.5 * s * math.sin(half)),
-             (math.sin(half), 0.5 * s * math.cos(half)),
-             (0.0, 1.0))
-        return delta, j
+        return s * math.cos(half), s * math.sin(half), w
+
+    def jacobians(self, u, c):
+        n = len(u)
+        s, w = c[0] * u[:, 0], u[:, 1]
+        j_v_u = np.zeros((n, 2, 2))
+        j_v_u[:, 0, 0], j_v_u[:, 1, 1] = c[0], 1.0
+        j_v_c = np.zeros((n, 2, 1))
+        j_v_c[:, 0, 0] = u[:, 0]
+        half = 0.5 * w
+        j_delta_v = np.zeros((n, 3, 2))
+        j_delta_v[:, 0, 0], j_delta_v[:, 0, 1] = np.cos(half), -0.5 * s * np.sin(half)
+        j_delta_v[:, 1, 0], j_delta_v[:, 1, 1] = np.sin(half), 0.5 * s * np.cos(half)
+        j_delta_v[:, 2, 1] = 1.0
+        return j_v_u, j_v_c, j_delta_v
 
 
 class HolonomicModel:
@@ -235,15 +263,21 @@ class HolonomicModel:
 
     calib_dim = 1
 
+    def check_calibration(self, c):
+        """Any scale is accepted."""
+
     def precalibrate(self, u, c):
-        scale = float(c[0])
-        v = (scale * u[0], scale * u[1], u[2])
-        j_v_u = ((scale, 0.0, 0.0), (0.0, scale, 0.0), (0.0, 0.0, 1.0))
-        j_v_c = ((u[0],), (u[1],), (0.0,))
-        return v, j_v_u, j_v_c
+        return c[0] * u[0], c[0] * u[1], u[2]
 
     def compute_delta(self, v):
-        return tuple(v), ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+        return v
+
+    def jacobians(self, u, c):
+        n = len(u)
+        j_v_c = np.zeros((n, 3, 1))
+        j_v_c[:, :2, 0] = u[:, :2]
+        return (np.broadcast_to(np.diag([c[0], c[0], 1.0]), (n, 3, 3)), j_v_c,
+                np.broadcast_to(np.eye(3), (n, 3, 3)))
 
 
 class TestAlternativeModel:
@@ -270,37 +304,37 @@ class TestAlternativeModel:
         reint = PreintBuffer(None, 0.0, c_scale + eps, ScaledTwistModel())
         for k, u in enumerate(twists):
             integrate_step(reint, 0.1 * (k + 1), tuple(u), ((1e-4, 0.0), (0.0, 1e-4)))
-        err = np.linalg.norm(correction_error(buf.tail, c_scale + eps, c_scale,
-                                              as_pose(reint.tail.delta)))
+        err = np.linalg.norm(correction_error(buf.tail.delta, interval_moments(buf)[1],
+                                              c_scale + eps, c_scale, as_pose(reint.tail.delta)))
         assert err < 10.0 * eps**2
 
     def test_covariance_chain_with_alternative_model(self):
         buf = PreintBuffer(None, 0.0, np.array([2.0]), ScaledTwistModel())
         for k in range(10):
             integrate_step(buf, 0.1 * (k + 1), (0.1, 0.05), ((1e-4, 0.0), (0.0, 4e-4)))
-        q = buf.tail.q_delta
+        q, j = interval_moments(buf)
         np.testing.assert_allclose(q, q.T, atol=1e-15)
         assert np.min(np.linalg.eigvalsh(q)) > 0.0
-        assert buf.tail.j_delta_c.shape == (3, 1)
+        assert j.shape == (3, 1)
 
 
 def reference_recursion(model, c_bar, samples):
     """The per-step recursion in matrix form, with numpy: the reference for
-    the float recursion.  Returns (delta_bar, q_delta, j_delta_c) after each
-    sample."""
+    the float delta and the closed-form moments.  Each step takes the
+    model's Jacobians at its own sample.  Returns (delta_bar, q_delta,
+    j_delta_c) after each sample."""
     delta = Pose2.identity()
     q = np.zeros((3, 3))
     j = np.zeros((3, len(c_bar)))
     out = []
     for _, u, q_u in samples:
-        v, j_v_u, j_v_c = model.precalibrate(u, c_bar)
-        step, j_delta_v = model.compute_delta(v)
+        step = model.compute_delta(model.precalibrate(u, c_bar))
+        j_v_u, j_v_c, j_delta_v = one_row(model, u, c_bar)
         delta, j_dd, j_ddelta = pose_compose(delta, as_pose(step))
-        j_delta_v = np.asarray(j_delta_v)
-        a = j_ddelta @ j_delta_v @ np.asarray(j_v_u)
+        a = j_ddelta @ j_delta_v @ j_v_u
         q = j_dd @ q @ j_dd.T + a @ np.asarray(q_u) @ a.T
         q = 0.5 * (q + q.T)
-        j = j_dd @ j + j_ddelta @ j_delta_v @ np.asarray(j_v_c)
+        j = j_dd @ j + j_ddelta @ j_delta_v @ j_v_c
         out.append((delta, q, j))
     return out
 
@@ -313,8 +347,9 @@ ORACLE_MODELS = [
 
 
 class TestFloatRecursionOracle:
-    """The float recursion against :func:`reference_recursion`: the delta bit
-    for bit, the moments to 1e-12 relative."""
+    """The float delta and the closed-form moments against
+    :func:`reference_recursion`: the delta bit for bit, the moments to
+    1e-12 relative."""
 
     @staticmethod
     def _samples(rng, n_u, n):
@@ -326,12 +361,19 @@ class TestFloatRecursionOracle:
         return out
 
     @staticmethod
-    def _assert_matches(entries, reference):
+    def _assert_matches(buf, reference, stride=1):
+        """Every delta; the moments through every ``stride``-th entry and
+        the last."""
+        entries = buf.entries
         assert len(entries) == len(reference)
-        for entry, (delta, q, j) in zip(entries, reference):
+        for entry, (delta, _, _) in zip(entries, reference):
             assert entry.delta == (delta.p[0], delta.p[1], delta.theta)
-            assert np.linalg.norm(entry.q_delta - q) <= 1e-12 * np.linalg.norm(q)
-            assert np.linalg.norm(entry.j_delta_c - j) <= 1e-12 * np.linalg.norm(j)
+        for k in sorted({*range(stride, len(entries), stride), len(entries)} - {0}):
+            _, q, j = reference[k - 1]
+            prefix = PreintBuffer(None, buf.origin_t, buf.c_bar, buf.model, entries[:k])
+            q_delta, j_delta_c = interval_moments(prefix)
+            assert np.linalg.norm(q_delta - q) <= 1e-12 * np.linalg.norm(q)
+            assert np.linalg.norm(j_delta_c - j) <= 1e-12 * np.linalg.norm(j)
 
     @pytest.mark.parametrize("model, c_bar, n_u", ORACLE_MODELS,
                              ids=["diff_drive", "scaled_twist", "holonomic"])
@@ -342,7 +384,19 @@ class TestFloatRecursionOracle:
             buf = PreintBuffer(None, 0.0, c_bar, model)
             for smp in samples:
                 integrate_step(buf, *smp)
-            self._assert_matches(buf.entries, reference_recursion(model, c_bar, samples))
+            self._assert_matches(buf, reference_recursion(model, c_bar, samples))
+
+    @pytest.mark.parametrize("model, c_bar, n_u", ORACLE_MODELS,
+                             ids=["diff_drive", "scaled_twist", "holonomic"])
+    def test_long_interval(self, model, c_bar, n_u):
+        # a 3000-sample interval, where the closed form's offsets
+        # (y_k - y_N, x_N - x_k) sum the rounding of the longest path
+        rng = np.random.default_rng(33)
+        samples = self._samples(rng, n_u, 3000)
+        buf = PreintBuffer(None, 0.0, c_bar, model)
+        for smp in samples:
+            integrate_step(buf, *smp)
+        self._assert_matches(buf, reference_recursion(model, c_bar, samples), stride=100)
 
     @pytest.mark.parametrize("model, c_bar, n_u", ORACLE_MODELS,
                              ids=["diff_drive", "scaled_twist", "holonomic"])
@@ -356,9 +410,8 @@ class TestFloatRecursionOracle:
                 integrate_step(buf, *smp)
             first, second = split_buffer(buf, 0.1 * k, c_bar)
             assert first.entries == buf.entries[:k]
-            self._assert_matches(first.entries, reference_recursion(model, c_bar, samples[:k]))
-            self._assert_matches(second.entries,
-                                 reference_recursion(model, c_bar, samples[k:]))
+            self._assert_matches(first, reference_recursion(model, c_bar, samples[:k]))
+            self._assert_matches(second, reference_recursion(model, c_bar, samples[k:]))
 
 
 class TestSegmentComposition:
@@ -377,12 +430,11 @@ class TestSegmentComposition:
             tail = make_buffer(origin_t=samples[k - 1][0] if k else 0.0)
             for s in samples[k:]:
                 integrate_step(tail, *s)
-            head, tail, full = head.tail, tail.tail, full.tail
-            composed, j_a, j_b = pose_compose(as_pose(head.delta), as_pose(tail.delta))
-            assert np.max(np.abs(delta_diff(composed, as_pose(full.delta)))) < 1e-12
+            composed, j_a, j_b = pose_compose(as_pose(head.tail.delta), as_pose(tail.tail.delta))
+            assert np.max(np.abs(delta_diff(composed, as_pose(full.tail.delta)))) < 1e-12
             # calibration Jacobian transports across the cut by the chain rule
-            j_total = j_a @ head.j_delta_c + j_b @ tail.j_delta_c
-            np.testing.assert_allclose(j_total, full.j_delta_c, atol=1e-12)
+            j_total = j_a @ moments(head)[1] + j_b @ moments(tail)[1]
+            np.testing.assert_allclose(j_total, moments(full)[1], atol=1e-12)
 
 
 class TestCorrectDelta:
@@ -395,14 +447,15 @@ class TestCorrectDelta:
     def test_identity_correction(self):
         rng = np.random.default_rng(11)
         buf = self._integrated(C_NOM, rng)
-        err = correction_error(buf.tail, C_NOM, C_NOM, as_pose(buf.tail.delta))
+        err = correction_error(buf.tail.delta, interval_moments(buf)[1], C_NOM, C_NOM,
+                               as_pose(buf.tail.delta))
         np.testing.assert_allclose(err, np.zeros(3), atol=1e-15)
 
     def test_zero_jacobian_ignores_calibration(self):
-        entry_like = make_buffer()
-        integrate_step(entry_like, 0.1, (0.0, 0.0), ZERO_Q)
-        tail = dataclasses.replace(entry_like.entries[-1], j=[(0.0, 0.0, 0.0)] * 3)
-        err = correction_error(tail, C_NOM * 1.5, C_NOM, as_pose(tail.delta))
+        buf = make_buffer()
+        tail = integrate_step(buf, 0.1, (0.0, 0.0), ZERO_Q)
+        err = correction_error(tail.delta, np.zeros((3, 3)), C_NOM * 1.5, C_NOM,
+                               as_pose(tail.delta))
         np.testing.assert_allclose(err, np.zeros(3), atol=1e-15)
 
     def test_first_order_accuracy_slope_two(self):
@@ -411,6 +464,7 @@ class TestCorrectDelta:
         base = make_buffer()
         for s in samples:
             integrate_step(base, *s)
+        j_base = interval_moments(base)[1]
         direction = np.array([0.7, -0.5, 0.8])
         direction /= np.linalg.norm(direction)
         epsilons = np.logspace(-4, -2, 7)
@@ -420,7 +474,7 @@ class TestCorrectDelta:
             reint = make_buffer(c_bar=c)
             for s in samples:
                 integrate_step(reint, *s)
-            errs.append(np.linalg.norm(correction_error(base.tail, c, C_NOM,
+            errs.append(np.linalg.norm(correction_error(base.tail.delta, j_base, c, C_NOM,
                                                         as_pose(reint.tail.delta))))
         slope = np.polyfit(np.log(epsilons), np.log(errs), 1)[0]
         assert 1.8 <= slope <= 2.2

@@ -4,6 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from arbor import preint
+from arbor import processors as P
 from arbor import tree as T
 from arbor.config import auto_setup, parse_config
 from arbor.errors import AlignmentError, ContractError, DecompositionError
@@ -20,10 +22,14 @@ from arbor.processors import (
     sensor_extrinsic,
 )
 
+from arbor.runner import build_application, replay
+from arbor.sim import load_scenario, simulate, write_jsonl
+
 from test_preint import as_pose
 
 C_NOM = np.array([0.1, 0.1, 0.5])
-DEMO_CONFIG = Path(__file__).parent / "data" / "demo_config.yaml"
+DATA = Path(__file__).parent / "data"
+DEMO_CONFIG = DATA / "demo_config.yaml"
 
 
 def build_tree():
@@ -235,6 +241,18 @@ class TestMotionProcessor:
         assert proc.buffer.origin_frame == event.frame
         np.testing.assert_array_equal(proc.buffer.c_bar, C_NOM * 1.01)
 
+    def test_non_positive_calibration_fails_at_split(self):
+        # the calibration is checked where a buffer snapshots it: a solve
+        # that drives it non-positive fails the next keyframe's split
+        tr, odom, _, first = build_tree()
+        proc = make_motion(tr, odom, first, max_dist=0.45)
+        pipe = Pipeline(tr, [proc])
+        for k in range(1, 5):
+            pipe.dispatch("odom0", 0.1 * k, straight_step())
+        tr.block(odom, "intrinsic").values[:] = [0.1, 0.1, -0.5]
+        with pytest.raises(ContractError, match="wheel radii and separation must be positive"):
+            pipe.dispatch("odom0", 0.5, straight_step())
+
     def test_vote_on_held_keyframe_joins_it(self):
         # the sample that completes a waiting keyframe also crosses
         # max_dist: the waiting keyframe is made first and the vote joins it,
@@ -253,6 +271,55 @@ class TestMotionProcessor:
         assert kinds == [MOTION]
         assert proc.buffer.origin_frame == event.frame
         np.testing.assert_array_equal(proc.buffer.c_bar, C_NOM * 1.01)
+
+    def test_moments_once_per_interval(self, tmp_path, monkeypatch):
+        # the per-interval Jacobians are evaluated once per motion factor
+        # made, plus once per vote that made none, and never per sample
+        in_step, jacobian_calls = [], []
+        jacobians = preint.DiffDriveModel.jacobians
+
+        def spy_jacobians(model, u, c):
+            assert not in_step, "integrate_step evaluated the Jacobians"
+            jacobian_calls.append(len(u))
+            return jacobians(model, u, c)
+
+        def spy_step(step):
+            def wrapped(*args):
+                in_step.append(True)
+                try:
+                    return step(*args)
+                finally:
+                    in_step.pop()
+            return wrapped
+
+        votes = []
+        process_capture = P.MotionProcessor.process_capture
+
+        def spy_capture(proc, tree, t, data):
+            voted = process_capture(proc, tree, t, data)
+            if voted:
+                votes.append(t)
+            return voted
+
+        monkeypatch.setattr(preint.DiffDriveModel, "jacobians", spy_jacobians)
+        monkeypatch.setattr(preint, "integrate_step", spy_step(preint.integrate_step))
+        monkeypatch.setattr(P, "integrate_step", spy_step(P.integrate_step))
+        monkeypatch.setattr(P.MotionProcessor, "process_capture", spy_capture)
+
+        captures, _ = simulate(load_scenario((DATA / "demo_scenario.yaml").read_text()))
+        log = tmp_path / "log.jsonl"
+        write_jsonl(captures, log)
+        app = build_application(DEMO_CONFIG)
+        replay(app, log)
+        tr = app.tree
+        factor_times = [tr.node(c).timestamp for fr in tr.frames()
+                        for c in tr.children(fr, T.CAPTURE)
+                        for feature in tr.children(c, T.FEATURE)
+                        for f in tr.children(feature, T.FACTOR)
+                        if tr.node(f).payload.kind == MOTION]
+        assert factor_times and votes
+        idle_votes = [t for t in votes if t not in factor_times]
+        assert len(jacobian_calls) <= len(factor_times) + len(idle_votes)
 
     def test_uninitialized_rejected(self):
         tr, odom, _, _ = build_tree()
