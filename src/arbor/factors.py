@@ -3,7 +3,7 @@
 A factor pins a measurement ``z`` with square-root information ``U``
 (upper-triangular, ``U^T U = Q^-1``) to an ordered list of constrained state
 blocks.  Residuals are whitened: ``r = U * error``.  Analytic Jacobians come
-back with one column group per constrained state block, in order.
+back with them, always, one column group per constrained block, in order.
 
 Factors are evaluated only in stacks: all factors of one kind over blocks of
 the same sizes are the rows of a :class:`FactorStack`, and one numpy kernel
@@ -157,17 +157,15 @@ def _whitened(u: np.ndarray, e: np.ndarray) -> np.ndarray:
     return np.einsum("nij,nj->ni", u, e)
 
 
-def _pose_between(pi, ti, pj, tj, jacobians: bool):
-    """Row-wise ``manifold.pose_between``: deltas (n, 3) and, if asked,
-    d(delta)/d[xi | xj] (n, 3, 6)."""
+def _pose_between(pi, ti, pj, tj):
+    """Row-wise ``manifold.between``: deltas (n, 3) and d(delta)/d[xi | xj]
+    (n, 3, 6)."""
     c, s = np.cos(ti), np.sin(ti)
     dx, dy = pj[:, 0] - pi[:, 0], pj[:, 1] - pi[:, 1]
     d = np.empty((len(c), 3))
     d[:, 0] = c * dx + s * dy
     d[:, 1] = -s * dx + c * dy
     d[:, 2] = wrap_angles(tj - ti)
-    if not jacobians:
-        return d, None
     zero, one = np.zeros_like(c), np.ones_like(c)
     j = np.array([
         # columns: xi (3), xj (3)
@@ -178,14 +176,14 @@ def _pose_between(pi, ti, pj, tj, jacobians: bool):
     return d, j
 
 
-def _motion(stack: FactorStack, v: np.ndarray, jacobians: bool):
+def _motion(stack: FactorStack, v: np.ndarray):
     """Self-calibrated motion residual between consecutive frames.
 
     r = U * (D(c) (-) (xj boxminus xi)) with D(c) = z (+) J (c - c_bar) the
     calibration-corrected pre-integrated delta.  Jacobian columns: xi.p,
     xi.o, xj.p, xj.o, c.
     """
-    b, j_b = _pose_between(v[:, 0, :2], v[:, 1, 0], v[:, 2, :2], v[:, 3, 0], jacobians)
+    b, j_b = _pose_between(v[:, 0, :2], v[:, 1, 0], v[:, 2, :2], v[:, 3, 0])
     c = v[:, 4, :stack.dims[4]]
     t = np.einsum("nij,nj->ni", stack.j_delta_c, c - stack.c_bar)
     d = stack.z
@@ -193,12 +191,10 @@ def _motion(stack: FactorStack, v: np.ndarray, jacobians: bool):
     e[:, :2] = d[:, :2] + t[:, :2] - b[:, :2]
     e[:, 2] = wrap_angles(wrap_angles(d[:, 2] + t[:, 2]) - b[:, 2])
     r = _whitened(stack.sqrt_info, e)
-    if not jacobians:
-        return r, None
     return r, stack.sqrt_info @ np.concatenate([-j_b, stack.j_delta_c], axis=2)
 
 
-def _range_bearing(stack: FactorStack, v: np.ndarray, jacobians: bool):
+def _range_bearing(stack: FactorStack, v: np.ndarray):
     """Range-bearing of a landmark from a pose through the sensor extrinsics.
 
     Jacobian columns: x.p, x.o, ext.p, ext.o, landmark.
@@ -218,8 +214,6 @@ def _range_bearing(stack: FactorStack, v: np.ndarray, jacobians: bool):
     z = stack.z
     e = np.array([z[:, 0] - rho, wrap_angles(z[:, 1] - np.arctan2(lsy, lsx))]).T
     r = _whitened(stack.sqrt_info, e)
-    if not jacobians:
-        return r, None
 
     rho2 = rho * rho
     # dh/d(sensor pose): the range ignores heading, the bearing tracks it 1:1
@@ -238,45 +232,36 @@ def _range_bearing(stack: FactorStack, v: np.ndarray, jacobians: bool):
     return r, -stack.sqrt_info @ dh
 
 
-def _prior_pose(stack: FactorStack, v: np.ndarray, jacobians: bool):
+def _prior_pose(stack: FactorStack, v: np.ndarray):
     """Unary pose prior: r = U * (x boxminus z).  Jacobian columns: x.p, x.o."""
     z = stack.z
-    d, j = _pose_between(z[:, :2], z[:, 2], v[:, 0, :2], v[:, 1, 0], jacobians)
-    r = _whitened(stack.sqrt_info, d)
-    if not jacobians:
-        return r, None
-    return r, stack.sqrt_info @ j[:, :, 3:]
+    d, j = _pose_between(z[:, :2], z[:, 2], v[:, 0, :2], v[:, 1, 0])
+    return _whitened(stack.sqrt_info, d), stack.sqrt_info @ j[:, :, 3:]
 
 
-def _prior_block(stack: FactorStack, v: np.ndarray, jacobians: bool):
+def _prior_block(stack: FactorStack, v: np.ndarray):
     """Unary block prior: r = U * (x - z), wrapped for an angle block."""
     e = v[:, 0, :stack.dims[0]] - stack.z
     if stack.kinds[0] == ANGLE:
         e[:, 0] = wrap_angles(e[:, 0])
-    r = _whitened(stack.sqrt_info, e)
-    if not jacobians:
-        return r, None
-    return r, stack.sqrt_info.copy()
+    return _whitened(stack.sqrt_info, e), stack.sqrt_info.copy()
 
 
-def _relative_pose(stack: FactorStack, v: np.ndarray, jacobians: bool):
+def _relative_pose(stack: FactorStack, v: np.ndarray):
     """Binary relative-pose constraint, e.g. from a loop closure.
 
     r = U * (z (-) (xj boxminus xi)).  Jacobian columns: xi.p, xi.o,
     xj.p, xj.o.
     """
-    b, j_b = _pose_between(v[:, 0, :2], v[:, 1, 0], v[:, 2, :2], v[:, 3, 0], jacobians)
+    b, j_b = _pose_between(v[:, 0, :2], v[:, 1, 0], v[:, 2, :2], v[:, 3, 0])
     z = stack.z
     e = np.empty_like(b)
     e[:, :2] = z[:, :2] - b[:, :2]
     e[:, 2] = wrap_angles(z[:, 2] - b[:, 2])
-    r = _whitened(stack.sqrt_info, e)
-    if not jacobians:
-        return r, None
-    return r, -stack.sqrt_info @ j_b
+    return _whitened(stack.sqrt_info, e), -stack.sqrt_info @ j_b
 
 
-# one kernel per factor kind: (stack, gathered block values, jacobians?) -> (r, J)
+# one kernel per factor kind: (stack, gathered block values) -> (r, J)
 _KERNELS = {
     MOTION: _motion,
     RANGE_BEARING: _range_bearing,
@@ -286,12 +271,11 @@ _KERNELS = {
 }
 
 
-def evaluate(stack: FactorStack, x: np.ndarray, jacobians: bool = True):
+def evaluate(stack: FactorStack, x: np.ndarray):
     """Evaluate every row of a stack on the value table ``x``.
 
     ``x`` holds one block per row, left-aligned and zero-padded to the
-    widest block.  Returns the whitened residuals (n, m) and, if asked, the
-    Jacobians (n, m, sum(dims)), whose columns follow the constrained
-    blocks in order; otherwise None in their place.
+    widest block.  Returns the whitened residuals (n, m) and the Jacobians
+    (n, m, sum(dims)), whose columns follow the constrained blocks in order.
     """
-    return _KERNELS[stack.kind](stack, x[stack.slots], jacobians)
+    return _KERNELS[stack.kind](stack, x[stack.slots])

@@ -5,7 +5,8 @@ Conventions used throughout the package:
 * one SE(2) type, :class:`Pose2` ``(p, theta)``, is both a pose that places
   a body in the world and a rigid motion expressed in the frame of the pose
   it is composed onto: ``p`` in meters, ``theta`` in radians, always kept in
-  ``(-pi, pi]``;
+  ``(-pi, pi]``; :func:`compose` and :func:`between` code its algebra once,
+  on ``(x, y, theta)`` floats;
 * a tangent increment is a plain length-3 array ``(tx, ty, ttheta)`` added
   componentwise, with the angle wrapped.
 
@@ -125,15 +126,34 @@ class Pose2:
         return np.array([self.p[0], self.p[1], self.theta])
 
 
-def pose_compose(a: Pose2, b: Pose2):
-    """a boxplus b: advance ``a`` by the motion ``b`` expressed in a's frame.
+def compose(a: tuple, b: tuple) -> tuple:
+    """a boxplus b on (x, y, theta) floats: advance ``a`` by the motion ``b``
+    expressed in a's frame, with the heading wrapped."""
+    ax, ay, at = a
+    bx, by, bt = b
+    c, s = math.cos(at), math.sin(at)
+    return ax + c * bx - s * by, ay + s * bx + c * by, normalize_angle(at + bt)
 
-    Returns (pose, J_a, J_b) with J_a = [[I, R'(a.theta) b.p], [0, 1]] and
-    J_b = [[R(a.theta), 0], [0, 1]].
+
+def between(a: tuple, b: tuple) -> tuple:
+    """b boxminus a on (x, y, theta) floats: the motion that takes ``a`` to
+    ``b`` in a's frame, so that compose(a, between(a, b)) == b."""
+    ax, ay, at = a
+    bx, by, bt = b
+    c, s = math.cos(at), math.sin(at)
+    dx, dy = bx - ax, by - ay
+    return c * dx + s * dy, -s * dx + c * dy, normalize_angle(bt - at)
+
+
+def pose_compose(a: Pose2, b: Pose2):
+    """:func:`compose` for :class:`Pose2`, with its Jacobians.
+
+    Returns (a boxplus b, J_a, J_b) with J_a = [[I, R'(a.theta) b.p],
+    [0, 1]] and J_b = [[R(a.theta), 0], [0, 1]].
     """
+    x, y, theta = compose((*a.p.tolist(), a.theta), (*b.p.tolist(), b.theta))
     c, s = math.cos(a.theta), math.sin(a.theta)
     bx, by = b.p[0], b.p[1]
-    p = np.array([a.p[0] + c * bx - s * by, a.p[1] + s * bx + c * by])
     j_a = np.array([
         [1.0, 0.0, -s * bx - c * by],
         [0.0, 1.0, c * bx - s * by],
@@ -144,17 +164,14 @@ def pose_compose(a: Pose2, b: Pose2):
         [s, c, 0.0],
         [0.0, 0.0, 1.0],
     ])
-    return Pose2(p, a.theta + b.theta), j_a, j_b
+    return Pose2(np.array([x, y]), theta), j_a, j_b
 
 
 def pose_between(xi: Pose2, xj: Pose2):
-    """xj boxminus xi: the motion that takes xi to xj, in xi's frame.
-
-    Inverse of pose_compose: xi boxplus (xj boxminus xi) == xj.
-    """
+    """:func:`between` for :class:`Pose2`: (xj boxminus xi, J_xi, J_xj)."""
+    x, y, theta = between((*xi.p.tolist(), xi.theta), (*xj.p.tolist(), xj.theta))
     c, s = math.cos(xi.theta), math.sin(xi.theta)
     dx, dy = xj.p[0] - xi.p[0], xj.p[1] - xi.p[1]
-    p = np.array([c * dx + s * dy, -s * dx + c * dy])
     j_xi = np.array([
         [-c, -s, -s * dx + c * dy],
         [s, -c, -c * dx - s * dy],
@@ -165,4 +182,4 @@ def pose_between(xi: Pose2, xj: Pose2):
         [-s, c, 0.0],
         [0.0, 0.0, 1.0],
     ])
-    return Pose2(p, xj.theta - xi.theta), j_xi, j_xj
+    return Pose2(np.array([x, y]), theta), j_xi, j_xj

@@ -8,7 +8,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ContractError, RecordFormatError
+from .checks import as_numbers
+from .errors import ConfigError, ContractError, RecordFormatError
 from .sim import TRUTH_SENSOR
 
 TIME_MATCH_TOL = 1e-6
@@ -24,15 +25,23 @@ class MetricsReport:
     wall_time: float
 
 
+def truth_values(record, n: int, bound=None) -> list:
+    """A truth record's data as :func:`checks.as_numbers` reads ``n`` numbers;
+    anything else is a RecordFormatError naming the record."""
+    try:
+        return as_numbers("data", record.data, n, bound)
+    except ConfigError as exc:
+        raise RecordFormatError(f"bad {record.sensor} record at t={record.t}: {exc}") from None
+
+
 def compute_ate(estimates, truth_records) -> float:
     """Root-mean-square position error over keyframes, gauge left absolute.
 
     ``estimates`` is a list of (t, x, y) tuples (heading ignored); every
-    timestamp must have a ground-truth pose within 1e-6 s.
+    timestamp must have a ground-truth pose (x, y, theta) within 1e-6 s.
     """
-    poses = [(r.t, r.data) for r in truth_records if r.sensor == TRUTH_SENSOR]
-    poses.sort(key=lambda e: e[0])
-    times = [t for t, _ in poses]
+    poses = sorted((r for r in truth_records if r.sensor == TRUTH_SENSOR), key=lambda r: r.t)
+    times = [r.t for r in poses]
     if not estimates:
         raise RecordFormatError("no estimates to score")
     sq_sum = 0.0
@@ -40,7 +49,7 @@ def compute_ate(estimates, truth_records) -> float:
         i = bisect.bisect_left(times, t - TIME_MATCH_TOL)
         if i >= len(times) or abs(times[i] - t) > TIME_MATCH_TOL:
             raise RecordFormatError(f"no ground-truth pose within 1e-6s of t={t}")
-        gx, gy = poses[i][1][0], poses[i][1][1]
+        gx, gy, _ = truth_values(poses[i], 3)
         sq_sum += (x - gx) ** 2 + (y - gy) ** 2
     return float(np.sqrt(sq_sum / len(estimates)))
 

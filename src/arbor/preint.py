@@ -8,7 +8,7 @@ Sukkarieh, TRO 2012).  The pipeline is
 1. pre-calibrate       v = f(u, c_bar)            with J_v_u, J_v_c
 2. current delta       delta = g(v)               with J_delta_v
 3. per sample: the delta
-                       D_k = D_{k-1} o delta_k, on floats
+                       D_k = D_{k-1} o delta_k, on floats (manifold.compose)
 4. per interval: the moments, in closed form
                        Q_N = sum_k S_k B_k Q_u,k B_k^T S_k^T
                        J_N = sum_k S_k C_k
@@ -36,7 +36,7 @@ moved away from the integration-time guess, D(c) = D (+) J_N (c - c_bar), in
 one place only: the motion factor's residual kernel, ``factors._motion``.
 
 High-rate state queries compose the buffer origin pose with the delta
-accumulated up to the query time.
+accumulated up to the query time, by the same ``manifold.compose``.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from operator import attrgetter
 import numpy as np
 
 from .errors import ContractError, RecordFormatError
-from .manifold import Pose2, normalize_angle
+from .manifold import Pose2, compose
 
 
 class DiffDriveModel:
@@ -154,13 +154,10 @@ def integrate_step(buf: PreintBuffer, t: float, u, q_u) -> PreintEntry:
     if t <= last.t:
         raise RecordFormatError(f"sample at t={t} is not after t={last.t}")
     model = buf.model
-    ex, ey, etheta = model.compute_delta(model.precalibrate(u, buf.c_bar))
-    x, y, theta = last.delta
-    c, s = math.cos(theta), math.sin(theta)
-    x, y = x + c * ex - s * ey, y + s * ex + c * ey
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise ContractError(f"pre-integrated delta must be finite, got ({x}, {y})")
-    entry = PreintEntry(t, u, q_u, (x, y, normalize_angle(theta + etheta)))
+    delta = compose(last.delta, model.compute_delta(model.precalibrate(u, buf.c_bar)))
+    if not (math.isfinite(delta[0]) and math.isfinite(delta[1])):
+        raise ContractError(f"pre-integrated delta must be finite, got {delta[:2]}")
+    entry = PreintEntry(t, u, q_u, delta)
     buf.entries.append(entry)
     return entry
 
@@ -202,11 +199,8 @@ def state_at_high_rate(buf: PreintBuffer, x_origin: Pose2, t: float) -> Pose2:
     k = bisect.bisect_right(buf.entries, t, key=attrgetter("t"))
     if k == 0:
         return Pose2(x_origin.p.copy(), x_origin.theta)
-    dx, dy, dtheta = buf.entries[k - 1].delta
-    c, s = math.cos(x_origin.theta), math.sin(x_origin.theta)
-    x, y = x_origin.p.tolist()
-    return Pose2(np.array([x + c * dx - s * dy, y + s * dx + c * dy]),
-                 x_origin.theta + dtheta)
+    x, y, theta = compose((*x_origin.p.tolist(), x_origin.theta), buf.entries[k - 1].delta)
+    return Pose2(np.array([x, y]), theta)
 
 
 def nearest_sample(buf: PreintBuffer, t: float):

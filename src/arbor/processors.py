@@ -53,7 +53,7 @@ from .factors import (
     MotionData,
     whiten,
 )
-from .manifold import Pose2, normalize_angle, pose_between, pose_compose, rot2
+from .manifold import Pose2, between, compose, rot2
 from .preint import (
     DiffDriveModel,
     PreintBuffer,
@@ -109,10 +109,10 @@ class RawIdInfo:
         return "" if self.raw_id is None else f"id={self.raw_id}"
 
 
-def sensor_extrinsic(tree, sensor_id) -> Pose2:
-    node = tree.node(sensor_id)
-    return Pose2(node.state_blocks["ext_p"].values.copy(),
-                 float(node.state_blocks["ext_o"].values[0]))
+def sensor_extrinsic(tree, sensor_id) -> tuple:
+    """The sensor's mount on the robot, (x, y, theta) as floats."""
+    blocks = tree.node(sensor_id).state_blocks
+    return (*blocks["ext_p"].values.tolist(), float(blocks["ext_o"].values[0]))
 
 
 class Processor:
@@ -302,17 +302,6 @@ class LandmarkTracker(Processor):
         return self._kf_count - self._last_seen.get(landmark, self._kf_count) \
             <= self.max_unseen_frames
 
-    def _sensor_pose(self, tree, pose: Pose2) -> tuple:
-        """(x, y, heading) of the sensor at robot pose ``pose``: the pose
-        composed with the sensor's extrinsic, on floats, by the operations of
-        :func:`pose_compose` in its order."""
-        blocks = tree.node(self.sensor_id).state_blocks
-        bx, by = blocks["ext_p"].values.tolist()
-        (ax, ay), theta = pose.p.tolist(), pose.theta
-        c, s = math.cos(theta), math.sin(theta)
-        return (ax + c * bx - s * by, ay + s * bx + c * by,
-                normalize_angle(theta + float(blocks["ext_o"].values[0])))
-
     def _candidates(self, tree):
         """In-window map landmarks, in creation order, and their positions."""
         landmarks = tree.children(tree.map_id, T.LANDMARK)
@@ -322,7 +311,8 @@ class LandmarkTracker(Processor):
 
     def _associate(self, tree, pose: Pose2, scan):
         """(raw id, (range, bearing), matched landmark or None, world point) per entry."""
-        sx, sy, heading = self._sensor_pose(tree, pose)
+        sx, sy, heading = compose((*pose.p.tolist(), pose.theta),
+                                  sensor_extrinsic(tree, self.sensor_id))
         parsed, worlds = [], []
         try:
             for m in scan:
@@ -488,16 +478,14 @@ class LoopCloser(Processor):
         _, cand, shared, cand_obs = best
         theta, t = self.align([cand_obs[i] for i in shared], [cur_obs[i] for i in shared])
 
-        # sensor-frame transform conjugated into the robot frame: ext o T o ext^-1
-        ext = sensor_extrinsic(tree, self.sensor_id)
-        ext_inv, _, _ = pose_between(ext, Pose2.identity())
-        step1, _, _ = pose_compose(ext, Pose2(t, theta))
-        z_robot, _, _ = pose_compose(step1, ext_inv)
+        # sensor-frame transform conjugated into the robot frame: mount o T o mount^-1
+        mount = sensor_extrinsic(tree, self.sensor_id)
+        z_robot = compose(compose(mount, (*t.tolist(), theta)), between(mount, (0.0, 0.0, 0.0)))
 
         capture = tree.add_capture(current, tree.node(current).timestamp, self.sensor_id)
         return tree.add_factor(capture, Factor(
             kind=RELATIVE_POSE,
-            z=z_robot.as_array(),
+            z=np.array(z_robot),
             sqrt_info=self.sqrt_info.copy(),
             constrained=[(cand, "p"), (cand, "o"), (current, "p"), (current, "o")],
         ))

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 from . import tree as T
 from .config import Application, auto_setup, parse_config
 from .errors import ConfigError, RecordFormatError
-from .metrics import MetricsReport, compute_ate, compute_calib_error
+from .metrics import MetricsReport, compute_ate, compute_calib_error, truth_values
 from .processors import RawIdInfo
 from .sim import TRUTH_CALIB, CaptureRecord, jsonl_lines, read_jsonl, write_files
 from .solver import SolverProblem, lm_solve, sync
@@ -104,8 +104,9 @@ def replay(app: Application, log_path, out_path=None, truth_path=None,
         truth = read_jsonl(truth_path)
         ate = compute_ate([(r.t, r.data[0], r.data[1]) for r in estimates], truth)
         calib_abs = calib_rel = None
-        c_true = next((r.data for r in truth if r.sensor == TRUTH_CALIB), None)
+        c_true = next((r for r in truth if r.sensor == TRUTH_CALIB), None)
         if c_true is not None and calib_est is not None:
+            c_true = truth_values(c_true, len(calib_est), ">")  # relative errors divide by it
             abs_err, rel_err = compute_calib_error(calib_est, c_true)
             calib_abs, calib_rel = abs_err.tolist(), rel_err.tolist()
         metrics = MetricsReport(

@@ -22,9 +22,9 @@ the solve stops there with ``converged_dx`` without trying it.
 Each iterate is evaluated once, the start point too: its cost, which the
 solve checks for finiteness, comes from its linearization, and a trial
 point's cost and normal equations come from one linearization, kept for the
-next iteration if the step is accepted.  A Cholesky factor of the first
-normal matrix rejects a singular problem (a gauge left free) with a
-SolveError.
+next iteration if the step is accepted.  A stack with no active column is
+evaluated once per solve.  A Cholesky factor of the first normal matrix
+rejects a singular problem (a gauge left free) with a SolveError.
 """
 
 from __future__ import annotations
@@ -266,7 +266,7 @@ def _table(problem: SolverProblem) -> np.ndarray:
 
 def total_cost(problem: SolverProblem, x: np.ndarray) -> float:
     """Sum of ||r||^2/2 over all factors at the value table ``x``, as linearized."""
-    return _linearize(problem, x)[0]
+    return _linearize(problem, x, {})[0]
 
 
 def _stepped(problem: SolverProblem, x: np.ndarray, dx: np.ndarray) -> np.ndarray:
@@ -277,22 +277,27 @@ def _stepped(problem: SolverProblem, x: np.ndarray, dx: np.ndarray) -> np.ndarra
     return out
 
 
-def _linearize(problem: SolverProblem, x: np.ndarray):
+def _linearize(problem: SolverProblem, x: np.ndarray, held: dict):
     """Cost, gradient and normal equations at the value table ``x``, one
     kernel call per stack.
 
     The cost sums every stack in order.  Each stack's Jᵀr and JᵀJ entries on
-    active columns are scattered into g and H with one bincount each; a stack
-    with none is evaluated for its residuals only.
+    active columns are scattered into g and H with one bincount each; the
+    cost of a stack with none is kept in ``held`` and not evaluated again.
     """
     n = problem.total_dim
     cost = 0.0
     g_to, g_w, h_to, h_w = [], [], [], []
     for key, stack in problem.stacks.items():
+        if key in held:
+            cost += held[key]
+            continue
+        r, j = evaluate(stack, x)
+        stack_cost = 0.5 * float(np.einsum("ij,ij->", r, r))
+        cost += stack_cost
         sc = problem._scatter[key]
-        r, j = evaluate(stack, x, bool(len(sc.g_to)))
-        cost += 0.5 * float(np.einsum("ij,ij->", r, r))
-        if j is None:
+        if not len(sc.g_to):
+            held[key] = stack_cost
             continue
         g_to.append(sc.g_to)
         g_w.append(np.einsum("nmi,nm->ni", j, r).ravel()[sc.g_at])
@@ -312,7 +317,8 @@ def lm_solve(problem: SolverProblem) -> SolveReport:
         raise ContractError("nothing to solve: no unfixed block touched by a factor")
 
     x = _table(problem)
-    cost, g, h = _linearize(problem, x)
+    held: dict = {}  # filled by the first linearization, reused by the rest
+    cost, g, h = _linearize(problem, x, held)
     if not np.isfinite(cost):
         raise SolveError(f"initial cost is not finite: {cost}")
     initial_cost = cost
@@ -353,7 +359,7 @@ def lm_solve(problem: SolverProblem) -> SolveReport:
                 break
             candidate = _stepped(problem, x, dx)
             try:
-                new_cost, new_g, new_h = _linearize(problem, candidate)
+                new_cost, new_g, new_h = _linearize(problem, candidate, held)
             except SingularObservationError:
                 # the step put a landmark on a sensor origin: reject it
                 lam *= _LAMBDA_UP

@@ -122,7 +122,7 @@ class TestCriterion1Jacobians:
             def residual(values):
                 for row, v in enumerate(values):
                     table[row, :len(v)] = v
-                return evaluate(stack, table, False)[0][0]
+                return evaluate(stack, table)[0][0]
 
             _, j = evaluate(stack, table)
             analytic = np.split(j[0], np.cumsum(stack.dims)[:-1], axis=1)

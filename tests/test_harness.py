@@ -181,6 +181,18 @@ class TestRunner:
         with pytest.raises(RecordFormatError, match="goes back in time"):
             replay(build_application(DATA / "demo_config.yaml"), log)
 
+    def test_blank_lines_skipped(self, tmp_path):
+        # blank and whitespace-only lines hold no record, yet count in the
+        # line number a bad record is reported at
+        log = tmp_path / "log.jsonl"
+        rec = '{"t": 0.5, "sensor": "odom0", "data": [0.1, 0.1]}'
+        log.write_text(f"\n{rec}\n  \t\n\n{rec}\n\n")
+        records = [(r.t, r.sensor, r.data) for r in read_jsonl(log)]
+        assert records == [(0.5, "odom0", [0.1, 0.1])] * 2
+        log.write_text(f"\n{rec}\n  \n{{\n")
+        with pytest.raises(RecordFormatError, match="bad record at line 4:"):
+            read_jsonl(log)
+
     def test_estimate_files_deterministic(self, small_logs, tmp_path):
         log, _ = small_logs
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -571,6 +583,37 @@ class TestCli:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("data error: ") and str(paths[flag]) in err[0]
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("sensor, data", [
+        # was an IndexError, a numpy UFuncNoLoopError and a TypeError
+        pytest.param("truth", [1.0], id="pose_one_value"),
+        pytest.param("truth", "xy", id="pose_string"),
+        pytest.param("truth", None, id="pose_null"),
+        pytest.param("truth", [True, 0.0, 0.0], id="pose_booleans"),  # scored as 1.0
+        pytest.param("truth", [10**400, 0.0, 0.0], id="pose_too_large"),
+        pytest.param("truth_calib", ["a", "b", "c"], id="calib_strings"),  # a ValueError
+        pytest.param("truth_calib", [0.1, 0.1], id="calib_short"),  # did not name the record
+        # scored as inf% and written into the metrics as Infinity
+        pytest.param("truth_calib", [0.0, 0.1, 0.5], id="calib_zero"),
+    ])
+    def test_malformed_truth_record_exit_code(self, small_logs, tmp_path, capsys, sensor, data):
+        """A truth record the metrics read exits 3 with one line naming the
+        record, and leaves no output."""
+        log, truth = small_logs
+        records = [json.loads(line) for line in truth.read_text().splitlines()]
+        k = next(i for i, rec in enumerate(records) if rec["sensor"] == sensor)
+        assert records[k]["t"] == 0.0
+        records[k]["data"] = data
+        bad = tmp_path / "truth.jsonl"
+        bad.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+        assert main(["run", "--config", str(DATA / "demo_config.yaml"), "--log", str(log),
+                     "--out", str(tmp_path / "est.jsonl"), "--truth", str(bad),
+                     "--metrics", str(tmp_path / "metrics.json")]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        err = err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"data error: bad {sensor} record at t=0.0: ")
+        assert list(tmp_path.iterdir()) == [bad]
 
     def test_metrics_needs_truth(self, tmp_path, capsys, monkeypatch):
         """--metrics without --truth exits 2 before any replay."""

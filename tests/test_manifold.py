@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from arbor.errors import ContractError
+from arbor.factors import _pose_between
 from arbor.manifold import (
     ANGLE,
     EUCLIDEAN,
     Pose2,
     StateBlock,
+    between,
+    compose,
     normalize_angle,
     pose_between,
     pose_compose,
@@ -150,6 +153,30 @@ class TestPoseBetween:
 
             assert np.max(np.abs(j_xi - central_diff(f_xi, xi.as_array()))) < 1e-5
             assert np.max(np.abs(j_xj - central_diff(f_xj, xj.as_array()))) < 1e-5
+
+
+class TestFloatAndRowWiseForms:
+    """``compose`` and ``between`` on floats invert each other, and
+    ``between`` matches the row-wise form the factor kernels use."""
+
+    @staticmethod
+    def _poses(rng, n):
+        return np.column_stack([rng.uniform(-10, 10, (n, 2)), rng.uniform(-np.pi, np.pi, n)])
+
+    def test_between_inverts_compose(self):
+        rng = np.random.default_rng(25)
+        for a, b in zip(self._poses(rng, 1000).tolist(), self._poses(rng, 1000).tolist()):
+            back = between(a, compose(a, b))
+            np.testing.assert_allclose(back[:2], b[:2], rtol=0, atol=1e-12)
+            assert abs(normalize_angle(back[2] - b[2])) < 1e-12
+
+    def test_between_matches_row_wise(self):
+        rng = np.random.default_rng(26)
+        a, b = self._poses(rng, 1000), self._poses(rng, 1000)
+        rows, _ = _pose_between(a[:, :2], a[:, 2], b[:, :2], b[:, 2])
+        floats = np.array([between(x, y) for x, y in zip(a.tolist(), b.tolist())])
+        np.testing.assert_allclose(rows[:, :2], floats[:, :2], rtol=0, atol=1e-12)
+        assert np.max(np.abs(wrap_angles(rows[:, 2] - floats[:, 2]))) < 1e-12
 
 
 class TestStateBlock:

@@ -391,6 +391,32 @@ class TestLandmarkTracker:
         assert event is None
         assert tracker._pending is not None  # buffered until a keyframe
 
+    def test_vote_rearmed_only_when_tracks_recover(self):
+        # votes are edge triggered: a second scan short of min_tracks does
+        # not vote again until a scan with enough tracks re-arms the vote
+        tr, _, rb, first = build_tree()
+        tracker = make_tracker(tr, rb, min_tracks=3, association="id")
+        for k in range(3):
+            tracker._by_raw_id[k] = tr.add_landmark(np.array([1.0 + k, 0.0]), RawIdInfo(k))
+        few = [[0, 1.0, 0.0]]
+        enough = [[k, 1.0 + k, 0.0] for k in range(3)]
+        votes = [tracker.process_capture(tr, 0.1 * k, scan)
+                 for k, scan in enumerate([few, few, enough, few, few])]
+        assert votes == [True, None, None, True, None]
+
+    def test_gate_association_honours_unseen_window(self):
+        # a landmark unseen for more than max_unseen_frames keyframes is no
+        # gate candidate, so its observation spawns a fresh landmark
+        tr, _, rb, first = build_tree()
+        tracker = make_tracker(tr, rb, min_tracks=5, max_unseen_frames=2)
+        tracker._kf_count = 10
+        stale = tr.add_landmark(np.array([1.0, 0.0]))
+        recent = tr.add_landmark(np.array([2.0, 0.0]))
+        tracker._last_seen[stale] = 7  # unseen for 3 keyframes
+        tracker._last_seen[recent] = 8  # unseen for 2
+        out = tracker._associate(tr, Pose2.identity(), [[1.0, 0.0], [2.0, 0.0]])
+        assert [o[2] for o in out] == [None, recent]
+
     def test_unseen_window_spawns_fresh_landmark(self):
         tr, _, rb, first = build_tree()
         tracker = make_tracker(tr, rb, min_tracks=5,
@@ -405,7 +431,8 @@ class TestLandmarkTracker:
 
 def reference_associate(tracker, tr, pose, scan):
     """Association one observation at a time, each against every candidate."""
-    s, _, _ = pose_compose(pose, sensor_extrinsic(tr, tracker.sensor_id))
+    ext_x, ext_y, ext_o = sensor_extrinsic(tr, tracker.sensor_id)
+    s, _, _ = pose_compose(pose, Pose2(np.array([ext_x, ext_y]), ext_o))
     landmarks = [lm for lm in tr.children(tr.map_id, T.LANDMARK) if tracker._window_ok(lm)]
     out = []
     for m in scan:
@@ -540,6 +567,39 @@ class TestLoopCloser:
         assert factor is not None
         np.testing.assert_allclose(tr.node(factor).payload.z, [0.0, 0.0, math.pi / 2],
                                    atol=1e-9)
+
+    def test_mount_off_origin(self):
+        # the sensor sits at (0.25, -0.1), turned by 0.6 rad: the scans are
+        # in the sensor frame, the factor's z is the robot frame's relative
+        # pose, here the second robot pose itself since the first is the origin
+        tr, _, rb, first = build_tree()
+        m_x, m_y, m_o = 0.25, -0.1, 0.6
+        tr.block(rb, "ext_p").values = np.array([m_x, m_y])
+        tr.block(rb, "ext_o").values = np.array([m_o])
+        points = [np.array([1.0, 0.3]), np.array([0.4, -1.2]), np.array([-0.8, 0.9])]
+        robot_b = (0.3, 0.1, math.pi / 3)
+
+        def scan_from(x, y, theta):
+            # the sensor's pose in the world, then each point in its frame
+            c, s = math.cos(theta), math.sin(theta)
+            sx, sy, so = x + c * m_x - s * m_y, y + s * m_x + c * m_y, theta + m_o
+            out = []
+            for i, (wx, wy) in enumerate(points):
+                dx, dy = wx - sx, wy - sy
+                lx = math.cos(so) * dx + math.sin(so) * dy
+                ly = -math.sin(so) * dx + math.cos(so) * dy
+                out.append((i, math.hypot(lx, ly), math.atan2(ly, lx)))
+            return out
+
+        self._frame_with_observations(tr, rb, 0.0, Pose2.identity(), scan_from(0.0, 0.0, 0.0))
+        for k in range(1, 4):
+            self._frame_with_observations(tr, rb, float(k), Pose2.identity(), [])
+        f_b = self._frame_with_observations(tr, rb, 4.0,
+                                            Pose2(np.array(robot_b[:2]), robot_b[2]),
+                                            scan_from(*robot_b))
+        factor = LoopCloser("loop", rb, "rb0", 1.0, 2, 2).detect_and_close(tr, f_b)
+        assert factor is not None
+        np.testing.assert_allclose(tr.node(factor).payload.z, robot_b, atol=1e-9)
 
     def test_gap_too_small(self):
         tr, _, rb, first = build_tree()
@@ -709,6 +769,30 @@ class TestPipeline:
         assert kinds == [MOTION]
         assert tracker._pending[0] == 1.02
         assert pipe._vote is None
+        assert tr.check_consistency() == []
+
+    def test_voters_further_votes_dropped_while_its_vote_waits(self):
+        # the tracker's tolerance (0.15 s) spans an odometry tick (0.1 s), so
+        # the motion vote at 0.3 still waits for a scan when the sample at
+        # 0.4 votes again; that vote is dropped, and the scan at 0.42 makes
+        # the one frame, at 0.3, with the scan on it
+        tr, odom, rb, first = build_tree()
+        motion = make_motion(tr, odom, first, max_dist=0.25)
+        tracker = LandmarkTracker("tracker", rb, "rb0", time_tolerance=0.15,
+                                  range_std=0.02, bearing_std=0.01)
+        pipe = Pipeline(tr, [motion, tracker])
+        pipe.initialize(first)
+        events = []
+        for k in range(1, 5):
+            events += pipe.dispatch("odom0", 0.1 * k, straight_step())
+        assert events == [] and pipe._vote == (0.1 * 3, motion)
+        assert motion._vote(motion.buffer.tail)  # the sample at 0.4 voted too
+        (event,) = pipe.dispatch("rb0", 0.42, [[0, 1.0, 0.0], [1, 2.0, 0.5]])
+        assert event.t == 0.1 * 3
+        kinds = sorted(tr.node(f).payload.kind for f in tr.factors_referencing(event.frame))
+        assert kinds == [MOTION, RANGE_BEARING, RANGE_BEARING]
+        assert len(motion.buffer.entries) == 1  # the sample at 0.4 starts the next interval
+        assert pipe._vote is None and len(tr.frames()) == 2
         assert tr.check_consistency() == []
 
     def test_declined_frame_offered_once(self):

@@ -548,10 +548,10 @@ class TestSingularTrialStep:
         real = arbor.solver._linearize
         calls, singular = [], []
 
-        def spy(problem, values):
+        def spy(*args):
             calls.append(None)
             try:
-                return real(problem, values)
+                return real(*args)
             except SingularObservationError:
                 singular.append(len(calls))
                 raise
@@ -590,9 +590,9 @@ class TestOneEvaluationPerIterate:
         real_evaluate, real_stepped = arbor.solver.evaluate, arbor.solver._stepped
         calls, trials = [], []
 
-        def evaluate_spy(stack, x, jacobians=True):
-            calls.append((x, jacobians))
-            return real_evaluate(stack, x, jacobians)
+        def evaluate_spy(stack, x):
+            calls.append(x)
+            return real_evaluate(stack, x)
 
         def stepped_spy(*args):
             trials.append(real_stepped(*args))
@@ -605,11 +605,52 @@ class TestOneEvaluationPerIterate:
         assert 1 <= report.accepted_steps < len(trials)
         np.testing.assert_allclose(tr.block(landmark, "p").values, [1.0, 0.0], atol=1e-9)
         # one linearization of the start, which also gives the initial cost,
-        # and one of each trial point; no residual-only sweep
+        # and one of each trial point
         assert len(problem.stacks) == 1
-        assert [j for _, j in calls] == [True] * (1 + len(trials))
-        np.testing.assert_array_equal(calls[0][0], start)
-        assert all(x is t for (x, _), t in zip(calls[1:], trials, strict=True))
+        assert len(calls) == 1 + len(trials)
+        np.testing.assert_array_equal(calls[0], start)
+        assert all(x is t for x, t in zip(calls[1:], trials, strict=True))
+
+
+class TestHeldStack:
+    def test_all_fixed_prior_evaluated_once_per_solve(self, monkeypatch, tmp_path):
+        # under fix_oldest the first frame's prior touches no active column
+        # once its frame is fixed: each solve evaluates it once, at its
+        # start, however many times it linearizes
+        scenario = load_scenario((DATA / "window_scenario.yaml").read_text())
+        scenario.duration = 15.0
+        captures, _ = simulate(scenario)
+        log = tmp_path / "log.jsonl"
+        write_jsonl(captures, log)
+        real_evaluate, real_linearize = arbor.solver.evaluate, arbor.solver._linearize
+        real_solve = arbor.runner.lm_solve
+        calls = {}  # id of each stack evaluated, and "linearize", -> calls in this solve
+        solves = []  # per solve: linearizations, and (kind, evaluations) per held stack
+
+        def evaluate_spy(stack, *args):
+            calls[id(stack)] = calls.get(id(stack), 0) + 1
+            return real_evaluate(stack, *args)
+
+        def linearize_spy(*args):
+            calls["linearize"] = calls.get("linearize", 0) + 1
+            return real_linearize(*args)
+
+        def solve_spy(problem):
+            calls.clear()
+            report = real_solve(problem)
+            held = [key for key, sc in problem._scatter.items() if not len(sc.g_to)]
+            solves.append((calls["linearize"],
+                           [(key[0], calls[id(problem.stacks[key])]) for key in held]))
+            return report
+
+        monkeypatch.setattr(arbor.solver, "evaluate", evaluate_spy)
+        monkeypatch.setattr(arbor.solver, "_linearize", linearize_spy)
+        monkeypatch.setattr(arbor.runner, "lm_solve", solve_spy)
+        replay(build_application(DATA / "window_fix_config.yaml"), log)
+        with_held = [(n, held) for n, held in solves if held]
+        assert len(with_held) > 10
+        assert all(held == [(PRIOR_POSE, 1)] for _, held in with_held)
+        assert any(n > 1 for n, _ in with_held)  # there, one evaluation, not n
 
 
 class TestRoundingFloorStop:
@@ -637,9 +678,9 @@ class TestRoundingFloorStop:
         real = arbor.solver._linearize
         calls = []
 
-        def spy(problem, x):
+        def spy(*args):
             calls.append(None)
-            return real(problem, x)
+            return real(*args)
 
         monkeypatch.setattr(arbor.solver, "_linearize", spy)
         problem.options = SolverOptions(max_iterations=50, tol_dx=0.0, tol_grad=0.0)
@@ -697,7 +738,7 @@ class TestAssemblyOracle:
         rng = np.random.default_rng(60)
         x = _stepped(problem, _table(problem), rng.normal(0.0, 0.05, problem.total_dim))
         values = {key: x[e.slot, :e.dim] for key, e in problem.blocks.items()}
-        cost, g, h = _linearize(problem, x)
+        cost, g, h = _linearize(problem, x, {})
         g_ref, h_ref, cost_ref = per_factor_oracle(problem, values)
         assert np.max(np.abs(g - g_ref)) <= 1e-9 * np.max(np.abs(g_ref))
         assert np.max(np.abs(h - h_ref)) <= 1e-9 * np.max(np.abs(h_ref))
