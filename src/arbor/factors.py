@@ -9,6 +9,14 @@ Factors are evaluated only in stacks: all factors of one kind over blocks of
 the same sizes are the rows of a :class:`FactorStack`, and one numpy kernel
 per kind evaluates every row at once.  There is no one-factor path.
 
+Kernels work on contiguous operands.  :func:`evaluate` gathers a stack's
+block values with one flat take into a (D, n) array whose rows follow the
+Jacobian columns (for range-bearing: px, py, theta, ex, ey, e_theta, lx, ly),
+so each value a kernel reads is one contiguous row.  Kernels write their
+Jacobians into C-contiguous (n, m, D) arrays.  Numpy's gathers, ufuncs and
+batched ``matmul`` take their slow paths on strided or transposed views, and
+this step is the hottest of a solve.
+
 The motion factor implements the self-calibrating pre-integration residual.
 Its ``z`` is the pre-integrated delta; its :class:`MotionData` holds the
 delta's calibration Jacobian ``j_delta_c`` and the calibration guess
@@ -121,6 +129,7 @@ class FactorStack:
         for name, value in rows.items():
             setattr(self, name, value)
         self._fields = tuple(rows)
+        self._take_width = None  # the table width ``_take`` was built for
 
     @property
     def n(self) -> int:
@@ -144,6 +153,7 @@ class FactorStack:
         """Append one row per factor."""
         for name, rows in self._rows(factors, slots, ids).items():
             setattr(self, name, np.concatenate([getattr(self, name), rows]))
+        self._take_width = None
 
     def drop(self, ids) -> None:
         """Remove the rows tagged with any of ``ids``."""
@@ -151,28 +161,49 @@ class FactorStack:
         keep = (self.ids[:, None] != np.asarray(ids)).all(axis=1)
         for name in self._fields:
             setattr(self, name, getattr(self, name)[keep])
+        self._take_width = None
+
+    def take(self, width: int) -> np.ndarray:
+        """Flat indices into a value table ``width`` columns wide that gather
+        the stack's block values as (D, n), one row per Jacobian column.
+
+        Cached until the rows change or the table has another width.
+        """
+        if self._take_width != width:
+            block_of_col, within = _layout(self.dims)
+            self._take = self.slots.T[block_of_col] * width + within[:, None]
+            self._take_width = width
+        return self._take
+
+
+@lru_cache(maxsize=None)
+def _layout(dims: tuple):
+    """Per Jacobian column of a stack whose blocks have sizes ``dims``: its
+    block's index, and its component within the block."""
+    return (np.repeat(np.arange(len(dims)), dims),
+            np.concatenate([np.arange(d) for d in dims]))
 
 
 def _whitened(u: np.ndarray, e: np.ndarray) -> np.ndarray:
     return np.einsum("nij,nj->ni", u, e)
 
 
-def _pose_between(pi, ti, pj, tj):
-    """Row-wise ``manifold.between``: deltas (n, 3) and d(delta)/d[xi | xj]
-    (n, 3, 6)."""
-    c, s = np.cos(ti), np.sin(ti)
-    dx, dy = pj[:, 0] - pi[:, 0], pj[:, 1] - pi[:, 1]
+def _pose_between(a, b):
+    """Row-wise ``manifold.between`` of poses given as rows x, y, theta, each
+    (n,): deltas (n, 3) and d(delta)/d[a | b] (n, 3, 6)."""
+    c, s = np.cos(a[2]), np.sin(a[2])
+    dx, dy = b[0] - a[0], b[1] - a[1]
     d = np.empty((len(c), 3))
     d[:, 0] = c * dx + s * dy
     d[:, 1] = -s * dx + c * dy
-    d[:, 2] = wrap_angles(tj - ti)
+    d[:, 2] = wrap_angles(b[2] - a[2])
     zero, one = np.zeros_like(c), np.ones_like(c)
     j = np.array([
-        # columns: xi (3), xj (3)
+        # columns: a (3), b (3)
         [-c, -s, -s * dx + c * dy, c, s, zero],
         [s, -c, -c * dx - s * dy, -s, c, zero],
         [zero, zero, -one, zero, zero, one],
-    ]).transpose(2, 0, 1)
+    ]).transpose(2, 0, 1).copy()
     return d, j
 
 
@@ -183,9 +214,8 @@ def _motion(stack: FactorStack, v: np.ndarray):
     calibration-corrected pre-integrated delta.  Jacobian columns: xi.p,
     xi.o, xj.p, xj.o, c.
     """
-    b, j_b = _pose_between(v[:, 0, :2], v[:, 1, 0], v[:, 2, :2], v[:, 3, 0])
-    c = v[:, 4, :stack.dims[4]]
-    t = np.einsum("nij,nj->ni", stack.j_delta_c, c - stack.c_bar)
+    b, j_b = _pose_between(v[0:3], v[3:6])
+    t = np.einsum("nij,nj->ni", stack.j_delta_c, v[6:].T - stack.c_bar)
     d = stack.z
     e = np.empty_like(b)
     e[:, :2] = d[:, :2] + t[:, :2] - b[:, :2]
@@ -199,11 +229,10 @@ def _range_bearing(stack: FactorStack, v: np.ndarray):
 
     Jacobian columns: x.p, x.o, ext.p, ext.o, landmark.
     """
-    px, py, th = v[:, 0, 0], v[:, 0, 1], v[:, 1, 0]
-    ex, ey, eth = v[:, 2, 0], v[:, 2, 1], v[:, 3, 0]
+    px, py, th, ex, ey, eth, lx, ly = v
     cx, sx = np.cos(th), np.sin(th)
-    qx = v[:, 4, 0] - (px + cx * ex - sx * ey)
-    qy = v[:, 4, 1] - (py + sx * ex + cx * ey)
+    qx = lx - (px + cx * ex - sx * ey)
+    qy = ly - (py + sx * ex + cx * ey)
     st = th + eth
     cs, ss = np.cos(st), np.sin(st)
     lsx = cs * qx + ss * qy
@@ -228,20 +257,19 @@ def _range_bearing(stack: FactorStack, v: np.ndarray):
          -a0 * sx + a1 * cx, zero, -a0, -a1],
         [b0, b1, -one + b0 * lever0 + b1 * lever1, b0 * cx + b1 * sx,
          -b0 * sx + b1 * cx, -one, -b0, -b1],
-    ]).transpose(2, 0, 1)
+    ]).transpose(2, 0, 1).copy()
     return r, -stack.sqrt_info @ dh
 
 
 def _prior_pose(stack: FactorStack, v: np.ndarray):
     """Unary pose prior: r = U * (x boxminus z).  Jacobian columns: x.p, x.o."""
-    z = stack.z
-    d, j = _pose_between(z[:, :2], z[:, 2], v[:, 0, :2], v[:, 1, 0])
+    d, j = _pose_between(stack.z.T, v)
     return _whitened(stack.sqrt_info, d), stack.sqrt_info @ j[:, :, 3:]
 
 
 def _prior_block(stack: FactorStack, v: np.ndarray):
     """Unary block prior: r = U * (x - z), wrapped for an angle block."""
-    e = v[:, 0, :stack.dims[0]] - stack.z
+    e = v.T - stack.z
     if stack.kinds[0] == ANGLE:
         e[:, 0] = wrap_angles(e[:, 0])
     return _whitened(stack.sqrt_info, e), stack.sqrt_info.copy()
@@ -253,7 +281,7 @@ def _relative_pose(stack: FactorStack, v: np.ndarray):
     r = U * (z (-) (xj boxminus xi)).  Jacobian columns: xi.p, xi.o,
     xj.p, xj.o.
     """
-    b, j_b = _pose_between(v[:, 0, :2], v[:, 1, 0], v[:, 2, :2], v[:, 3, 0])
+    b, j_b = _pose_between(v[0:3], v[3:6])
     z = stack.z
     e = np.empty_like(b)
     e[:, :2] = z[:, :2] - b[:, :2]
@@ -261,7 +289,7 @@ def _relative_pose(stack: FactorStack, v: np.ndarray):
     return _whitened(stack.sqrt_info, e), -stack.sqrt_info @ j_b
 
 
-# one kernel per factor kind: (stack, gathered block values) -> (r, J)
+# one kernel per factor kind: (stack, block values as (D, n) rows) -> (r, J)
 _KERNELS = {
     MOTION: _motion,
     RANGE_BEARING: _range_bearing,
@@ -278,4 +306,4 @@ def evaluate(stack: FactorStack, x: np.ndarray):
     widest block.  Returns the whitened residuals (n, m) and the Jacobians
     (n, m, sum(dims)), whose columns follow the constrained blocks in order.
     """
-    return _KERNELS[stack.kind](stack, x[stack.slots])
+    return _KERNELS[stack.kind](stack, x.ravel()[stack.take(x.shape[1])])

@@ -11,6 +11,7 @@ from arbor.factors import (
     RANGE_BEARING,
     RELATIVE_POSE,
     Factor,
+    FactorStack,
     MotionData,
     evaluate,
     whiten,
@@ -420,3 +421,31 @@ class TestStacks:
         stack, table = stack_of([f for f, _ in instances], values)
         with pytest.raises(SingularObservationError):
             evaluate(stack, table)
+
+    def test_gather_index_follows_the_stack(self):
+        """Extended, cut and read from a wider table, a stack evaluates as a
+        freshly built one does, bit for bit: a gather index kept across a
+        change of table width reads the wrong values without any error."""
+        rng = np.random.default_rng(33)
+        instances = [self._range_bearing(rng) for _ in range(6)]
+        factors = [f for f, _ in instances]
+        values = [[b.values for b in blocks] for _, blocks in instances]
+        full, table = stack_of(factors, values)
+        stack, _ = stack_of(factors[:4], values[:4])
+
+        def assert_as_fresh(rows, x):
+            fresh = FactorStack(RANGE_BEARING, full.dims, full.kinds,
+                                [factors[i] for i in rows], full.slots[rows], rows)
+            for got, want in zip(evaluate(stack, x), evaluate(fresh, x)):
+                np.testing.assert_array_equal(got, want)
+
+        assert_as_fresh([0, 1, 2, 3], table)
+        stack.extend(factors[4:], full.slots[4:], [4, 5])
+        assert_as_fresh([0, 1, 2, 3, 4, 5], table)
+        stack.drop([1, 4])
+        assert_as_fresh([0, 2, 3, 5], table)
+        # a 3-dim block widens the table: every row moves in the flat layout
+        wide = np.zeros((len(table) + 1, 3))
+        wide[:-1, :2] = table
+        wide[-1] = rng.uniform(-1.0, 1.0, 3)
+        assert_as_fresh([0, 2, 3, 5], wide)

@@ -173,7 +173,7 @@ class TestFloatAndRowWiseForms:
     def test_between_matches_row_wise(self):
         rng = np.random.default_rng(26)
         a, b = self._poses(rng, 1000), self._poses(rng, 1000)
-        rows, _ = _pose_between(a[:, :2], a[:, 2], b[:, :2], b[:, 2])
+        rows, _ = _pose_between(a.T, b.T)
         floats = np.array([between(x, y) for x, y in zip(a.tolist(), b.tolist())])
         np.testing.assert_allclose(rows[:, :2], floats[:, :2], rtol=0, atol=1e-12)
         assert np.max(np.abs(wrap_angles(rows[:, 2] - floats[:, 2]))) < 1e-12
