@@ -3,7 +3,10 @@
 A factor pins a measurement ``z`` with square-root information ``U``
 (upper-triangular, ``U^T U = Q^-1``) to an ordered list of constrained state
 blocks.  Residuals are whitened: ``r = U * error``.  Analytic Jacobians come
-back with them, always, one column group per constrained block, in order.
+back with them, always, one column group per constrained block, in order,
+less the sensor-calibration blocks (a range-bearing extrinsic, a motion
+intrinsic) when no row of the stack can move them: like a constant
+parameter block in Ceres, a fixed calibration gets no Jacobian columns.
 
 Factors are evaluated only in stacks: all factors of one kind over blocks of
 the same sizes are the rows of a :class:`FactorStack`, and one numpy kernel
@@ -11,11 +14,12 @@ per kind evaluates every row at once.  There is no one-factor path.
 
 Kernels work on contiguous operands.  :func:`evaluate` gathers a stack's
 block values with one flat take into a (D, n) array whose rows follow the
-Jacobian columns (for range-bearing: px, py, theta, ex, ey, e_theta, lx, ly),
-so each value a kernel reads is one contiguous row.  Kernels write their
-Jacobians into C-contiguous (n, m, D) arrays.  Numpy's gathers, ufuncs and
-batched ``matmul`` take their slow paths on strided or transposed views, and
-this step is the hottest of a solve.
+blocks' components (for range-bearing: px, py, theta, ex, ey, e_theta, lx,
+ly), so each value a kernel reads is one contiguous row.  Kernels fill each
+Jacobian in place as (row, column, factor), so each entry is one contiguous
+write, and hand it back once as a C-contiguous (n, m, k) array.  Numpy's
+gathers, ufuncs and batched ``matmul`` take their slow paths on strided or
+transposed views, and this step is the hottest of a solve.
 
 The motion factor implements the self-calibrating pre-integration residual.
 Its ``z`` is the pre-integrated delta; its :class:`MotionData` holds the
@@ -43,6 +47,10 @@ PRIOR_BLOCK = "prior_block"
 RELATIVE_POSE = "relative_pose"
 
 FACTOR_KINDS = (MOTION, RANGE_BEARING, PRIOR_POSE, PRIOR_BLOCK, RELATIVE_POSE)
+
+# positions of the sensor-calibration blocks among a factor's constrained
+# blocks: the range-bearing extrinsic (ext.p, ext.o) and the motion intrinsic
+CALIBRATION_BLOCKS = {RANGE_BEARING: (2, 3), MOTION: (4,)}
 
 
 @dataclass
@@ -119,12 +127,17 @@ class FactorStack:
     calibration Jacobian and guess.  ``slots[i]`` lists the rows of the value
     table (see :func:`evaluate`) holding factor ``i``'s blocks, in
     constrained order; ``ids`` tags rows so they can be dropped by tag.
+
+    ``with_calibration`` says whether the kernel computes the Jacobian
+    columns of the calibration blocks (:data:`CALIBRATION_BLOCKS`).  A new
+    stack computes them; the solver drops them while no row can move them.
     """
 
     def __init__(self, kind: str, dims, kinds, factors: Sequence[Factor], slots, ids):
         self.kind = kind
         self.dims = tuple(dims)
         self.kinds = tuple(kinds)
+        self.with_calibration = True
         rows = self._rows(factors, slots, ids)
         for name, value in rows.items():
             setattr(self, name, value)
@@ -134,6 +147,14 @@ class FactorStack:
     @property
     def n(self) -> int:
         return len(self.ids)
+
+    @property
+    def jacobian_blocks(self) -> tuple:
+        """Positions of the blocks that J has column groups for, in order."""
+        every = range(len(self.dims))
+        if self.with_calibration:
+            return tuple(every)
+        return tuple(b for b in every if b not in CALIBRATION_BLOCKS.get(self.kind, ()))
 
     def _rows(self, factors, slots, ids) -> dict:
         rows = {
@@ -165,46 +186,64 @@ class FactorStack:
 
     def take(self, width: int) -> np.ndarray:
         """Flat indices into a value table ``width`` columns wide that gather
-        the stack's block values as (D, n), one row per Jacobian column.
+        the stack's block values as (D, n), one row per block component.
 
         Cached until the rows change or the table has another width.
         """
         if self._take_width != width:
-            block_of_col, within = _layout(self.dims)
+            block_of_col, within = _layout(self.dims, tuple(range(len(self.dims))))
             self._take = self.slots.T[block_of_col] * width + within[:, None]
             self._take_width = width
         return self._take
 
 
 @lru_cache(maxsize=None)
-def _layout(dims: tuple):
-    """Per Jacobian column of a stack whose blocks have sizes ``dims``: its
-    block's index, and its component within the block."""
-    return (np.repeat(np.arange(len(dims)), dims),
-            np.concatenate([np.arange(d) for d in dims]))
+def _layout(dims: tuple, blocks: tuple):
+    """Per column over the blocks at positions ``blocks`` of a stack whose
+    blocks have sizes ``dims``: its block's position, and its component
+    within the block."""
+    return (np.repeat(blocks, [dims[b] for b in blocks]),
+            np.concatenate([np.arange(dims[b]) for b in blocks]))
 
 
 def _whitened(u: np.ndarray, e: np.ndarray) -> np.ndarray:
     return np.einsum("nij,nj->ni", u, e)
 
 
-def _pose_between(a, b):
+def _by_factor(jt: np.ndarray) -> np.ndarray:
+    """A Jacobian filled as (row, column, factor), which keeps each entry's
+    writes contiguous, as the C-contiguous (factor, row, column) array that
+    batched ``matmul`` takes its fast path on."""
+    return jt.transpose(2, 0, 1).copy()
+
+
+# the constant heading row of -d(delta)/d[a | b], broadcast over the factors
+_BETWEEN_LAST_ROW = np.array([0.0, 0.0, 1.0, 0.0, 0.0, -1.0])[:, None]
+# the ext.o column of -dh: the range ignores it, the bearing falls by it 1:1
+_RB_EXT_O = np.array([0.0, 1.0])[:, None]
+
+
+def _pose_between(a, b, jt=None):
     """Row-wise ``manifold.between`` of poses given as rows x, y, theta, each
-    (n,): deltas (n, 3) and d(delta)/d[a | b] (n, 3, 6)."""
+    (n,): the deltas (n, 3).  Given ``jt`` (3, >= 6, n), also writes the
+    negated Jacobian -d(delta)/d[a | b] into its first six columns."""
     c, s = np.cos(a[2]), np.sin(a[2])
     dx, dy = b[0] - a[0], b[1] - a[1]
     d = np.empty((len(c), 3))
     d[:, 0] = c * dx + s * dy
     d[:, 1] = -s * dx + c * dy
     d[:, 2] = wrap_angles(b[2] - a[2])
-    zero, one = np.zeros_like(c), np.ones_like(c)
-    j = np.array([
-        # columns: a (3), b (3)
-        [-c, -s, -s * dx + c * dy, c, s, zero],
-        [s, -c, -c * dx - s * dy, -s, c, zero],
-        [zero, zero, -one, zero, zero, one],
-    ]).transpose(2, 0, 1).copy()
-    return d, j
+    if jt is not None:
+        # d(delta)/da's last column is (d_y, -d_x, -1)
+        jt[2, :6] = _BETWEEN_LAST_ROW
+        jt[0, 0] = jt[1, 1] = c
+        jt[0, 1] = jt[1, 3] = s
+        np.negative(d[:, 1], out=jt[0, 2])
+        jt[1, 2] = d[:, 0]
+        jt[0, 3] = jt[1, 4] = -c
+        jt[0, 4] = jt[1, 0] = -s
+        jt[:2, 5] = 0.0
+    return d
 
 
 def _motion(stack: FactorStack, v: np.ndarray):
@@ -212,59 +251,75 @@ def _motion(stack: FactorStack, v: np.ndarray):
 
     r = U * (D(c) (-) (xj boxminus xi)) with D(c) = z (+) J (c - c_bar) the
     calibration-corrected pre-integrated delta.  Jacobian columns: xi.p,
-    xi.o, xj.p, xj.o, c.
+    xi.o, xj.p, xj.o, and c when ``stack.with_calibration``.
     """
-    b, j_b = _pose_between(v[0:3], v[3:6])
+    jt = np.empty((3, 9 if stack.with_calibration else 6, v.shape[1]))
+    b = _pose_between(v[0:3], v[3:6], jt)
     t = np.einsum("nij,nj->ni", stack.j_delta_c, v[6:].T - stack.c_bar)
     d = stack.z
     e = np.empty_like(b)
     e[:, :2] = d[:, :2] + t[:, :2] - b[:, :2]
     e[:, 2] = wrap_angles(wrap_angles(d[:, 2] + t[:, 2]) - b[:, 2])
     r = _whitened(stack.sqrt_info, e)
-    return r, stack.sqrt_info @ np.concatenate([-j_b, stack.j_delta_c], axis=2)
+    if stack.with_calibration:
+        jt[:, 6:] = stack.j_delta_c.transpose(1, 2, 0)
+    return r, stack.sqrt_info @ _by_factor(jt)
 
 
 def _range_bearing(stack: FactorStack, v: np.ndarray):
     """Range-bearing of a landmark from a pose through the sensor extrinsics.
 
-    Jacobian columns: x.p, x.o, ext.p, ext.o, landmark.
+    Jacobian columns: x.p, x.o, ext.p and ext.o when
+    ``stack.with_calibration``, landmark.
     """
     px, py, th, ex, ey, eth, lx, ly = v
     cx, sx = np.cos(th), np.sin(th)
-    qx = lx - (px + cx * ex - sx * ey)
-    qy = ly - (py + sx * ex + cx * ey)
+    # the mount offset rotated into the world: R(th) (ex, ey)
+    cex, sey, sex, cey = cx * ex, sx * ey, sx * ex, cx * ey
+    qx = lx - (px + cex - sey)
+    qy = ly - (py + sex + cey)
     st = th + eth
     cs, ss = np.cos(st), np.sin(st)
     lsx = cs * qx + ss * qy
     lsy = -ss * qx + cs * qy
     rho = np.hypot(lsx, lsy)
-    if np.any(rho < 1e-9):
+    if (rho < 1e-9).any():
         raise SingularObservationError("landmark coincides with the sensor origin")
     z = stack.z
-    e = np.array([z[:, 0] - rho, wrap_angles(z[:, 1] - np.arctan2(lsy, lsx))]).T
+    e = np.empty((len(rho), 2))
+    np.subtract(z[:, 0], rho, out=e[:, 0])
+    e[:, 1] = wrap_angles(z[:, 1] - np.arctan2(lsy, lsx))
     r = _whitened(stack.sqrt_info, e)
 
-    rho2 = rho * rho
-    # dh/d(sensor pose): the range ignores heading, the bearing tracks it 1:1
-    a0, a1 = -qx / rho, -qy / rho
-    b0, b1 = (lsy * cs + lsx * ss) / rho2, (lsy * ss - lsx * cs) / rho2
-    # derivative through the extrinsic lever arm and its rotation
-    lever0, lever1 = -sx * ex - cx * ey, cx * ex - sx * ey
-    zero, one = np.zeros_like(rho), np.ones_like(rho)
-    dh = np.array([
-        # columns: x.p, x.o, ext.p, ext.o, landmark
-        [a0, a1, a0 * lever0 + a1 * lever1, a0 * cx + a1 * sx,
-         -a0 * sx + a1 * cx, zero, -a0, -a1],
-        [b0, b1, -one + b0 * lever0 + b1 * lever1, b0 * cx + b1 * sx,
-         -b0 * sx + b1 * cx, -one, -b0, -b1],
-    ]).transpose(2, 0, 1).copy()
-    return r, -stack.sqrt_info @ dh
+    # -dh, so that J = U (-dh), which is (-U) dh bit for bit; row 0 is the
+    # range, row 1 the bearing.  x.p, the sensor position's:
+    jt = np.empty((2, 8 if stack.with_calibration else 5, len(rho)))
+    np.divide(qx, rho, out=jt[0, 0])
+    np.divide(qy, rho, out=jt[0, 1])
+    nrho2 = -rho * rho
+    np.divide(lsy * cs + lsx * ss, nrho2, out=jt[1, 0])
+    np.divide(lsy * ss - lsx * cs, nrho2, out=jt[1, 1])
+    a0, a1, b0, b1 = jt[0, 0], jt[0, 1], jt[1, 0], jt[1, 1]
+    # x.o: through the extrinsic lever arm, which reads the extrinsic values
+    # whether or not the extrinsic can move; the range ignores the heading,
+    # the bearing tracks it 1:1
+    lever0, lever1 = -sex - cey, cex - sey
+    jt[0, 2] = a0 * lever0 + a1 * lever1
+    jt[1, 2] = 1.0 + b0 * lever0 + b1 * lever1
+    if stack.with_calibration:
+        jt[:, 3] = jt[:, 0] * cx + jt[:, 1] * sx
+        jt[:, 4] = jt[:, 1] * cx - jt[:, 0] * sx
+        jt[:, 5] = _RB_EXT_O
+    np.negative(jt[:, :2], out=jt[:, -2:])
+    return r, stack.sqrt_info @ _by_factor(jt)
 
 
 def _prior_pose(stack: FactorStack, v: np.ndarray):
     """Unary pose prior: r = U * (x boxminus z).  Jacobian columns: x.p, x.o."""
-    d, j = _pose_between(stack.z.T, v)
-    return _whitened(stack.sqrt_info, d), stack.sqrt_info @ j[:, :, 3:]
+    jt = np.empty((3, 6, v.shape[1]))
+    d = _pose_between(stack.z.T, v, jt)
+    # U d(delta)/dx == (-U) (-d(delta)/dx), bit for bit
+    return _whitened(stack.sqrt_info, d), -stack.sqrt_info @ _by_factor(jt[:, 3:])
 
 
 def _prior_block(stack: FactorStack, v: np.ndarray):
@@ -281,12 +336,13 @@ def _relative_pose(stack: FactorStack, v: np.ndarray):
     r = U * (z (-) (xj boxminus xi)).  Jacobian columns: xi.p, xi.o,
     xj.p, xj.o.
     """
-    b, j_b = _pose_between(v[0:3], v[3:6])
+    jt = np.empty((3, 6, v.shape[1]))
+    b = _pose_between(v[0:3], v[3:6], jt)
     z = stack.z
     e = np.empty_like(b)
     e[:, :2] = z[:, :2] - b[:, :2]
     e[:, 2] = wrap_angles(z[:, 2] - b[:, 2])
-    return _whitened(stack.sqrt_info, e), -stack.sqrt_info @ j_b
+    return _whitened(stack.sqrt_info, e), stack.sqrt_info @ _by_factor(jt)
 
 
 # one kernel per factor kind: (stack, block values as (D, n) rows) -> (r, J)
@@ -304,6 +360,8 @@ def evaluate(stack: FactorStack, x: np.ndarray):
 
     ``x`` holds one block per row, left-aligned and zero-padded to the
     widest block.  Returns the whitened residuals (n, m) and the Jacobians
-    (n, m, sum(dims)), whose columns follow the constrained blocks in order.
+    (n, m, k), C-contiguous, whose k columns follow the blocks of
+    ``stack.jacobian_blocks`` in order: every constrained block, less the
+    calibration blocks when the stack is not ``with_calibration``.
     """
     return _KERNELS[stack.kind](stack, x.ravel()[stack.take(x.shape[1])])

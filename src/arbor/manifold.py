@@ -10,9 +10,8 @@ Conventions used throughout the package:
 * a tangent increment is a plain length-3 array ``(tx, ty, ttheta)`` added
   componentwise, with the angle wrapped.
 
-All Jacobians are closed form; the tangent convention is additive at the
-element itself, which for the split (p, theta) parametrization is exact in
-the angle component.
+The tangent convention is additive at the element itself, which for the
+split (p, theta) parametrization is exact in the angle component.
 """
 
 from __future__ import annotations
@@ -52,9 +51,12 @@ def wrap_angles(a: np.ndarray) -> np.ndarray:
     match the scalar wrap bit for bit whenever ``|a| < 5 pi``.
     """
     r = a - np.rint(a / _TAU) * _TAU
-    r[r <= -math.pi] += _TAU
-    if not np.isfinite(r).all():
-        raise ContractError(f"angles must be finite, got {a}")
+    # one reduction finds both rare cases: a NaN (from a non-finite angle,
+    # which the min carries) and a result on the -pi boundary
+    if not r.min(initial=math.pi) > -math.pi:
+        if not np.isfinite(r).all():
+            raise ContractError(f"angles must be finite, got {a}")
+        r[r <= -math.pi] += _TAU
     return r
 
 
@@ -108,7 +110,7 @@ class Pose2:
     """Planar pose: position (m) and heading (rad, wrapped).
 
     Also a rigid motion, expressed in the frame of the pose it is composed
-    onto (see :func:`pose_compose` and :func:`pose_between`).
+    onto (see :func:`compose` and :func:`between`).
     """
 
     p: np.ndarray
@@ -143,43 +145,3 @@ def between(a: tuple, b: tuple) -> tuple:
     c, s = math.cos(at), math.sin(at)
     dx, dy = bx - ax, by - ay
     return c * dx + s * dy, -s * dx + c * dy, normalize_angle(bt - at)
-
-
-def pose_compose(a: Pose2, b: Pose2):
-    """:func:`compose` for :class:`Pose2`, with its Jacobians.
-
-    Returns (a boxplus b, J_a, J_b) with J_a = [[I, R'(a.theta) b.p],
-    [0, 1]] and J_b = [[R(a.theta), 0], [0, 1]].
-    """
-    x, y, theta = compose((*a.p.tolist(), a.theta), (*b.p.tolist(), b.theta))
-    c, s = math.cos(a.theta), math.sin(a.theta)
-    bx, by = b.p[0], b.p[1]
-    j_a = np.array([
-        [1.0, 0.0, -s * bx - c * by],
-        [0.0, 1.0, c * bx - s * by],
-        [0.0, 0.0, 1.0],
-    ])
-    j_b = np.array([
-        [c, -s, 0.0],
-        [s, c, 0.0],
-        [0.0, 0.0, 1.0],
-    ])
-    return Pose2(np.array([x, y]), theta), j_a, j_b
-
-
-def pose_between(xi: Pose2, xj: Pose2):
-    """:func:`between` for :class:`Pose2`: (xj boxminus xi, J_xi, J_xj)."""
-    x, y, theta = between((*xi.p.tolist(), xi.theta), (*xj.p.tolist(), xj.theta))
-    c, s = math.cos(xi.theta), math.sin(xi.theta)
-    dx, dy = xj.p[0] - xi.p[0], xj.p[1] - xi.p[1]
-    j_xi = np.array([
-        [-c, -s, -s * dx + c * dy],
-        [s, -c, -c * dx - s * dy],
-        [0.0, 0.0, -1.0],
-    ])
-    j_xj = np.array([
-        [c, s, 0.0],
-        [-s, c, 0.0],
-        [0.0, 0.0, 1.0],
-    ])
-    return Pose2(np.array([x, y]), theta), j_xi, j_xj

@@ -456,14 +456,20 @@ class LoopCloser(Processor):
         except ValueError:
             raise NotFoundError(f"{current} is not a live frame") from None
         cur_obs = self._observations(tree, current)
-        if not cur_obs:
+        # candidates at least min_frame_gap frames older, newest first
+        cands = frames[:max(cur_pos - self.min_frame_gap + 1, 0)][::-1]
+        if not cur_obs or not cands:
             return None
-        cur_pose = tree.frame_pose(current)
+        cur_p = tree.block(current, "p").values
+        offsets = tree.block_values(cands, "p") - cur_p
+        # a frame within the radius is within it on each axis too, however
+        # the norm below rounds, so this box keeps every frame that norm keeps
+        near = np.flatnonzero((np.abs(offsets) <= self.radius).all(axis=1))
 
-        best = None  # (shared count, -distance) maximized; ties -> older frame
-        for pos in range(cur_pos - self.min_frame_gap, -1, -1):
-            cand = frames[pos]
-            dist = float(np.linalg.norm(tree.frame_pose(cand).p - cur_pose.p))
+        best = None  # (shared count, -distance) maximized; ties -> newer frame
+        for k in near.tolist():
+            cand = cands[k]
+            dist = float(np.linalg.norm(offsets[k]))
             if dist > self.radius:
                 continue
             cand_obs = self._observations(tree, cand)

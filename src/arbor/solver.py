@@ -8,7 +8,8 @@ kind's stack, so cost and normal equations take one kernel call per stack.
 A solve fills the table from the blocks it was handed, iterates on it alone
 and writes the result back to them.  Columns are assigned only to blocks
 that are unfixed and touched by at least one factor; everything else is
-held constant.
+held constant.  A stack's kernel computes no Jacobian columns for its
+sensor-calibration blocks while none of its rows can move them.
 
 Damping is multiplicative on the diagonal of the normal matrix, which keeps
 meter and radian columns comparably conditioned.  Steps are retracted by
@@ -37,7 +38,7 @@ import numpy as np
 
 from . import tree as tree_mod
 from .errors import ContractError, SingularObservationError, SolveError
-from .factors import FactorStack, _layout, evaluate
+from .factors import CALIBRATION_BLOCKS, FactorStack, _layout, evaluate
 from .manifold import ANGLE, StateBlock, wrap_angles
 
 CONVERGED_DX = "converged_dx"
@@ -95,9 +96,10 @@ class _BlockEntry:
 class _Scatter:
     """Where one stack's Jacobian entries land in g and H (set at sync).
 
-    ``g_at``/``h_at`` pick the entries of Jᵀr (n, D) and JᵀJ (n, D, D),
-    flattened, that fall on active columns; ``g_to``/``h_to`` are their flat
-    positions in g and H.
+    ``g_at``/``h_at`` pick the entries of Jᵀr (n, k) and JᵀJ (n, k, k),
+    flattened, that fall on active columns, where J's k columns cover the
+    stack's ``jacobian_blocks``; ``g_to``/``h_to`` are their flat positions
+    in g and H.
     """
 
     g_at: np.ndarray
@@ -141,7 +143,8 @@ def sync(problem: SolverProblem, tree) -> None:
     their stacks, so a factor added and removed in one drain leaves no row.
     Then reassigns contiguous column offsets to the active blocks, reading
     each block's fixed flag (the window manager flips it in place), and maps
-    every stack row onto those columns.
+    every stack row onto those columns, recording on each stack whether any
+    row's calibration block is active.
     """
     added: dict = {}    # stack key -> ([Factor], [slot rows], [ids])
     removed: dict = {}  # stack key -> [ids]
@@ -225,23 +228,29 @@ def sync(problem: SolverProblem, tree) -> None:
     problem._col_slot = np.repeat(slots, dims)
     problem._col_comp = np.arange(n) - np.repeat(starts, dims)
     problem._angle_slots = slots[problem._slot_angle[slots]]
-    problem._scatter = {key: _scatter(stack, offset_of_slot[stack.slots], n)
-                        for key, stack in problem.stacks.items()}
+    problem._scatter = {}
+    for key, stack in problem.stacks.items():
+        offsets = offset_of_slot[stack.slots]
+        # kernels skip the calibration columns unless some row can move them
+        calibration = list(CALIBRATION_BLOCKS.get(stack.kind, ()))
+        stack.with_calibration = bool((offsets[:, calibration] >= 0).any())
+        problem._scatter[key] = _scatter(stack, offsets, n)
 
 
 def _scatter(stack: FactorStack, offsets: np.ndarray, n: int) -> _Scatter:
     # column of each Jacobian entry: its block's offset plus the component
-    # within the block, or -1 on an inactive block
-    block_of_col, within = _layout(stack.dims)
+    # within the block; only entries on active blocks (offset >= 0) are kept
+    block_of_col, within = _layout(stack.dims, stack.jacobian_blocks)
     base = offsets[:, block_of_col]
-    cols = np.where(base >= 0, base + within, -1)
-    active = cols >= 0
+    active = base >= 0
+    cols = base + within
     pair = active[:, :, None] & active[:, None, :]
+    g_at, h_at = np.flatnonzero(active), np.flatnonzero(pair)
     return _Scatter(
-        g_at=np.flatnonzero(active),
-        g_to=cols[active],
-        h_at=np.flatnonzero(pair),
-        h_to=(cols[:, :, None] * n + cols[:, None, :])[pair],
+        g_at=g_at,
+        g_to=cols.ravel()[g_at],
+        h_at=h_at,
+        h_to=(cols[:, :, None] * n + cols[:, None, :]).ravel()[h_at],
     )
 
 

@@ -1,12 +1,17 @@
-"""Finite-difference oracles and one-factor evaluation for the test suite.
+"""Finite-difference oracles, pose geometry with Jacobians, and one-factor
+evaluation for the test suite.
 
 ``central_diff`` differentiates plain arrays with its own angle wrap;
 ``numeric_jacobian`` differentiates a residual over state blocks, stepping
-them with ``block_plus``.  ``evaluate_one`` runs one factor through the
-package's stacked kernels as a stack of one (``stack_of``).  None of this is
-on the estimator's path, so it lives beside the tests that use it.
+them with ``block_plus``.  ``pose_compose`` and ``pose_between`` are
+``manifold.compose`` and ``between`` on :class:`Pose2`, with their closed-form
+Jacobians, which the reference recursions and criterion 1 check.
+``evaluate_one`` runs one factor through the package's stacked kernels as a
+stack of one (``stack_of``).  None of this is on the estimator's path, so it
+lives beside the tests that use it.
 """
 
+import math
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Sequence
@@ -15,7 +20,7 @@ import numpy as np
 
 from arbor.errors import ContractError
 from arbor.factors import Factor, FactorStack, evaluate
-from arbor.manifold import ANGLE, EUCLIDEAN, StateBlock, normalize_angle
+from arbor.manifold import ANGLE, EUCLIDEAN, Pose2, StateBlock, between, compose, normalize_angle
 
 
 def central_diff(fn, x, step=1e-6):
@@ -67,6 +72,46 @@ def block_plus(block: StateBlock, dx) -> np.ndarray:
     if block.kind == ANGLE:
         return np.array([normalize_angle(block.values[0] + dx[0])])
     return block.values + dx
+
+
+def pose_compose(a: Pose2, b: Pose2):
+    """:func:`compose` for :class:`Pose2`, with its Jacobians.
+
+    Returns (a boxplus b, J_a, J_b) with J_a = [[I, R'(a.theta) b.p],
+    [0, 1]] and J_b = [[R(a.theta), 0], [0, 1]].
+    """
+    x, y, theta = compose((*a.p.tolist(), a.theta), (*b.p.tolist(), b.theta))
+    c, s = math.cos(a.theta), math.sin(a.theta)
+    bx, by = b.p[0], b.p[1]
+    j_a = np.array([
+        [1.0, 0.0, -s * bx - c * by],
+        [0.0, 1.0, c * bx - s * by],
+        [0.0, 0.0, 1.0],
+    ])
+    j_b = np.array([
+        [c, -s, 0.0],
+        [s, c, 0.0],
+        [0.0, 0.0, 1.0],
+    ])
+    return Pose2(np.array([x, y]), theta), j_a, j_b
+
+
+def pose_between(xi: Pose2, xj: Pose2):
+    """:func:`between` for :class:`Pose2`: (xj boxminus xi, J_xi, J_xj)."""
+    x, y, theta = between((*xi.p.tolist(), xi.theta), (*xj.p.tolist(), xj.theta))
+    c, s = math.cos(xi.theta), math.sin(xi.theta)
+    dx, dy = xj.p[0] - xi.p[0], xj.p[1] - xi.p[1]
+    j_xi = np.array([
+        [-c, -s, -s * dx + c * dy],
+        [s, -c, -c * dx - s * dy],
+        [0.0, 0.0, -1.0],
+    ])
+    j_xj = np.array([
+        [c, s, 0.0],
+        [-s, c, 0.0],
+        [0.0, 0.0, 1.0],
+    ])
+    return Pose2(np.array([x, y]), theta), j_xi, j_xj
 
 
 @dataclass

@@ -27,8 +27,6 @@ from arbor.manifold import (
     ANGLE,
     Pose2,
     StateBlock,
-    pose_between,
-    pose_compose,
 )
 from arbor.preint import (
     DiffDriveModel,
@@ -40,7 +38,15 @@ from arbor.preint import (
 from arbor.runner import build_application, replay
 from arbor.sim import load_scenario, simulate, write_jsonl
 
-from fdcheck import central_diff, delta_diff, numeric_jacobian, stack_of, wrap_angle
+from fdcheck import (
+    central_diff,
+    delta_diff,
+    numeric_jacobian,
+    pose_between,
+    pose_compose,
+    stack_of,
+    wrap_angle,
+)
 from test_preint import ZERO_Q, as_pose, correction_error, one_row, random_samples
 
 DATA = Path(__file__).parent / "data"

@@ -16,10 +16,10 @@ from arbor.factors import (
     evaluate,
     whiten,
 )
-from arbor.manifold import ANGLE, Pose2, StateBlock, pose_compose
+from arbor.manifold import ANGLE, Pose2, StateBlock
 from arbor.preint import DiffDriveModel, PreintBuffer, integrate_step, interval_moments
 
-from fdcheck import evaluate_one, numeric_jacobian, stack_of
+from fdcheck import evaluate_one, numeric_jacobian, pose_compose, stack_of
 from test_preint import as_pose
 
 C_NOM = np.array([0.1, 0.1, 0.5])
@@ -410,6 +410,43 @@ class TestStacks:
             np.testing.assert_allclose(r[i], one.r, rtol=0.0, atol=1e-12)
             num = numeric_jacobian(lambda v: evaluate_one(f, v, kinds).r, blocks)
             assert np.max(np.abs(j[i] - np.hstack(num))) < 1e-5
+
+    # a fixed sensor mount off the robot's origin: on a zero mount the
+    # range-bearing x.o column's lever-arm term vanishes
+    MOUNT = (np.array([0.25, -0.1]), np.array([0.6]))
+
+    def _mounted_stack(self, make, rng):
+        instances = [getattr(self, make)(rng) for _ in range(self.N)]
+        values = [[b.values for b in blocks] for _, blocks in instances]
+        if make == "_range_bearing":
+            for row in values:
+                row[2:4] = self.MOUNT
+        kinds = [b.kind for b in instances[0][1]]
+        return stack_of([f for f, _ in instances], values, kinds)
+
+    @pytest.mark.parametrize("make, width", [("_motion", 6), ("_range_bearing", 5)])
+    def test_without_calibration_columns(self, make, width):
+        """Without its calibration columns a kernel gives the full kernel's
+        other columns, bit for bit, and the same residuals."""
+        stack, table = self._mounted_stack(make, np.random.default_rng(34))
+        r_full, j_full = evaluate(stack, table)
+        stack.with_calibration = False
+        r, j = evaluate(stack, table)
+        block_of_col = np.repeat(np.arange(len(stack.dims)), stack.dims)
+        keep = np.flatnonzero(np.isin(block_of_col, stack.jacobian_blocks))
+        assert j.shape == (self.N, r.shape[1], width) == (self.N, r.shape[1], len(keep))
+        assert r.tobytes() == r_full.tobytes()
+        assert j.tobytes() == np.ascontiguousarray(j_full[:, :, keep]).tobytes()
+
+    @pytest.mark.parametrize("with_calibration", [True, False])
+    @pytest.mark.parametrize("make", ["_motion", "_range_bearing", "_prior_pose",
+                                      "_prior_block", "_prior_angle", "_relative_pose"])
+    def test_jacobians_c_contiguous(self, make, with_calibration):
+        # batched matmul takes a slow path on any other layout
+        stack, table = self._mounted_stack(make, np.random.default_rng(35))
+        stack.with_calibration = with_calibration
+        _, j = evaluate(stack, table)
+        assert j.flags.c_contiguous
 
     def test_one_singular_row_raises(self):
         rng = np.random.default_rng(32)

@@ -5,7 +5,7 @@ import pytest
 
 from arbor.errors import ContractError, RecordFormatError
 from arbor.factors import MOTION, Factor, MotionData
-from arbor.manifold import Pose2, pose_compose
+from arbor.manifold import Pose2
 from arbor.preint import (
     DiffDriveModel,
     PreintBuffer,
@@ -16,7 +16,7 @@ from arbor.preint import (
     state_at_high_rate,
 )
 
-from fdcheck import central_diff, delta_diff, evaluate_one, wrap_angle
+from fdcheck import central_diff, delta_diff, evaluate_one, pose_compose, wrap_angle
 
 MODEL = DiffDriveModel()
 C_NOM = np.array([0.1, 0.1, 0.5])

@@ -10,7 +10,7 @@ from arbor import tree as T
 from arbor.config import auto_setup, parse_config
 from arbor.errors import AlignmentError, ContractError, DecompositionError
 from arbor.factors import MOTION, RANGE_BEARING, RELATIVE_POSE, Factor
-from arbor.manifold import ANGLE, Pose2, StateBlock, pose_compose
+from arbor.manifold import ANGLE, Pose2, StateBlock
 from arbor.processors import (
     LandmarkTracker,
     LoopCloser,
@@ -25,6 +25,7 @@ from arbor.processors import (
 from arbor.runner import build_application, replay
 from arbor.sim import load_scenario, simulate, write_jsonl
 
+from fdcheck import pose_compose
 from test_preint import as_pose
 
 C_NOM = np.array([0.1, 0.1, 0.5])

@@ -10,13 +10,14 @@ import arbor.solver
 from arbor import tree as T
 from arbor.errors import ContractError, SingularObservationError, SolveError
 from arbor.factors import (
+    MOTION,
     PRIOR_BLOCK,
     PRIOR_POSE,
     RANGE_BEARING,
     RELATIVE_POSE,
     Factor,
 )
-from arbor.manifold import ANGLE, Pose2, StateBlock, pose_compose
+from arbor.manifold import ANGLE, Pose2, StateBlock
 from arbor.runner import build_application, replay
 from arbor.sim import load_scenario, simulate, write_jsonl
 from arbor.solver import (
@@ -25,6 +26,7 @@ from arbor.solver import (
     SolverOptions,
     SolverProblem,
     _linearize,
+    _scatter,
     _stepped,
     _table,
     lm_solve,
@@ -32,7 +34,8 @@ from arbor.solver import (
     total_cost,
 )
 
-from fdcheck import evaluate_one
+from fdcheck import evaluate_one, pose_compose
+from test_factors import C_NOM, motion_factor
 
 DATA = Path(__file__).parent / "data"
 
@@ -763,3 +766,82 @@ class TestAssemblyOracle:
         frames = {node for node, _ in problem.blocks if node.kind == T.FRAME}
         assert len(frames) < keyframes
         self._check_against_oracle(problem)
+
+
+# a sensor mount off the robot's origin: on a zero mount the range-bearing
+# x.o column's lever-arm term vanishes
+MOUNT = np.array([0.25, -0.1, 0.6])
+
+
+def calibration_problem(fixed_mounts, fixed_intrinsic):
+    """A synced problem with both kinds of calibration block: four frames
+    chained by motion factors through one odometer's intrinsic, and four
+    landmarks seen from every frame by one range-bearing sensor per entry of
+    ``fixed_mounts``, each mounted at MOUNT and fixed or not.  The sensors'
+    rows share one stack, in that order."""
+    rng = np.random.default_rng(36)
+    tr = T.ProblemTree()
+    odom = tr.add_sensor(None, {"intrinsic": StateBlock(C_NOM * rng.uniform(0.9, 1.1, 3),
+                                                        fixed=fixed_intrinsic)})
+    mounts = [tr.add_sensor(None, {"ext_p": StateBlock(MOUNT[:2], fixed=fixed),
+                                   "ext_o": StateBlock(MOUNT[2:], ANGLE, fixed=fixed)})
+              for fixed in fixed_mounts]
+    frames = [tr.add_frame(float(k), Pose2(rng.uniform(-1, 1, 2), rng.uniform(-3, 3)))
+              for k in range(4)]
+    tr.add_pose_prior(frames[0], odom, np.eye(3) * 10.0)
+    landmarks = [tr.add_landmark(rng.uniform(3, 6, 2) * rng.choice([-1.0, 1.0], 2))
+                 for _ in range(4)]
+    for sensor in mounts:
+        for frame in frames:
+            cap = tr.add_capture(frame, tr.node(frame).timestamp, sensor)
+            for lm in landmarks:
+                tr.add_factor(cap, Factor(
+                    RANGE_BEARING, np.array([rng.uniform(2, 8), rng.uniform(-3, 3)]),
+                    np.diag(rng.uniform(1, 8, 2)),
+                    constrained=[(frame, "p"), (frame, "o"), (sensor, "ext_p"),
+                                 (sensor, "ext_o"), (lm, "p")]))
+    for fi, fj in zip(frames, frames[1:]):
+        f = motion_factor(rng)
+        tr.add_factor(tr.add_capture(fj, tr.node(fj).timestamp, odom), Factor(
+            MOTION, f.z, f.sqrt_info, aux=f.aux,
+            constrained=[(fi, "p"), (fi, "o"), (fj, "p"), (fj, "o"), (odom, "intrinsic")]))
+    problem = SolverProblem()
+    sync(problem, tr)
+    return problem
+
+
+def with_all_columns(problem):
+    """Put every stack back to computing its calibration columns, and map
+    them onto g and H."""
+    offset_of_slot = np.full(problem._n_slots, -1, dtype=np.intp)
+    for entry in problem.blocks.values():
+        if entry.offset is not None:
+            offset_of_slot[entry.slot] = entry.offset
+    for key, stack in problem.stacks.items():
+        stack.with_calibration = True
+        problem._scatter[key] = _scatter(stack, offset_of_slot[stack.slots], problem.total_dim)
+
+
+class TestCalibrationColumns:
+    """A stack drops its calibration blocks' Jacobian columns exactly when no
+    row can move them, and the cost, g and H stay those of an assembly with
+    every column, bit for bit."""
+
+    @pytest.mark.parametrize("fixed_mounts, fixed_intrinsic, expected", [
+        ((True,), True, {RANGE_BEARING: False, MOTION: False}),
+        # the first rows' mount is fixed, the later rows' can move
+        ((True, False), True, {RANGE_BEARING: True, MOTION: False}),
+        ((True,), False, {RANGE_BEARING: False, MOTION: True}),
+    ], ids=["fixed_calibration", "fixed_and_unfixed_mount", "unfixed_intrinsic"])
+    def test_matches_all_columns_assembly(self, fixed_mounts, fixed_intrinsic, expected):
+        problem = calibration_problem(fixed_mounts, fixed_intrinsic)
+        stacks = {key[0]: stack for key, stack in problem.stacks.items()}
+        assert len(stacks) == len(problem.stacks)
+        assert {kind: stacks[kind].with_calibration for kind in expected} == expected
+        x = _table(problem)
+        cost, g, h = _linearize(problem, x, {})
+        with_all_columns(problem)
+        cost_ref, g_ref, h_ref = _linearize(problem, x, {})
+        assert cost == cost_ref
+        assert g.tobytes() == g_ref.tobytes()
+        assert h.tobytes() == h_ref.tobytes()
