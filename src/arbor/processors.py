@@ -413,6 +413,10 @@ class LoopCloser(Processor):
         self.min_frame_gap = min_frame_gap
         self.min_shared_landmarks = min_shared_landmarks
         self.sqrt_info = np.diag([1.0 / sigma_p, 1.0 / sigma_p, 1.0 / sigma_o])
+        # candidate frame -> its _observations: a candidate is at least
+        # min_frame_gap frames old and never gains a capture, since only the
+        # newest frame can be joined by a coincident vote
+        self._seen: dict = {}
 
     def _observations(self, tree, frame: T.NodeId) -> dict:
         """Raw landmark id -> sensor-frame point (x, y) seen from a frame by our sensor."""
@@ -455,6 +459,8 @@ class LoopCloser(Processor):
             cur_pos = frames.index(current)
         except ValueError:
             raise NotFoundError(f"{current} is not a live frame") from None
+        for gone in [frame for frame in self._seen if frame not in tree]:
+            del self._seen[gone]
         cur_obs = self._observations(tree, current)
         # candidates at least min_frame_gap frames older, newest first
         cands = frames[:max(cur_pos - self.min_frame_gap + 1, 0)][::-1]
@@ -472,7 +478,9 @@ class LoopCloser(Processor):
             dist = float(np.linalg.norm(offsets[k]))
             if dist > self.radius:
                 continue
-            cand_obs = self._observations(tree, cand)
+            cand_obs = self._seen.get(cand)
+            if cand_obs is None:
+                cand_obs = self._seen[cand] = self._observations(tree, cand)
             shared = sorted(set(cur_obs) & set(cand_obs))
             if len(shared) < self.min_shared_landmarks:
                 continue

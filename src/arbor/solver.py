@@ -26,6 +26,15 @@ point's cost and normal equations come from one linearization, kept for the
 next iteration if the step is accepted.  A stack with no active column is
 evaluated once per solve.  A Cholesky factor of the first normal matrix
 rejects a singular problem (a gauge left free) with a SolveError.
+
+The problem owns the memory of the normal equations: two n x n arrays,
+resized by ``sync`` only when n changes.  One holds the iterate's H; the
+other is a work array, which holds the damped matrix during the step solve
+and then the trial point's H, filled in place at the positions of H that
+some Jacobian entry reaches.  The two swap roles when a step is accepted, so
+a rejected trial never overwrites the iterate's H, and the iterations
+allocate no n x n array: arrays of 128 KiB and more come from freshly mapped
+pages, which cost more to touch than the bincount that fills them.
 """
 
 from __future__ import annotations
@@ -50,6 +59,9 @@ _SINGULARITY_RTOL = 1e-13
 _LAMBDA_UP = 10.0
 _LAMBDA_DOWN = 10.0
 _LAMBDA_MAX = 1e8
+
+_NO_ENTRIES = np.zeros(0, dtype=np.intp)
+_EVERY = slice(None)
 
 
 @dataclass
@@ -98,8 +110,9 @@ class _Scatter:
 
     ``g_at``/``h_at`` pick the entries of Jᵀr (n, k) and JᵀJ (n, k, k),
     flattened, that fall on active columns, where J's k columns cover the
-    stack's ``jacobian_blocks``; ``g_to``/``h_to`` are their flat positions
-    in g and H.
+    stack's ``jacobian_blocks``, or all of them (a full slice) when every
+    row's blocks are active; ``g_to``/``h_to`` are their flat positions in g
+    and H, from which sync ranks the bins H is summed over.
     """
 
     g_at: np.ndarray
@@ -134,6 +147,14 @@ class SolverProblem:
         self._col_comp = np.zeros(0, dtype=np.intp)
         self._angle_slots = np.zeros(0, dtype=np.intp)
         self._active: list = []  # the active blocks' entries, in offset order
+        # normal equations (see _index_normal_equations): the iterate's H and
+        # the work array, the positions of H in _h_at, and per Jacobian entry,
+        # over the stacks in order, its column in g and its bin in _h_at
+        self._h = np.zeros((0, 0))
+        self._work = np.zeros((0, 0))
+        self._h_at = _NO_ENTRIES
+        self._g_to = _NO_ENTRIES
+        self._h_bin = _NO_ENTRIES
 
 
 def sync(problem: SolverProblem, tree) -> None:
@@ -232,9 +253,11 @@ def sync(problem: SolverProblem, tree) -> None:
     for key, stack in problem.stacks.items():
         offsets = offset_of_slot[stack.slots]
         # kernels skip the calibration columns unless some row can move them
-        calibration = list(CALIBRATION_BLOCKS.get(stack.kind, ()))
-        stack.with_calibration = bool((offsets[:, calibration] >= 0).any())
+        calibration = CALIBRATION_BLOCKS.get(stack.kind)
+        stack.with_calibration = (calibration is not None
+                                  and bool((offsets[:, list(calibration)] >= 0).any()))
         problem._scatter[key] = _scatter(stack, offsets, n)
+    _index_normal_equations(problem)
 
 
 def _scatter(stack: FactorStack, offsets: np.ndarray, n: int) -> _Scatter:
@@ -244,14 +267,36 @@ def _scatter(stack: FactorStack, offsets: np.ndarray, n: int) -> _Scatter:
     base = offsets[:, block_of_col]
     active = base >= 0
     cols = base + within
-    pair = active[:, :, None] & active[:, None, :]
-    g_at, h_at = np.flatnonzero(active), np.flatnonzero(pair)
-    return _Scatter(
-        g_at=g_at,
-        g_to=cols.ravel()[g_at],
-        h_at=h_at,
-        h_to=(cols[:, :, None] * n + cols[:, None, :]).ravel()[h_at],
-    )
+    h_to = cols[:, :, None] * n + cols[:, None, :]
+    if active.all():  # every entry lands: no gather
+        return _Scatter(_EVERY, cols.ravel(), _EVERY, h_to.ravel())
+    g_at = active.ravel().nonzero()[0]
+    h_at = (active[:, :, None] & active[:, None, :]).ravel().nonzero()[0]
+    return _Scatter(g_at, cols.ravel()[g_at], h_at, h_to.ravel()[h_at])
+
+
+def _index_normal_equations(problem: SolverProblem) -> None:
+    """Size the two n x n arrays, clear the work array and index the
+    positions of H that the scatter maps reach: ``_h_at``, sorted, and each
+    Jacobian entry's bin in it.
+
+    Only the work array need be zero off those positions: a linearization
+    writes there, and the iterate's H is either its swapped copy or
+    overwritten whole by the damped matrix before it is read."""
+    n = problem.total_dim
+    if problem._work.shape != (n, n):
+        problem._h, problem._work = np.empty((n, n)), np.empty((n, n))
+    work = problem._work.ravel()
+    work.fill(0.0)
+    scatters = problem._scatter.values()
+    problem._g_to = np.concatenate([_NO_ENTRIES, *(sc.g_to for sc in scatters)])
+    h_to = np.concatenate([_NO_ENTRIES, *(sc.h_to for sc in scatters)])
+    # the work array serves as the table of each position's rank; the ranks
+    # it keeps lie on the positions every linearization overwrites
+    work[h_to] = 1.0
+    problem._h_at = at = (work != 0.0).nonzero()[0]
+    work[at] = np.arange(len(at), dtype=float)
+    problem._h_bin = work.take(h_to).astype(np.intp)
 
 
 def _table(problem: SolverProblem) -> np.ndarray:
@@ -282,12 +327,14 @@ def _linearize(problem: SolverProblem, x: np.ndarray, held: dict):
     kernel call per stack.
 
     The cost sums every stack in order.  Each stack's Jᵀr and JᵀJ entries on
-    active columns are scattered into g and H with one bincount each; the
-    cost of a stack with none is kept in ``held`` and not evaluated again.
+    active columns are summed into g and H with one bincount each, H's over
+    the bins of its reached positions only, and H is written into the
+    problem's work array; the cost of a stack with no active column is kept
+    in ``held`` and not evaluated again.
     """
     n = problem.total_dim
     cost = 0.0
-    g_to, g_w, h_to, h_w = [], [], [], []
+    g_w, h_w = [], []
     for key, stack in problem.stacks.items():
         if key in held:
             cost += held[key]
@@ -299,16 +346,16 @@ def _linearize(problem: SolverProblem, x: np.ndarray, held: dict):
         if not len(sc.g_to):
             held[key] = stack_cost
             continue
-        g_to.append(sc.g_to)
         g_w.append(np.einsum("nmi,nm->ni", j, r).ravel()[sc.g_at])
-        h_to.append(sc.h_to)
         # batched matmul is about 2.5x slower on the transposed view
         h_w.append((j.transpose(0, 2, 1).copy() @ j).ravel()[sc.h_at])
-    if not g_to:
-        return cost, np.zeros(n), np.zeros((n, n))
-    g = -np.bincount(np.concatenate(g_to), np.concatenate(g_w), minlength=n)
-    h = np.bincount(np.concatenate(h_to), np.concatenate(h_w), minlength=n * n)
-    return cost, g, h.reshape(n, n)
+    h = problem._work
+    if not g_w:
+        return cost, np.zeros(n), h
+    g = -np.bincount(problem._g_to, np.concatenate(g_w), minlength=n)
+    h.ravel()[problem._h_at] = np.bincount(problem._h_bin, np.concatenate(h_w),
+                                           minlength=len(problem._h_at))
+    return cost, g, h
 
 
 def lm_solve(problem: SolverProblem) -> SolveReport:
@@ -320,6 +367,7 @@ def lm_solve(problem: SolverProblem) -> SolveReport:
     x = _table(problem)
     held: dict = {}  # filled by the first linearization, reused by the rest
     cost, g, h = _linearize(problem, x, held)
+    problem._h, problem._work = h, problem._h
     if not np.isfinite(cost):
         raise SolveError(f"initial cost is not finite: {cost}")
     initial_cost = cost
@@ -342,7 +390,8 @@ def lm_solve(problem: SolverProblem) -> SolveReport:
             break
 
         while lam <= _LAMBDA_MAX:
-            damped = h.copy()
+            damped = problem._work
+            np.copyto(damped, h)
             damped.flat[::len(h) + 1] += lam * h.diagonal()
             try:
                 dx = np.linalg.solve(damped, g)
@@ -359,6 +408,7 @@ def lm_solve(problem: SolverProblem) -> SolveReport:
                 termination = CONVERGED_DX
                 break
             candidate = _stepped(problem, x, dx)
+            # the trial point's H goes into the work array, over the damped one
             try:
                 new_cost, new_g, new_h = _linearize(problem, candidate, held)
             except SingularObservationError:
@@ -369,6 +419,7 @@ def lm_solve(problem: SolverProblem) -> SolveReport:
                 raise SolveError(f"cost diverged to {new_cost}")
             if new_cost < cost:
                 x, cost, g, h = candidate, new_cost, new_g, new_h
+                problem._h, problem._work = h, problem._h
                 lam = max(lam / _LAMBDA_DOWN, 1e-12)
                 accepted += 1
                 break

@@ -520,6 +520,12 @@ class TestOneShotAssociation:
 class TestLoopCloser:
     def _frame_with_observations(self, tr, rb, t, pose, obs):
         frame = tr.add_frame(t, pose)
+        self._add_scan(tr, rb, frame, obs)
+        return frame
+
+    @staticmethod
+    def _add_scan(tr, rb, frame, obs):
+        t = tr.node(frame).timestamp
         cap = tr.add_capture(frame, t, rb)
         for raw_id, rng, brg in obs:
             landmark = tr.add_landmark(np.zeros(2), RawIdInfo(raw_id))
@@ -527,7 +533,6 @@ class TestLoopCloser:
                 RANGE_BEARING, np.array([rng, brg]), np.eye(2),
                 constrained=[(frame, "p"), (frame, "o"), (rb, "ext_p"), (rb, "ext_o"),
                              (landmark, "p")]), RawIdInfo(raw_id))
-        return frame
 
     def test_identity_loop(self):
         tr, _, rb, first = build_tree()
@@ -644,6 +649,44 @@ class TestLoopCloser:
         monkeypatch.setattr(LoopCloser, "_observations", spy)
         assert closer.detect_and_close(tr, frames[4]) is not None
         assert walked == [frames[4], frames[2], frames[0], first]
+
+    def test_candidates_read_once(self, monkeypatch):
+        # a candidate's observations are read on its first visit only; the
+        # current frame's on every call, since a coincident vote can still
+        # add a scan to the newest frame; a frame leaving the tree leaves
+        # the cache
+        tr, _, rb, first = build_tree()
+        obs = [(0, 1.0, 0.2), (1, 2.0, -0.4), (2, 1.5, 1.0)]
+        late = [(5, 1.0, 0.0), (6, 1.2, 0.3)]
+        pose = Pose2(np.zeros(2), 0.0)
+        closer = LoopCloser("loop", rb, "rb0", 1.0, 2, 2)
+        frames = [self._frame_with_observations(tr, rb, float(k), pose, obs if k == 0 else [])
+                  for k in range(3)]
+        walked = []
+        observations = LoopCloser._observations
+
+        def spy(self, tree, frame):
+            walked.append(frame)
+            return observations(self, tree, frame)
+
+        def close_from_new_frame(scan):
+            frames.append(self._frame_with_observations(tr, rb, float(len(frames)), pose, scan))
+            walked.clear()
+            factor = closer.detect_and_close(tr, frames[-1])
+            return None if factor is None else tr.node(factor).payload.constrained[0][0]
+
+        monkeypatch.setattr(LoopCloser, "_observations", spy)
+        assert close_from_new_frame(obs) == frames[0]
+        assert walked == [frames[3], frames[1], frames[0], first]
+        self._add_scan(tr, rb, frames[3], late)  # a coincident vote's scan
+        assert close_from_new_frame(late) is None
+        assert walked == [frames[4], frames[2]]
+        assert close_from_new_frame(late) == frames[3]
+        assert walked == [frames[5], frames[3]]
+        tr.remove(frames[0])
+        assert close_from_new_frame(late) == frames[4]  # the newer of two ties
+        assert walked == [frames[6], frames[4]]
+        assert set(closer._seen) == set(tr.frames()[:-2])  # frames[0] is gone
 
     def test_degenerate_alignment(self):
         with pytest.raises(AlignmentError):

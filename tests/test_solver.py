@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import combinations
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from arbor.factors import (
     RANGE_BEARING,
     RELATIVE_POSE,
     Factor,
+    evaluate,
 )
 from arbor.manifold import ANGLE, Pose2, StateBlock
 from arbor.runner import build_application, replay
@@ -23,8 +25,11 @@ from arbor.sim import load_scenario, simulate, write_jsonl
 from arbor.solver import (
     CONVERGED_DX,
     CONVERGED_GRAD,
+    _LAMBDA_DOWN,
+    _LAMBDA_UP,
     SolverOptions,
     SolverProblem,
+    _index_normal_equations,
     _linearize,
     _scatter,
     _stepped,
@@ -714,6 +719,25 @@ def per_factor_oracle(problem, values):
     return g, h, cost
 
 
+def fresh_assembly(problem, x):
+    """Cost, g and H at the value table ``x`` summed into new arrays: every
+    stack's entries in stack order, H's with one bincount over all n * n
+    positions.  In-place assembly must give the same bytes."""
+    n = problem.total_dim
+    cost, g_to, g_w, h_to, h_w = 0.0, [], [], [], []
+    for key, stack in problem.stacks.items():
+        r, j = evaluate(stack, x)
+        cost += 0.5 * float(np.einsum("ij,ij->", r, r))
+        sc = problem._scatter[key]
+        g_to.append(sc.g_to)
+        g_w.append(np.einsum("nmi,nm->ni", j, r).ravel()[sc.g_at])
+        h_to.append(sc.h_to)
+        h_w.append((j.transpose(0, 2, 1).copy() @ j).ravel()[sc.h_at])
+    g = -np.bincount(np.concatenate(g_to), np.concatenate(g_w), minlength=n)
+    h = np.bincount(np.concatenate(h_to), np.concatenate(h_w), minlength=n * n)
+    return cost, g, h.reshape(n, n)
+
+
 class TestAssemblyOracle:
     """Stacked cost and normal equations against the per-factor oracle."""
 
@@ -766,6 +790,56 @@ class TestAssemblyOracle:
         frames = {node for node, _ in problem.blocks if node.kind == T.FRAME}
         assert len(frames) < keyframes
         self._check_against_oracle(problem)
+
+    def test_in_place_across_resizes(self):
+        # frames join a chain until n passes 128, where an n x n array
+        # reaches 128 KiB, then a fix_oldest window brings n back under it;
+        # twice at n = 90 a frame joins as another is fixed, so n stays
+        # while the positions of H move.  Each solve leaves both arrays
+        # written, and only the work array is cleared at sync.
+        rng = np.random.default_rng(28)
+        tr, sensor = fresh()
+        frames = []
+        sizes = []
+        problem = SolverProblem()
+        for joining, window in ((20, None), (25, None), (3, None), (0, 30), (1, 30), (1, 30),
+                                (0, 12)):
+            for _ in range(joining):
+                k = len(frames)
+                frames.append(make_pose_frame(tr, float(k), Pose2(rng.normal(0.0, 1.0, 2),
+                                                                  rng.uniform(-3.0, 3.0))))
+                if k == 0:
+                    tr.add_pose_prior(frames[0], sensor, np.eye(3) * 10.0)
+                    continue
+                cap = tr.add_capture(frames[k], float(k), sensor)
+                # the previous frame, and one up to nine back: H's positions
+                # move when the offsets shift
+                for back in sorted({1, min(k, int(rng.integers(2, 10)))}):
+                    tr.add_factor(cap, Factor(
+                        RELATIVE_POSE, rng.normal(0.0, 1.0, 3), np.eye(3),
+                        constrained=[(frames[k - back], "p"), (frames[k - back], "o"),
+                                     (frames[k], "p"), (frames[k], "o")]))
+            if window is not None:
+                tr.enforce_window(T.WindowPolicy(T.FIX_OLDEST, window))
+            sync(problem, tr)
+            n = problem.total_dim
+            sizes.append(n)
+            off = np.ones(n * n, dtype=bool)
+            off[np.concatenate([sc.h_to for sc in problem._scatter.values()])] = False
+            assert problem._h.shape == problem._work.shape == (n, n)
+            assert not problem._work.ravel()[off].any()
+            x = _stepped(problem, _table(problem), rng.normal(0.0, 0.05, n))
+            cost, g, h = _linearize(problem, x, {})
+            assert np.all(h.ravel()[off] == 0.0)  # nothing left of an earlier pattern
+            cost_ref, g_ref, h_ref = fresh_assembly(problem, x)
+            assert cost == cost_ref
+            assert g.tobytes() == g_ref.tobytes()
+            assert h.tobytes() == h_ref.tobytes()
+            for entry in problem._active:  # a solve from off its optimum
+                entry.block.values = entry.block.values + rng.normal(0.0, 0.05, entry.dim)
+            assert lm_solve(problem).accepted_steps > 0
+            assert np.all(problem._h.ravel()[off] == 0.0)
+        assert sizes == [60, 135, 144, 90, 90, 90, 36]
 
 
 # a sensor mount off the robot's origin: on a zero mount the range-bearing
@@ -820,6 +894,7 @@ def with_all_columns(problem):
     for key, stack in problem.stacks.items():
         stack.with_calibration = True
         problem._scatter[key] = _scatter(stack, offset_of_slot[stack.slots], problem.total_dim)
+    _index_normal_equations(problem)
 
 
 class TestCalibrationColumns:
@@ -840,8 +915,106 @@ class TestCalibrationColumns:
         assert {kind: stacks[kind].with_calibration for kind in expected} == expected
         x = _table(problem)
         cost, g, h = _linearize(problem, x, {})
+        h = h.copy()  # the next linearization fills the same array
         with_all_columns(problem)
         cost_ref, g_ref, h_ref = _linearize(problem, x, {})
         assert cost == cost_ref
         assert g.tobytes() == g_ref.tobytes()
         assert h.tobytes() == h_ref.tobytes()
+
+
+def long_chain_with_far_landmark():
+    """43 frames chained by exact relative poses and a landmark seen from
+    the last one, 3 m from where its measurement puts it: n = 131, and the
+    first trial steps raise the cost."""
+    tr, odom = fresh()
+    rb = tr.add_sensor(None, {
+        "ext_p": StateBlock(np.zeros(2), fixed=True),
+        "ext_o": StateBlock(np.zeros(1), ANGLE, fixed=True),
+    })
+    frames = [make_pose_frame(tr, float(k), Pose2(np.array([0.5 * k, 0.0]), 0.0))
+              for k in range(43)]
+    tr.add_pose_prior(frames[0], odom, np.eye(3) * 10.0)
+    for a, b in zip(frames, frames[1:]):
+        cap = tr.add_capture(b, tr.node(b).timestamp, odom)
+        tr.add_factor(cap, Factor(
+            RELATIVE_POSE, np.array([0.5, 0.0, 0.0]), np.eye(3) * 10.0,
+            constrained=[(a, "p"), (a, "o"), (b, "p"), (b, "o")]))
+    landmark = tr.add_landmark(np.array([18.0, 0.1]))
+    cap = tr.add_capture(frames[-1], tr.node(frames[-1]).timestamp, rb)
+    tr.add_factor(cap, Factor(
+        RANGE_BEARING, np.array([1.0, 0.0]), np.eye(2),
+        constrained=[(frames[-1], "p"), (frames[-1], "o"), (rb, "ext_p"), (rb, "ext_o"),
+                     (landmark, "p")]))
+    problem = SolverProblem()
+    sync(problem, tr)
+    return problem
+
+
+class TestRejectedTrial:
+    def test_damped_matrix_is_the_iterates(self, monkeypatch):
+        # a rejected trial's H lands in the work array and must not become
+        # the iterate's: each damped matrix is H rebuilt from scratch at the
+        # current iterate plus lambda diag(H), byte for byte
+        problem = long_chain_with_far_landmark()
+        n = problem.total_dim
+        assert n >= 128
+        real_linearize, real_solve = arbor.solver._linearize, arbor.solver.np.linalg.solve
+        points, damped = [], []  # (x, cost) of each linearization; each damped matrix
+
+        def linearize_spy(problem, x, held):
+            result = real_linearize(problem, x, held)
+            points.append((x, result[0]))
+            return result
+
+        def solve_spy(a, b):
+            damped.append(a.copy())
+            return real_solve(a, b)
+
+        monkeypatch.setattr(arbor.solver, "_linearize", linearize_spy)
+        monkeypatch.setattr(arbor.solver.np.linalg, "solve", solve_spy)
+        lm_solve(problem)
+        costs = [cost for _, cost in points]
+        assert costs[1] > costs[0] and costs[2] > costs[0]  # two rejections first
+        lam, iterate = problem.options.lambda_init, 0
+        for k, a in enumerate(damped):
+            _, _, h = fresh_assembly(problem, points[iterate][0])
+            h.flat[::n + 1] += lam * h.diagonal()
+            assert a.tobytes() == h.tobytes(), f"damped matrix {k}"
+            if k + 1 < len(points):  # the trial's linearization decides
+                if costs[k + 1] < costs[iterate]:
+                    iterate, lam = k + 1, max(lam / _LAMBDA_DOWN, 1e-12)
+                else:
+                    lam *= _LAMBDA_UP
+        assert len(damped) > 4
+
+
+class TestAllocationGuard:
+    def test_no_n_by_n_array_per_iteration(self, monkeypatch, tmp_path):
+        # every solve of loop_on's replay once n >= 128 allocates less than
+        # two n x n arrays of float64 at its peak, however many iterations
+        # it takes: the normal equations live in the problem's own arrays
+        scenario = load_scenario((DATA / "loop_scenario.yaml").read_text())
+        captures, _ = simulate(scenario)
+        log = tmp_path / "log.jsonl"
+        write_jsonl(captures, log)
+        real_solve = arbor.runner.lm_solve
+        traced = []  # (n, iterations, peak bytes) of each solve with n >= 128
+
+        def solve_spy(problem):
+            if problem.total_dim < 128:
+                return real_solve(problem)
+            tracemalloc.start()
+            try:
+                report = real_solve(problem)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            traced.append((problem.total_dim, report.iterations, peak))
+            return report
+
+        monkeypatch.setattr(arbor.runner, "lm_solve", solve_spy)
+        replay(build_application(DATA / "loop_config_on.yaml"), log)
+        assert any(iterations >= 4 for _, iterations, _ in traced)
+        for n, iterations, peak in traced:
+            assert peak < 2 * n * n * 8, f"n={n}, {iterations} iterations: {peak / (n * n * 8):.2f}"
