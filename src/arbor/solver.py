@@ -31,10 +31,11 @@ The problem owns the memory of the normal equations: two n x n arrays,
 resized by ``sync`` only when n changes.  One holds the iterate's H; the
 other is a work array, which holds the damped matrix during the step solve
 and then the trial point's H, filled in place at the positions of H that
-some Jacobian entry reaches.  The two swap roles when a step is accepted, so
-a rejected trial never overwrites the iterate's H, and the iterations
-allocate no n x n array: arrays of 128 KiB and more come from freshly mapped
-pages, which cost more to touch than the bincount that fills them.
+some Jacobian entry reaches; ``sync`` zeroes both.  The two swap roles
+when a step is accepted, so a rejected trial never overwrites the iterate's
+H, and the iterations allocate no n x n array: arrays of 128 KiB and more
+come from freshly mapped pages, which cost more to touch than the bincount
+that fills them.
 """
 
 from __future__ import annotations
@@ -276,16 +277,19 @@ def _scatter(stack: FactorStack, offsets: np.ndarray, n: int) -> _Scatter:
 
 
 def _index_normal_equations(problem: SolverProblem) -> None:
-    """Size the two n x n arrays, clear the work array and index the
-    positions of H that the scatter maps reach: ``_h_at``, sorted, and each
-    Jacobian entry's bin in it.
+    """Size and clear the two n x n arrays and index the positions of H that
+    the scatter maps reach: ``_h_at``, sorted, and each Jacobian entry's bin
+    in it.
 
-    Only the work array need be zero off those positions: a linearization
-    writes there, and the iterate's H is either its swapped copy or
-    overwritten whole by the damped matrix before it is read."""
+    Both arrays are cleared, and both stay zero off those positions: a
+    linearization writes only there, and a damped matrix is H plus its
+    diagonal.  Either may take the next linearization: a solve that stops
+    before its first damped matrix leaves the array it swapped out of H as
+    the work array, untouched since sync."""
     n = problem.total_dim
     if problem._work.shape != (n, n):
         problem._h, problem._work = np.empty((n, n)), np.empty((n, n))
+    problem._h.fill(0.0)
     work = problem._work.ravel()
     work.fill(0.0)
     scatters = problem._scatter.values()

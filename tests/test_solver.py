@@ -796,7 +796,7 @@ class TestAssemblyOracle:
         # reaches 128 KiB, then a fix_oldest window brings n back under it;
         # twice at n = 90 a frame joins as another is fixed, so n stays
         # while the positions of H move.  Each solve leaves both arrays
-        # written, and only the work array is cleared at sync.
+        # written, and sync clears both.
         rng = np.random.default_rng(28)
         tr, sensor = fresh()
         frames = []
@@ -827,6 +827,7 @@ class TestAssemblyOracle:
             off = np.ones(n * n, dtype=bool)
             off[np.concatenate([sc.h_to for sc in problem._scatter.values()])] = False
             assert problem._h.shape == problem._work.shape == (n, n)
+            assert not problem._h.ravel()[off].any()
             assert not problem._work.ravel()[off].any()
             x = _stepped(problem, _table(problem), rng.normal(0.0, 0.05, n))
             cost, g, h = _linearize(problem, x, {})
@@ -840,6 +841,42 @@ class TestAssemblyOracle:
             assert lm_solve(problem).accepted_steps > 0
             assert np.all(problem._h.ravel()[off] == 0.0)
         assert sizes == [60, 135, 144, 90, 90, 90, 36]
+
+    def test_solve_stopped_at_its_start_leaves_no_stale_entry(self):
+        # a chain at its optimum, all residuals zero, closed by a loop
+        # factor; dropping the loop keeps n but leaves H's frame 0 / frame 3
+        # blocks off the pattern.  A solve there stops at its start, before
+        # any damped matrix, and leaves the array it swapped out of H as the
+        # work array, so a linearization without a sync goes there next
+        tr, sensor = fresh()
+        frames = [make_pose_frame(tr, float(k), Pose2.identity()) for k in range(4)]
+        tr.add_pose_prior(frames[0], sensor, np.eye(3) * 10.0)
+        cap = tr.add_capture(frames[3], 3.0, sensor)
+
+        def between(i, j):
+            return tr.add_factor(cap, Factor(
+                RELATIVE_POSE, np.zeros(3), np.eye(3),
+                constrained=[(frames[i], "p"), (frames[i], "o"),
+                             (frames[j], "p"), (frames[j], "o")]))
+
+        for k in range(1, 4):
+            between(k - 1, k)
+        loop = between(0, 3)
+        problem = SolverProblem()
+        for drop in (None, loop):
+            if drop is not None:
+                tr.remove(drop)
+            sync(problem, tr)
+            report = lm_solve(problem)
+            assert (report.termination, report.iterations) == (CONVERGED_GRAD, 1)
+        assert problem.total_dim == 12
+        x = _stepped(problem, _table(problem), np.random.default_rng(37).normal(0.0, 0.05, 12))
+        cost, g, h = _linearize(problem, x, {})
+        cost_ref, g_ref, h_ref = fresh_assembly(problem, x)
+        assert not h_ref[:3, 9:].any()
+        assert cost == cost_ref
+        assert g.tobytes() == g_ref.tobytes()
+        assert h.tobytes() == h_ref.tobytes()
 
 
 # a sensor mount off the robot's origin: on a zero mount the range-bearing
