@@ -28,7 +28,7 @@ from . import tree as T
 from .checks import as_flag, as_number, as_numbers, as_text, load_yaml
 from .errors import ConfigError, ContractError
 from .factors import PRIOR_BLOCK, PRIOR_POSE, Factor
-from .manifold import ANGLE, Pose2, StateBlock
+from .manifold import ANGLE, StateBlock
 from .processors import (
     LandmarkTracker,
     LoopCloser,
@@ -366,7 +366,7 @@ def auto_setup(server: ParameterServer, registry: CreatorRegistry | None = None)
     o0 = as_number("problem.first_frame.o", server.require("problem.first_frame.o"), None)
     sigma_p = _positive(server, "problem.first_frame.sigma_p")
     sigma_o = _positive(server, "problem.first_frame.sigma_o")
-    first = tree.add_frame(0.0, Pose2(np.array(p0), o0))
+    first = tree.add_frame(0.0, (*p0, o0))
     tree.add_pose_prior(first, tree.sensors()[0],
                         np.diag([1.0 / sigma_p, 1.0 / sigma_p, 1.0 / sigma_o]))
 

@@ -2,11 +2,11 @@
 
 Conventions used throughout the package:
 
-* one SE(2) type, :class:`Pose2` ``(p, theta)``, is both a pose that places
-  a body in the world and a rigid motion expressed in the frame of the pose
-  it is composed onto: ``p`` in meters, ``theta`` in radians, always kept in
-  ``(-pi, pi]``; :func:`compose` and :func:`between` code its algebra once,
-  on ``(x, y, theta)`` floats;
+* a planar pose is a tuple of floats ``(x, y, theta)``: ``x`` and ``y`` in
+  meters, ``theta`` in radians, kept in ``(-pi, pi]``.  It is both a pose
+  that places a body in the world and a rigid motion expressed in the frame
+  of the pose it is composed onto; :func:`compose` and :func:`between` code
+  its algebra once, and wrap the heading;
 * a tangent increment is a plain length-3 array ``(tx, ty, ttheta)`` added
   componentwise, with the angle wrapped.
 
@@ -103,29 +103,6 @@ class StateBlock:
     @property
     def tangent_dim(self) -> int:
         return self.values.shape[0]
-
-
-@dataclass
-class Pose2:
-    """Planar pose: position (m) and heading (rad, wrapped).
-
-    Also a rigid motion, expressed in the frame of the pose it is composed
-    onto (see :func:`compose` and :func:`between`).
-    """
-
-    p: np.ndarray
-    theta: float
-
-    def __post_init__(self):
-        self.p = _as_finite_vector(self.p, 2, "pose position")
-        self.theta = normalize_angle(self.theta)
-
-    @classmethod
-    def identity(cls) -> "Pose2":
-        return cls(np.zeros(2), 0.0)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.p[0], self.p[1], self.theta])
 
 
 def compose(a: tuple, b: tuple) -> tuple:

@@ -50,7 +50,7 @@ from operator import attrgetter
 import numpy as np
 
 from .errors import ContractError, RecordFormatError
-from .manifold import Pose2, compose
+from .manifold import compose
 
 
 class DiffDriveModel:
@@ -188,19 +188,19 @@ def interval_moments(buf: PreintBuffer) -> tuple:
     return 0.5 * (q + q.T), np.einsum("ink,nkl->il", m, j_v_c)
 
 
-def state_at_high_rate(buf: PreintBuffer, x_origin: Pose2, t: float) -> Pose2:
-    """Pose at time t: origin boxplus the delta accumulated up to t.
+def state_at_high_rate(buf: PreintBuffer, x_origin: tuple, t: float) -> tuple:
+    """Pose (x, y, theta) at time t: the origin pose ``x_origin`` boxplus the
+    delta accumulated up to t.
 
     Holds the last delta beyond the final entry; before the first entry the
-    origin pose is returned unchanged.
+    origin pose itself is returned.
     """
     if t < buf.origin_t:
         raise RecordFormatError(f"query t={t} precedes buffer origin t={buf.origin_t}")
     k = bisect.bisect_right(buf.entries, t, key=attrgetter("t"))
     if k == 0:
-        return Pose2(x_origin.p.copy(), x_origin.theta)
-    x, y, theta = compose((*x_origin.p.tolist(), x_origin.theta), buf.entries[k - 1].delta)
-    return Pose2(np.array([x, y]), theta)
+        return x_origin
+    return compose(x_origin, buf.entries[k - 1].delta)
 
 
 def nearest_sample(buf: PreintBuffer, t: float):

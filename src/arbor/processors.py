@@ -53,7 +53,7 @@ from .factors import (
     MotionData,
     whiten,
 )
-from .manifold import Pose2, between, compose, rot2
+from .manifold import between, compose, rot2
 from .preint import (
     DiffDriveModel,
     PreintBuffer,
@@ -111,8 +111,7 @@ class RawIdInfo:
 
 def sensor_extrinsic(tree, sensor_id) -> tuple:
     """The sensor's mount on the robot, (x, y, theta) as floats."""
-    blocks = tree.node(sensor_id).state_blocks
-    return (*blocks["ext_p"].values.tolist(), float(blocks["ext_o"].values[0]))
+    return tree.frame_pose(sensor_id, "ext_p", "ext_o")
 
 
 class Processor:
@@ -137,8 +136,8 @@ class Processor:
         False, only when the data makes no factor, leaves the tree untouched."""
         return True
 
-    def pose_at(self, tree, t: float) -> Optional[Pose2]:
-        """Own pose estimate at t, if any."""
+    def pose_at(self, tree, t: float) -> Optional[tuple]:
+        """Own pose estimate (x, y, theta) at t, if any."""
 
 
 class MotionProcessor(Processor):
@@ -169,7 +168,7 @@ class MotionProcessor(Processor):
         t0 = tree.node(first_frame).timestamp
         self.buffer = PreintBuffer(first_frame, t0, c_bar, DiffDriveModel())
 
-    def pose_at(self, tree, t: float) -> Optional[Pose2]:
+    def pose_at(self, tree, t: float) -> Optional[tuple]:
         """Origin frame estimate advanced by the delta integrated up to t;
         None before the origin."""
         if self.buffer is None or self.buffer.origin_t > t:
@@ -202,9 +201,19 @@ class MotionProcessor(Processor):
             return None
         # whiten before any frame exists: a singular interval covariance
         # (stationary or pure-rotation interval) must fail atomically
-        q, j = interval_moments(self.buffer)
-        self._voted = (entry, whiten(q), j)
+        self._voted = (entry, *self._moments(self.buffer))
         return True
+
+    def _moments(self, buf):
+        """The whitened covariance and the calibration Jacobian of ``buf``'s
+        interval.  Ticks too large for them to be finite are a bad record,
+        named by the interval's last sample."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            q, j = interval_moments(buf)
+        if not (np.isfinite(q).all() and np.isfinite(j).all()):
+            raise RecordFormatError(f"bad {self.sensor_name} record at t={buf.tail.t}: "
+                                    "wheel ticks too large for finite interval moments")
+        return whiten(q), j
 
     def _vote(self, entry) -> bool:
         x, y, theta = entry.delta
@@ -232,8 +241,7 @@ class MotionProcessor(Processor):
             tail = first.entries[-1] if first.entries else None
             voted, sqrt_info, j = self._voted
             if tail is not None and tail is not voted:
-                q, j = interval_moments(first)
-                sqrt_info = whiten(q)
+                sqrt_info, j = self._moments(first)
         except DecompositionError:
             return False
         if tail is not None:  # an empty first part attaches nothing
@@ -309,10 +317,10 @@ class LandmarkTracker(Processor):
             landmarks = [lm for lm in landmarks if self._window_ok(lm)]
         return landmarks, tree.block_values(landmarks, "p")
 
-    def _associate(self, tree, pose: Pose2, scan):
-        """(raw id, (range, bearing), matched landmark or None, world point) per entry."""
-        sx, sy, heading = compose((*pose.p.tolist(), pose.theta),
-                                  sensor_extrinsic(tree, self.sensor_id))
+    def _associate(self, tree, pose: tuple, scan):
+        """(raw id, (range, bearing), matched landmark or None, world point)
+        per entry, for a robot at ``pose`` (x, y, theta)."""
+        sx, sy, heading = compose(pose, sensor_extrinsic(tree, self.sensor_id))
         parsed, worlds = [], []
         try:
             for m in scan:
@@ -529,7 +537,7 @@ class Pipeline:
         self._wait = max((proc.time_tolerance for proc in self.processors), default=0.0)
         self._vote: Optional[tuple] = None  # (t, voter) of the waiting vote
 
-    def pose_at(self, tree, t: float) -> Pose2:
+    def pose_at(self, tree, t: float) -> tuple:
         """Best pose estimate at t: the first processor's that offers one,
         else the newest frame's, if it is not later than t."""
         for proc in self.processors:

@@ -80,7 +80,7 @@ def replay(app: Application, log_path, out_path=None, truth_path=None,
 
     live = [(fid, tree.node(fid).timestamp, tree.frame_pose(fid)) for fid in tree.frames()]
     estimates = [
-        CaptureRecord(t, ESTIMATE_SENSOR, [pose.p[0], pose.p[1], pose.theta])
+        CaptureRecord(t, ESTIMATE_SENSOR, list(pose))
         for _fid, t, pose in sorted(removed + live, key=lambda e: (e[1], e[0].index))
     ]
     final_t = estimates[-1].t if estimates else 0.0

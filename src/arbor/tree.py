@@ -28,7 +28,7 @@ import numpy as np
 
 from . import factors as factors_mod
 from .errors import ContractError, NotFoundError
-from .manifold import ANGLE, Pose2, StateBlock
+from .manifold import ANGLE, StateBlock
 
 PROBLEM = "Problem"
 HARDWARE = "Hardware"
@@ -162,10 +162,12 @@ class ProblemTree:
         return self._new_node(LANDMARK, self.map_id, payload=info,
                               state_blocks={"p": StateBlock(p, fixed=fixed)})
 
-    def add_frame(self, t: float, pose: Pose2) -> NodeId:
-        """A Trajectory frame at t holding ``pose`` as blocks ``p`` and ``o``."""
+    def add_frame(self, t: float, pose: tuple) -> NodeId:
+        """A Trajectory frame at t holding ``pose`` (x, y, theta) as blocks
+        ``p`` and ``o``."""
+        x, y, theta = pose
         return self._new_node(FRAME, self.trajectory_id, timestamp=t, state_blocks={
-            "p": StateBlock(pose.p), "o": StateBlock(np.array([pose.theta]), ANGLE)})
+            "p": StateBlock((x, y)), "o": StateBlock(theta, ANGLE)})
 
     def add_capture(self, frame: NodeId, t: float, sensor: NodeId) -> NodeId:
         """A capture taken at t by ``sensor``, under ``frame``."""
@@ -195,7 +197,7 @@ class ProblemTree:
         """Pin ``frame`` at its current pose; returns the prior's capture."""
         capture = self.add_capture(frame, self._nodes[frame].timestamp, sensor)
         self.add_factor(capture, factors_mod.Factor(
-            factors_mod.PRIOR_POSE, self.frame_pose(frame).as_array(), sqrt_info,
+            factors_mod.PRIOR_POSE, np.array(self.frame_pose(frame)), sqrt_info,
             constrained=[(frame, "p"), (frame, "o")]))
         return capture
 
@@ -245,10 +247,12 @@ class ProblemTree:
         except KeyError:
             raise NotFoundError(f"some node of {list(node_ids)} has no block {name!r}") from None
 
-    def frame_pose(self, frame: NodeId) -> Pose2:
-        node = self.node(frame)
-        return Pose2(node.state_blocks["p"].values.copy(),
-                     float(node.state_blocks["o"].values[0]))
+    def frame_pose(self, node_id: NodeId, p: str = "p", o: str = "o") -> tuple:
+        """(x, y, theta) as floats from the position block ``p`` and the
+        heading block ``o`` of ``node_id``: a frame's pose, or a sensor's
+        mount on the robot from its blocks ``ext_p`` and ``ext_o``."""
+        blocks = self.node(node_id).state_blocks
+        return (*blocks[p].values.tolist(), float(blocks[o].values[0]))
 
     def factors_referencing(self, node_id: NodeId) -> list:
         """Factor nodes that constrain a block of node_id, oldest first."""

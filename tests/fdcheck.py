@@ -4,8 +4,8 @@ evaluation for the test suite.
 ``central_diff`` differentiates plain arrays with its own angle wrap;
 ``numeric_jacobian`` differentiates a residual over state blocks, stepping
 them with ``block_plus``.  ``pose_compose`` and ``pose_between`` are
-``manifold.compose`` and ``between`` on :class:`Pose2`, with their closed-form
-Jacobians, which the reference recursions and criterion 1 check.
+``manifold.compose`` and ``between`` on (x, y, theta) tuples, with their
+closed-form Jacobians, which the reference recursions and criterion 1 check.
 ``evaluate_one`` runs one factor through the package's stacked kernels as a
 stack of one (``stack_of``).  None of this is on the estimator's path, so it
 lives beside the tests that use it.
@@ -20,7 +20,7 @@ import numpy as np
 
 from arbor.errors import ContractError
 from arbor.factors import Factor, FactorStack, evaluate
-from arbor.manifold import ANGLE, EUCLIDEAN, Pose2, StateBlock, between, compose, normalize_angle
+from arbor.manifold import ANGLE, EUCLIDEAN, StateBlock, between, compose, normalize_angle
 
 
 def central_diff(fn, x, step=1e-6):
@@ -52,10 +52,9 @@ def wrap_angle(a):
 
 
 def delta_diff(d2, d1):
-    """Tangent difference d2 - d1 of two motions (``p``, ``theta``), with
-    the angle wrapped by :func:`wrap_angle`."""
-    return np.array([d2.p[0] - d1.p[0], d2.p[1] - d1.p[1],
-                     wrap_angle(d2.theta - d1.theta)])
+    """Tangent difference d2 - d1 of two motions (x, y, theta), with the
+    angle wrapped by :func:`wrap_angle`."""
+    return np.array([d2[0] - d1[0], d2[1] - d1[1], wrap_angle(d2[2] - d1[2])])
 
 
 def block_plus(block: StateBlock, dx) -> np.ndarray:
@@ -74,15 +73,14 @@ def block_plus(block: StateBlock, dx) -> np.ndarray:
     return block.values + dx
 
 
-def pose_compose(a: Pose2, b: Pose2):
-    """:func:`compose` for :class:`Pose2`, with its Jacobians.
+def pose_compose(a: tuple, b: tuple):
+    """:func:`compose` of two (x, y, theta) tuples, with its Jacobians.
 
-    Returns (a boxplus b, J_a, J_b) with J_a = [[I, R'(a.theta) b.p],
-    [0, 1]] and J_b = [[R(a.theta), 0], [0, 1]].
+    Returns (a boxplus b, J_a, J_b) with J_a = [[I, R'(a_theta) b_p],
+    [0, 1]] and J_b = [[R(a_theta), 0], [0, 1]].
     """
-    x, y, theta = compose((*a.p.tolist(), a.theta), (*b.p.tolist(), b.theta))
-    c, s = math.cos(a.theta), math.sin(a.theta)
-    bx, by = b.p[0], b.p[1]
+    c, s = math.cos(a[2]), math.sin(a[2])
+    bx, by = b[0], b[1]
     j_a = np.array([
         [1.0, 0.0, -s * bx - c * by],
         [0.0, 1.0, c * bx - s * by],
@@ -93,14 +91,14 @@ def pose_compose(a: Pose2, b: Pose2):
         [s, c, 0.0],
         [0.0, 0.0, 1.0],
     ])
-    return Pose2(np.array([x, y]), theta), j_a, j_b
+    return compose(a, b), j_a, j_b
 
 
-def pose_between(xi: Pose2, xj: Pose2):
-    """:func:`between` for :class:`Pose2`: (xj boxminus xi, J_xi, J_xj)."""
-    x, y, theta = between((*xi.p.tolist(), xi.theta), (*xj.p.tolist(), xj.theta))
-    c, s = math.cos(xi.theta), math.sin(xi.theta)
-    dx, dy = xj.p[0] - xi.p[0], xj.p[1] - xi.p[1]
+def pose_between(xi: tuple, xj: tuple):
+    """:func:`between` of two (x, y, theta) tuples: (xj boxminus xi, J_xi,
+    J_xj)."""
+    c, s = math.cos(xi[2]), math.sin(xi[2])
+    dx, dy = xj[0] - xi[0], xj[1] - xi[1]
     j_xi = np.array([
         [-c, -s, -s * dx + c * dy],
         [s, -c, -c * dx - s * dy],
@@ -111,7 +109,7 @@ def pose_between(xi: Pose2, xj: Pose2):
         [-s, c, 0.0],
         [0.0, 0.0, 1.0],
     ])
-    return Pose2(np.array([x, y]), theta), j_xi, j_xj
+    return between(xi, xj), j_xi, j_xj
 
 
 @dataclass

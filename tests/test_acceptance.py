@@ -23,11 +23,7 @@ from arbor.factors import (
     evaluate,
     whiten,
 )
-from arbor.manifold import (
-    ANGLE,
-    Pose2,
-    StateBlock,
-)
+from arbor.manifold import ANGLE, StateBlock
 from arbor.preint import (
     DiffDriveModel,
     PreintBuffer,
@@ -62,7 +58,7 @@ def report(criterion, ok, detail):
 
 
 def random_pose(rng):
-    return Pose2(rng.uniform(-10, 10, 2), rng.uniform(-np.pi, np.pi))
+    return (*rng.uniform(-10, 10, 2), rng.uniform(-np.pi, np.pi))
 
 
 def integrated_buffer(rng, n=6, c_bar=C_NOM, tick_std=0.01):
@@ -89,21 +85,16 @@ class TestCriterion1Jacobians:
 
         # manifold composition and difference operators
         for _ in range(self.N):
-            a, b = random_pose(rng), Pose2(rng.uniform(-10, 10, 2),
-                                            rng.uniform(-np.pi, np.pi))
+            a, b = random_pose(rng), (*rng.uniform(-10, 10, 2), rng.uniform(-np.pi, np.pi))
             _, j_a, j_b = pose_compose(a, b)
-            fd_a = central_diff(lambda v: pose_compose(Pose2(v[:2], v[2]), b)[0].as_array(),
-                                a.as_array())
-            fd_b = central_diff(lambda v: pose_compose(a, Pose2(v[:2], v[2]))[0].as_array(),
-                                b.as_array())
+            fd_a = central_diff(lambda v: np.array(pose_compose(tuple(v), b)[0]), np.array(a))
+            fd_b = central_diff(lambda v: np.array(pose_compose(a, tuple(v))[0]), np.array(b))
             worst = max(worst, np.max(np.abs(j_a - fd_a)), np.max(np.abs(j_b - fd_b)))
         for _ in range(self.N):
             xi, xj = random_pose(rng), random_pose(rng)
             _, j_xi, j_xj = pose_between(xi, xj)
-            fd_xi = central_diff(lambda v: pose_between(Pose2(v[:2], v[2]), xj)[0].as_array(),
-                                 xi.as_array())
-            fd_xj = central_diff(lambda v: pose_between(xi, Pose2(v[:2], v[2]))[0].as_array(),
-                                 xj.as_array())
+            fd_xi = central_diff(lambda v: np.array(pose_between(tuple(v), xj)[0]), np.array(xi))
+            fd_xj = central_diff(lambda v: np.array(pose_between(xi, tuple(v))[0]), np.array(xj))
             worst = max(worst, np.max(np.abs(j_xi - fd_xi)), np.max(np.abs(j_xj - fd_xj)))
 
         worst = max(worst, self._factor_block(rng, self._motion_instance))
@@ -146,7 +137,7 @@ class TestCriterion1Jacobians:
         buf = integrated_buffer(rng, n=3)
         q_delta, j_delta_c = interval_moments(buf)
         aux = MotionData(j_delta_c, C_NOM.copy())
-        factor = Factor(MOTION, as_pose(buf.tail.delta).as_array(),
+        factor = Factor(MOTION, np.array(as_pose(buf.tail.delta)),
                         moderate_whiten(q_delta), constrained=[None] * 5, aux=aux)
         blocks = [*self._pose_blocks(rng), *self._pose_blocks(rng),
                   StateBlock(C_NOM * rng.uniform(0.9, 1.1, 3))]
@@ -198,7 +189,7 @@ class TestCriterion1Jacobians:
                 for s in pre:
                     integrate_step(buf, *s)
                 entry = integrate_step(buf, 1.0, tuple(u_vec), ZERO_Q)
-                return as_pose(entry.delta).as_array()
+                return np.array(as_pose(entry.delta))
 
             buf = PreintBuffer(None, 0.0, c, MODEL)
             for s in pre:
@@ -261,7 +252,7 @@ class TestCriterion3CovarianceConsistency:
             x = x + cx * np.cos(th) - cy * np.sin(th)
             y = y + cx * np.sin(th) + cy * np.cos(th)
             th = th + turn
-        nominal = as_pose(buf.tail.delta).as_array()
+        nominal = np.array(as_pose(buf.tail.delta))
         devs = np.stack([x - nominal[0], y - nominal[1], wrap_angle(th - nominal[2])],
                         axis=1)
         sample_cov = np.cov(devs.T)
@@ -418,8 +409,8 @@ class TestCriterion9ConsistencyFuzz:
         for step in range(1000):
             roll = rng.uniform()
             if roll < 0.3 or not frames:
-                frame = tr.add_frame(float(step), Pose2(rng.uniform(-5, 5, 2),
-                                                        float(rng.uniform(-3, 3, 1)[0])))
+                frame = tr.add_frame(float(step), (*rng.uniform(-5, 5, 2),
+                                                   float(rng.uniform(-3, 3, 1)[0])))
                 frames.append(frame)
             elif roll < 0.45:
                 landmarks.append(tr.add_landmark(rng.uniform(-5, 5, 2)))
@@ -460,7 +451,7 @@ class TestCriterion10Throughput:
         buf = PreintBuffer(None, 0.0, C_NOM, MODEL)
         for k in range(10_000):
             integrate_step(buf, 0.01 * (k + 1), (0.1, 0.11), ZERO_Q)
-        x0 = Pose2(np.zeros(2), 0.0)
+        x0 = (0.0, 0.0, 0.0)
         ts = np.random.default_rng(1010).uniform(0.0, 100.0, 10_000)
         t0 = time.perf_counter()
         for t in ts:

@@ -16,7 +16,7 @@ from arbor.factors import (
     evaluate,
     whiten,
 )
-from arbor.manifold import ANGLE, Pose2, StateBlock
+from arbor.manifold import ANGLE, StateBlock
 from arbor.preint import DiffDriveModel, PreintBuffer, integrate_step, interval_moments
 
 from fdcheck import evaluate_one, numeric_jacobian, pose_compose, stack_of
@@ -48,7 +48,7 @@ def motion_factor(rng):
         u = u * (10.0 / scale)
     return Factor(
         kind=MOTION,
-        z=as_pose(tail.delta).as_array(),
+        z=np.array(as_pose(tail.delta)),
         sqrt_info=u,
         constrained=[("fi", "p"), ("fi", "o"), ("fj", "p"), ("fj", "o"), ("s", "intrinsic")],
         aux=aux,
@@ -56,7 +56,7 @@ def motion_factor(rng):
 
 
 def pose_blocks(pose):
-    return [StateBlock(pose.p), StateBlock(np.array([pose.theta]), ANGLE)]
+    return [StateBlock(pose[:2]), StateBlock(pose[2:], ANGLE)]
 
 
 class TestWhiten:
@@ -103,34 +103,34 @@ class TestMotionFactor:
         rng = np.random.default_rng(21)
         for _ in range(1000):
             f = motion_factor(rng)
-            xi = Pose2(rng.uniform(-5, 5, 2), rng.uniform(-np.pi, np.pi))
-            xj, _, _ = pose_compose(xi, Pose2(f.z[:2], f.z[2]))
-            res = evaluate_one(f, [xi.p, [xi.theta], xj.p, [xj.theta], C_NOM])
+            xi = (*rng.uniform(-5, 5, 2), rng.uniform(-np.pi, np.pi))
+            xj, _, _ = pose_compose(xi, tuple(f.z))
+            res = evaluate_one(f, [xi[:2], xi[2:], xj[:2], xj[2:], C_NOM])
             assert np.max(np.abs(res.r)) < 1e-9
 
     def test_whitened_perturbation_magnitude(self):
         rng = np.random.default_rng(22)
         tail, _, aux = integrated_motion_data(rng)
         sigma = np.array([0.05, 0.07, 0.02])
-        f = Factor(MOTION, as_pose(tail.delta).as_array(), np.diag(1.0 / sigma),
+        f = Factor(MOTION, np.array(as_pose(tail.delta)), np.diag(1.0 / sigma),
                    constrained=[None] * 5, aux=aux)
-        xi = Pose2.identity()
+        xi = (0.0, 0.0, 0.0)
         xj, _, _ = pose_compose(xi, as_pose(tail.delta))
         eps = 1e-3
-        res = evaluate_one(f, [xi.p, [xi.theta], xj.p + np.array([eps, 0.0]), [xj.theta], C_NOM])
+        res = evaluate_one(f, [xi[:2], xi[2:], (xj[0] + eps, xj[1]), xj[2:], C_NOM])
         assert np.linalg.norm(res.r) == pytest.approx(eps / sigma[0], rel=1e-6)
 
     def test_whitening_invariance_under_scaling(self):
         rng = np.random.default_rng(23)
         tail, q_delta, aux = integrated_motion_data(rng)
         lam = 16.0
-        f1 = Factor(MOTION, as_pose(tail.delta).as_array(), whiten(q_delta),
+        f1 = Factor(MOTION, np.array(as_pose(tail.delta)), whiten(q_delta),
                     constrained=[None] * 5, aux=aux)
-        f2 = Factor(MOTION, as_pose(tail.delta).as_array(), whiten(lam * q_delta),
+        f2 = Factor(MOTION, np.array(as_pose(tail.delta)), whiten(lam * q_delta),
                     constrained=[None] * 5, aux=aux)
-        xi = Pose2(np.array([1.0, -2.0]), 0.3)
-        xj = Pose2(np.array([1.5, -1.0]), 0.7)
-        vals = [xi.p, [xi.theta], xj.p, [xj.theta], C_NOM * 1.02]
+        xi = (1.0, -2.0, 0.3)
+        xj = (1.5, -1.0, 0.7)
+        vals = [xi[:2], xi[2:], xj[:2], xj[2:], C_NOM * 1.02]
         r1 = evaluate_one(f1, vals).r
         r2 = evaluate_one(f2, vals).r
         np.testing.assert_allclose(r2, r1 / math.sqrt(lam), rtol=1e-9)
@@ -139,8 +139,8 @@ class TestMotionFactor:
         rng = np.random.default_rng(24)
         for _ in range(200):
             f = motion_factor(rng)
-            xi = Pose2(rng.uniform(-5, 5, 2), rng.uniform(-3, 3))
-            xj = Pose2(rng.uniform(-5, 5, 2), rng.uniform(-3, 3))
+            xi = (*rng.uniform(-5, 5, 2), rng.uniform(-3, 3))
+            xj = (*rng.uniform(-5, 5, 2), rng.uniform(-3, 3))
             c = C_NOM * rng.uniform(0.9, 1.1, 3)
             blocks = [*pose_blocks(xi), *pose_blocks(xj), StateBlock(c)]
             res = evaluate_one(f, [b.values for b in blocks])
@@ -153,9 +153,9 @@ class TestRangeBearingFactor:
     @staticmethod
     def observe(x, ext, landmark):
         # independent forward model written out by hand
-        cx, sx = math.cos(x.theta), math.sin(x.theta)
-        sp = x.p + np.array([cx * ext.p[0] - sx * ext.p[1], sx * ext.p[0] + cx * ext.p[1]])
-        st = x.theta + ext.theta
+        cx, sx = math.cos(x[2]), math.sin(x[2])
+        sp = np.array(x[:2]) + np.array([cx * ext[0] - sx * ext[1], sx * ext[0] + cx * ext[1]])
+        st = x[2] + ext[2]
         d = landmark - sp
         local = np.array(
             [math.cos(st) * d[0] + math.sin(st) * d[1],
@@ -174,19 +174,19 @@ class TestRangeBearingFactor:
 
     def test_rotated_observation_hand_value(self):
         # robot at origin facing +y sees a landmark straight ahead at range 2
-        z = self.observe(Pose2(np.zeros(2), math.pi / 2), Pose2.identity(), np.array([0.0, 2.0]))
+        z = self.observe((0.0, 0.0, math.pi / 2), (0.0, 0.0, 0.0), np.array([0.0, 2.0]))
         np.testing.assert_allclose(z, [2.0, 0.0], atol=1e-15)
 
     def test_zero_at_random_consistent(self):
         rng = np.random.default_rng(25)
         for _ in range(1000):
-            x = Pose2(rng.uniform(-5, 5, 2), rng.uniform(-np.pi, np.pi))
-            ext = Pose2(rng.uniform(-0.5, 0.5, 2), rng.uniform(-np.pi, np.pi))
-            landmark = x.p + rng.uniform(-6, 6, 2)
-            if np.linalg.norm(landmark - x.p) < 0.5:
+            x = (*rng.uniform(-5, 5, 2), rng.uniform(-np.pi, np.pi))
+            ext = (*rng.uniform(-0.5, 0.5, 2), rng.uniform(-np.pi, np.pi))
+            landmark = np.array(x[:2]) + rng.uniform(-6, 6, 2)
+            if np.linalg.norm(landmark - x[:2]) < 0.5:
                 continue
             z = self.observe(x, ext, landmark)
-            res = evaluate_one(self._factor(z), [x.p, [x.theta], ext.p, [ext.theta], landmark])
+            res = evaluate_one(self._factor(z), [x[:2], x[2:], ext[:2], ext[2:], landmark])
             assert np.max(np.abs(res.r)) < 1e-9
 
     def test_singular_observation_rejected(self):
@@ -198,10 +198,10 @@ class TestRangeBearingFactor:
         rng = np.random.default_rng(26)
         done = 0
         while done < 200:
-            x = Pose2(rng.uniform(-5, 5, 2), rng.uniform(-3, 3))
-            ext = Pose2(rng.uniform(-0.5, 0.5, 2), rng.uniform(-1, 1))
+            x = (*rng.uniform(-5, 5, 2), rng.uniform(-3, 3))
+            ext = (*rng.uniform(-0.5, 0.5, 2), rng.uniform(-1, 1))
             landmark = rng.uniform(-8, 8, 2)
-            if np.linalg.norm(landmark - x.p) < 0.8:
+            if np.linalg.norm(landmark - x[:2]) < 0.8:
                 continue
             z = self.observe(x, ext, landmark) + rng.normal(0, 0.1, 2)
             f = self._factor(z, np.diag([4.0, 7.0]))
@@ -236,7 +236,7 @@ class TestPriorFactors:
             z = np.array([*rng.uniform(-5, 5, 2), rng.uniform(-3, 3)])
             u = whiten(random_spd(rng, 3))
             f = Factor(PRIOR_POSE, z, u, constrained=[None, None])
-            x = Pose2(rng.uniform(-5, 5, 2), rng.uniform(-3, 3))
+            x = (*rng.uniform(-5, 5, 2), rng.uniform(-3, 3))
             blocks = pose_blocks(x)
             res = evaluate_one(f, [b.values for b in blocks])
             num = numeric_jacobian(lambda v: evaluate_one(f, v).r, blocks)
@@ -260,11 +260,11 @@ class TestRelativePoseFactor:
     def test_zero_at_consistent(self):
         rng = np.random.default_rng(29)
         for _ in range(1000):
-            xi = Pose2(rng.uniform(-5, 5, 2), rng.uniform(-np.pi, np.pi))
-            z = Pose2(rng.uniform(-2, 2, 2), rng.uniform(-np.pi, np.pi))
+            xi = (*rng.uniform(-5, 5, 2), rng.uniform(-np.pi, np.pi))
+            z = (*rng.uniform(-2, 2, 2), rng.uniform(-np.pi, np.pi))
             xj, _, _ = pose_compose(xi, z)
-            f = Factor(RELATIVE_POSE, z.as_array(), np.eye(3), constrained=[None] * 4)
-            res = evaluate_one(f, [xi.p, [xi.theta], xj.p, [xj.theta]])
+            f = Factor(RELATIVE_POSE, np.array(z), np.eye(3), constrained=[None] * 4)
+            res = evaluate_one(f, [xi[:2], xi[2:], xj[:2], xj[2:]])
             assert np.max(np.abs(res.r)) < 1e-9
 
     def test_componentwise_hand_value(self):
@@ -278,8 +278,8 @@ class TestRelativePoseFactor:
         for _ in range(200):
             f = Factor(RELATIVE_POSE, np.array([*rng.uniform(-2, 2, 2), rng.uniform(-3, 3)]),
                        whiten(random_spd(rng, 3)), constrained=[None] * 4)
-            xi = Pose2(rng.uniform(-5, 5, 2), rng.uniform(-3, 3))
-            xj = Pose2(rng.uniform(-5, 5, 2), rng.uniform(-3, 3))
+            xi = (*rng.uniform(-5, 5, 2), rng.uniform(-3, 3))
+            xj = (*rng.uniform(-5, 5, 2), rng.uniform(-3, 3))
             blocks = [*pose_blocks(xi), *pose_blocks(xj)]
             res = evaluate_one(f, [b.values for b in blocks])
             num = numeric_jacobian(lambda v: evaluate_one(f, v).r, blocks)
@@ -352,18 +352,18 @@ class TestStacks:
 
     @staticmethod
     def _motion(rng):
-        xi = Pose2(rng.uniform(-5, 5, 2), rng.uniform(-3, 3))
-        xj = Pose2(rng.uniform(-5, 5, 2), rng.uniform(-3, 3))
+        xi = (*rng.uniform(-5, 5, 2), rng.uniform(-3, 3))
+        xj = (*rng.uniform(-5, 5, 2), rng.uniform(-3, 3))
         return motion_factor(rng), [*pose_blocks(xi), *pose_blocks(xj),
                                     StateBlock(C_NOM * rng.uniform(0.9, 1.1, 3))]
 
     @staticmethod
     def _range_bearing(rng):
-        x = Pose2(rng.uniform(-5, 5, 2), rng.uniform(-3, 3))
-        ext = Pose2(rng.uniform(-0.5, 0.5, 2), rng.uniform(-1, 1))
+        x = (*rng.uniform(-5, 5, 2), rng.uniform(-3, 3))
+        ext = (*rng.uniform(-0.5, 0.5, 2), rng.uniform(-1, 1))
         # at least 1 m from the pose, so at least 0.29 m from the sensor
         a = rng.uniform(-np.pi, np.pi)
-        landmark = x.p + rng.uniform(1.0, 6.0) * np.array([math.cos(a), math.sin(a)])
+        landmark = np.array(x[:2]) + rng.uniform(1.0, 6.0) * np.array([math.cos(a), math.sin(a)])
         z = np.array([rng.uniform(0.5, 6.0), rng.uniform(-3.0, 3.0)])
         f = Factor(RANGE_BEARING, z, np.diag(rng.uniform(1.0, 8.0, 2)), constrained=[None] * 5)
         return f, [*pose_blocks(x), *pose_blocks(ext), StateBlock(landmark)]
@@ -372,7 +372,7 @@ class TestStacks:
     def _prior_pose(rng):
         z = np.array([*rng.uniform(-5, 5, 2), rng.uniform(-3, 3)])
         f = Factor(PRIOR_POSE, z, whiten(random_spd(rng, 3)), constrained=[None, None])
-        return f, pose_blocks(Pose2(rng.uniform(-5, 5, 2), rng.uniform(-3, 3)))
+        return f, pose_blocks((*rng.uniform(-5, 5, 2), rng.uniform(-3, 3)))
 
     @staticmethod
     def _prior_block(rng):
@@ -390,8 +390,8 @@ class TestStacks:
     def _relative_pose(rng):
         f = Factor(RELATIVE_POSE, np.array([*rng.uniform(-2, 2, 2), rng.uniform(-3, 3)]),
                    whiten(random_spd(rng, 3)), constrained=[None] * 4)
-        xi = Pose2(rng.uniform(-5, 5, 2), rng.uniform(-3, 3))
-        xj = Pose2(rng.uniform(-5, 5, 2), rng.uniform(-3, 3))
+        xi = (*rng.uniform(-5, 5, 2), rng.uniform(-3, 3))
+        xj = (*rng.uniform(-5, 5, 2), rng.uniform(-3, 3))
         return f, [*pose_blocks(xi), *pose_blocks(xj)]
 
     @pytest.mark.parametrize("make", ["_motion", "_range_bearing", "_prior_pose",

@@ -672,6 +672,7 @@ class TestCli:
         # values that float() and int() read although they are not JSON numbers
         pytest.param("odom0", ["0.13", "0.15"], id="ticks_strings"),
         pytest.param("odom0", [True, False], id="ticks_booleans"),
+        pytest.param("odom0", [1e308, 1e308], id="ticks_overflow"),
         pytest.param("rb0", [[0, "1.0", 0.1]], id="range_string"),
         pytest.param("rb0", [[0, 1.0, True]], id="bearing_boolean"),
         pytest.param("rb0", [[0.5, 1.0, 0.1]], id="id_fraction"),  # int() made it 0

@@ -5,7 +5,7 @@ import pytest
 
 from arbor.errors import ContractError, RecordFormatError
 from arbor.factors import MOTION, Factor, MotionData
-from arbor.manifold import Pose2
+from arbor.manifold import normalize_angle
 from arbor.preint import (
     DiffDriveModel,
     PreintBuffer,
@@ -31,9 +31,9 @@ def correction_error(delta, j_delta_c, c, c_bar, target):
     """D(c) (-) target, with D(c) the calibration correction of ``delta``
     to ``c`` as the motion kernel applies it: the kernel's residual for unit
     sqrt_info, xi at the identity and xj = target."""
-    factor = Factor(MOTION, as_pose(delta).as_array(), np.eye(3),
+    factor = Factor(MOTION, np.array(as_pose(delta)), np.eye(3),
                     constrained=[None] * 5, aux=MotionData(j_delta_c, c_bar))
-    return evaluate_one(factor, [np.zeros(2), [0.0], target.p, [target.theta], c]).r
+    return evaluate_one(factor, [np.zeros(2), [0.0], target[:2], target[2:], c]).r
 
 
 def moments(buf):
@@ -49,10 +49,11 @@ def one_row(model, u, c):
     return [j[0] for j in model.jacobians(np.array([u], dtype=float), c)]
 
 
-def as_pose(delta) -> Pose2:
-    """A model's (x, y, theta) step delta as a Pose2."""
+def as_pose(delta) -> tuple:
+    """A model's (x, y, theta) step delta as a pose: the heading wrapped
+    into (-pi, pi]."""
     x, y, theta = delta
-    return Pose2(np.array([x, y]), theta)
+    return x, y, normalize_angle(theta)
 
 
 def random_samples(rng, n, dt=0.1, tick_std=0.0, t0=0.0):
@@ -127,20 +128,20 @@ class TestIntegrateStep:
     def test_first_step_from_zero_initial(self):
         buf = make_buffer()
         entry = integrate_step(buf, 0.1, (1.0, 1.0), ZERO_Q)
-        np.testing.assert_allclose(as_pose(entry.delta).as_array(), [0.1, 0.0, 0.0])
+        np.testing.assert_allclose(np.array(as_pose(entry.delta)), [0.1, 0.0, 0.0])
         q_delta, j_delta_c = interval_moments(buf)
         np.testing.assert_allclose(q_delta, np.zeros((3, 3)))
         # prior J is zero, so the first step is the bare chain
         _, j_v_c, j_delta_v = one_row(MODEL, (1.0, 1.0), C_NOM)
         step = MODEL.compute_delta(MODEL.precalibrate((1.0, 1.0), C_NOM))
-        _, _, j_dd = pose_compose(Pose2.identity(), as_pose(step))
+        _, _, j_dd = pose_compose((0.0, 0.0, 0.0), as_pose(step))
         np.testing.assert_allclose(j_delta_c, j_dd @ j_delta_v @ j_v_c, atol=1e-12)
 
     def test_two_straight_steps_compose(self):
         buf = make_buffer()
         integrate_step(buf, 0.1, (1.0, 1.0), ZERO_Q)
         integrate_step(buf, 0.2, (1.0, 1.0), ZERO_Q)
-        np.testing.assert_allclose(as_pose(buf.tail.delta).as_array(), [0.2, 0.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(np.array(as_pose(buf.tail.delta)), [0.2, 0.0, 0.0], atol=1e-15)
 
     def test_nonmonotonic_rejected(self):
         buf = make_buffer()
@@ -191,7 +192,7 @@ class TestIntegrateStep:
             x = x + cx * np.cos(th) - cy * np.sin(th)
             y = y + cx * np.sin(th) + cy * np.cos(th)
             th = th + turn
-        nominal = as_pose(buf.tail.delta).as_array()
+        nominal = np.array(as_pose(buf.tail.delta))
         devs = np.stack([x - nominal[0], y - nominal[1], wrap_angle(th - nominal[2])], axis=1)
         sample_cov = np.cov(devs.T)
         q = interval_moments(buf)[0]
@@ -209,7 +210,7 @@ class TestIntegrateStep:
                 for s in pre:
                     integrate_step(buf, *s)
                 entry = integrate_step(buf, 1.0, tuple(u_vec), ZERO_Q)
-                return as_pose(entry.delta).as_array()
+                return np.array(as_pose(entry.delta))
 
             buf = make_buffer()
             for s in pre:
@@ -297,7 +298,7 @@ class TestAlternativeModel:
             x, y = x + cx * math.cos(th) - cy * math.sin(th), \
                 y + cx * math.sin(th) + cy * math.cos(th)
             th += w
-        np.testing.assert_allclose(as_pose(buf.tail.delta).as_array(),
+        np.testing.assert_allclose(np.array(as_pose(buf.tail.delta)),
                                    [x, y, wrap_angle(th)], atol=1e-12)
         # calibration correction stays first order for the scalar scale too
         eps = 1e-3
@@ -323,7 +324,7 @@ def reference_recursion(model, c_bar, samples):
     the float delta and the closed-form moments.  Each step takes the
     model's Jacobians at its own sample.  Returns (delta_bar, q_delta,
     j_delta_c) after each sample."""
-    delta = Pose2.identity()
+    delta = (0.0, 0.0, 0.0)
     q = np.zeros((3, 3))
     j = np.zeros((3, len(c_bar)))
     out = []
@@ -367,7 +368,7 @@ class TestFloatRecursionOracle:
         entries = buf.entries
         assert len(entries) == len(reference)
         for entry, (delta, _, _) in zip(entries, reference):
-            assert entry.delta == (delta.p[0], delta.p[1], delta.theta)
+            assert entry.delta == delta
         for k in sorted({*range(stride, len(entries), stride), len(entries)} - {0}):
             _, q, j = reference[k - 1]
             prefix = PreintBuffer(None, buf.origin_t, buf.c_bar, buf.model, entries[:k])
@@ -489,27 +490,27 @@ class TestHighRateState:
 
     def test_at_origin_time(self):
         buf = self._straight_buffer()
-        x0 = Pose2(np.array([2.0, 3.0]), 0.5)
+        x0 = (2.0, 3.0, 0.5)
         out = state_at_high_rate(buf, x0, 0.0)
-        np.testing.assert_allclose(out.as_array(), x0.as_array())
+        np.testing.assert_allclose(np.array(out), np.array(x0))
 
     def test_straight_line_entries(self):
         buf = self._straight_buffer()
-        x0 = Pose2(np.array([0.0, 0.0]), math.pi / 2)
+        x0 = (0.0, 0.0, math.pi / 2)
         for k in range(1, 11):
             out = state_at_high_rate(buf, x0, 0.1 * k)
             # each step advances 0.1 m along the +y heading
-            np.testing.assert_allclose(out.as_array(), [0.0, 0.1 * k, math.pi / 2], atol=1e-12)
+            np.testing.assert_allclose(np.array(out), [0.0, 0.1 * k, math.pi / 2], atol=1e-12)
 
     def test_holds_last_beyond_buffer(self):
         buf = self._straight_buffer()
-        out = state_at_high_rate(buf, Pose2.identity(), 99.0)
-        np.testing.assert_allclose(out.as_array(), [1.0, 0.0, 0.0], atol=1e-12)
+        out = state_at_high_rate(buf, (0.0, 0.0, 0.0), 99.0)
+        np.testing.assert_allclose(np.array(out), [1.0, 0.0, 0.0], atol=1e-12)
 
     def test_before_origin_rejected(self):
         buf = self._straight_buffer()
         with pytest.raises(RecordFormatError, match="precedes buffer origin"):
-            state_at_high_rate(buf, Pose2.identity(), -0.01)
+            state_at_high_rate(buf, (0.0, 0.0, 0.0), -0.01)
 
 
 class TestSplitBuffer:

@@ -10,7 +10,7 @@ from arbor import tree as T
 from arbor.config import auto_setup, parse_config
 from arbor.errors import AlignmentError, ContractError, DecompositionError
 from arbor.factors import MOTION, RANGE_BEARING, RELATIVE_POSE, Factor
-from arbor.manifold import ANGLE, Pose2, StateBlock
+from arbor.manifold import ANGLE, StateBlock
 from arbor.processors import (
     LandmarkTracker,
     LoopCloser,
@@ -45,7 +45,7 @@ def build_tree():
         "ext_p": StateBlock(np.zeros(2), fixed=True),
         "ext_o": StateBlock(np.zeros(1), ANGLE, fixed=True),
     })
-    first = tr.add_frame(0.0, Pose2.identity())
+    first = tr.add_frame(0.0, (0.0, 0.0, 0.0))
     return tr, odom, rb, first
 
 
@@ -151,7 +151,7 @@ class TestMotionProcessor:
         for k in range(1, 6):
             pipe.dispatch("odom0", 0.1 * k, straight_step())
         assert len(proc.buffer.entries) == 0
-        np.testing.assert_allclose(as_pose(proc.buffer.tail.delta).as_array(), [0, 0, 0])
+        np.testing.assert_allclose(np.array(as_pose(proc.buffer.tail.delta)), [0, 0, 0])
 
     def test_keyframe_carries_motion_factor(self):
         tr, odom, _, first = build_tree()
@@ -167,7 +167,7 @@ class TestMotionProcessor:
         assert kinds == [MOTION]
         assert set(tr.node(event.frame).state_blocks) == {"p", "o"}
         # frame seeded by dead reckoning: 0.5 m straight
-        np.testing.assert_allclose(tr.frame_pose(event.frame).as_array(),
+        np.testing.assert_allclose(np.array(tr.frame_pose(event.frame)),
                                    [0.5, 0.0, 0.0], atol=1e-12)
 
     def test_join_within_tolerance(self):
@@ -175,7 +175,7 @@ class TestMotionProcessor:
         proc = make_motion(tr, odom, first, max_dist=10.0)
         for k in range(1, 6):
             proc.process_capture(tr, 0.1 * k, straight_step())
-        foreign = tr.add_frame(0.305, Pose2.identity())
+        foreign = tr.add_frame(0.305, (0.0, 0.0, 0.0))
         joined = proc.attach(tr, foreign, 0.305)
         assert joined is True
         assert proc.buffer.origin_frame == foreign
@@ -202,7 +202,7 @@ class TestMotionProcessor:
             t = 0.1 * k
             if k == 5:
                 # another processor created a frame at the vote's timestamp
-                foreign = tr.add_frame(t, Pose2.identity())
+                foreign = tr.add_frame(t, (0.0, 0.0, 0.0))
             events += pipe.dispatch("odom0", t, straight_step())
         assert events == []  # joined, never twinned
         assert len(tr.frames()) == 2
@@ -227,7 +227,7 @@ class TestMotionProcessor:
         assert proc.buffer.entries == []
         kinds = [tr.node(f).payload.kind for f in tr.factors_referencing(foreign)]
         assert kinds == [MOTION]
-        np.testing.assert_allclose(as_pose(proc.buffer.tail.delta).as_array(), [0, 0, 0])
+        np.testing.assert_allclose(np.array(as_pose(proc.buffer.tail.delta)), [0, 0, 0])
         assert pipe.dispatch("odom0", 0.6, straight_step()) == []
         assert len(proc.buffer.entries) == 1
 
@@ -329,7 +329,7 @@ class TestMotionProcessor:
             proc.process_capture(tr, 0.1, straight_step())
 
 
-def make_tracker(tr, rb, pose=Pose2.identity(), **kw):
+def make_tracker(tr, rb, pose=(0.0, 0.0, 0.0), **kw):
     kw.setdefault("min_tracks", 3)
     tracker = LandmarkTracker("tracker", rb, "rb0", time_tolerance=0.01, range_std=0.02,
                               bearing_std=0.01, **kw)
@@ -354,7 +354,7 @@ class TestLandmarkTracker:
         tr, _, rb, first = build_tree()
         lm = tr.add_landmark(np.array([1.0, 0.0]), RawIdInfo(7))
         tracker = make_tracker(tr, rb, min_tracks=1)
-        out = tracker._associate(tr, Pose2.identity(), [[1.0, 0.0]])
+        out = tracker._associate(tr, (0.0, 0.0, 0.0), [[1.0, 0.0]])
         raw_id, z, matched, world = out[0]
         assert matched == lm
         np.testing.assert_allclose(world, [1.0, 0.0], atol=1e-12)
@@ -364,7 +364,7 @@ class TestLandmarkTracker:
         lm_a = tr.add_landmark(np.array([1.0, 0.1]))
         lm_b = tr.add_landmark(np.array([1.0, -0.1]))
         tracker = make_tracker(tr, rb)
-        out = tracker._associate(tr, Pose2.identity(), [[1.0, 0.0]])
+        out = tracker._associate(tr, (0.0, 0.0, 0.0), [[1.0, 0.0]])
         assert out[0][2] == lm_a
 
     def test_vote_below_min_tracks(self):
@@ -415,7 +415,7 @@ class TestLandmarkTracker:
         recent = tr.add_landmark(np.array([2.0, 0.0]))
         tracker._last_seen[stale] = 7  # unseen for 3 keyframes
         tracker._last_seen[recent] = 8  # unseen for 2
-        out = tracker._associate(tr, Pose2.identity(), [[1.0, 0.0], [2.0, 0.0]])
+        out = tracker._associate(tr, (0.0, 0.0, 0.0), [[1.0, 0.0], [2.0, 0.0]])
         assert [o[2] for o in out] == [None, recent]
 
     def test_unseen_window_spawns_fresh_landmark(self):
@@ -426,21 +426,21 @@ class TestLandmarkTracker:
         stale = tr.add_landmark(np.array([1.0, 0.0]), RawIdInfo(3))
         tracker._by_raw_id[3] = stale
         tracker._last_seen[stale] = 1  # last seen 9 keyframes ago
-        out = tracker._associate(tr, Pose2.identity(), [[3, 1.0, 0.0]])
+        out = tracker._associate(tr, (0.0, 0.0, 0.0), [[3, 1.0, 0.0]])
         assert out[0][2] is None
 
 
 def reference_associate(tracker, tr, pose, scan):
     """Association one observation at a time, each against every candidate."""
     ext_x, ext_y, ext_o = sensor_extrinsic(tr, tracker.sensor_id)
-    s, _, _ = pose_compose(pose, Pose2(np.array([ext_x, ext_y]), ext_o))
+    s, _, _ = pose_compose(pose, (ext_x, ext_y, ext_o))
     landmarks = [lm for lm in tr.children(tr.map_id, T.LANDMARK) if tracker._window_ok(lm)]
     out = []
     for m in scan:
         raw_id = int(m[0]) if len(m) == 3 else None
         rng, brg = float(m[-2]), float(m[-1])
-        heading = s.theta + brg
-        world = (s.p[0] + rng * math.cos(heading), s.p[1] + rng * math.sin(heading))
+        heading = s[2] + brg
+        world = (s[0] + rng * math.cos(heading), s[1] + rng * math.sin(heading))
         matched = None
         if tracker.association == "id":
             lm = tracker._by_raw_id.get(raw_id)
@@ -480,7 +480,7 @@ class TestOneShotAssociation:
             for k in range(int(rng.integers(1, 30))):
                 tr.add_landmark(rng.uniform(-5, 5, 2), RawIdInfo(k))
             tracker = make_tracker(tr, rb, gate=float(rng.uniform(0.1, 1.0)))
-            pose = Pose2(rng.uniform(-2, 2, 2), rng.uniform(-3, 3))
+            pose = (*rng.uniform(-2, 2, 2), rng.uniform(-3, 3))
             scan = [[k, rng.uniform(0.2, 6.0), rng.uniform(-3, 3)]
                     for k in range(int(rng.integers(1, 15)))]
             self._assert_same(tracker, tr, pose, scan)
@@ -490,20 +490,20 @@ class TestOneShotAssociation:
         lm_a = tr.add_landmark(np.array([1.0, 0.25]))
         tr.add_landmark(np.array([1.0, -0.25]))
         tracker = make_tracker(tr, rb)
-        out = self._assert_same(tracker, tr, Pose2.identity(), [[1.0, 0.0], [2.0, 0.0]])
+        out = self._assert_same(tracker, tr, (0.0, 0.0, 0.0), [[1.0, 0.0], [2.0, 0.0]])
         assert out[0][2] == lm_a and out[1][2] is None
 
     def test_distance_at_gate_matches(self):
         tr, _, rb, _ = build_tree()
         lm = tr.add_landmark(np.array([1.5, 0.0]))
         tracker = make_tracker(tr, rb, gate=0.5)
-        out = self._assert_same(tracker, tr, Pose2.identity(), [[1.0, 0.0], [0.9999, 0.0]])
+        out = self._assert_same(tracker, tr, (0.0, 0.0, 0.0), [[1.0, 0.0], [0.9999, 0.0]])
         assert out[0][2] == lm and out[1][2] is None
 
     def test_empty_map(self):
         tr, _, rb, _ = build_tree()
         tracker = make_tracker(tr, rb)
-        out = self._assert_same(tracker, tr, Pose2(np.array([1.0, 2.0]), 0.3),
+        out = self._assert_same(tracker, tr, (1.0, 2.0, 0.3),
                                 [[0, 1.0, 0.0], [1, 2.0, 1.0]])
         assert [o[2] for o in out] == [None, None]
 
@@ -512,7 +512,7 @@ class TestOneShotAssociation:
         lms = [tr.add_landmark(np.array([5.0 + k, 0.0]), RawIdInfo(k)) for k in range(3)]
         tracker = make_tracker(tr, rb, association="id")
         tracker._by_raw_id = {0: lms[0], 2: lms[2]}
-        out = self._assert_same(tracker, tr, Pose2.identity(),
+        out = self._assert_same(tracker, tr, (0.0, 0.0, 0.0),
                                 [[0, 1.0, 0.0], [1, 5.0, 0.0], [2, 1.0, 1.0], [1.0, 0.0]])
         assert [o[2] for o in out] == [lms[0], None, lms[2], None]
 
@@ -537,7 +537,7 @@ class TestLoopCloser:
     def test_identity_loop(self):
         tr, _, rb, first = build_tree()
         obs = [(0, 1.0, 0.2), (1, 2.0, -0.4), (2, 1.5, 1.0)]
-        pose = Pose2(np.zeros(2), 0.0)
+        pose = (0.0, 0.0, 0.0)
         closer = LoopCloser("loop", rb, "rb0", 1.0, 2, 2)
         frames = [self._frame_with_observations(tr, rb, float(k), pose, obs if k in (0, 4) else [])
                   for k in range(5)]
@@ -562,12 +562,12 @@ class TestLoopCloser:
                             math.atan2(local[1], local[0])))
             return out
 
-        f_a = self._frame_with_observations(tr, rb, 0.0, Pose2(np.zeros(2), 0.0),
+        f_a = self._frame_with_observations(tr, rb, 0.0, (0.0, 0.0, 0.0),
                                             scan_from(0.0))
         for k in range(1, 4):
-            self._frame_with_observations(tr, rb, float(k), Pose2(np.zeros(2), 0.0), [])
+            self._frame_with_observations(tr, rb, float(k), (0.0, 0.0, 0.0), [])
         f_b = self._frame_with_observations(tr, rb, 4.0,
-                                            Pose2(np.zeros(2), math.pi / 2),
+                                            (0.0, 0.0, math.pi / 2),
                                             scan_from(math.pi / 2))
         factor = closer.detect_and_close(tr, f_b)
         assert factor is not None
@@ -597,12 +597,10 @@ class TestLoopCloser:
                 out.append((i, math.hypot(lx, ly), math.atan2(ly, lx)))
             return out
 
-        self._frame_with_observations(tr, rb, 0.0, Pose2.identity(), scan_from(0.0, 0.0, 0.0))
+        self._frame_with_observations(tr, rb, 0.0, (0.0, 0.0, 0.0), scan_from(0.0, 0.0, 0.0))
         for k in range(1, 4):
-            self._frame_with_observations(tr, rb, float(k), Pose2.identity(), [])
-        f_b = self._frame_with_observations(tr, rb, 4.0,
-                                            Pose2(np.array(robot_b[:2]), robot_b[2]),
-                                            scan_from(*robot_b))
+            self._frame_with_observations(tr, rb, float(k), (0.0, 0.0, 0.0), [])
+        f_b = self._frame_with_observations(tr, rb, 4.0, robot_b, scan_from(*robot_b))
         factor = LoopCloser("loop", rb, "rb0", 1.0, 2, 2).detect_and_close(tr, f_b)
         assert factor is not None
         np.testing.assert_allclose(tr.node(factor).payload.z, robot_b, atol=1e-9)
@@ -611,7 +609,7 @@ class TestLoopCloser:
         tr, _, rb, first = build_tree()
         obs = [(0, 1.0, 0.2), (1, 2.0, -0.4)]
         closer = LoopCloser("loop", rb, "rb0", 1.0, 5, 2)
-        pose = Pose2(np.zeros(2), 0.0)
+        pose = (0.0, 0.0, 0.0)
         f_a = self._frame_with_observations(tr, rb, 0.0, pose, obs)
         f_b = self._frame_with_observations(tr, rb, 1.0, pose, obs)
         assert closer.detect_and_close(tr, f_b) is None
@@ -637,7 +635,7 @@ class TestLoopCloser:
         obs = [(0, 1.0, 0.2), (1, 2.0, -0.4), (2, 1.5, 1.0)]
         closer = LoopCloser("loop", rb, "rb0", 1.0, 2, 2)
         frames = [self._frame_with_observations(
-            tr, rb, float(k), Pose2(np.array([5.0 if k == 1 else 0.0, 0.0]), 0.0),
+            tr, rb, float(k), (5.0 if k == 1 else 0.0, 0.0, 0.0),
             obs if k in (0, 4) else []) for k in range(5)]
         walked = []
         observations = LoopCloser._observations
@@ -658,7 +656,7 @@ class TestLoopCloser:
         tr, _, rb, first = build_tree()
         obs = [(0, 1.0, 0.2), (1, 2.0, -0.4), (2, 1.5, 1.0)]
         late = [(5, 1.0, 0.0), (6, 1.2, 0.3)]
-        pose = Pose2(np.zeros(2), 0.0)
+        pose = (0.0, 0.0, 0.0)
         closer = LoopCloser("loop", rb, "rb0", 1.0, 2, 2)
         frames = [self._frame_with_observations(tr, rb, float(k), pose, obs if k == 0 else [])
                   for k in range(3)]
@@ -728,17 +726,17 @@ class TestPipeline:
         for k in range(1, 6):
             pipe.dispatch("odom0", 0.1 * k, straight_step())
         pose = pipe.pose_at(tr, 0.5)
-        np.testing.assert_allclose(pose.as_array(), [0.5, 0.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(np.array(pose), [0.5, 0.0, 0.0], atol=1e-12)
 
     def test_pose_falls_back_to_newest_frame(self):
         # no processor offers a pose: the newest frame's holds from its time on
         tr, _, _, first = build_tree()
-        newest = tr.add_frame(1.0, Pose2(np.array([1.0, 2.0]), 0.3))
+        newest = tr.add_frame(1.0, (1.0, 2.0, 0.3))
         pipe = Pipeline(tr, [Stamp()])
         pipe.initialize(first)
         for t in (1.0, 2.5):
-            np.testing.assert_array_equal(pipe.pose_at(tr, t).as_array(),
-                                          tr.frame_pose(newest).as_array())
+            np.testing.assert_array_equal(np.array(pipe.pose_at(tr, t)),
+                                          np.array(tr.frame_pose(newest)))
         with pytest.raises(ContractError, match="no pose estimate available at t=0.5"):
             pipe.pose_at(tr, 0.5)
 
@@ -746,14 +744,14 @@ class TestPipeline:
         # both processors offer a pose and the second votes: the new frame
         # takes Pipeline.pose_at's, the first processor's, not the voter's
         tr, _, _, first = build_tree()
-        ahead = Posed("a", Pose2(np.array([1.0, 0.0]), 0.1))
-        voter = Posed("b", Pose2(np.array([5.0, 5.0]), -0.2))
+        ahead = Posed("a", (1.0, 0.0, 0.1))
+        voter = Posed("b", (5.0, 5.0, -0.2))
         pipe = Pipeline(tr, [ahead, voter])
         pipe.initialize(first)
         (event,) = pipe.dispatch("b", 1.0, None)
-        pose = tr.frame_pose(event.frame).as_array()
-        np.testing.assert_array_equal(pose, pipe.pose_at(tr, 1.0).as_array())
-        np.testing.assert_array_equal(pose, ahead.pose.as_array())
+        pose = np.array(tr.frame_pose(event.frame))
+        np.testing.assert_array_equal(pose, np.array(pipe.pose_at(tr, 1.0)))
+        np.testing.assert_array_equal(pose, np.array(ahead.pose))
 
     def test_held_join_tracker_ahead_of_odometry(self):
         # the scan at 0.5 comes before the odometry sample at 0.5: the

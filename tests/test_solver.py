@@ -19,7 +19,7 @@ from arbor.factors import (
     Factor,
     evaluate,
 )
-from arbor.manifold import ANGLE, Pose2, StateBlock
+from arbor.manifold import ANGLE, StateBlock
 from arbor.runner import build_application, replay
 from arbor.sim import load_scenario, simulate, write_jsonl
 from arbor.solver import (
@@ -51,7 +51,7 @@ def scalar_block_node(tr, value, fixed=False):
 
 
 def attach_prior_block(tr, sensor, node, name, z, sqrt_info):
-    frame = tr.frames()[0] if tr.frames() else tr.add_frame(0.0, Pose2.identity())
+    frame = tr.frames()[0] if tr.frames() else tr.add_frame(0.0, (0.0, 0.0, 0.0))
     cap = tr.add_capture(frame, 0.0, sensor)
     f = Factor(PRIOR_BLOCK, np.atleast_1d(z), np.atleast_2d(sqrt_info),
                constrained=[(node, name)])
@@ -182,7 +182,7 @@ class TestSyncMirror:
             frame = frames[int(rng.integers(len(frames)))] if frames else None
             roll = rng.uniform()
             if roll < 0.2 or frame is None:
-                tr.add_frame(float(step), Pose2(rng.uniform(-5, 5, 2), rng.uniform(-3, 3)))
+                tr.add_frame(float(step), (*rng.uniform(-5, 5, 2), rng.uniform(-3, 3)))
                 tr.enforce_window(policy)
             elif roll < 0.3:
                 tr.add_landmark(rng.uniform(-5, 5, 2))
@@ -264,7 +264,7 @@ class TestApplyStep:
     def _problem(self):
         tr, sensor = fresh()
         node = scalar_block_node(tr, 0.0)
-        frame = make_pose_frame(tr, 0.0, Pose2(np.zeros(2), math.pi - 0.1))
+        frame = make_pose_frame(tr, 0.0, (0.0, 0.0, math.pi - 0.1))
         fixed = scalar_block_node(tr, 7.0, fixed=True)
         attach_prior_block(tr, sensor, node, "p", 5.0, 1.0)
         cap = tr.add_capture(frame, 0.0, sensor)
@@ -372,29 +372,29 @@ class TestLmSolve:
 
     def test_nonlinear_two_frames(self):
         tr, sensor = fresh()
-        xi = Pose2(np.array([0.5, -0.2]), 0.4)
-        z = Pose2(np.array([1.0, 0.3]), 0.6)
+        xi = (0.5, -0.2, 0.4)
+        z = (1.0, 0.3, 0.6)
         truth, _, _ = pose_compose(xi, z)
         f_i = make_pose_frame(tr, 0.0, xi)
-        f_j = make_pose_frame(tr, 1.0, Pose2(np.array([0.0, 0.0]), 0.0))
+        f_j = make_pose_frame(tr, 1.0, (0.0, 0.0, 0.0))
         cap = tr.add_capture(f_i, 0.0, sensor)
         tr.add_factor(cap, Factor(
-            PRIOR_POSE, xi.as_array(), np.eye(3) * 100.0,
+            PRIOR_POSE, np.array(xi), np.eye(3) * 100.0,
             constrained=[(f_i, "p"), (f_i, "o")]))
         tr.add_factor(cap, Factor(
-            RELATIVE_POSE, z.as_array(), np.eye(3) * 10.0,
+            RELATIVE_POSE, np.array(z), np.eye(3) * 10.0,
             constrained=[(f_i, "p"), (f_i, "o"), (f_j, "p"), (f_j, "o")]))
         problem = SolverProblem(SolverOptions(max_iterations=50, tol_dx=1e-14))
         sync(problem, tr)
         report = lm_solve(problem)
-        np.testing.assert_allclose(tr.frame_pose(f_j).as_array(), truth.as_array(),
+        np.testing.assert_allclose(np.array(tr.frame_pose(f_j)), np.array(truth),
                                    atol=1e-8)
         assert report.final_cost < 1e-12
 
     def test_gauge_freedom_raises(self):
         tr, sensor = fresh()
-        f_i = make_pose_frame(tr, 0.0, Pose2.identity())
-        f_j = make_pose_frame(tr, 1.0, Pose2(np.array([1.0, 0.0]), 0.0))
+        f_i = make_pose_frame(tr, 0.0, (0.0, 0.0, 0.0))
+        f_j = make_pose_frame(tr, 1.0, (1.0, 0.0, 0.0))
         cap = tr.add_capture(f_i, 0.0, sensor)
         tr.add_factor(cap, Factor(
             RELATIVE_POSE, np.array([1.0, 0.0, 0.0]), np.eye(3),
@@ -406,8 +406,8 @@ class TestLmSolve:
 
     def test_gauge_fixed_by_fixing_first_frame(self):
         tr, sensor = fresh()
-        f_i = make_pose_frame(tr, 0.0, Pose2.identity(), fixed=True)
-        f_j = make_pose_frame(tr, 1.0, Pose2(np.array([0.9, 0.1]), 0.05))
+        f_i = make_pose_frame(tr, 0.0, (0.0, 0.0, 0.0), fixed=True)
+        f_j = make_pose_frame(tr, 1.0, (0.9, 0.1, 0.05))
         cap = tr.add_capture(f_i, 0.0, sensor)
         tr.add_factor(cap, Factor(
             RELATIVE_POSE, np.array([1.0, 0.0, 0.0]), np.eye(3),
@@ -415,9 +415,9 @@ class TestLmSolve:
         problem = SolverProblem()
         sync(problem, tr)
         lm_solve(problem)
-        np.testing.assert_allclose(tr.frame_pose(f_j).as_array(), [1.0, 0.0, 0.0],
+        np.testing.assert_allclose(np.array(tr.frame_pose(f_j)), [1.0, 0.0, 0.0],
                                    atol=1e-8)
-        np.testing.assert_allclose(tr.frame_pose(f_i).as_array(), [0.0, 0.0, 0.0])
+        np.testing.assert_allclose(np.array(tr.frame_pose(f_i)), [0.0, 0.0, 0.0])
 
     def test_fixed_and_untouched_blocks_never_move(self):
         tr, sensor = fresh()
@@ -505,7 +505,7 @@ class TestFillIn:
     def test_chain_is_sparse(self):
         # a chain of relative poses leaves most off-diagonal block pairs empty
         tr, sensor = fresh()
-        frames = [make_pose_frame(tr, float(k), Pose2(np.array([float(k), 0.0]), 0.0))
+        frames = [make_pose_frame(tr, float(k), (float(k), 0.0, 0.0))
                   for k in range(6)]
         cap = tr.add_capture(frames[0], 0.0, sensor)
         tr.add_factor(cap, Factor(
@@ -539,7 +539,7 @@ class TestSingularTrialStep:
             "ext_p": StateBlock(np.zeros(2), fixed=True),
             "ext_o": StateBlock(np.zeros(1), ANGLE, fixed=True),
         })
-        frame = make_pose_frame(tr, 0.0, Pose2.identity(), fixed=True)
+        frame = make_pose_frame(tr, 0.0, (0.0, 0.0, 0.0), fixed=True)
         landmark = tr.add_landmark(np.array(start, dtype=float))
         cap = tr.add_capture(frame, 0.0, rb)
         tr.add_factor(cap, Factor(
@@ -586,7 +586,7 @@ class TestOneEvaluationPerIterate:
             "ext_p": StateBlock(np.zeros(2), fixed=True),
             "ext_o": StateBlock(np.zeros(1), ANGLE, fixed=True),
         })
-        frame = make_pose_frame(tr, 0.0, Pose2.identity(), fixed=True)
+        frame = make_pose_frame(tr, 0.0, (0.0, 0.0, 0.0), fixed=True)
         landmark = tr.add_landmark(np.array([-3.0, 0.1]))
         cap = tr.add_capture(frame, 0.0, rb)
         tr.add_factor(cap, Factor(
@@ -667,12 +667,12 @@ class TestRoundingFloorStop:
         # optimum; once there, no step's predicted decrease exceeds the cost's
         # rounding, so a re-solve with both tolerances at 0 stops at its start
         tr, sensor = fresh()
-        xi = Pose2(np.array([0.5, -0.2]), 0.4)
+        xi = (0.5, -0.2, 0.4)
         f_i = make_pose_frame(tr, 0.0, xi)
-        f_j = make_pose_frame(tr, 1.0, Pose2(np.array([1.0, 1.0]), 1.0))
+        f_j = make_pose_frame(tr, 1.0, (1.0, 1.0, 1.0))
         cap = tr.add_capture(f_i, 0.0, sensor)
         tr.add_factor(cap, Factor(
-            PRIOR_POSE, xi.as_array(), np.eye(3) * 100.0,
+            PRIOR_POSE, np.array(xi), np.eye(3) * 100.0,
             constrained=[(f_i, "p"), (f_i, "o")]))
         for z in ([1.0, 0.3, 0.6], [1.1, 0.2, 0.65]):
             tr.add_factor(cap, Factor(
@@ -806,8 +806,8 @@ class TestAssemblyOracle:
                                 (0, 12)):
             for _ in range(joining):
                 k = len(frames)
-                frames.append(make_pose_frame(tr, float(k), Pose2(rng.normal(0.0, 1.0, 2),
-                                                                  rng.uniform(-3.0, 3.0))))
+                frames.append(make_pose_frame(tr, float(k), (*rng.normal(0.0, 1.0, 2),
+                                                             rng.uniform(-3.0, 3.0))))
                 if k == 0:
                     tr.add_pose_prior(frames[0], sensor, np.eye(3) * 10.0)
                     continue
@@ -849,7 +849,7 @@ class TestAssemblyOracle:
         # any damped matrix, and leaves the array it swapped out of H as the
         # work array, so a linearization without a sync goes there next
         tr, sensor = fresh()
-        frames = [make_pose_frame(tr, float(k), Pose2.identity()) for k in range(4)]
+        frames = [make_pose_frame(tr, float(k), (0.0, 0.0, 0.0)) for k in range(4)]
         tr.add_pose_prior(frames[0], sensor, np.eye(3) * 10.0)
         cap = tr.add_capture(frames[3], 3.0, sensor)
 
@@ -897,7 +897,7 @@ def calibration_problem(fixed_mounts, fixed_intrinsic):
     mounts = [tr.add_sensor(None, {"ext_p": StateBlock(MOUNT[:2], fixed=fixed),
                                    "ext_o": StateBlock(MOUNT[2:], ANGLE, fixed=fixed)})
               for fixed in fixed_mounts]
-    frames = [tr.add_frame(float(k), Pose2(rng.uniform(-1, 1, 2), rng.uniform(-3, 3)))
+    frames = [tr.add_frame(float(k), (*rng.uniform(-1, 1, 2), rng.uniform(-3, 3)))
               for k in range(4)]
     tr.add_pose_prior(frames[0], odom, np.eye(3) * 10.0)
     landmarks = [tr.add_landmark(rng.uniform(3, 6, 2) * rng.choice([-1.0, 1.0], 2))
@@ -969,7 +969,7 @@ def long_chain_with_far_landmark():
         "ext_p": StateBlock(np.zeros(2), fixed=True),
         "ext_o": StateBlock(np.zeros(1), ANGLE, fixed=True),
     })
-    frames = [make_pose_frame(tr, float(k), Pose2(np.array([0.5 * k, 0.0]), 0.0))
+    frames = [make_pose_frame(tr, float(k), (0.5 * k, 0.0, 0.0))
               for k in range(43)]
     tr.add_pose_prior(frames[0], odom, np.eye(3) * 10.0)
     for a, b in zip(frames, frames[1:]):

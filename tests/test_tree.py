@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +10,8 @@ import pytest
 from arbor import tree as T
 from arbor.errors import ContractError, NotFoundError
 from arbor.factors import PRIOR_BLOCK, PRIOR_POSE, RANGE_BEARING, Factor
-from arbor.manifold import ANGLE, EUCLIDEAN, Pose2, StateBlock
+from arbor.manifold import ANGLE, EUCLIDEAN, StateBlock, normalize_angle
+from arbor.processors import sensor_extrinsic
 from arbor.solver import SolverProblem, sync
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -22,7 +24,7 @@ def make_tree_with_sensor():
 
 
 def add_frame(tr, t, x=0.0, y=0.0, theta=0.0, fixed=False):
-    frame = tr.add_frame(t, Pose2(np.array([x, y]), theta))
+    frame = tr.add_frame(t, (x, y, theta))
     for block in tr.node(frame).state_blocks.values():
         block.fixed = fixed
     return frame
@@ -106,18 +108,57 @@ class TestBuilders:
     def test_add_frame_blocks(self):
         tr = T.ProblemTree()
         tr.drain_notifications()
-        frame = tr.add_frame(1.5, Pose2(np.array([1.0, -2.0]), 0.3))
+        frame = tr.add_frame(1.5, (1.0, -2.0, 0.3))
         node = tr.node(frame)
         assert node.parent == tr.trajectory_id and node.timestamp == 1.5
         assert [(name, b.kind) for name, b in node.state_blocks.items()] == \
             [("p", EUCLIDEAN), ("o", ANGLE)]
-        np.testing.assert_array_equal(tr.frame_pose(frame).as_array(), [1.0, -2.0, 0.3])
+        np.testing.assert_array_equal(np.array(tr.frame_pose(frame)), [1.0, -2.0, 0.3])
         assert tr.drain_notifications() == [T.Notification(T.ADD_BLOCK, (frame, "p")),
                                             T.Notification(T.ADD_BLOCK, (frame, "o"))]
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("k", [0, 1, 2], ids=["x", "y", "theta"])
+    def test_add_frame_rejects_non_finite_pose(self, k, bad):
+        tr = T.ProblemTree()
+        tr.drain_notifications()
+        before = tr.print_tree()
+        pose = [1.0, -2.0, 0.3]
+        pose[k] = bad
+        with pytest.raises(ContractError, match="finite"):
+            tr.add_frame(1.5, tuple(pose))
+        assert tr.print_tree() == before and tr.frames() == []
+        assert tr.drain_notifications() == []
+
+    def test_pose_reader_bit_for_bit(self):
+        """One reader serves a frame's pose and a sensor's mount, with the
+        bits the two readers it replaced gave."""
+        tr = T.ProblemTree()
+        sensor = tr.add_sensor(None, {"ext_p": StateBlock(np.array([0.25, -0.1])),
+                                      "ext_o": StateBlock(np.array([0.6]), ANGLE)})
+        frames = [tr.add_frame(0.0, (0.1 + 0.2, -1.0 / 3.0, 3.0)),
+                  tr.add_frame(1.0, (1e-300, -0.0, -math.pi))]
+
+        def bits(pose):
+            assert all(type(v) is float for v in pose)
+            return [v.hex() for v in pose]
+
+        for frame in frames:
+            # the frame reader built a validated pose, wrapping the heading
+            # again, and its consumers unpacked (*p.tolist(), theta)
+            blocks = tr.node(frame).state_blocks
+            old = (*blocks["p"].values.copy().tolist(),
+                   normalize_angle(float(blocks["o"].values[0])))
+            assert bits(tr.frame_pose(frame)) == bits(old)
+        blocks = tr.node(sensor).state_blocks
+        old = (*blocks["ext_p"].values.tolist(), float(blocks["ext_o"].values[0]))
+        assert bits(old) == bits((0.25, -0.1, 0.6))
+        assert bits(sensor_extrinsic(tr, sensor)) == bits(old)
+        assert bits(tr.frame_pose(sensor, "ext_p", "ext_o")) == bits(old)
+
     def test_add_capture_and_factor(self):
         tr, sensor = make_tree_with_sensor()
-        frame = tr.add_frame(0.0, Pose2.identity())
+        frame = tr.add_frame(0.0, (0.0, 0.0, 0.0))
         landmark = tr.add_landmark(np.array([1.0, 0.0]))
         cap = tr.add_capture(frame, 0.1, sensor)
         assert tr.node(cap).parent == frame and tr.node(cap).timestamp == 0.1
@@ -133,7 +174,7 @@ class TestBuilders:
 
     def test_add_pose_prior(self):
         tr, sensor = make_tree_with_sensor()
-        frame = tr.add_frame(2.0, Pose2(np.array([1.0, -1.0]), 0.5))
+        frame = tr.add_frame(2.0, (1.0, -1.0, 0.5))
         cap = tr.add_pose_prior(frame, sensor, np.eye(3) * 4.0)
         assert tr.node(cap).parent == frame and tr.node(cap).timestamp == 2.0
         assert tr.node(cap).refs == (sensor,)
@@ -141,7 +182,7 @@ class TestBuilders:
         assert tr.node(tr.node(fid).parent).parent == cap
         prior = tr.node(fid).payload
         assert prior.kind == PRIOR_POSE
-        np.testing.assert_array_equal(prior.z, tr.frame_pose(frame).as_array())
+        np.testing.assert_array_equal(prior.z, np.array(tr.frame_pose(frame)))
         assert prior.constrained == [(frame, "p"), (frame, "o")]
         np.testing.assert_array_equal(prior.sqrt_info, np.eye(3) * 4.0)
         assert tr.check_consistency() == []
@@ -299,10 +340,10 @@ class TestWindow:
 
     def test_fix_oldest_preserves_values(self):
         tr, _ = self._windowed_tree(3)
-        before = {f: tr.frame_pose(f).as_array() for f in tr.frames()}
+        before = {f: np.array(tr.frame_pose(f)) for f in tr.frames()}
         tr.enforce_window(T.WindowPolicy(T.FIX_OLDEST, 3))
         for f, pose in before.items():
-            np.testing.assert_array_equal(tr.frame_pose(f).as_array(), pose)
+            np.testing.assert_array_equal(np.array(tr.frame_pose(f)), pose)
 
     def test_remove_with_prior(self):
         tr, _ = self._windowed_tree(3)
@@ -314,7 +355,7 @@ class TestWindow:
         assert len(priors) == 1
         # prior pins the survivor at its current estimate
         np.testing.assert_allclose(tr.node(priors[0]).payload.z,
-                                   tr.frame_pose(frames[0]).as_array())
+                                   np.array(tr.frame_pose(frames[0])))
         assert tr.check_consistency() == []
 
     def test_remove_with_prior_idempotent(self):
@@ -363,10 +404,10 @@ class TestWindow:
     def test_remove_with_prior_returns_stale_frames(self):
         tr, _ = self._windowed_tree(2)
         stale = tr.frames()[:2]
-        before = [(fid, tr.node(fid).timestamp, list(tr.frame_pose(fid).as_array()))
+        before = [(fid, tr.node(fid).timestamp, list(tr.frame_pose(fid)))
                   for fid in stale]
         removed = tr.enforce_window(T.WindowPolicy(T.REMOVE_WITH_PRIOR, 2))
-        assert [(fid, t, list(pose.as_array())) for fid, t, pose in removed] == before
+        assert [(fid, t, list(pose)) for fid, t, pose in removed] == before
         assert not any(fid in tr for fid in stale)
 
     def test_fix_oldest_returns_nothing(self):
@@ -379,10 +420,10 @@ class TestWindow:
         script = (
             "import numpy as np\n"
             "from arbor import tree as T\n"
-            "from arbor.manifold import Pose2, StateBlock\n"
+            "from arbor.manifold import StateBlock\n"
             "tr = T.ProblemTree()\n"
             "sensor = tr.add_sensor(None, {'intrinsic': StateBlock(np.ones(3))})\n"
-            "frames = [tr.add_frame(float(k), Pose2(np.array([k, 0.0]), 0.0)) for k in range(3)]\n"
+            "frames = [tr.add_frame(float(k), (k, 0.0, 0.0)) for k in range(3)]\n"
             "for scale in (2.0, 7.0):\n"
             "    tr.add_pose_prior(frames[0], sensor, scale * np.eye(3))\n"
             "tr.enforce_window(T.WindowPolicy(T.REMOVE_WITH_PRIOR, 2))\n"
