@@ -8,7 +8,7 @@ from typing import Optional
 
 import numpy as np
 
-from .checks import as_numbers
+from .checks import as_number
 from .errors import ConfigError, ContractError, RecordFormatError
 from .sim import TRUTH_SENSOR
 
@@ -26,10 +26,16 @@ class MetricsReport:
 
 
 def truth_values(record, n: int, bound=None) -> list:
-    """A truth record's data as :func:`checks.as_numbers` reads ``n`` numbers;
-    anything else is a RecordFormatError naming the record."""
+    """A truth record's data: ``n`` JSON numbers, each checked by
+    :func:`checks.as_number` with ``bound``.  As in a capture record, a string
+    or a boolean is not a number.  Anything else is a RecordFormatError
+    naming the record."""
+    data = record.data
     try:
-        return as_numbers("data", record.data, n, bound)
+        if not isinstance(data, list) or len(data) != n or any(
+                isinstance(v, (str, bool)) for v in data):
+            raise ConfigError(f"data must be a list of {n} numbers, got {data!r}")
+        return [as_number(f"data.{i}", v, bound) for i, v in enumerate(data)]
     except ConfigError as exc:
         raise RecordFormatError(f"bad {record.sensor} record at t={record.t}: {exc}") from None
 

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 from . import tree as T
 from .config import Application, auto_setup, parse_config
-from .errors import ConfigError, RecordFormatError
+from .errors import RecordFormatError
 from .metrics import MetricsReport, compute_ate, compute_calib_error, truth_values
 from .processors import RawIdInfo
 from .sim import TRUTH_CALIB, CaptureRecord, jsonl_lines, read_jsonl, write_files
@@ -33,14 +33,10 @@ ESTIMATE_CALIB = "estimate_calib"
 def build_application(config_path) -> Application:
     """Config phase of a run: parse the YAML and auto-set-up the problem.
 
-    A config value of the wrong type or range that auto-setup trips over
-    (``int("many")``, ``1 / 0.0``) is reported as a :class:`ConfigError`.
+    A config value of the wrong type or range is a :class:`ConfigError`
+    naming its key, raised where the parameter server reads it.
     """
-    server = parse_config(Path(config_path).read_text())
-    try:
-        return auto_setup(server)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
-        raise ConfigError(f"bad config value: {exc}") from exc
+    return auto_setup(parse_config(Path(config_path).read_text()))
 
 
 def replay(app: Application, log_path, out_path=None, truth_path=None,

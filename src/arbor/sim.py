@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import as_flag, as_number, as_numbers, as_text, load_yaml
+from .checks import as_number, read_yaml
 from .errors import ConfigError, RecordFormatError
 
 TRUTH_SENSOR = "truth"
@@ -145,62 +145,57 @@ class SimScenario:
 def load_scenario(text: str) -> SimScenario:
     """Build a scenario from YAML, generating the landmark field if needed.
 
-    Every number is checked before anything is simulated, so a malformed
-    scenario is a ConfigError naming its key rather than a crash or a NaN in
-    the log.  The checks draw no random number.
+    The YAML is read by the parameter server configurations use, so every
+    value is checked before anything is simulated, and a malformed scenario
+    is a ConfigError naming its key rather than a crash or a NaN in the log.
+    Keys the scenario does not use are ignored.  The checks draw no random
+    number.
     """
-    data = load_yaml(text)
-    try:
-        seed = as_number("seed", data["seed"], ">=", integer=True)
-        duration = as_number("duration", data["duration"], ">=")
-        calib = data["calibration"]
-        calibration = np.array([as_number(f"calibration.{k}", calib[k])
-                                for k in ("r_left", "r_right", "separation")])
-        odo = data["odometry"]
-        odometry = OdometrySim(as_text("odometry.name", odo["name"]),
-                               as_number("odometry.rate", odo["rate"]),
-                               as_number("odometry.tick_std", odo.get("tick_std", 0.0), ">="))
-        rb = data["range_bearing"]
-        range_bearing = RangeBearingSim(
-            name=as_text("range_bearing.name", rb["name"]),
-            rate=as_number("range_bearing.rate", rb["rate"]),
-            range_std=as_number("range_bearing.range_std", rb.get("range_std", 0.0), ">="),
-            bearing_std=as_number("range_bearing.bearing_std", rb.get("bearing_std", 0.0), ">="),
-            max_range=as_number("range_bearing.max_range", rb.get("max_range", 10.0)),
-            fov=as_number("range_bearing.fov", rb.get("fov", 2.0 * math.pi)),
-            extrinsic=tuple(as_numbers("range_bearing.extrinsic",
-                                       rb.get("extrinsic", [0.0, 0.0, 0.0]), 3)),
-            emit_ids=as_flag("range_bearing.emit_ids", rb.get("emit_ids", True)),
+    server = read_yaml(text, "scenario")
+    seed = server.number("seed", bound=">=", integer=True)
+    duration = server.number("duration", bound=">=")
+    calibration = np.array([server.number(f"calibration.{k}")
+                            for k in ("r_left", "r_right", "separation")])
+    odometry = OdometrySim(server.text("odometry.name"), server.number("odometry.rate"),
+                           server.number("odometry.tick_std", 0.0, bound=">="))
+    range_bearing = RangeBearingSim(
+        name=server.text("range_bearing.name"),
+        rate=server.number("range_bearing.rate"),
+        range_std=server.number("range_bearing.range_std", 0.0, bound=">="),
+        bearing_std=server.number("range_bearing.bearing_std", 0.0, bound=">="),
+        max_range=server.number("range_bearing.max_range", 10.0),
+        fov=server.number("range_bearing.fov", 2.0 * math.pi),
+        extrinsic=tuple(server.numbers("range_bearing.extrinsic", 3, [0.0, 0.0, 0.0])),
+        emit_ids=server.flag("range_bearing.emit_ids", True),
+    )
+    ratio = odometry.rate / range_bearing.rate
+    if abs(ratio - round(ratio)) > 1e-9:
+        raise ConfigError(
+            "odometry rate must be an integer multiple of the range-bearing rate"
         )
-        ratio = odometry.rate / range_bearing.rate
-        if abs(ratio - round(ratio)) > 1e-9:
-            raise ConfigError(
-                "odometry rate must be an integer multiple of the range-bearing rate"
-            )
-        lm_spec = data["landmarks"]
-        if isinstance(lm_spec, list):
-            landmarks = []
-            for i, e in enumerate(lm_spec):
-                lid, x, y = as_numbers(f"landmarks.{i}", e, 3)
-                landmarks.append((as_number(f"landmarks.{i}.0", lid, None, integer=True), x, y))
-        else:
-            count = as_number("landmarks.count", lm_spec["count"], ">=", integer=True)
-            area = as_number("landmarks.area", lm_spec["area"], ">=")
-            center = as_numbers("landmarks.center", lm_spec.get("center", [0.0, 0.0]), 2)
-            rng = np.random.default_rng(seed)
-            pts = rng.uniform(-0.5 * area, 0.5 * area, size=(count, 2)) + center
-            landmarks = [(i, float(p[0]), float(p[1])) for i, p in enumerate(pts)]
-        segments = data["control"]
-        if not isinstance(segments, list) or not segments:
-            raise ConfigError(f"control must list at least one segment, got {segments!r}")
-        control = [ControlSegment(as_number(f"control.{i}.duration", c["duration"], ">="),
-                                  as_number(f"control.{i}.v", c["v"], None),
-                                  as_number(f"control.{i}.w", c["w"], None))
-                   for i, c in enumerate(segments)]
-        initial = tuple(as_numbers("initial_pose",
-                                   data.get("initial_pose", [0.0, 0.0, 0.0]), 3))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"invalid scenario: {exc}") from exc
+    spec = server.section("landmarks")
+    if isinstance(spec, dict):
+        count = server.number("landmarks.count", bound=">=", integer=True)
+        if count > np.iinfo(np.intp).max // 16:  # numpy's bound on a (count, 2) float array
+            raise ConfigError(f"landmarks.count is too large for an array, got {count}")
+        area = server.number("landmarks.area", bound=">=")
+        center = server.numbers("landmarks.center", 2, [0.0, 0.0])
+        rng = np.random.default_rng(seed)
+        pts = rng.uniform(-0.5 * area, 0.5 * area, size=(count, 2)) + center
+        landmarks = [(i, float(p[0]), float(p[1])) for i, p in enumerate(pts)]
+    elif isinstance(spec, list):
+        landmarks = []
+        for i in range(len(spec)):
+            lid, x, y = server.numbers(f"landmarks.{i}", 3)
+            landmarks.append((as_number(f"landmarks.{i}.0", lid, None, integer=True), x, y))
+    else:
+        raise ConfigError(f"landmarks must be a list or a mapping, got {spec!r}")
+    # an empty list reads as control.0's keys missing
+    control = [ControlSegment(server.number(f"control.{i}.duration", bound=">="),
+                              server.number(f"control.{i}.v", bound=None),
+                              server.number(f"control.{i}.w", bound=None))
+               for i in range(max(server.count("control"), 1))]
+    initial = tuple(server.numbers("initial_pose", 3, [0.0, 0.0, 0.0]))
     return SimScenario(seed, duration, calibration, odometry, range_bearing,
                        landmarks, control, initial)
 

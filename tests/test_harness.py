@@ -1,7 +1,9 @@
+import copy
 import functools
 import importlib.util
 import json
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -13,6 +15,7 @@ import arbor.cli
 import arbor.processors
 import arbor.runner
 from arbor.cli import main
+from arbor.config import ConfigWarning, auto_setup, parse_config
 from arbor.errors import ConfigError, ContractError, RecordFormatError
 from arbor.factors import PRIOR_BLOCK
 from arbor.metrics import compute_ate, compute_calib_error
@@ -495,6 +498,11 @@ class TestCli:
          "processors.1.type"),
         ("demo_config.yaml", "solver:\n",
          "map:\n  landmarks: {a: {id: 1, p: [1.0, 2.0]}}\nsolver:\n", "map.landmarks"),
+        # an overflowing variance, and information weights of 1 / 1e-310
+        ("demo_config.yaml", "tick_std: 0.001", "tick_std: 1.0e+300", "sensors.0.noise.tick_std"),
+        ("demo_config.yaml", "sigma_p: 0.01", "sigma_p: 1.0e-310", "problem.first_frame.sigma_p"),
+        ("demo_config.yaml", "bearing_std: 0.01", "bearing_std: 1.0e-310",
+         "sensors.1.noise.bearing_std"),
     ], ids=["n_frames", "max_dist", "association", "max_iterations", "sigma_p", "lambda_init",
             "gate", "tick_std_zero", "tick_std_negative", "range_std", "time_tolerance",
             "intrinsic_sigma", "sigma_p_nan", "extrinsic_sigma_nan", "extrinsic_sigma_negative",
@@ -508,7 +516,8 @@ class TestCli:
             "sensor_name_list", "processor_sensor_list", "sensor_type_list",
             "processor_type_list", "tree_manager_type_list", "processor_name_list",
             "association_list", "processor_type_unknown", "lambda_init_mapping",
-            "extrinsic_state_nested_list", "processor_entry_empty", "landmarks_mapping"])
+            "extrinsic_state_nested_list", "processor_entry_empty", "landmarks_mapping",
+            "tick_std_huge", "sigma_p_tiny", "bearing_std_tiny"])
     def test_bad_config_value_exit_code(self, tmp_path, capsys, config, old, new, key):
         """A bad value exits 2 with a one-line message naming its key."""
         text = (DATA / config).read_text()
@@ -539,10 +548,21 @@ class TestCli:
         ("emit_ids: true", 'emit_ids: "no"', "range_bearing.emit_ids"),
         ("{name: odom0,", "{name: [odom0],", "odometry.name"),
         ("name: rb0", "name: {id: rb0}", "range_bearing.name"),
+        ("calibration: {r_left: 0.1, r_right: 0.1, separation: 0.5}", "calibration: 0.5",
+         "calibration.r_left"),
+        ("{name: odom0, rate: 20.0, tick_std: 0.0}", "{rate: 20.0, tick_std: 0.0}",
+         "odometry.name"),
+        ("{duration: 10.0, v: 0.4, w: 0.2}", "{duration: 10.0, v: 0.4}", "control.0.w"),
+        ("name: rb0\n  rate: 20.0", "name: rb0\n  rate: 5.0e-324", "range_bearing.rate"),
+        ("landmarks:\n  - [0, 2.0, 1.0]\n  - [1, 1.0, 2.5]\n  - [2, 3.0, 3.0]\n"
+         "  - [3, 0.5, 4.0]\n  - [4, 2.5, 4.5]\n",
+         "landmarks: {count: 1.0e+19, area: 10.0}\n", "landmarks.count"),
     ], ids=["yaml_syntax", "duration_nan", "odometry_rate_inf", "control_empty",
             "tick_std_negative", "range_std_nan", "control_v_nan", "landmark_short",
             "initial_pose_short", "r_left_zero", "seed_negative", "emit_ids_string",
-            "odometry_name_list", "range_bearing_name_mapping"])
+            "odometry_name_list", "range_bearing_name_mapping", "calibration_scalar",
+            "odometry_name_missing", "control_w_missing", "range_bearing_rate_tiny",
+            "landmark_count_huge"])
     def test_bad_scenario_exit_code(self, tmp_path, capsys, old, new, key):
         """A bad scenario exits 2 and writes no log; the message names its key."""
         assert old in SMALL_SCENARIO
@@ -595,6 +615,9 @@ class TestCli:
         pytest.param("truth_calib", [0.1, 0.1], id="calib_short"),  # did not name the record
         # scored as inf% and written into the metrics as Infinity
         pytest.param("truth_calib", [0.0, 0.1, 0.5], id="calib_zero"),
+        # a capture record rejects strings, so a truth record does too
+        pytest.param("truth", ["0.0", "0.0", "0.0"], id="pose_quoted"),
+        pytest.param("truth_calib", ["0.1", "0.1", "0.5"], id="calib_quoted"),
     ])
     def test_malformed_truth_record_exit_code(self, small_logs, tmp_path, capsys, sensor, data):
         """A truth record the metrics read exits 3 with one line naming the
@@ -853,3 +876,73 @@ class TestLogFuzz:
             assert code in (0, 2, 3), kind
             assert "Traceback" not in err, kind
             assert apps[-1].tree.check_consistency() == [], kind
+
+
+# each key of a committed config or scenario is set in turn to each of these
+BAD_VALUES = ([1.0, 2.0], {"a": 1.0}, "text", True, math.nan, -1, 0, 1e-310, 1e300, None)
+_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
+
+def _key_paths(node, sections, path=()):
+    """The key path of every leaf of a parsed YAML document as the parameter
+    server flattens it, and with ``sections`` of every mapping or nested list."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list) and any(isinstance(v, (dict, list)) for v in node):
+        children = enumerate(node)
+    else:
+        yield path
+        return
+    if sections and path:
+        yield path
+    for k, v in children:
+        yield from _key_paths(v, sections, path + (k,))
+
+
+def _yaml_mutants(text, sections):
+    """(dotted key, YAML text) with that key set to each bad value."""
+    doc = yaml.safe_load(text)
+    for path in _key_paths(doc, sections):
+        for value in BAD_VALUES:
+            mutant = copy.deepcopy(doc)
+            parent = functools.reduce(lambda node, k: node[k], path[:-1], mutant)
+            parent[path[-1]] = value
+            yield ".".join(map(str, path)), yaml.dump(mutant, Dumper=_DUMPER)
+
+
+class TestInputProperties:
+    """Every key of the committed configs and scenarios, set to each bad value
+    in turn, builds or loads, or is a ConfigError naming the key (a
+    scenario's section by a key under it); never any other exception."""
+
+    # together these four hold every config key
+    CONFIGS = ("demo_config.yaml", "calib_config.yaml", "loop_config_on.yaml",
+               "window_remove_config.yaml")
+
+    def test_mutated_configs(self):
+        cases = 0
+        for config in self.CONFIGS:
+            for key, text in _yaml_mutants((DATA / config).read_text(), False):
+                cases += 1
+                try:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore", ConfigWarning)
+                        auto_setup(parse_config(text))
+                except ConfigError as exc:
+                    message = str(exc)
+                    # a renamed sensor leaves its processor's reference dangling
+                    renamed = (key.startswith("sensors.") and key.endswith(".name")
+                               and ".sensor references unknown sensor" in message)
+                    assert key in message or renamed, (config, key, message)
+        assert cases > 1000
+
+    def test_mutated_scenarios(self):
+        cases = 0
+        for scenario in sorted(DATA.glob("*_scenario.yaml")):
+            for key, text in _yaml_mutants(scenario.read_text(), True):
+                cases += 1
+                try:
+                    load_scenario(text)
+                except ConfigError as exc:
+                    assert key in str(exc), (scenario.name, key, str(exc))
+        assert cases > 1000
