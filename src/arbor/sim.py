@@ -170,9 +170,8 @@ def load_scenario(text: str) -> SimScenario:
     )
     ratio = odometry.rate / range_bearing.rate
     if abs(ratio - round(ratio)) > 1e-9:
-        raise ConfigError(
-            "odometry rate must be an integer multiple of the range-bearing rate"
-        )
+        raise ConfigError("odometry.rate must be an integer multiple of range_bearing.rate, "
+                          f"got {odometry.rate} and {range_bearing.rate}")
     spec = server.section("landmarks")
     if isinstance(spec, dict):
         count = server.number("landmarks.count", bound=">=", integer=True)

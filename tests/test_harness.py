@@ -109,7 +109,7 @@ class TestSimulate:
 
     def test_rate_mismatch_rejected(self):
         text = SMALL_SCENARIO.replace("name: rb0\n  rate: 20.0", "name: rb0\n  rate: 7.0")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"^odometry\.rate .* range_bearing\.rate, "):
             load_scenario(text)
 
 
